@@ -36,13 +36,19 @@ let layout_of name =
   let r = Router.route_all p in
   Layout.build p r
 
-(* two decks: the flow's signoff deck, and a stressed one whose
-   spacing limit sits above the routing pitch — every adjacent track
-   pair violates, so the reporting machinery is benchmarked under
-   load, not just the clean path *)
+(* three decks: the flow's signoff deck; a stressed one whose spacing
+   limit sits above the routing pitch — every adjacent track pair
+   violates, so the reporting machinery is benchmarked under load, not
+   just the clean path; and a dense one whose 5% metal-density limit
+   makes most density windows fire, pinning the windowed density
+   counts *)
 let decks =
   let d = Drc.deck_of_tech Tech.default in
-  [ ("signoff", d); ("stress", { d with Drc.spacing = d.Drc.cell_spacing }) ]
+  [
+    ("signoff", d);
+    ("stress", { d with Drc.spacing = d.Drc.cell_spacing });
+    ("dense", { d with Drc.max_density = 0.05 });
+  ]
 
 let run name deck_name deck layout =
   let tbl : (string, Diag.t list) Hashtbl.t = Hashtbl.create 1024 in

@@ -726,9 +726,9 @@ let scaling_study () =
   in
   List.iter
     (fun name ->
-      let t0 = Sys.time () in
-      let r = Flow.run ~router:router_alg (Circuits.benchmark name) in
-      let total = Sys.time () -. t0 in
+      let r, total =
+        Wallclock.time (fun () -> Flow.run ~router:router_alg (Circuits.benchmark name))
+      in
       Table.add_row t
         [
           name;

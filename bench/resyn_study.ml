@@ -44,9 +44,9 @@ let make_cache () =
   }
 
 let run_one name cache tag aqfp0 =
-  let t0 = Unix.gettimeofday () in
-  let aqfp1, r = Resyn.run ~effort:Resyn.Full ~cache aqfp0 in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let (aqfp1, r), seconds =
+    Wallclock.time (fun () -> Resyn.run ~effort:Resyn.Full ~cache aqfp0)
+  in
   let hit_rate =
     if r.Resyn.cec.Resyn.windows = 0 then 1.0
     else

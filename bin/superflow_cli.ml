@@ -922,7 +922,8 @@ let mlint_cmd =
     (Cmd.info "mlint"
        ~doc:"Statically enforce the determinism/purity contract over the \
              flow's own OCaml sources: parse every lib/**/*.ml and bin/*.ml \
-             with compiler-libs and evaluate the SL-* rules (unordered \
+             (and bench/**/*.ml, for SL-TIME-01 only) with compiler-libs \
+             and evaluate the SL-* rules (unordered \
              Hashtbl iteration, wall-clock and Marshal escapes, polymorphic \
              compares, unregistered global state, swallowed exceptions, \
              unlabeled Parallel sites, stdout prints, exit in libraries, \

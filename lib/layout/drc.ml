@@ -414,23 +414,29 @@ let naive_view (shapes : shape array) =
    Exact clipped rectangle areas; overlapping wires double-count (a
    conservative over-estimate, as in the original checker). *)
 
+(* strictly increasing window origins along one axis *)
 let anchors d lo hi =
   let w = d.density_window in
   let step = max 1 (w / 2) in
-  if hi - lo <= w then [ lo ]
+  if hi - lo <= w then [| lo |]
   else begin
     let acc = ref [] and p = ref lo in
     while !p + w < hi do
       acc := !p :: !acc;
       p := !p + step
     done;
-    List.rev ((hi - w) :: !acc)
+    Array.of_list (List.rev ((hi - w) :: !acc))
   end
 
-let density_diags d (shapes : shape array) push =
-  let wires = Array.to_list shapes |> List.filter (fun s -> s.kind = Kwire) in
+let window d ax ay =
+  let win = d.density_window in
+  { Igeom.lx = ax; ly = ay; hx = ax + win; hy = ay + win }
+
+(* the windows over the wires' bounding box, [(xs, ys)] anchors; [None]
+   without wires *)
+let density_grid d wires =
   match wires with
-  | [] -> ()
+  | [] -> None
   | w0 :: _ ->
       let bbox =
         List.fold_left
@@ -443,34 +449,91 @@ let density_diags d (shapes : shape array) push =
             })
           w0.r wires
       in
-      let win = d.density_window in
-      let denom = float_of_int win *. float_of_int win in
-      List.iter
+      Some
+        ( anchors d bbox.Igeom.lx bbox.Igeom.hx,
+          anchors d bbox.Igeom.ly bbox.Igeom.hy )
+
+(* the one DRC-DENSITY emitter, given a window's exact metal area;
+   callers visit windows row by row ([ay] outer, [ax] inner) *)
+let density_emit d ax ay area push =
+  let win = d.density_window in
+  let density = float_of_int area /. (float_of_int win *. float_of_int win) in
+  if density > d.max_density then begin
+    let cx = ax + (win / 2) and cy = ay + (win / 2) in
+    push
+      ( cx,
+        cy,
+        Diag.error ~rule:"DRC-DENSITY"
+          ~witness:[ Printf.sprintf "window %s" (rect_str (window d ax ay)) ]
+          (at cx cy) "metal density %.0f%% > %.0f%%" (100.0 *. density)
+          (100.0 *. d.max_density) )
+  end
+
+let wires_of (shapes : shape array) =
+  Array.to_list shapes |> List.filter (fun s -> s.kind = Kwire)
+
+(* reference: every window folds over every wire, O(windows × wires) *)
+let density_scan d (shapes : shape array) push =
+  let wires = wires_of shapes in
+  match density_grid d wires with
+  | None -> ()
+  | Some (xs, ys) ->
+      Array.iter
         (fun ay ->
-          List.iter
+          Array.iter
             (fun ax ->
-              let window =
-                { Igeom.lx = ax; ly = ay; hx = ax + win; hy = ay + win }
-              in
+              let w = window d ax ay in
               let area =
-                List.fold_left
-                  (fun acc s -> acc + Igeom.inter_area s.r window)
-                  0 wires
+                List.fold_left (fun acc s -> acc + Igeom.inter_area s.r w) 0 wires
               in
-              let density = float_of_int area /. denom in
-              if density > d.max_density then begin
-                let cx = ax + (win / 2) and cy = ay + (win / 2) in
-                push
-                  ( cx,
-                    cy,
-                    Diag.error ~rule:"DRC-DENSITY"
-                      ~witness:[ Printf.sprintf "window %s" (rect_str window) ]
-                      (at cx cy) "metal density %.0f%% > %.0f%%"
-                      (100.0 *. density)
-                      (100.0 *. d.max_density) )
-              end)
-            (anchors d bbox.Igeom.lx bbox.Igeom.hx))
-        (anchors d bbox.Igeom.ly bbox.Igeom.hy)
+              density_emit d ax ay area push)
+            xs)
+        ys
+
+(* first index whose window [a, a + win] reaches past [lo]; [a + win]
+   increases with [a], so the windows meeting [lo, ..] are a suffix *)
+let first_reaching (a : int array) win lo =
+  let rec go l h =
+    if l >= h then l
+    else
+      let m = (l + h) / 2 in
+      if a.(m) + win > lo then go l m else go (m + 1) h
+  in
+  go 0 (Array.length a)
+
+(* engine: each wire adds its clipped area into only the windows it
+   meets, O(wires × windows met per wire). Integer sums do not depend
+   on the order they are taken in, and [inter_area] is 0 for a window
+   the wire merely touches, so every window's area equals the scan's *)
+let density_binned d (shapes : shape array) push =
+  let wires = wires_of shapes in
+  match density_grid d wires with
+  | None -> ()
+  | Some (xs, ys) ->
+      let win = d.density_window in
+      let nx = Array.length xs and ny = Array.length ys in
+      let area = Array.make (nx * ny) 0 in
+      List.iter
+        (fun s ->
+          let r = s.r in
+          let i0 = first_reaching xs win r.Igeom.lx in
+          let j = ref (first_reaching ys win r.Igeom.ly) in
+          while !j < ny && ys.(!j) < r.Igeom.hy do
+            let i = ref i0 in
+            while !i < nx && xs.(!i) < r.Igeom.hx do
+              let k = (!j * nx) + !i in
+              area.(k) <- area.(k) + Igeom.inter_area r (window d xs.(!i) ys.(!j));
+              incr i
+            done;
+            incr j
+          done)
+        wires;
+      Array.iteri
+        (fun j ay ->
+          Array.iteri
+            (fun i ax -> density_emit d ax ay area.((j * nx) + i) push)
+            xs)
+        ys
 
 (* ---- content hashing for the tile cache ---- *)
 
@@ -611,7 +674,7 @@ let check ?deck ?cache (t : Layout.t) =
           ds
       | None ->
           let acc = ref [] in
-          density_diags d shapes (fun (_, _, diag) -> acc := diag :: !acc);
+          density_binned d shapes (fun (_, _, diag) -> acc := diag :: !acc);
           let ds = List.rev !acc in
           (match cache with
           | Some c -> c.store (Lazy.force dkey) ds
@@ -649,7 +712,7 @@ let check_brute ?deck (t : Layout.t) =
   done;
   let view = naive_view shapes in
   Array.iter (fun s -> shape_diags d view s push) shapes;
-  density_diags d shapes push;
+  density_scan d shapes push;
   List.sort Diag.compare !acc
 
 (* ---- hints for the flow's fix loop ---- *)

@@ -24,6 +24,17 @@
     - [DRC-VIA-ENCLOSE-01]: a via cut not enclosed by same-net metal
       with the required margin on each layer;
     - [DRC-DENSITY]: sliding-window metal density above the limit.
+      Windows step by half a window over the metal bounding box, plus
+      a final right/top-aligned one. {!check} bins: each wire
+      binary-searches the first window it can reach on each axis and
+      adds its clipped area to only the windows it meets, so the pass
+      costs O(wires × windows met per wire) instead of
+      O(windows × wires). The result is exactly the per-window scan's:
+      areas are integer sums (order-free), windows are visited in the
+      same row-major order through one shared emitter, and clipping
+      counts positive area only, so a wire that merely touches a
+      window edge adds 0 either way. {!check_brute} keeps the
+      per-window scan as the oracle.
 
     The check is tiled: shapes are binned into fixed-size tiles with a
     halo at least as large as the longest rule interaction distance,
@@ -79,8 +90,9 @@ val check : ?deck:deck -> ?cache:cache -> Layout.t -> report
 
 val check_brute : ?deck:deck -> Layout.t -> Diag.t list
 (** O(n²) reference implementation sharing only the per-rule emitters
-    with {!check} — no sweep, no tiles, no cache. The property tests
-    hold {!check} to byte-equality against it. *)
+    with {!check} — no sweep, no tiles, no cache, and density by
+    scanning every wire for every window. The property tests hold
+    {!check} to byte-equality against it. *)
 
 val gap_hints : Problem.t -> Diag.t list -> int list
 (** Row gaps implicated by located wire-congestion diagnostics

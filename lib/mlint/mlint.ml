@@ -48,6 +48,12 @@ let starts_with prefix s =
 
 let in_lib p = starts_with "lib/" p
 
+(* benchmark harnesses are held only to SL-TIME-01 (their timings must
+   be wall time, not CPU time summed across domains); SL-PARSE-01 still
+   reports a file the timing rule could not see into *)
+let in_scope ~rule p =
+  (not (starts_with "bench/" p)) || rule = "SL-TIME-01" || rule = "SL-PARSE-01"
+
 (* the libraries that implement flow stages: where the determinism
    contract is strictest (their outputs are cached, proved and
    byte-compared) *)
@@ -204,6 +210,7 @@ let check_source ~known_ids (src : Sl_source.t) =
           (eval_site src ~known_ids ~known_prefixes ~sorted_items)
           sites
   in
+  let raw = List.filter (fun fd -> in_scope ~rule:fd.rule fd.path) raw in
   let supp = ref 0 in
   let kept =
     List.filter
@@ -282,6 +289,7 @@ let discover root =
   in
   walk "lib";
   walk "bin";
+  walk "bench";
   List.sort String.compare !out
 
 let run ~known_ids ?(baseline = []) ~root () =

@@ -4,7 +4,9 @@
 
     Every [lib/**/*.ml] and [bin/*.ml] file is parsed with
     [compiler-libs] ([Parse.implementation]) and checked against the
-    SL-* rules: unordered [Hashtbl] iteration feeding outputs,
+    SL-* rules; [bench/**/*.ml] is parsed too but held only to
+    SL-TIME-01 (and SL-PARSE-01). The rules cover unordered [Hashtbl]
+    iteration feeding outputs,
     wall-clock and nondeterministic-seed primitives outside
     [Wallclock], [Marshal] bypassing the versioned [Codec] frames,
     polymorphic compares in stage libraries, unregistered module-level
@@ -51,7 +53,8 @@ val check_source :
   known_ids:string list -> Sl_source.t -> finding list * int
 (** Analyze one loaded source; returns the unsuppressed findings (in
     source order) and the count of sl-ignore-suppressed ones.
-    [known_ids] feeds SL-RULEID-01. *)
+    [known_ids] feeds SL-RULEID-01. A path under [bench/] keeps only
+    its SL-TIME-01 and SL-PARSE-01 findings. *)
 
 val run :
   known_ids:string list ->
@@ -59,7 +62,8 @@ val run :
   root:string ->
   unit ->
   (report, string) result
-(** Analyze [root/lib/**/*.ml] and [root/bin/*.ml]. [baseline] is the
+(** Analyze [root/lib/**/*.ml], [root/bin/*.ml] and, for SL-TIME-01
+    only, [root/bench/**/*.ml]. [baseline] is the
     raw line list of a baseline file ([SL-XXX-NN path:line] entries;
     blank and [#] lines ignored). [Error] means [root] has no [lib/]
     directory. *)

@@ -192,15 +192,9 @@ let wire net layer x1 y1 x2 y2 =
 
 let via net x y = { Layout.net; at = Geom.pt x y }
 
-let lay ?(cells = [||]) ?(wires = [||]) ?(vias = [||]) () =
-  {
-    Layout.tech = Tech.default;
-    cells;
-    wires;
-    vias;
-    bias = [||];
-    die = Geom.rect 0.0 0.0 400.0 400.0;
-  }
+let lay ?(die = Geom.rect 0.0 0.0 400.0 400.0) ?(cells = [||]) ?(wires = [||])
+    ?(vias = [||]) () =
+  { Layout.tech = Tech.default; cells; wires; vias; bias = [||]; die }
 
 let deck0 () = Drc.deck_of_tech Tech.default
 
@@ -416,6 +410,95 @@ let test_drc_jobs_deterministic () =
   let b = (Drc.check layout).Drc.diags in
   Parallel.auto_jobs ();
   Alcotest.(check (list string)) "jobs 1 = jobs 4" (diag_strings a) (diag_strings b)
+
+(* ---- the density pass over many windows ----
+
+   A 1000 x 700 um die, framed by wires along its left and bottom
+   edges and reached by wires at its right and top edges, so the metal
+   bounding box (endcaps included) is [-1, 1001] x [-1, 701] um: the
+   200 um windows start at -1 + 100k um, and the last right/top-aligned
+   window (at 801 / 501 um) is off the half-window step. Random wires
+   are long enough to cross several windows, and some have an endcap
+   edge exactly on a window edge, where they touch a window with zero
+   area. *)
+
+let density_layout seed =
+  Random.init (5000 + seed);
+  let on_edge () = float_of_int ((100 * Random.int 11) - 2 + (2 * Random.int 2)) in
+  let coord hi () =
+    if Random.int 4 = 0 then Float.min hi (Float.max 0.0 (on_edge ()))
+    else float_of_int (10 * Random.int (int_of_float hi / 10 + 1))
+  in
+  let random_wire () =
+    let horiz = Random.bool () in
+    let x = coord 1000.0 () and y = coord 700.0 () in
+    let len = float_of_int (10 * (1 + Random.int 60)) in
+    if horiz then wire (Random.int 8) m1 x y (Float.min 1000.0 (x +. len)) y
+    else wire (Random.int 8) m2 x y x (Float.min 700.0 (y +. len))
+  in
+  (* a dense bus, so even the 10% limit has windows to flag *)
+  let bus =
+    let x0 = float_of_int (10 * Random.int 80) and y0 = float_of_int (10 * Random.int 50) in
+    List.init 24 (fun k ->
+        wire (8 + k) m1 x0 (y0 +. float_of_int (8 * k)) (x0 +. 200.0)
+          (y0 +. float_of_int (8 * k)))
+  in
+  let frame =
+    [
+      wire 0 m1 0.0 0.0 1000.0 0.0;
+      wire 1 m2 0.0 0.0 0.0 700.0;
+      wire 2 m2 1000.0 300.0 1000.0 700.0;
+      wire 3 m1 400.0 700.0 1000.0 700.0;
+    ]
+  in
+  let wires =
+    Array.of_list (frame @ bus @ List.init (40 + Random.int 60) (fun _ -> random_wire ()))
+  in
+  lay ~die:(Geom.rect 0.0 0.0 1000.0 700.0) ~wires ()
+
+let density_count ds =
+  List.length (List.filter (fun (d : Diag.t) -> d.Diag.rule = "DRC-DENSITY") ds)
+
+let test_drc_density_matches_brute () =
+  let fired = Array.make 3 0 in
+  for seed = 1 to 20 do
+    let layout = density_layout seed in
+    List.iteri
+      (fun k max_density ->
+        let deck = { (deck0 ()) with Drc.max_density } in
+        let tiled = (Drc.check ~deck layout).Drc.diags in
+        let brute = Drc.check_brute ~deck layout in
+        if density_count tiled > 0 then fired.(k) <- fired.(k) + 1;
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d, max_density %.2f: tiled = brute" seed max_density)
+          (diag_strings brute) (diag_strings tiled))
+      [ 0.0; 0.05; 0.1 ]
+  done;
+  (* 0% flags every window with metal: 6 x 9 windows on this die *)
+  checkb "many windows" true
+    (density_count
+       (Drc.check ~deck:{ (deck0 ()) with Drc.max_density = 0.0 } (density_layout 1))
+         .Drc.diags
+    > 40);
+  Array.iteri
+    (fun k n -> checkb (Printf.sprintf "deck %d fires on most seeds" k) true (n > 15))
+    fired
+
+let test_drc_density_jobs_deterministic () =
+  let deck = { (deck0 ()) with Drc.max_density = 0.05 } in
+  List.iter
+    (fun seed ->
+      let layout = density_layout seed in
+      Parallel.set_jobs 1;
+      let a = (Drc.check ~deck layout).Drc.diags in
+      Parallel.set_jobs 4;
+      let b = (Drc.check ~deck layout).Drc.diags in
+      Parallel.auto_jobs ();
+      checkb "density fired" true (density_count a > 0);
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: jobs 1 = jobs 4" seed)
+        (diag_strings a) (diag_strings b))
+    [ 3; 11 ]
 
 (* ---- tile-incremental rechecks through an in-memory cache ---- *)
 
@@ -656,6 +739,10 @@ let () =
           Alcotest.test_case "tile straddling" `Quick test_drc_tile_straddling;
           Alcotest.test_case "jobs deterministic" `Quick
             test_drc_jobs_deterministic;
+          Alcotest.test_case "density = brute" `Quick
+            test_drc_density_matches_brute;
+          Alcotest.test_case "density jobs deterministic" `Quick
+            test_drc_density_jobs_deterministic;
           Alcotest.test_case "eco incremental" `Quick test_drc_eco_incremental;
           Alcotest.test_case "gap hints" `Quick test_gap_hints;
         ] );

@@ -24,6 +24,9 @@ let check_fixture ~rule ~path ~line src =
   checks (rule ^ " path") path f.Mlint.path;
   checki (rule ^ " line") line f.Mlint.line
 
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
 (* ---------- one fixture per rule ---------- *)
 
 let test_hash () =
@@ -42,6 +45,28 @@ let test_hash_sanitized () =
 let test_time () =
   check_fixture ~rule:"SL-TIME-01" ~path:"lib/fix/f.ml" ~line:1
     "let t () = Sys.time ()\n"
+
+let test_time_bench () =
+  (* harnesses are held to the timing rule alone: the exit, the print,
+     the unsorted Hashtbl walk and the catch-all stay quiet there *)
+  check_fixture ~rule:"SL-TIME-01" ~path:"bench/fix/f.ml" ~line:4
+    "let f h =\n\
+    \  Hashtbl.iter (fun _ v -> print_endline v) h;\n\
+    \  (try exit 1 with _ -> ());\n\
+    \  Unix.gettimeofday ()\n"
+
+let test_time_bench_run () =
+  let root = Filename.temp_dir "mlint_test" "" in
+  Sys.mkdir (Filename.concat root "lib") 0o755;
+  Sys.mkdir (Filename.concat root "bench") 0o755;
+  write_file (Filename.concat root "bench/study.ml")
+    "let t0 = Sys.time ()\nlet () = print_endline \"ok\"\n";
+  match Mlint.run ~known_ids ~root () with
+  | Error e -> Alcotest.fail e
+  | Ok rep ->
+      Alcotest.(check (list string))
+        "bench/ scanned for SL-TIME-01 only" [ "SL-TIME-01 bench/study.ml:1" ]
+        (Mlint.baseline_lines rep.Mlint.findings)
 
 let test_marshal () =
   check_fixture ~rule:"SL-MARSHAL-01" ~path:"lib/fix/f.ml" ~line:1
@@ -132,9 +157,6 @@ let test_suppress_wrong_rule () =
   checki "nothing counted" 0 supp
 
 (* ---------- baseline round-trip on a temp tree ---------- *)
-
-let write_file path text =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
 let make_tree () =
   let root = Filename.temp_dir "mlint_test" "" in
@@ -250,6 +272,8 @@ let () =
           Alcotest.test_case "SL-HASH-01" `Quick test_hash;
           Alcotest.test_case "SL-HASH-01 sanitized" `Quick test_hash_sanitized;
           Alcotest.test_case "SL-TIME-01" `Quick test_time;
+          Alcotest.test_case "SL-TIME-01 bench scope" `Quick test_time_bench;
+          Alcotest.test_case "SL-TIME-01 bench run" `Quick test_time_bench_run;
           Alcotest.test_case "SL-MARSHAL-01" `Quick test_marshal;
           Alcotest.test_case "SL-POLY-01" `Quick test_poly;
           Alcotest.test_case "SL-POLY-01 scope" `Quick test_poly_scoped;
