@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: build test bench bench-quick bench-speedup explain-all mlint clean
+.PHONY: build test bench bench-quick bench-speedup perf-smoke explain-all mlint clean
 
 build:
 	dune build
@@ -22,6 +22,12 @@ bench-quick:
 # stages, with an identical-results check).
 bench-speedup:
 	dune exec bench/main.exe -- speedup quick
+
+# A short traced pass of the placer-heavy perf workload. perf.exe exits
+# 1 on any failed design check or determinism guard, so CI uses this as
+# a gate on the signed-off flow.
+perf-smoke:
+	dune exec --root . bench/perf/perf.exe -- --workload signoff-small --seconds 3 --trace 1
 
 # Dump the whole diagnostic-rule registry (one entry per rule id).
 # CI uses this as a smoke test that the registry is self-consistent.

@@ -19,68 +19,23 @@ let default_options =
     seed = 7;
   }
 
-let net_cost p ~lambda_t ~lambda_wmax ~lambda_slack ~row_width e =
-  let tech = p.Problem.tech in
-  let len = Problem.net_length p e in
-  let excess = Float.max 0.0 (len -. tech.Tech.w_max) in
-  let sc = p.Problem.cells.(e.Problem.src) in
-  let xs = sc.Problem.x +. sc.Problem.lib.Cell.out_pins.(e.Problem.src_pin) in
-  let dc = p.Problem.cells.(e.Problem.dst) in
-  let pins = dc.Problem.lib.Cell.in_pins in
-  let xd = dc.Problem.x +. pins.(e.Problem.dst_pin mod Array.length pins) in
-  let t =
-    Clocking.timing_cost tech ~row_width ~phase:sc.Problem.row
-      ~x_start:xs ~x_end:xd ~alpha:2.0
-  in
-  (* direct slack surrogate: the exact per-net STA formula, penalizing
-     only violations (this is what lowers WNS, beyond the smooth Eq. 2
-     pressure) *)
-  let violation =
-    if lambda_slack = 0.0 then 0.0
-    else begin
-      let base =
-        match ((sc.Problem.row mod 4) + 4) mod 4 with
-        | 0 -> xd -. xs
-        | 1 -> xd +. xs
-        | 2 -> -.xd +. xs
-        | 3 -> (2.0 *. row_width) -. xd -. xs
-        | _ -> assert false
-      in
-      let slack =
-        Tech.phase_window_ps tech -. tech.Tech.gate_delay_ps
-        -. (len /. tech.Tech.signal_velocity)
-        -. (Float.max 0.0 base /. tech.Tech.clock_velocity)
-      in
-      Float.max 0.0 (-.slack)
-    end
-  in
-  len
-  +. (lambda_t *. t /. Float.max 1.0 row_width)
-  +. (lambda_wmax *. excess)
-  +. (lambda_slack *. violation)
-
 let cost p ~lambda_t ~lambda_wmax ~lambda_slack =
-  let row_width = Problem.row_width p in
-  Array.fold_left
-    (fun acc e -> acc +. net_cost p ~lambda_t ~lambda_wmax ~lambda_slack ~row_width e)
-    0.0 p.Problem.nets
-
-(* nets touching each cell, computed once *)
-let cell_nets p =
-  let m = Array.make (Array.length p.Problem.cells) [] in
-  Array.iteri
-    (fun ni e ->
-      m.(e.Problem.src) <- ni :: m.(e.Problem.src);
-      if e.Problem.dst <> e.Problem.src then m.(e.Problem.dst) <- ni :: m.(e.Problem.dst))
-    p.Problem.nets;
-  m
+  Place_cost.total p { Place_cost.lambda_t; lambda_wmax; lambda_slack }
 
 let gap_legal s_min g = g > -1e-6 && (g < 1e-6 || g >= s_min -. 1e-6)
 
 let run ?(options = default_options) p =
   let tech = p.Problem.tech in
   let s_min = tech.Tech.s_min in
-  let nets_of = cell_nets p in
+  let nets_of = Problem.cell_nets p in
+  let dys = Problem.net_dys p in
+  let weights =
+    {
+      Place_cost.lambda_t = options.lambda_t;
+      lambda_wmax = options.lambda_wmax;
+      lambda_slack = options.lambda_slack;
+    }
+  in
   let accepted = ref 0 in
   (* per-row order sorted by x (legal placements are strictly ordered) *)
   let orders =
@@ -94,9 +49,7 @@ let run ?(options = default_options) p =
   let eval_nets ~row_width nets =
     List.fold_left
       (fun acc ni ->
-        acc
-        +. net_cost p ~lambda_t:options.lambda_t ~lambda_wmax:options.lambda_wmax
-             ~lambda_slack:options.lambda_slack ~row_width p.Problem.nets.(ni))
+        acc +. Place_cost.net_cost p weights ~row_width ~dy:dys.(ni) p.Problem.nets.(ni))
       0.0 nets
   in
   let union_nets a b =

@@ -23,7 +23,7 @@ let run ?(options = default_options) p =
   let tech = p.Problem.tech in
   let s_min = tech.Tech.s_min in
   let rng = Rng.create options.seed in
-  let nets_of = Place_cost.cell_nets p in
+  let nets_of = Problem.cell_nets p in
   let n_cells = Array.length p.Problem.cells in
   if n_cells = 0 then 0
   else begin
@@ -39,11 +39,12 @@ let run ?(options = default_options) p =
         p.Problem.row_cells
     in
     let row_width = ref (Float.max 1.0 (Problem.row_width p)) in
+    let dys = Problem.net_dys p in
     let eval_nets nets =
       List.fold_left
         (fun acc ni ->
           acc
-          +. Place_cost.net_cost p options.weights ~row_width:!row_width
+          +. Place_cost.net_cost p options.weights ~row_width:!row_width ~dy:dys.(ni)
                p.Problem.nets.(ni))
         0.0 nets
     in

@@ -77,67 +77,51 @@ let adam_refine p options =
   done;
   Problem.restore_positions p xs
 
-(* nets touching each cell *)
-let cell_nets p =
-  let m = Array.make (Array.length p.Problem.cells) [] in
-  Array.iteri
-    (fun ni e ->
-      m.(e.Problem.src) <- ni :: m.(e.Problem.src);
-      if e.Problem.dst <> e.Problem.src then m.(e.Problem.dst) <- ni :: m.(e.Problem.dst))
-    p.Problem.nets;
-  m
-
-(* Desired position of a cell: barycenter of partner pins, optionally
-   biased against the four-phase timing gradient. *)
-let desired_positions p nets_of ~timing_bias =
-  let n = Array.length p.Problem.cells in
-  let row_width = Float.max 1.0 (Problem.row_width p) in
-  (* each cell's target is a pure function of current positions, so
-     cells fan out over the pool; fixed chunking keeps the result
-     identical at every jobs count *)
-  Parallel.parallel_init ~label:"place.desired" ~chunk:256 n (fun ci ->
-    let c = p.Problem.cells.(ci) in
-    match nets_of.(ci) with
-    | [] -> c.Problem.x
-    | nets ->
-        let sum = ref 0.0 and count = ref 0 in
-        let tgrad = ref 0.0 in
-        List.iter
-          (fun ni ->
-            let e = p.Problem.nets.(ni) in
-            let is_src = e.Problem.src = ci in
-            let partner_pin =
-              if is_src then Problem.pin_x p ni `Dst else Problem.pin_x p ni `Src
+(* Desired position of one cell: barycenter of its partner pins,
+   optionally biased against the four-phase timing gradient. *)
+let desired_one p nets_of ~timing_bias ~row_width ci =
+  let c = p.Problem.cells.(ci) in
+  match nets_of.(ci) with
+  | [] -> c.Problem.x
+  | nets ->
+      let sum = ref 0.0 and count = ref 0 in
+      let tgrad = ref 0.0 in
+      List.iter
+        (fun ni ->
+          let e = p.Problem.nets.(ni) in
+          let is_src = e.Problem.src = ci in
+          let partner_pin =
+            if is_src then Problem.pin_x p ni `Dst else Problem.pin_x p ni `Src
+          in
+          let own_offset =
+            if is_src then c.Problem.lib.Cell.out_pins.(e.Problem.src_pin)
+            else
+              let pins = c.Problem.lib.Cell.in_pins in
+              pins.(e.Problem.dst_pin mod Array.length pins)
+          in
+          sum := !sum +. (partner_pin -. own_offset);
+          incr count;
+          if timing_bias > 0.0 then begin
+            let sc = p.Problem.cells.(e.Problem.src) in
+            let xs_pin = Problem.pin_x p ni `Src and xd_pin = Problem.pin_x p ni `Dst in
+            let base, dbs, dbd =
+              match ((sc.Problem.row mod 4) + 4) mod 4 with
+              | 0 -> (xd_pin -. xs_pin, -1.0, 1.0)
+              | 1 -> (xd_pin +. xs_pin, 1.0, 1.0)
+              | 2 -> (-.xd_pin +. xs_pin, 1.0, -1.0)
+              | 3 -> ((2.0 *. row_width) -. xd_pin -. xs_pin, -1.0, -1.0)
+              | _ -> assert false
             in
-            let own_offset =
-              if is_src then c.Problem.lib.Cell.out_pins.(e.Problem.src_pin)
-              else
-                let pins = c.Problem.lib.Cell.in_pins in
-                pins.(e.Problem.dst_pin mod Array.length pins)
-            in
-            sum := !sum +. (partner_pin -. own_offset);
-            incr count;
-            if timing_bias > 0.0 then begin
-              let sc = p.Problem.cells.(e.Problem.src) in
-              let xs_pin = Problem.pin_x p ni `Src and xd_pin = Problem.pin_x p ni `Dst in
-              let base, dbs, dbd =
-                match ((sc.Problem.row mod 4) + 4) mod 4 with
-                | 0 -> (xd_pin -. xs_pin, -1.0, 1.0)
-                | 1 -> (xd_pin +. xs_pin, 1.0, 1.0)
-                | 2 -> (-.xd_pin +. xs_pin, 1.0, -1.0)
-                | 3 -> ((2.0 *. row_width) -. xd_pin -. xs_pin, -1.0, -1.0)
-                | _ -> assert false
-              in
-              if base > 0.0 then
-                tgrad := !tgrad +. (base *. if is_src then dbs else dbd)
-            end)
-          nets;
-        let bary = !sum /. float_of_int !count in
-        (* the timing gradient has µm·µm units; dividing by net count
-           and damping turns it into a bounded positional nudge *)
-        let nudge = timing_bias *. !tgrad /. float_of_int !count in
-        let nudge = Float.max (-50.0) (Float.min 50.0 nudge) in
-        Float.max 0.0 (bary -. nudge))
+            if base > 0.0 then
+              tgrad := !tgrad +. (base *. if is_src then dbs else dbd)
+          end)
+        nets;
+      let bary = !sum /. float_of_int !count in
+      (* the timing gradient has µm·µm units; dividing by net count
+         and damping turns it into a bounded positional nudge *)
+      let nudge = timing_bias *. !tgrad /. float_of_int !count in
+      let nudge = Float.max (-50.0) (Float.min 50.0 nudge) in
+      Float.max 0.0 (bary -. nudge)
 
 let sweep_cost p ~timing_weight =
   let tc = Problem.timing_cost p () in
@@ -156,35 +140,33 @@ let sweep_cost p ~timing_weight =
    simultaneous update suffers from). Every sweep ends legal; the best
    legal state encountered wins. *)
 let barycenter_sweeps ?(sweeps = 40) ?(timing_bias = 0.0) ?(timing_weight = 0.0) p =
-  let nets_of = cell_nets p in
+  let nets_of = Problem.cell_nets p in
   let best_cost = ref infinity in
   let best = ref (Problem.copy_positions p) in
-  let desired = desired_positions p nets_of ~timing_bias in
+  (* only the row being relaxed reads targets; they come from the
+     positions and row width at that moment, all taken before any of
+     the row's cells moves *)
   let relax_row damping r =
-    Array.iter
-      (fun ci ->
+    let row = p.Problem.row_cells.(r) in
+    let row_width = Float.max 1.0 (Problem.row_width p) in
+    let desired = Array.map (desired_one p nets_of ~timing_bias ~row_width) row in
+    Array.iteri
+      (fun i ci ->
         let c = p.Problem.cells.(ci) in
-        let d = desired.(ci) in
-        c.Problem.x <- (damping *. c.Problem.x) +. ((1.0 -. damping) *. d))
-      p.Problem.row_cells.(r);
+        c.Problem.x <- (damping *. c.Problem.x) +. ((1.0 -. damping) *. desired.(i)))
+      row;
     Legalize.legalize_row p r
   in
   for sweep = 1 to sweeps do
     let damping = if sweep <= 2 then 0.0 else 0.3 in
-    (* refresh desired from current state, then relax rows in one
-       direction; alternate directions between sweeps *)
-    let refresh () =
-      let d = desired_positions p nets_of ~timing_bias in
-      Array.blit d 0 desired 0 (Array.length d)
-    in
+    (* relax rows in one direction; alternate directions between
+       sweeps *)
     if sweep mod 2 = 1 then
       for r = 0 to p.Problem.n_rows - 1 do
-        refresh ();
         relax_row damping r
       done
     else
       for r = p.Problem.n_rows - 1 downto 0 do
-        refresh ();
         relax_row damping r
       done;
     let cost = sweep_cost p ~timing_weight in

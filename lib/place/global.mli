@@ -35,7 +35,9 @@ val run : ?options:options -> Problem.t -> unit
 val barycenter_sweeps :
   ?sweeps:int -> ?timing_bias:float -> ?timing_weight:float -> Problem.t -> unit
 (** Phase 3 alone (exposed for the baseline placers and tests): each
-    sweep recomputes every cell's barycenter (optionally nudged
-    against the timing gradient by [timing_bias]), re-sorts each row,
-    legalizes, and keeps the best legal state under
+    sweep visits the rows in turn; for each row it recomputes the
+    barycenters of that row's cells from the current positions
+    (optionally nudged against the timing gradient by [timing_bias]),
+    moves the cells toward them, re-sorts and legalizes the row. It
+    keeps the best legal state under
     [hpwl + timing_weight * timing / row_width]. *)

@@ -2,15 +2,15 @@ type weights = { lambda_t : float; lambda_wmax : float; lambda_slack : float }
 
 let default_weights = { lambda_t = 0.3; lambda_wmax = 5.0; lambda_slack = 20.0 }
 
-let net_cost p w ~row_width e =
+let net_cost p w ~row_width ~dy e =
   let tech = p.Problem.tech in
-  let len = Problem.net_length p e in
-  let excess = Float.max 0.0 (len -. tech.Tech.w_max) in
   let sc = p.Problem.cells.(e.Problem.src) in
   let xs = sc.Problem.x +. sc.Problem.lib.Cell.out_pins.(e.Problem.src_pin) in
   let dc = p.Problem.cells.(e.Problem.dst) in
   let pins = dc.Problem.lib.Cell.in_pins in
   let xd = dc.Problem.x +. pins.(e.Problem.dst_pin mod Array.length pins) in
+  let len = Float.abs (xd -. xs) +. dy in
+  let excess = Float.max 0.0 (len -. tech.Tech.w_max) in
   let timing =
     Clocking.timing_cost tech ~row_width ~phase:sc.Problem.row ~x_start:xs
       ~x_end:xd ~alpha:2.0
@@ -41,13 +41,9 @@ let net_cost p w ~row_width e =
 
 let total p w =
   let row_width = Float.max 1.0 (Problem.row_width p) in
-  Array.fold_left (fun acc e -> acc +. net_cost p w ~row_width e) 0.0 p.Problem.nets
-
-let cell_nets p =
-  let m = Array.make (Array.length p.Problem.cells) [] in
+  let dys = Problem.net_dys p in
+  let acc = ref 0.0 in
   Array.iteri
-    (fun ni e ->
-      m.(e.Problem.src) <- ni :: m.(e.Problem.src);
-      if e.Problem.dst <> e.Problem.src then m.(e.Problem.dst) <- ni :: m.(e.Problem.dst))
+    (fun ni e -> acc := !acc +. net_cost p w ~row_width ~dy:dys.(ni) e)
     p.Problem.nets;
-  m
+  !acc

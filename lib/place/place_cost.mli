@@ -12,10 +12,9 @@ type weights = { lambda_t : float; lambda_wmax : float; lambda_slack : float }
 
 val default_weights : weights
 
-val net_cost : Problem.t -> weights -> row_width:float -> Problem.net -> float
+val net_cost : Problem.t -> weights -> row_width:float -> dy:float -> Problem.net -> float
+(** [dy] is the net's {!Problem.net_dy}; rows do not move inside a
+    search, so callers take it once from {!Problem.net_dys}. *)
 
 val total : Problem.t -> weights -> float
 (** Σ over all nets at the current positions. *)
-
-val cell_nets : Problem.t -> int list array
-(** Net indices touching each cell. *)

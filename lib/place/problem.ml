@@ -141,12 +141,23 @@ let net_dx t e =
   let xd = dc.x +. pins.(e.dst_pin mod Array.length pins) in
   xd -. xs
 
-let net_dy t e =
+(* driver bottom edge to sink top edge *)
+let dy_between top t e =
   let sc = t.cells.(e.src) and dc = t.cells.(e.dst) in
-  (* driver bottom edge to sink top edge *)
-  let y_src = row_top t sc.row +. sc.lib.Cell.height in
-  let y_dst = row_top t dc.row in
+  let y_src = top sc.row +. sc.lib.Cell.height in
+  let y_dst = top dc.row in
   Float.max 0.0 (y_dst -. y_src)
+
+let net_dy t e = dy_between (row_top t) t e
+
+(* the running sum adds the pitches in [row_top]'s order, so every top
+   is the same float [row_top] returns *)
+let net_dys t =
+  let tops = Array.make (t.n_rows + 1) 0.0 in
+  for r = 0 to t.n_rows - 1 do
+    tops.(r + 1) <- tops.(r) +. row_pitch t r
+  done;
+  Array.map (dy_between (Array.get tops) t) t.nets
 
 let net_length t e = Float.abs (net_dx t e) +. net_dy t e
 
@@ -217,6 +228,15 @@ let check_legal t =
         row)
     t.row_cells;
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+
+let cell_nets t =
+  let m = Array.make (Array.length t.cells) [] in
+  Array.iteri
+    (fun ni e ->
+      m.(e.src) <- ni :: m.(e.src);
+      if e.dst <> e.src then m.(e.dst) <- ni :: m.(e.dst))
+    t.nets;
+  m
 
 let copy_positions t = Array.map (fun c -> c.x) t.cells
 

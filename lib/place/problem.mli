@@ -69,6 +69,15 @@ val hpwl : t -> float
     component is fixed by the row structure and is accounted for in
     {!net_length} (used for the max-wirelength rule and routing). *)
 
+val net_dys : t -> float array
+(** {!net_dy} of every net, indexed like [nets], from one pass over
+    the rows. The result is a snapshot: it goes stale as soon as
+    [row_gaps] changes, so callers take it per call, never across
+    calls. *)
+
+val cell_nets : t -> int list array
+(** Indices of the nets touching each cell. *)
+
 val net_length : t -> net -> float
 (** Manhattan length |dx| + dy of one net. *)
 

@@ -72,17 +72,6 @@ let net_cost tech opts ~row_width v x =
   +. (opts.lambda_wmax *. excess)
   +. (opts.lambda_slack *. violation)
 
-(* nets touching each cell, computed per call (rows are optimized one
-   at a time, so this is cheap relative to the DP itself) *)
-let cell_nets p =
-  let m = Array.make (Array.length p.Problem.cells) [] in
-  Array.iteri
-    (fun ni e ->
-      m.(e.Problem.src) <- ni :: m.(e.Problem.src);
-      if e.Problem.dst <> e.Problem.src then m.(e.Problem.dst) <- ni :: m.(e.Problem.dst))
-    p.Problem.nets;
-  m
-
 let optimize_row_with ?(options = default_options) p nets_of r =
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
@@ -175,20 +164,45 @@ let optimize_row_with ?(options = default_options) p nets_of r =
   end
 
 let optimize_row ?options p r =
-  let nets_of = cell_nets p in
-  optimize_row_with ?options p nets_of r
+  optimize_row_with ?options p (Problem.cell_nets p) r
 
+(* Within one run only row r's own solve moves row r's cells, so a row
+   whose last solve found nothing sees the same inputs again until a
+   net partner moves or the row width changes; the deterministic DP
+   would find nothing again. [settled.(r)] holds the row width at that
+   last empty solve (nan: none since the last partner move). *)
 let run ?(options = default_options) p =
-  let nets_of = cell_nets p in
+  let nets_of = Problem.cell_nets p in
+  let settled = Array.make p.Problem.n_rows Float.nan in
+  let unsettle_partners r =
+    Array.iter
+      (fun ci ->
+        List.iter
+          (fun ni ->
+            let e = p.Problem.nets.(ni) in
+            settled.(p.Problem.cells.(e.Problem.src).Problem.row) <- Float.nan;
+            settled.(p.Problem.cells.(e.Problem.dst).Problem.row) <- Float.nan)
+          nets_of.(ci))
+      p.Problem.row_cells.(r)
+  in
   let improved = ref 0 in
+  let solve r =
+    let width = Problem.row_width p in
+    if not (Float.equal settled.(r) width) then
+      if optimize_row_with ~options p nets_of r then begin
+        incr improved;
+        unsettle_partners r
+      end
+      else settled.(r) <- width
+  in
   for pass = 1 to options.passes do
     if pass mod 2 = 1 then
       for r = 0 to p.Problem.n_rows - 1 do
-        if optimize_row_with ~options p nets_of r then incr improved
+        solve r
       done
     else
       for r = p.Problem.n_rows - 1 downto 0 do
-        if optimize_row_with ~options p nets_of r then incr improved
+        solve r
       done
   done;
   !improved

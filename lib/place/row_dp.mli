@@ -36,4 +36,9 @@ val optimize_row : ?options:options -> Problem.t -> int -> bool
 
 val run : ?options:options -> Problem.t -> int
 (** Sweep all rows for [passes] passes; returns the number of row
-    improvements. Requires and preserves legality. *)
+    improvements. Requires and preserves legality.
+
+    A row is skipped when its last solve in this call found nothing,
+    no cell sharing a net with its cells has moved since, and the row
+    width is unchanged. Its inputs are then the same, so the solve
+    would find nothing again: the result equals solving every row. *)

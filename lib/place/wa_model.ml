@@ -62,6 +62,7 @@ let cost_and_grad p w xs =
   let grad = Array.make n 0.0 in
   let cost = ref 0.0 in
   let row_width = Problem.row_width p in
+  let dys = Problem.net_dys p in
   (* wirelength + timing + max-wirelength: map-reduce over net chunks.
      Each chunk accumulates into its own cost cell and full-size
      gradient buffer; buffers are summed left-to-right afterwards, so
@@ -91,8 +92,7 @@ let cost_and_grad p w xs =
         cgrad.(e.Problem.dst) <- cgrad.(e.Problem.dst) +. (w.lambda_t *. dt *. dbd)
       end;
       (* max-wirelength penalty on |dx| + dy *)
-      let dy = Problem.net_dy p e in
-      let len = Float.abs (xb -. xa) +. dy in
+      let len = Float.abs (xb -. xa) +. dys.(i) in
       let excess = len -. p.Problem.tech.Tech.w_max in
       if excess > 0.0 then begin
         ccost := !ccost +. (w.lambda_w *. excess *. excess);

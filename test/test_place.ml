@@ -119,6 +119,16 @@ let test_gradient_matches_finite_difference () =
     checkb (Printf.sprintf "grad[%d] fd=%.4f got=%.4f" i fd grad.(i)) true ok
   done
 
+let test_net_dys_tracks_row_gaps () =
+  let p = medium_problem () in
+  let per_net () = Array.map (Problem.net_dy p) p.Problem.nets in
+  let same what = Alcotest.(check (array (float 0.0))) what (per_net ()) (Problem.net_dys p) in
+  same "initial gaps";
+  let before = Problem.net_dys p in
+  p.Problem.row_gaps.(2) <- p.Problem.row_gaps.(2) +. 37.0;
+  same "after a gap grows";
+  checkb "a fresh call sees the new gap" true (before <> Problem.net_dys p)
+
 (* ---------- Legalize ---------- *)
 
 let scramble p seed =
@@ -252,6 +262,47 @@ let test_row_dp_converges () =
   checki "fixpoint" 0
     (Row_dp.run ~options:{ Row_dp.default_options with Row_dp.passes = 1 } p)
 
+let test_row_dp_run_matches_plain_sweeps () =
+  (* [run] skips rows whose last solve found nothing and whose inputs
+     have not changed since; a plain loop over the public per-row
+     solve, in the same alternating order, must land on the same
+     positions with the same improvement count *)
+  let p = medium_problem () in
+  Quadratic.solve p ~net_weight:(fun _ -> 1.0);
+  Legalize.run p;
+  ignore (Detailed.run p);
+  let start = Problem.copy_positions p in
+  let plain options =
+    let improved = ref 0 in
+    let solve r = if Row_dp.optimize_row ~options p r then incr improved in
+    for pass = 1 to options.Row_dp.passes do
+      if pass mod 2 = 1 then
+        for r = 0 to p.Problem.n_rows - 1 do
+          solve r
+        done
+      else
+        for r = p.Problem.n_rows - 1 downto 0 do
+          solve r
+        done
+    done;
+    !improved
+  in
+  List.iter
+    (fun (what, options) ->
+      Problem.restore_positions p start;
+      let n_run = Row_dp.run ~options p in
+      let after_run = Problem.copy_positions p in
+      Problem.restore_positions p start;
+      let n_plain = plain options in
+      checki (what ^ ": improvement count") n_plain n_run;
+      checkb (what ^ ": rows improved") true (n_run > 0);
+      checkb (what ^ ": positions") true (after_run = Problem.copy_positions p))
+    [
+      ("default", Row_dp.default_options);
+      ( "slack polish",
+        { Row_dp.default_options with Row_dp.lambda_slack = 120.0; lambda_wmax = 20.0 } );
+    ]
+
 (* ---------- Detailed_sa ---------- *)
 
 let test_sa_never_regresses_and_stays_legal () =
@@ -312,6 +363,40 @@ let test_placer_deterministic () =
   in
   Alcotest.(check (float 1e-9)) "same result" (run ()) (run ())
 
+(* Digests of the [%h]-printed final positions and the move counts of
+   [Placer.place ~seed:1], recorded before the placer's exact
+   speedups (row-local barycenter refresh, settled-row DP skip,
+   per-call net dy); any change here means the placement moved. *)
+let golden_placements =
+  [
+    ("adder8", Placer.Superflow, "0c544e3d9230b25428a7f302b951c793", 725);
+    ("adder8", Placer.Taas, "261f8f7f54ed9bf28f511f7a1996a48c", 0);
+    ("adder8", Placer.Gordian, "7ccdfcef81c723eb37e6e41b1163a998", 0);
+    ("c432", Placer.Superflow, "79d78fd357b2091c066fe5bde1cb03ee", 1147);
+    ("c432", Placer.Taas, "83f829dac44fba14dcc960748aa02f49", 0);
+    ("c432", Placer.Gordian, "d0ffd1523a10607c1682e014026bab75", 0);
+    ("apc32", Placer.Superflow, "e527a5d4982288d30f33245683863a8e", 628);
+    ("apc32", Placer.Taas, "38ccc4423795efdf0502d6615a7fb429", 0);
+    ("apc32", Placer.Gordian, "8eab492290fb492e72a7b2fca61fb830", 0);
+  ]
+
+let test_placer_golden () =
+  List.iter
+    (fun (name, alg, digest, moves) ->
+      let p =
+        Problem.of_netlist Tech.default (Synth_flow.run_quiet (Circuits.benchmark name))
+      in
+      let r = Placer.place alg p in
+      let what = name ^ " " ^ Placer.algorithm_name alg in
+      let got =
+        Problem.copy_positions p |> Array.to_list
+        |> List.map (Printf.sprintf "%h")
+        |> String.concat "," |> Digest.string |> Digest.to_hex
+      in
+      Alcotest.(check string) (what ^ " positions") digest got;
+      checki (what ^ " moves") moves r.Placer.moves)
+    golden_placements
+
 (* ---------- Bufferline ---------- *)
 
 let test_bufferline_noop_when_short () =
@@ -357,6 +442,7 @@ let () =
           Alcotest.test_case "hpwl" `Quick test_hpwl_positive_and_consistent;
           Alcotest.test_case "buffer lines" `Quick test_buffer_lines_counting;
           Alcotest.test_case "check_legal" `Quick test_check_legal_detects;
+          Alcotest.test_case "net_dys tracks row gaps" `Quick test_net_dys_tracks_row_gaps;
         ] );
       ( "wa_model",
         [
@@ -384,6 +470,8 @@ let () =
           Alcotest.test_case "never worsens" `Quick test_row_dp_never_worsens;
           Alcotest.test_case "optimal vs shifts" `Slow test_row_dp_single_row_optimal_vs_shifts;
           Alcotest.test_case "converges" `Quick test_row_dp_converges;
+          Alcotest.test_case "run matches plain sweeps" `Quick
+            test_row_dp_run_matches_plain_sweeps;
         ] );
       ( "placers",
         [
@@ -391,6 +479,7 @@ let () =
           Alcotest.test_case "all legal" `Slow test_all_placers_legal;
           Alcotest.test_case "timing ordering" `Slow test_superflow_timing_beats_gordian;
           Alcotest.test_case "deterministic" `Slow test_placer_deterministic;
+          Alcotest.test_case "golden placements" `Slow test_placer_golden;
         ] );
       ( "bufferline",
         [
