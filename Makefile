@@ -23,11 +23,13 @@ bench-quick:
 bench-speedup:
 	dune exec bench/main.exe -- speedup quick
 
-# A short traced pass of the placer-heavy perf workload. perf.exe exits
-# 1 on any failed design check or determinism guard, so CI uses this as
-# a gate on the signed-off flow.
+# Short traced passes of the placer-heavy and the routing-heavy perf
+# workloads. perf.exe exits 1 on any failed design check or determinism
+# guard, so CI uses this as a gate on the signed-off flow and, through
+# the router's guards and Router.check_routes, on the congested decoder.
 perf-smoke:
 	dune exec --root . bench/perf/perf.exe -- --workload signoff-small --seconds 3 --trace 1
+	dune exec --root . bench/perf/perf.exe -- --workload route-congested --seconds 3 --trace 1
 
 # Dump the whole diagnostic-rule registry (one entry per rule id).
 # CI uses this as a smoke test that the registry is self-consistent.

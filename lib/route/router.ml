@@ -198,7 +198,7 @@ let touches_overuse neg res =
    (in endpoint order) with round/reroute counts if every resource
    ended with a single tenant. *)
 let negotiate_pair g arena endpoints ~via_q ~max_iterations =
-  let neg = make_neg_state g in
+  let neg = neg_state (g.nx * g.ny) in
   let st = make_stamps g in
   let eps = Array.of_list endpoints in
   let n = Array.length eps in
@@ -226,7 +226,7 @@ let negotiate_pair g arena endpoints ~via_q ~max_iterations =
               untally neg res;
               paths.(i) <- None
           | None -> ());
-          let costs = negotiated_costs g neg ~present_q ~net:ni in
+          let costs = negotiated_costs neg ~present_q ~net:ni in
           match run_bboxed arena g ~costs ~via_q ~sx ~sy ~gx ~gy with
           | Some path -> paths.(i) <- Some (path, tally g neg st path)
           | None -> all_routed := false
@@ -295,9 +295,9 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
   let arena = create_arena () in
   let rounds = ref 0 in
   let rerouted = ref 0 in
-  (* a net that failed an attempt is promoted to the front of the next
-     one: often it just needs first pick of the tracks, which is much
-     cheaper than growing the channel *)
+  (* a net that failed sequential claiming is promoted to the front of
+     the next attempt: often it just needs first pick of the tracks,
+     which is much cheaper than growing the channel *)
   let promoted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let order_nets () =
     List.sort
@@ -364,8 +364,8 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
                 paths := (ni, path) :: !paths)
               routed
         | None -> (
-            (* negotiation failed: fall back to sequential claiming in
-               this geometry, then to space expansion *)
+            (* negotiation failed: blame the head of the net order, and
+               grow the channel (see below) *)
             match endpoints with
             | (first, _, _, _, _) :: _ -> failed := Some first
             | [] -> ()))
@@ -387,7 +387,7 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
         List.iter
           (fun (ni, sx, sy, gx, gy) ->
             if !failed = None then begin
-              let costs = owned_costs g ~net:ni in
+              let costs = owned_costs ~net:ni in
               match run_bboxed arena g ~costs ~via_q ~sx ~sy ~gx ~gy with
               | Some path ->
                   commit g ~net:ni path;
@@ -416,7 +416,16 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
           pair_rerouted = !rerouted;
         }
     | Some ni ->
-        if promotions < 3 && not (Hashtbl.mem promoted ni) then begin
+        (* a failed negotiation goes straight to space expansion: it
+           blames the head of the net order, which already sorts first,
+           and the attempt is a pure function of geometry and order, so
+           a promoted rerun would fail again, bit for bit *)
+        let promote =
+          match algorithm with
+          | Sequential -> promotions < 3 && not (Hashtbl.mem promoted ni)
+          | Negotiated -> false
+        in
+        if promote then begin
           Hashtbl.replace promoted ni ();
           attempt ~promotions:(promotions + 1) tries
         end

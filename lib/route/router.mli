@@ -38,7 +38,10 @@ type result = {
   neg_rounds : int;
       (** max negotiation rounds over all row pairs (0 = [Sequential]) *)
   neg_rerouted : int;
-      (** total per-round net reroutes across all pairs' negotiations *)
+      (** total per-round net reroutes across all pairs' negotiations.
+          Both negotiation counters count converged negotiations only:
+          a failed one (24 rounds without convergence, followed by
+          space expansion) shows only in [node_expansions]. *)
   wirelength : float;  (** Σ route length, µm *)
   total_vias : int;
   runtime_s : float;
@@ -57,7 +60,8 @@ type algorithm =
           routes all of a pair's nets with shared resources allowed
           but priced (growing present-sharing cost + accumulated
           history) until each edge/node-layer slot has one tenant;
-          falls back to expansion when negotiation stalls *)
+          a pair whose negotiation stalls goes straight to space
+          expansion *)
 
 type core =
   | Fast

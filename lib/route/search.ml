@@ -7,8 +7,12 @@
    vertical runs on metal 2, a turn is a via. They differ only in
    what an edge or node-layer slot costs: ownership makes foreign
    resources infinitely expensive, negotiation prices them. That
-   difference is captured by a {!costs} record of closures; the
-   search body here is the single implementation both modes share.
+   difference is plain data, the first-order {!costs} record; the
+   search body here is the single implementation both modes share,
+   and reads the owner, tenancy and history arrays itself. A pop makes
+   no closure call and allocates nothing: the neighbour relaxation is
+   one function built per search, and {!Dqueue.pop} leaves the key in
+   a field instead of returning a pair.
 
    Three mechanical properties make this core fast without changing
    what it computes:
@@ -33,7 +37,7 @@
      then by at most the detour the window still admits.
 
    Determinism: the search is a pure function of the grid, the cost
-   closures and the endpoints. Ties between equal-cost paths resolve
+   record and the endpoints. Ties between equal-cost paths resolve
    by the dial queue's documented FIFO order, which depends only on
    push order — itself fixed by the (deterministic) expansion order —
    never on timing or domain count. *)
@@ -74,35 +78,7 @@ let quantize g cost = int_of_float ((cost /. g.grid *. float_of_int qscale) +. 0
    to the full grid *)
 let bbox_margin = 24
 
-(* ---- cost closures ---- *)
-
-(* Per-move pricing. Edge closures return the extra quantized cost of
-   crossing an edge, or a negative value when the edge is forbidden.
-   Node closures split passability (checked at both endpoints of a
-   move on the move's layer) from price (charged on the entered node
-   only, mirroring the original negotiated cost model). *)
-type costs = {
-  edge_h : int -> int;
-  edge_v : int -> int;
-  node_ok_h : int -> bool;
-  node_ok_v : int -> bool;
-  node_price_h : int -> int;
-  node_price_v : int -> int;
-}
-
-(* Sequential claiming: a resource is free for its owner (or unowned)
-   and forbidden for everyone else; there are no soft prices. *)
-let owned_costs g ~net =
-  let pass a idx = a.(idx) = -1 || a.(idx) = net in
-  let zero _ = 0 in
-  {
-    edge_h = (fun i -> if pass g.h_owner i then 0 else -1);
-    edge_v = (fun i -> if pass g.v_owner i then 0 else -1);
-    node_ok_h = pass g.node_h;
-    node_ok_v = pass g.node_v;
-    node_price_h = zero;
-    node_price_v = zero;
-  }
+(* ---- move pricing ---- *)
 
 (* Negotiation state: current tenancy counts and accumulated history,
    all in quantized units. The searching net's own usage is never in
@@ -119,8 +95,7 @@ type neg_state = {
   nv_hist : int array;
 }
 
-let make_neg_state g =
-  let n = g.nx * g.ny in
+let neg_state n =
   {
     h_use = Array.make n 0;
     v_use = Array.make n 0;
@@ -132,25 +107,30 @@ let make_neg_state g =
     nv_hist = Array.make n 0;
   }
 
-(* Negotiated pricing: hard constraints are the grid geometry and pin
-   reservations (the owner arrays); foreign tenancy is priced at
-   [present_q] per tenant plus accumulated history. *)
-let negotiated_costs g neg ~present_q ~net =
-  let hard a idx = a.(idx) = -1 || a.(idx) = net in
-  {
-    edge_h =
-      (fun i ->
-        if hard g.h_owner i then (present_q * neg.h_use.(i)) + neg.h_hist.(i)
-        else -1);
-    edge_v =
-      (fun i ->
-        if hard g.v_owner i then (present_q * neg.v_use.(i)) + neg.v_hist.(i)
-        else -1);
-    node_ok_h = hard g.node_h;
-    node_ok_v = hard g.node_v;
-    node_price_h = (fun i -> (present_q * neg.nh_use.(i)) + neg.nh_hist.(i));
-    node_price_v = (fun i -> (present_q * neg.nv_use.(i)) + neg.nv_hist.(i));
-  }
+(* What a move costs the searching [net], as plain data the search reads
+   directly. Both modes share the hard constraints: an edge or a
+   node-layer slot owned by another net (the grid's owner arrays) is
+   forbidden. Only [priced] searches add a soft price to each crossed
+   edge and each entered node: [present_q] per foreign tenant plus the
+   accumulated history in [neg]. *)
+type costs = {
+  net : int;
+  priced : bool;
+  neg : neg_state;
+  present_q : int;
+}
+
+(* sequential claiming: foreign resources are forbidden, nothing is priced *)
+let owned_costs ~net = { net; priced = false; neg = neg_state 0; present_q = 0 }
+let negotiated_costs neg ~present_q ~net = { net; priced = true; neg; present_q }
+
+let[@inline] free owner ~net i =
+  let o = owner.(i) in
+  o = -1 || o = net
+
+(* the soft price of one resource slot; 0 unless the search is priced *)
+let[@inline] price c use hist i =
+  if c.priced then (c.present_q * use.(i)) + hist.(i) else 0
 
 (* ---- the search arena ---- *)
 
@@ -200,16 +180,18 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
   ensure_arena a (nx * ny * 2);
   a.epoch <- a.epoch + 1;
   let epoch = a.epoch in
-  Dqueue.clear a.queue;
+  let queue = a.queue in
+  Dqueue.clear queue;
   let dist = a.dist and parent = a.parent and stamp = a.stamp in
-  let heuristic ix iy = qscale * (abs (ix - gx) + abs (iy - gy)) in
+  let net = costs.net and neg = costs.neg in
+  let[@inline] heuristic ix iy = qscale * (abs (ix - gx) + abs (iy - gy)) in
   (* forced first move down out of the source pin; like the pre-arena
      cores, the seed move is never priced *)
   let seeded =
     sy + 1 < ny
-    && costs.edge_v (node_index g sx sy) >= 0
+    && free g.v_owner ~net (node_index g sx sy)
     && (not g.blocked.(node_index g sx (sy + 1)))
-    && costs.node_ok_v (node_index g sx (sy + 1))
+    && free g.node_v ~net (node_index g sx (sy + 1))
   in
   let reconstruct goal_state =
     let rec walk s acc =
@@ -235,15 +217,52 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
            let n = node_index g sx !iy in
            let nn = n + nx in
            if
-             costs.edge_v n <> 0
+             (not (free g.v_owner ~net n))
+             || price costs neg.v_use neg.v_hist n <> 0
              || (g.blocked.(nn) && not (!iy + 1 = gy))
-             || (not (costs.node_ok_v nn))
-             || costs.node_price_v nn <> 0
+             || (not (free g.node_v ~net nn))
+             || price costs neg.nv_use neg.nv_hist nn <> 0
            then ok := false;
            incr iy
          done;
          !ok
        end
+  in
+  (* Relax the move out of state [s] (node [node], arrival [dir], g-cost
+     [d]) to ([nix], [niy]) on layer [ndir] across [edge]. Soft prices
+     are never negative, so a neighbour that the unpriced step cannot
+     improve is rejected before any owner array is read. The goal node
+     is exempt from the blocked test (it sits on the region boundary);
+     a run claims both endpoints of an edge on its layer. *)
+  let relax s d node dir nix niy ndir edge =
+    let nnode = (niy * nx) + nix in
+    let ns = (nnode * 2) + ndir in
+    let nd = d + qscale + if dir <> ndir then via_q else 0 in
+    let fresh = stamp.(ns) <> epoch in
+    if fresh || nd < dist.(ns) then begin
+      let h = ndir = dir_h in
+      let owners = if h then g.node_h else g.node_v in
+      if
+        free (if h then g.h_owner else g.v_owner) ~net edge
+        && ((not g.blocked.(nnode)) || (nix = gx && niy = gy))
+        && free owners ~net nnode && free owners ~net node
+      then begin
+        let nd =
+          if h then
+            nd + price costs neg.h_use neg.h_hist edge
+            + price costs neg.nh_use neg.nh_hist nnode
+          else
+            nd + price costs neg.v_use neg.v_hist edge
+            + price costs neg.nv_use neg.nv_hist nnode
+        in
+        if fresh || nd < dist.(ns) then begin
+          dist.(ns) <- nd;
+          parent.(ns) <- s;
+          stamp.(ns) <- epoch;
+          Dqueue.push queue (nd + heuristic nix niy) ns
+        end
+      end
+    end
   in
   if not seeded then None
   else if gy > sy && straight_shot () then begin
@@ -258,81 +277,43 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
     dist.(s0) <- qscale;
     parent.(s0) <- -2;
     stamp.(s0) <- epoch;
-    Dqueue.push a.queue (qscale + heuristic sx (sy + 1)) s0;
+    Dqueue.push queue (qscale + heuristic sx (sy + 1)) s0;
     let goal_state = ref (-1) in
-    let continue = ref true in
-    while !continue do
-      match Dqueue.pop a.queue with
-      | None -> continue := false
-      | Some (key, s) ->
-          let node = s lsr 1 in
-          let dir = s land 1 in
-          let ix = node mod nx and iy = node / nx in
-          (* the queue is cleared per search, so every popped state
-             must carry the current epoch; a stale stamp means the
-             freshness test below is about to read another search's
-             dist value *)
-          if Dsan.on () && stamp.(s) <> epoch then
-            Dsan.record ~rule:"DSAN-EPOCH-01" ~site:"route.pairs"
-              ~array_label:"search.arena" ~index:s
-              (Printf.sprintf
-                 "popped state %d carries stamp %d but the arena is at \
-                  epoch %d: stale dist/parent from a previous search"
-                 s stamp.(s) epoch);
-          (* an entry is fresh iff its key is the state's current
-             f-value; improvements strictly lower f, so stale entries
-             compare greater and are skipped exactly *)
-          if key = dist.(s) + heuristic ix iy then begin
-            a.expansions <- a.expansions + 1;
-            let d = dist.(s) in
-            if ix = gx && iy = gy && dir = dir_v then begin
-              goal_state := s;
-              continue := false
-            end
-            else begin
-              let try_move nix niy ndir edge_price node_ok node_price =
-                (* the goal node is exempt from the blocked test (it
-                   sits on the region boundary anyway); a run claims
-                   both of an edge's endpoints on its layer, so check
-                   the departing node too *)
-                let nnode = (niy * nx) + nix in
-                if
-                  edge_price >= 0
-                  && ((not g.blocked.(nnode)) || (nix = gx && niy = gy))
-                  && node_ok nnode && node_ok node
-                then begin
-                  let turn = if dir <> ndir then via_q else 0 in
-                  let nd = d + qscale + turn + edge_price + node_price nnode in
-                  let ns = (nnode * 2) + ndir in
-                  if stamp.(ns) <> epoch || nd < dist.(ns) then begin
-                    dist.(ns) <- nd;
-                    parent.(ns) <- s;
-                    stamp.(ns) <- epoch;
-                    Dqueue.push a.queue (nd + heuristic nix niy) ns
-                  end
-                end
-              in
-              let bh_here = g.blocked_h.(node) in
-              (* right / left: pin-edge rows forbid horizontal runs *)
-              if ix + 1 <= hi_x && not (bh_here || g.blocked_h.(node + 1))
-              then
-                try_move (ix + 1) iy dir_h (costs.edge_h node) costs.node_ok_h
-                  costs.node_price_h;
-              if ix - 1 >= lo_x && not (bh_here || g.blocked_h.(node - 1))
-              then
-                try_move (ix - 1) iy dir_h
-                  (costs.edge_h (node - 1))
-                  costs.node_ok_h costs.node_price_h;
-              (* down / up *)
-              if iy + 1 < ny then
-                try_move ix (iy + 1) dir_v (costs.edge_v node) costs.node_ok_v
-                  costs.node_price_v;
-              if iy > 0 then
-                try_move ix (iy - 1) dir_v
-                  (costs.edge_v (node - nx))
-                  costs.node_ok_v costs.node_price_v
-            end
-          end
+    while !goal_state < 0 && not (Dqueue.is_empty queue) do
+      let s = Dqueue.pop queue in
+      let node = s lsr 1 in
+      let dir = s land 1 in
+      let iy = node / nx in
+      let ix = node - (iy * nx) in
+      (* the queue is cleared per search, so every popped state must
+         carry the current epoch; a stale stamp means the freshness
+         test below is about to read another search's dist value *)
+      if Dsan.on () && stamp.(s) <> epoch then
+        Dsan.record ~rule:"DSAN-EPOCH-01" ~site:"route.pairs"
+          ~array_label:"search.arena" ~index:s
+          (Printf.sprintf
+             "popped state %d carries stamp %d but the arena is at epoch \
+              %d: stale dist/parent from a previous search"
+             s stamp.(s) epoch);
+      (* an entry is fresh iff its key is the state's current f-value;
+         improvements strictly lower f, so stale entries compare greater
+         and are skipped exactly *)
+      let d = dist.(s) in
+      if queue.Dqueue.popped_key = d + heuristic ix iy then begin
+        a.expansions <- a.expansions + 1;
+        if ix = gx && iy = gy && dir = dir_v then goal_state := s
+        else begin
+          let bh_here = g.blocked_h.(node) in
+          (* right / left: pin-edge rows forbid horizontal runs; then
+             down / up *)
+          if ix + 1 <= hi_x && not (bh_here || g.blocked_h.(node + 1)) then
+            relax s d node dir (ix + 1) iy dir_h node;
+          if ix - 1 >= lo_x && not (bh_here || g.blocked_h.(node - 1)) then
+            relax s d node dir (ix - 1) iy dir_h (node - 1);
+          if iy + 1 < ny then relax s d node dir ix (iy + 1) dir_v node;
+          if iy > 0 then relax s d node dir ix (iy - 1) dir_v (node - nx)
+        end
+      end
     done;
     if !goal_state < 0 then None else reconstruct !goal_state
   end

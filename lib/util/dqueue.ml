@@ -31,13 +31,18 @@ type bucket = {
 
 type page = {
   mutable occupied : int; (* buckets with pending elements *)
-  buckets : bucket option array; (* 256 slots *)
+  buckets : bucket array; (* 256 slots, [no_bucket] until first used *)
 }
 
+(* unallocated pages and buckets are the queue's own never-occupied
+   sentinels, not options: one pointer hop less per push and per pop *)
 type t = {
-  mutable pages : page option array;
+  mutable pages : page array; (* [no_page] until first used *)
+  no_page : page;
+  no_bucket : bucket;
   mutable cur : int; (* no pending key is below this *)
   mutable size : int;
+  mutable popped_key : int; (* key of the value the last [pop] returned *)
   touched_buckets : bucket Vec.t; (* to reset on clear; may hold dups *)
   touched_pages : page Vec.t;
 }
@@ -48,8 +53,11 @@ let page_size = 1 lsl page_bits
 let create () =
   {
     pages = [||];
+    no_page = { occupied = 0; buckets = [||] };
+    no_bucket = { data = [||]; head = 0; len = 0 };
     cur = 0;
     size = 0;
+    popped_key = -1;
     touched_buckets = Vec.create ();
     touched_pages = Vec.create ();
   }
@@ -69,36 +77,34 @@ let clear t =
   t.cur <- 0;
   t.size <- 0
 
-let ensure_pages t n =
+let[@inline] get_page t pi =
   let cap = Array.length t.pages in
-  if n > cap then begin
-    let cap' = max n (max 8 (2 * cap)) in
-    let pages = Array.make cap' None in
+  if pi >= cap then begin
+    let pages = Array.make (max (pi + 1) (max 8 (2 * cap))) t.no_page in
     Array.blit t.pages 0 pages 0 cap;
     t.pages <- pages
+  end;
+  let p = t.pages.(pi) in
+  if p != t.no_page then p
+  else begin
+    let p = { occupied = 0; buckets = Array.make page_size t.no_bucket } in
+    t.pages.(pi) <- p;
+    p
   end
 
-let get_page t pi =
-  ensure_pages t (pi + 1);
-  match t.pages.(pi) with
-  | Some p -> p
-  | None ->
-      let p = { occupied = 0; buckets = Array.make page_size None } in
-      t.pages.(pi) <- Some p;
-      p
-
-let get_bucket page slot =
-  match page.buckets.(slot) with
-  | Some b -> b
-  | None ->
-      let b = { data = Array.make 4 0; head = 0; len = 0 } in
-      page.buckets.(slot) <- Some b;
-      b
+let[@inline] get_bucket t page slot =
+  let b = page.buckets.(slot) in
+  if b != t.no_bucket then b
+  else begin
+    let b = { data = Array.make 4 0; head = 0; len = 0 } in
+    page.buckets.(slot) <- b;
+    b
+  end
 
 let push t key v =
   if key < 0 then invalid_arg "Dqueue.push: negative key";
   let page = get_page t (key lsr page_bits) in
-  let b = get_bucket page (key land (page_size - 1)) in
+  let b = get_bucket t page (key land (page_size - 1)) in
   if b.len = Array.length b.data then
     if b.head > 0 then begin
       (* reclaim the popped prefix before growing *)
@@ -122,37 +128,30 @@ let push t key v =
   if key < t.cur then t.cur <- key;
   t.size <- t.size + 1
 
-let pop t =
-  if t.size = 0 then None
+(* Pop the value with the smallest key (FIFO among equal keys) and
+   leave that key in [popped_key]; nothing is allocated. Callers test
+   [is_empty] first. *)
+let rec pop t =
+  if t.size = 0 then invalid_arg "Dqueue.pop: empty queue";
+  let page = t.pages.(t.cur lsr page_bits) in
+  let b =
+    if page.occupied > 0 then page.buckets.(t.cur land (page_size - 1)) else t.no_bucket
+  in
+  if b.head < b.len then begin
+    let v = b.data.(b.head) in
+    b.head <- b.head + 1;
+    if b.head = b.len then begin
+      b.head <- 0;
+      b.len <- 0;
+      page.occupied <- page.occupied - 1
+    end;
+    t.popped_key <- t.cur;
+    t.size <- t.size - 1;
+    v
+  end
   else begin
-    let result = ref None in
-    while !result = None do
-      let pi = t.cur lsr page_bits in
-      match t.pages.(pi) with
-      | None -> t.cur <- (pi + 1) lsl page_bits
-      | Some page when page.occupied = 0 -> t.cur <- (pi + 1) lsl page_bits
-      | Some page ->
-          let slot = ref (t.cur land (page_size - 1)) in
-          let found = ref false in
-          while (not !found) && !slot < page_size do
-            (match page.buckets.(!slot) with
-            | Some b when b.head < b.len ->
-                found := true;
-                let key = (pi lsl page_bits) lor !slot in
-                let v = b.data.(b.head) in
-                b.head <- b.head + 1;
-                if b.head = b.len then begin
-                  b.head <- 0;
-                  b.len <- 0;
-                  page.occupied <- page.occupied - 1
-                end;
-                t.cur <- key;
-                t.size <- t.size - 1;
-                result := Some (key, v)
-            | _ -> ());
-            if not !found then incr slot
-          done;
-          if not !found then t.cur <- (pi + 1) lsl page_bits
-    done;
-    !result
+    (* advance past an empty bucket, or past an idle page in one step *)
+    t.cur <-
+      (if page.occupied > 0 then t.cur + 1 else ((t.cur lsr page_bits) + 1) lsl page_bits);
+    pop t
   end

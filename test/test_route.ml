@@ -257,6 +257,80 @@ let test_fast_matches_legacy_sequential () =
   checki "vias" l.Router.total_vias f.Router.total_vias;
   checki "space expansions" l.Router.expansions f.Router.expansions
 
+(* Golden routing: the exact routed bytes and counters for the flow's
+   placements of three designs. The expected values were generated by
+   the router before its search kernel became closure-free and before a
+   failed negotiation stopped being run a second time, so they pin that
+   both changes are exact. Sequential [node_expansions] is pinned too;
+   Negotiated may only pop fewer states than it did then. *)
+let golden_routes =
+  [
+    ( "adder8", Router.Sequential,
+      "a2e7db05bec56847f261471ffd28fc2c wl=0x1.571bp+17 vias=1776 exp=7 rounds=0 rerouted=0",
+      315982 );
+    ( "adder8", Router.Negotiated,
+      "dbc05b5e9fae19fde4684bd46de87738 wl=0x1.546ep+17 vias=1682 exp=5 rounds=5 rerouted=1184",
+      482220 );
+    ( "apc32", Router.Sequential,
+      "7d54dfad9faa7b39cc49a82023d2291c wl=0x1.e8dep+16 vias=1394 exp=15 rounds=0 rerouted=0",
+      257676 );
+    ( "apc32", Router.Negotiated,
+      "992e93bed2fe4bb894cee62089ea7e9b wl=0x1.e488p+16 vias=1338 exp=12 rounds=6 rerouted=1041",
+      912396 );
+    ( "decoder6", Router.Sequential,
+      "abda7299ab260f708461ec3f9f6e9c6b wl=0x1.fda88p+18 vias=3596 exp=10 rounds=0 rerouted=0",
+      3303638 );
+    ( "decoder6", Router.Negotiated,
+      "a5345e06c90cbc9e3a9747d55d580352 wl=0x1.f8768p+18 vias=3538 exp=4 rounds=7 rerouted=2914",
+      5770278 );
+  ]
+
+(* the flow's placement stage: place, thread buffer lines, settle them,
+   pre-size the channels (decoder 6 is placed by GORDIAN, as in the
+   perf benchmark's congested workload) *)
+let golden_problem name =
+  let aoi, alg =
+    match name with
+    | "decoder6" -> (Circuits.decoder 6, Placer.Gordian)
+    | _ -> (Circuits.benchmark name, Placer.Superflow)
+  in
+  let aqfp = Synth_flow.run_quiet aoi in
+  let p0 = Problem.of_netlist Tech.default aqfp in
+  ignore (Placer.place alg p0);
+  let _, p, lines = Bufferline.insert aqfp p0 in
+  if lines > 0 then
+    ignore
+      (Detailed.run
+         ~options:{ Detailed.default_options with max_passes = 3; window = 2 }
+         p);
+  ignore (Congestion.preexpand p);
+  p
+
+let test_router_golden () =
+  List.iter
+    (fun (name, alg, expected, pops) ->
+      let r = Router.route_all ~algorithm:alg (golden_problem name) in
+      let points =
+        Array.to_list r.Router.routes
+        |> List.map (fun rt ->
+               String.concat ";"
+                 (List.map (fun (x, y) -> Printf.sprintf "%h,%h" x y) rt.Router.points))
+        |> String.concat "|" |> Digest.string |> Digest.to_hex
+      in
+      let got =
+        Printf.sprintf "%s wl=%h vias=%d exp=%d rounds=%d rerouted=%d" points
+          r.Router.wirelength r.Router.total_vias r.Router.expansions
+          r.Router.neg_rounds r.Router.neg_rerouted
+      in
+      let what = name ^ if alg = Router.Sequential then " sequential" else " negotiated" in
+      Alcotest.(check string) (what ^ " routes") expected got;
+      if alg = Router.Sequential then
+        checki (what ^ " node expansions") pops r.Router.node_expansions
+      else
+        checkb (what ^ " node expansions do not grow") true
+          (r.Router.node_expansions <= pops))
+    golden_routes
+
 let () =
   Alcotest.run "sf_route"
     [
@@ -279,5 +353,6 @@ let () =
           Alcotest.test_case "fast = legacy (sequential)" `Quick
             test_fast_matches_legacy_sequential;
           QCheck_alcotest.to_alcotest prop_cores_valid_and_jobs_invariant;
+          Alcotest.test_case "golden routes" `Slow test_router_golden;
         ] );
     ]

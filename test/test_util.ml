@@ -51,6 +51,14 @@ let prop_pqueue_sorts =
 
 let popij = Alcotest.(option (pair int int))
 
+(* [Dqueue.pop] returns the value and leaves the key in [popped_key];
+   this views one pop as the (key, value) pair, or [None] when empty *)
+let pop_kv q =
+  if Dqueue.is_empty q then None
+  else
+    let v = Dqueue.pop q in
+    Some (q.Dqueue.popped_key, v)
+
 let test_dqueue_basic () =
   let q = Dqueue.create () in
   checkb "empty" true (Dqueue.is_empty q);
@@ -58,19 +66,21 @@ let test_dqueue_basic () =
   Dqueue.push q 3 30;
   Dqueue.push q 5 51;
   checki "length" 3 (Dqueue.length q);
-  check popij "min key first" (Some (3, 30)) (Dqueue.pop q);
-  check popij "fifo within key" (Some (5, 50)) (Dqueue.pop q);
+  check popij "min key first" (Some (3, 30)) (pop_kv q);
+  check popij "fifo within key" (Some (5, 50)) (pop_kv q);
   (* a push below the cursor must still come out first *)
   Dqueue.push q 1 10;
-  check popij "cursor moves back" (Some (1, 10)) (Dqueue.pop q);
-  check popij "rest" (Some (5, 51)) (Dqueue.pop q);
-  check popij "drained" None (Dqueue.pop q);
+  check popij "cursor moves back" (Some (1, 10)) (pop_kv q);
+  check popij "rest" (Some (5, 51)) (pop_kv q);
+  check popij "drained" None (pop_kv q);
   (* clear with a far key (second page) pending, then reuse *)
   Dqueue.push q 700 7;
   Dqueue.clear q;
   checkb "cleared" true (Dqueue.is_empty q);
   Dqueue.push q 2 20;
-  check popij "reusable after clear" (Some (2, 20)) (Dqueue.pop q)
+  check popij "reusable after clear" (Some (2, 20)) (pop_kv q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Dqueue.pop: empty queue")
+    (fun () -> ignore (Dqueue.pop q))
 
 (* The documented contract, checked against an executable model: keys
    pop in non-decreasing order and equal keys pop in push (FIFO)
@@ -103,15 +113,15 @@ let prop_dqueue_matches_model =
             Dqueue.length q = List.length !model
           end
           else
-            match (Dqueue.pop q, !model) with
+            match (pop_kv q, !model) with
             | None, [] -> true
             | Some (k, v), (mk, mv) :: rest ->
                 model := rest;
                 k = mk && v = mv
             | _ -> false)
         ops
-      && List.for_all (fun (mk, mv) -> Dqueue.pop q = Some (mk, mv)) !model
-      && Dqueue.pop q = None)
+      && List.for_all (fun (mk, mv) -> pop_kv q = Some (mk, mv)) !model
+      && pop_kv q = None)
 
 (* Same priority sequence as the float binary heap it replaces, under
    interleaved pushes and pops dense with duplicate priorities (the
@@ -131,14 +141,14 @@ let prop_dqueue_order_matches_pqueue =
             Dqueue.length dq = Pqueue.length pq
           end
           else
-            match (Dqueue.pop dq, Pqueue.pop pq) with
+            match (pop_kv dq, Pqueue.pop pq) with
             | None, None -> true
             | Some (k, _), Some (p, _) -> float_of_int k = p
             | _ -> false)
         ops
       &&
       let rec drain () =
-        match (Dqueue.pop dq, Pqueue.pop pq) with
+        match (pop_kv dq, Pqueue.pop pq) with
         | None, None -> true
         | Some (k, _), Some (p, _) -> float_of_int k = p && drain ()
         | _ -> false
