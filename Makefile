@@ -23,13 +23,16 @@ bench-quick:
 bench-speedup:
 	dune exec bench/main.exe -- speedup quick
 
-# Short traced passes of the placer-heavy and the routing-heavy perf
-# workloads. perf.exe exits 1 on any failed design check or determinism
-# guard, so CI uses this as a gate on the signed-off flow and, through
-# the router's guards and Router.check_routes, on the congested decoder.
+# Short traced passes of the placer-heavy, the routing-heavy and the
+# proof-heavy perf workloads. perf.exe exits 1 on any failed design
+# check or determinism guard, so CI uses this as a gate on the
+# signed-off flow, through the router's guards and Router.check_routes
+# on the congested decoder, and through the EQ-*/RS-CEC-01 proof errors
+# on SAT-guarded synthesis and resynthesis.
 perf-smoke:
 	dune exec --root . bench/perf/perf.exe -- --workload signoff-small --seconds 3 --trace 1
 	dune exec --root . bench/perf/perf.exe -- --workload route-congested --seconds 3 --trace 1
+	dune exec --root . bench/perf/perf.exe -- --workload logic-resyn --seconds 3 --trace 1
 
 # Dump the whole diagnostic-rule registry (one entry per rule id).
 # CI uses this as a smoke test that the registry is self-consistent.

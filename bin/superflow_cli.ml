@@ -872,8 +872,11 @@ let verify_cmd =
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N"
-         ~doc:"SAT conflict budget per proved pair (default 200000). \
-               Exhausting it yields EQ-TIMEOUT-01 and exit code 2.")
+         ~doc:"SAT conflict budget of the joint proof of all outputs the \
+               SAT engine decides (default 200000): its node sweep spends \
+               at most half, and each output's final solve may use what \
+               the sweep left. Exhausting it yields EQ-TIMEOUT-01 and \
+               exit code 2.")
 
 let prove_cmd =
   Cmd.v

@@ -1,12 +1,9 @@
 (* Per-output equivalence guards over pluggable engines. *)
 
-let cone nl oid =
-  (match Netlist.kind nl oid with
-  | Netlist.Output -> ()
-  | k ->
-      invalid_arg
-        (Printf.sprintf "Equiv.cone: node %d is %s, not an output" oid
-           (Netlist.kind_name k)));
+(* The sub-netlist feeding the given output markers: every primary
+   input (in order, used or not), their transitive fan-in and the
+   markers themselves, in the original id order. *)
+let restrict nl oids =
   let n = Netlist.size nl in
   let marked = Array.make n false in
   (* transitive fan-in; fanins may point forward (insertion rewires
@@ -17,7 +14,7 @@ let cone nl oid =
       Array.iter visit (Netlist.fanins nl i)
     end
   in
-  visit oid;
+  List.iter visit oids;
   List.iter (fun i -> marked.(i) <- true) (Netlist.inputs nl);
   let out = Netlist.create () in
   let map = Array.make n (-1) in
@@ -38,6 +35,15 @@ let cone nl oid =
       Netlist.set_fanins out map.(i) remapped)
     !pending;
   out
+
+let cone nl oid =
+  (match Netlist.kind nl oid with
+  | Netlist.Output -> ()
+  | k ->
+      invalid_arg
+        (Printf.sprintf "Equiv.cone: node %d is %s, not an output" oid
+           (Netlist.kind_name k)));
+  restrict nl [ oid ]
 
 type engine = [ `Auto | `Bdd | `Sat ]
 
@@ -65,29 +71,31 @@ type cache = { find : string -> string option; store : string -> string -> unit 
    bug, not a design difference. *)
 let replays ca cb cex = Sim.eval ca cex <> Sim.eval cb cex
 
-let sat_verdict ~conflict_budget ca cb =
-  match Cec.check ~conflict_budget ca cb with
+(* A CEC verdict for one output, settled against that output's two
+   cones (only forced when needed): a counterexample must replay, a
+   budget-out is sampled. *)
+let of_cec cones = function
   | Cec.Equal -> Proven_equal
   | Cec.Diff cex ->
+      let ca, cb = Lazy.force cones in
       if replays ca cb cex then Proven_diff cex else Cex_invalid cex
   | Cec.Unknown budget ->
+      let ca, cb = Lazy.force cones in
       if Sim.equivalent ca cb then Sampled_equal (Sat_budget budget)
       else Sampled_diff (Sat_budget budget)
 
-let check_cones ?(engine = `Auto) ?(max_nodes = 100_000)
-    ?(conflict_budget = Cec.default_budget) ca cb =
-  match engine with
-  | `Sat -> sat_verdict ~conflict_budget ca cb
-  | (`Bdd | `Auto) as e -> (
-      match Bdd.check_equivalence ~max_nodes ca cb with
-      | Bdd.Equivalent -> Proven_equal
-      | Bdd.Different cex -> Proven_diff cex
-      | Bdd.Too_large -> (
-          match e with
-          | `Auto -> sat_verdict ~conflict_budget ca cb
-          | `Bdd ->
-              if Sim.equivalent ca cb then Sampled_equal Bdd_budget
-              else Sampled_diff Bdd_budget))
+(* The BDD engine on one cone pair; [None] hands the output to SAT. *)
+let bdd_verdict engine ~max_nodes (ca, cb) =
+  match Bdd.check_equivalence ~max_nodes ca cb with
+  | Bdd.Equivalent -> Some Proven_equal
+  | Bdd.Different cex -> Some (Proven_diff cex)
+  | Bdd.Too_large -> (
+      match engine with
+      | `Auto -> None
+      | `Bdd ->
+          Some
+            (if Sim.equivalent ca cb then Sampled_equal Bdd_budget
+             else Sampled_diff Bdd_budget))
 
 let bits v =
   String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list v))
@@ -136,39 +144,55 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
        worker lane. Each cone is constant-folded with the absint
        ternary facts first — sound (folding preserves the function),
        and it shrinks both the proof and the cache key's sensitivity
-       to dead constant cones. *)
+       to dead constant cones. A cone is only extracted when a BDD
+       lane, a cache key or a non-equal SAT verdict needs it. *)
     let folded c = fst (Const_dom.fold c) in
     let cones =
       Array.init n (fun i ->
-          ( folded (cone before outs_b.(i)),
-            folded (cone after outs_a.(i)) ))
+          lazy (folded (cone before outs_b.(i)), folded (cone after outs_a.(i))))
     in
     let keys =
       match cache with
       | None -> [||]
       | Some _ ->
-          Array.map (fun (ca, cb) -> cache_key ca cb) cones
+          Array.map (fun p -> let ca, cb = Lazy.force p in cache_key ca cb) cones
     in
     let cached =
       Array.init n (fun i ->
           match cache with
           | None -> None
-          | Some c -> (
-              match c.find keys.(i) with
-              | None -> None
-              | Some s ->
-                  let ca, cb = cones.(i) in
+          | Some c ->
+              Option.bind (c.find keys.(i)) (fun s ->
+                  let ca, cb = Lazy.force cones.(i) in
                   decode_verdict ca cb s))
     in
-    (* one lane per primary output, verdicts combined in output order *)
+    (* one BDD lane per primary output, verdicts combined in output
+       order; [None] is left for the joint SAT proof *)
     let verdicts =
-      Parallel.parallel_init ~label:"check.equiv.outputs" ~chunk:1 n (fun i ->
-          match cached.(i) with
-          | Some v -> v
-          | None ->
-              let ca, cb = cones.(i) in
-              check_cones ~engine ~max_nodes ~conflict_budget ca cb)
+      match engine with
+      | `Sat -> Array.copy cached
+      | (`Bdd | `Auto) as e ->
+          let pairs = Array.map Lazy.force cones in
+          Parallel.parallel_init ~label:"check.equiv.outputs" ~chunk:1 n
+            (fun i ->
+              match cached.(i) with
+              | Some v -> Some v
+              | None -> bdd_verdict e ~max_nodes pairs.(i))
     in
+    (* every output still open is proven jointly: one AIG, one
+       simulation and one SAT sweep over the folded sub-netlists that
+       feed those outputs, instead of one per cone *)
+    let open_ =
+      List.filter (fun i -> Option.is_none verdicts.(i)) (List.init n Fun.id)
+    in
+    if open_ <> [] then begin
+      let sub nl outs = folded (restrict nl (List.map (fun i -> outs.(i)) open_)) in
+      let joint =
+        Cec.check_outputs ~conflict_budget (sub before outs_b) (sub after outs_a)
+      in
+      List.iteri (fun k i -> verdicts.(i) <- Some (of_cec cones.(i) joint.(k))) open_
+    end;
+    let verdicts = Array.map Option.get verdicts in
     (match cache with
     | None -> ()
     | Some c ->

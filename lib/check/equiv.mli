@@ -4,36 +4,45 @@
     [Synth_flow.run ~check:true]) and available standalone through
     [superflow prove].
 
-    The check is sharded per primary output over {!Parallel}: each
-    lane proves the output's logic cone (extracted over the full,
-    shared primary-input order) equal in both netlists with the
+    Every primary output gets its own verdict, computed with the
     selected {!engine}:
 
-    - [`Bdd] — budgeted ROBDD ({!Bdd.check_equivalence}); a cone that
-      exceeds the node budget falls back to {!Sim.equivalent} and
-      reports the downgrade;
-    - [`Sat] — SAT-sweeping CEC ({!Cec.check}), complete up to the
-      conflict budget;
-    - [`Auto] (default) — BDD first, SAT on [Too_large], so deep
+    - [`Bdd] — one budgeted ROBDD per output cone
+      ({!Bdd.check_equivalence}), sharded per output over {!Parallel};
+      a cone that exceeds the node budget falls back to
+      {!Sim.equivalent} and reports the downgrade;
+    - [`Sat] — one joint SAT-sweeping proof of all outputs
+      ({!Cec.check_outputs}) over the two whole netlists, complete up
+      to the conflict budget: logic the output cones share is
+      simulated and swept once, not once per cone;
+    - [`Auto] (default) — the BDD lanes first, then one joint SAT
+      proof of exactly the outputs whose BDD hit [Too_large], so deep
       cones are proven rather than sampled.
 
-    Every SAT counterexample is replayed through {!Sim.eval} before
-    being reported; a cex that does not actually distinguish the two
-    cones is a solver bug and surfaces as an internal-error
-    diagnostic, never as a fake difference. Verdicts are combined in
-    output order, so the report is byte-identical at any pool size.
+    The SAT proof runs on the calling domain, after the BDD lanes.
+    Every SAT counterexample is replayed through {!Sim.eval} on that
+    output's cones before being reported; a cex that does not actually
+    distinguish the two cones is a solver bug and surfaces as an
+    internal-error diagnostic, never as a fake difference. A
+    counterexample found by simulation is the one a per-cone proof
+    finds. Verdicts are combined in output order, so the report is
+    byte-identical at any pool size.
 
-    Before any engine runs, each extracted cone is constant-folded
-    with the [sf_absint] ternary facts ({!Const_dom.fold}) — sound
-    (folding preserves the cone's function) and strictly
-    proof-shrinking: constants cut BDD variables and SAT clauses
-    alike, and the cache key is computed over the folded cone.
+    Before any engine runs, the netlists it sees (each output's cone
+    for the BDD and the cache key, the sub-netlist feeding the open
+    outputs for the joint SAT proof) are constant-folded with the
+    [sf_absint] ternary facts ({!Const_dom.fold}) — sound (folding
+    preserves every output's function) and strictly proof-shrinking:
+    constants cut BDD variables and SAT clauses alike, and the cache
+    key is computed over the folded cone.
 
     Proven verdicts can be memoized through a {!cache} (the flow
     wires this to [sf_db]); keys are content hashes of the two folded
-    cones, so a warm rerun re-proves nothing. Cache lookups and
-    stores run outside the parallel region and never affect the
-    emitted diagnostics.
+    cones of one output, so only the cache misses are proven and a
+    warm rerun re-proves nothing. Cache lookups and stores run outside
+    the parallel region and never affect the emitted diagnostics.
+    Output cones are only extracted where a BDD lane, a cache key or a
+    difference or budget-out of the joint SAT proof needs them.
 
     Rule catalog:
     - [EQ-ARITY-01] (error) — primary input/output counts differ;
@@ -56,18 +65,6 @@ val engine_name : engine -> string
 
 val engine_of_name : string -> engine option
 
-type fallback =
-  | Bdd_budget  (** BDD node budget exceeded, no SAT engine ran *)
-  | Sat_budget of int  (** SAT conflict budget (the payload) exhausted *)
-
-type verdict =
-  | Proven_equal
-  | Proven_diff of bool array  (** replayed counterexample *)
-  | Sampled_equal of fallback
-  | Sampled_diff of fallback
-  | Cex_invalid of bool array
-      (** solver produced a cex that does not replay — internal error *)
-
 type cache = {
   find : string -> string option;
   store : string -> string -> unit;
@@ -82,18 +79,6 @@ val cone : Netlist.t -> int -> Netlist.t
     transitive fan-in of [oid] and the marker itself. Raises
     [Invalid_argument] if [oid] is not an [Output] node. *)
 
-val check_cones :
-  ?engine:engine ->
-  ?max_nodes:int ->
-  ?conflict_budget:int ->
-  Netlist.t ->
-  Netlist.t ->
-  verdict
-(** Prove two single-output cones (as produced by {!cone})
-    equivalent. [max_nodes] is the BDD node budget (default 100_000),
-    [conflict_budget] the SAT conflict budget (default
-    {!Cec.default_budget}). *)
-
 val check_pair :
   ?engine:engine ->
   ?max_nodes:int ->
@@ -104,4 +89,6 @@ val check_pair :
   Netlist.t ->
   Diag.t list
 (** [check_pair ~stage before after] — per-output equivalence of two
-    netlists; [stage] (e.g. ["aoi->maj"]) tags the messages. *)
+    netlists; [stage] (e.g. ["aoi->maj"]) tags the messages.
+    [conflict_budget] bounds the one joint SAT proof as in
+    {!Cec.check_outputs}. *)

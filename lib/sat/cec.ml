@@ -12,46 +12,57 @@ let lowest_set_bit w =
   let rec go i = if Int64.logand (Int64.shift_right_logical w i) 1L = 1L then i else go (i + 1) in
   go 0
 
-let check ?(conflict_budget = default_budget) a b =
+let check_outputs ?(conflict_budget = default_budget) a b =
   let n_in = List.length (Netlist.inputs a) in
   if List.length (Netlist.inputs b) <> n_in then
-    invalid_arg "Cec.check: input count mismatch";
+    invalid_arg "Cec.check_outputs: input count mismatch";
   let outs_a = Netlist.outputs a and outs_b = Netlist.outputs b in
   if List.length outs_a <> List.length outs_b then
-    invalid_arg "Cec.check: output count mismatch";
+    invalid_arg "Cec.check_outputs: output count mismatch";
   let aig = Aig.create ~n_inputs:n_in in
   let la = Aig.add_netlist aig a in
   let lb = Aig.add_netlist aig b in
-  let miter =
-    List.fold_left2
-      (fun acc oa ob -> Aig.mk_or aig acc (Aig.mk_xor aig la.(oa) lb.(ob)))
-      Aig.false_lit outs_a outs_b
+  (* one XOR miter per output pair; a constant one is decided by
+     strashing alone *)
+  let xors =
+    Array.of_list
+      (List.map2 (fun oa ob -> Aig.mk_xor aig la.(oa) lb.(ob)) outs_a outs_b)
   in
-  if miter = Aig.false_lit then Equal
-  else if miter = Aig.true_lit then Diff (Array.make n_in false)
-  else begin
-    (* Deterministic random simulation: a differing bit is an instant
-       counterexample; otherwise the per-node response words become
-       sweeping signatures. *)
+  let verdicts =
+    Array.map
+      (fun x ->
+        if x = Aig.false_lit then Some Equal
+        else if x = Aig.true_lit then Some (Diff (Array.make n_in false))
+        else None)
+      xors
+  in
+  let is_open o = Option.is_none verdicts.(o) in
+  let open_outputs () = List.filter is_open (List.init (Array.length xors) Fun.id) in
+  if open_outputs () <> [] then begin
+    (* Deterministic random simulation: an output's first differing
+       round (lowest set bit) is its counterexample; the per-node
+       response words become sweeping signatures. *)
     let rng = Rng.create sim_seed in
     let n_nodes = Aig.n_nodes aig in
     let sigs = Array.make_matrix n_nodes sim_rounds 0L in
-    let cex = ref None in
-    let round = ref 0 in
-    while !cex = None && !round < sim_rounds do
+    for round = 0 to sim_rounds - 1 do
       let words = Array.init n_in (fun _ -> Rng.bits64 rng) in
       let vals = Aig.sim aig words in
-      let mword = Aig.lit_word vals miter in
-      if mword <> 0L then cex := Some (cex_of_words words (lowest_set_bit mword))
-      else
-        for v = 0 to n_nodes - 1 do
-          sigs.(v).(!round) <- vals.(v)
-        done;
-      incr round
+      Array.iteri
+        (fun o x ->
+          if is_open o then begin
+            let w = Aig.lit_word vals x in
+            if w <> 0L then
+              verdicts.(o) <- Some (Diff (cex_of_words words (lowest_set_bit w)))
+          end)
+        xors;
+      for v = 0 to n_nodes - 1 do
+        sigs.(v).(round) <- vals.(v)
+      done
     done;
-    match !cex with
-    | Some cex -> Diff cex
-    | None ->
+    match open_outputs () with
+    | [] -> ()
+    | pending ->
       let solver = Solver.create () in
       let vars = Aig.to_solver aig solver in
       let slit l = Aig.solver_lit vars l in
@@ -59,20 +70,13 @@ let check ?(conflict_budget = default_budget) a b =
          signature, prove each candidate against its bucket
          representative in node-id order, merge proven pairs with
          equality clauses. The sweep may spend at most half the
-         conflict budget; the final miter solve gets the rest. *)
+         conflict budget; each output's solve gets what it left. *)
       let budget_left = ref conflict_budget in
       let sweep_left = ref (conflict_budget / 2) in
       let buckets = Hashtbl.create 64 in
       let canon v =
         let ph = Int64.logand sigs.(v).(0) 1L = 1L in
-        let key =
-          String.concat ","
-            (Array.to_list
-               (Array.map
-                  (fun w -> Int64.to_string (if ph then Int64.lognot w else w))
-                  sigs.(v)))
-        in
-        (key, ph)
+        ((if ph then Array.map Int64.lognot sigs.(v) else sigs.(v)), ph)
       in
       let run_query assumptions =
         let before = Solver.conflicts solver in
@@ -104,15 +108,31 @@ let check ?(conflict_budget = default_budget) a b =
           end);
         incr v
       done;
-      let final =
-        Solver.solve ~assumptions:[ slit miter ]
-          ~conflict_budget:(max 1 !budget_left) solver
-      in
-      (match final with
-      | Solver.Unsat -> Equal
-      | Solver.Sat ->
-        Diff
-          (Array.init n_in (fun i ->
-               Solver.model_value solver (slit (Aig.input_lit aig i))))
-      | Solver.Unknown -> Unknown conflict_budget)
-  end
+      let final_budget = max 1 !budget_left in
+      List.iter
+        (fun o ->
+          verdicts.(o) <-
+            Some
+              (match
+                 Solver.solve ~assumptions:[ slit xors.(o) ]
+                   ~conflict_budget:final_budget solver
+               with
+              | Solver.Unsat -> Equal
+              | Solver.Sat ->
+                Diff
+                  (Array.init n_in (fun i ->
+                       Solver.model_value solver (slit (Aig.input_lit aig i))))
+              | Solver.Unknown -> Unknown conflict_budget))
+        pending
+  end;
+  Array.map Option.get verdicts
+
+let check ?conflict_budget a b =
+  (* a difference outranks an exhausted budget, which outranks a proof *)
+  Array.fold_left
+    (fun acc v ->
+      match (acc, v) with
+      | Diff _, _ | Unknown _, Equal -> acc
+      | _, (Diff _ | Unknown _) | Equal, Equal -> v)
+    Equal
+    (check_outputs ?conflict_budget a b)

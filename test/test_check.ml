@@ -261,6 +261,127 @@ let test_equiv_proof_cache () =
   checkb "cached diff identical" true (d3 = d4);
   checki "EQ-DIFF-01 from cache" 1 (count_rule "EQ-DIFF-01" d4)
 
+(* Two outputs over a, b, c: output "d" is a&b against a|b (differs),
+   output "x" the xor3 association pair (equal). *)
+let two_output_pair () =
+  let mk left =
+    let nl = Netlist.create () in
+    let a = Netlist.add nl ~name:"a" Netlist.Input [||] in
+    let b = Netlist.add nl ~name:"b" Netlist.Input [||] in
+    let c = Netlist.add nl ~name:"c" Netlist.Input [||] in
+    let d = Netlist.add nl (if left then Netlist.And else Netlist.Or) [| a; b |] in
+    let x =
+      if left then
+        Netlist.add nl Netlist.Xor [| Netlist.add nl Netlist.Xor [| a; b |]; c |]
+      else
+        Netlist.add nl Netlist.Xor [| a; Netlist.add nl Netlist.Xor [| b; c |] |]
+    in
+    ignore (Netlist.add nl ~name:"d" Netlist.Output [| d |]);
+    ignore (Netlist.add nl ~name:"x" Netlist.Output [| x |]);
+    nl
+  in
+  (mk true, mk false)
+
+(* A cache over a table, recording the keys it is asked to store. *)
+let recording_cache entries =
+  let mem : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  List.iter (fun (k, v) -> Hashtbl.replace mem k v) entries;
+  let stored = ref [] in
+  ( {
+      Equiv.find = Hashtbl.find_opt mem;
+      store =
+        (fun k v ->
+          stored := (k, v) :: !stored;
+          Hashtbl.replace mem k v);
+    },
+    stored )
+
+let test_equiv_cache_compat () =
+  (* proof keys hash the folded per-output cones, so proofs already in
+     a database stay valid *)
+  let l, r = xor3_pair () in
+  let cache, stored = recording_cache [] in
+  ignore (Equiv.check_pair ~engine:`Sat ~cache ~stage:"t" l r);
+  checkb "xor3 proof key pinned" true
+    (!stored
+    = [
+        ( "eq1:846739089203413c1f6f183dee3c8ee8:aba6b37859bb08b35b13ed0dc8eb1093",
+          "equal" );
+      ]);
+  let l, r = two_output_pair () in
+  List.iter
+    (fun engine ->
+      let name = Equiv.engine_name engine in
+      let uncached = Equiv.check_pair ~engine ~stage:"t" l r in
+      checki (name ^ ": output d differs") 1 (count_rule "EQ-DIFF-01" uncached);
+      let cold, stored = recording_cache [] in
+      checkb (name ^ ": cold run diagnostics") true
+        (Equiv.check_pair ~engine ~cache:cold ~stage:"t" l r = uncached);
+      let all = List.rev !stored in
+      checki (name ^ ": cold run stores both outputs") 2 (List.length all);
+      let d_entry = List.hd all and x_entry = List.nth all 1 in
+      (* one output pre-cached: only the other one is proven and stored *)
+      let partial, stored = recording_cache [ d_entry ] in
+      checkb (name ^ ": partial run diagnostics") true
+        (Equiv.check_pair ~engine ~cache:partial ~stage:"t" l r = uncached);
+      checkb (name ^ ": only the miss is stored") true (!stored = [ x_entry ]);
+      let warm, stored = recording_cache all in
+      checkb (name ^ ": warm run diagnostics") true
+        (Equiv.check_pair ~engine ~cache:warm ~stage:"t" l r = uncached);
+      checki (name ^ ": warm run stores nothing") 0 (List.length !stored);
+      (* a hit is trusted, not re-proven: a cached "equal" for d hides
+         its difference *)
+      let trusted, _ = recording_cache [ (fst d_entry, "equal") ] in
+      checki (name ^ ": the cached output is not proven again") 0
+        (List.length (Equiv.check_pair ~engine ~cache:trusted ~stage:"t" l r)))
+    [ `Sat; `Auto ]
+
+(* The joint SAT proof runs outside the per-output BDD lanes; with a
+   one-node BDD budget every c432 output falls back to it, and the
+   report must not depend on the pool size. *)
+let test_equiv_joint_determinism () =
+  let aoi = Circuits.benchmark "c432" in
+  let aqfp = Synth_flow.run_quiet aoi in
+  let render () =
+    List.map Diag.to_string
+      (Equiv.check_pair ~engine:`Auto ~max_nodes:1 ~stage:"t" aoi aqfp)
+  in
+  Parallel.set_jobs 1;
+  let r1 = render () in
+  Parallel.set_jobs 4;
+  let r4 = render () in
+  Parallel.set_jobs 1;
+  checkb "c432 proven clean" true (r1 = []);
+  checkb "c432 reports identical at jobs 1 vs 4" true (r1 = r4);
+  (* a pinned gate in apc32: the messages carry the same
+     counterexamples as proving each output cone on its own *)
+  let aqfp = Synth_flow.run_quiet (Circuits.benchmark "apc32") in
+  let m = Netlist.copy aqfp in
+  Netlist.set_kind m 87 (Netlist.Const false);
+  Netlist.set_fanins m 87 [||];
+  let cex = "11110010001010111110011000010010" in
+  let expected =
+    List.map
+      (fun (node, out, cex) ->
+        Printf.sprintf
+          "error   EQ-DIFF-01 @ node %d: mut: output %S differs \
+           (counterexample inputs %s)"
+          node out cex)
+      [
+        (123, "cnt0", cex);
+        (176, "cnt1", cex);
+        (205, "cnt2", cex);
+        (220, "cnt3", cex);
+        (226, "cnt4", cex);
+        (227, "cnt5", String.make 32 '1');
+      ]
+  in
+  let got =
+    List.map Diag.to_string
+      (Equiv.check_pair ~engine:`Sat ~stage:"mut" aqfp m)
+  in
+  Alcotest.(check (list string)) "apc32 EQ-DIFF-01 messages pinned" expected got
+
 (* ---------- placement audit ---------- *)
 
 (* two-bit column design: 2 inputs, 2 buffers, 2 outputs; returns the
@@ -478,6 +599,10 @@ let () =
           Alcotest.test_case "engines (bdd/sat/auto, timeout, fallback)"
             `Quick test_equiv_engines;
           Alcotest.test_case "proof cache" `Quick test_equiv_proof_cache;
+          Alcotest.test_case "proof cache keys and partial hits" `Quick
+            test_equiv_cache_compat;
+          Alcotest.test_case "joint proof determinism and cex text" `Quick
+            test_equiv_joint_determinism;
         ] );
       ( "placement audit",
         [

@@ -2,7 +2,8 @@
    brute-force enumeration and return valid models, DIMACS must
    round-trip, and the CEC sweeper must prove unmutated benchmark
    pairs equal while producing replayable counterexamples for seeded
-   mutations. *)
+   mutations, and the joint per-output check must agree with proving
+   every output cone on its own. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -278,6 +279,104 @@ let test_cec_benchmarks_and_mutations () =
         (mutation_targets nl))
     Circuits.benchmark_names
 
+(* ---------- joint vs per-cone CEC ---------- *)
+
+(* Independent oracle for the simulation phase: over the eight
+   fixed-seed rounds, the lowest differing bit of the first round in
+   which the two single-output cones differ. *)
+let sim_cex ca cb =
+  let n_in = List.length (Netlist.inputs ca) in
+  let aig = Aig.create ~n_inputs:n_in in
+  let la = Aig.add_netlist aig ca and lb = Aig.add_netlist aig cb in
+  let x =
+    Aig.mk_xor aig
+      la.(List.hd (Netlist.outputs ca))
+      lb.(List.hd (Netlist.outputs cb))
+  in
+  let rng = Rng.create 0x5eed_ca5e in
+  let rec low w i =
+    if Int64.logand (Int64.shift_right_logical w i) 1L = 1L then i
+    else low w (i + 1)
+  in
+  let rec round k =
+    if k = 8 then None
+    else
+      let words = Array.init n_in (fun _ -> Rng.bits64 rng) in
+      let w = Aig.lit_word (Aig.sim aig words) x in
+      if w = 0L then round (k + 1)
+      else
+        let bit = low w 0 in
+        Some
+          (Array.map
+             (fun word ->
+               Int64.logand (Int64.shift_right_logical word bit) 1L = 1L)
+             words)
+  in
+  if x = Aig.false_lit || x = Aig.true_lit then None else round 0
+
+let verdict_class = function
+  | Cec.Equal -> "equal"
+  | Cec.Diff _ -> "diff"
+  | Cec.Unknown _ -> "unknown"
+
+(* [check_outputs] on the whole pair against [check] on each output's
+   cone: same verdict class, the per-cone simulation counterexample
+   where there is one, and a replaying counterexample for every diff. *)
+let differential what a b =
+  let joint = Cec.check_outputs a b in
+  let outs_a = Array.of_list (Netlist.outputs a) in
+  let outs_b = Array.of_list (Netlist.outputs b) in
+  checki (what ^ ": one verdict per output") (Array.length outs_a)
+    (Array.length joint);
+  Array.iteri
+    (fun o v ->
+      let ca = Equiv.cone a outs_a.(o) and cb = Equiv.cone b outs_b.(o) in
+      let per = Cec.check ca cb in
+      let what = Printf.sprintf "%s output %d" what o in
+      Alcotest.(check string)
+        (what ^ ": verdict class") (verdict_class per) (verdict_class v);
+      (match v with
+      | Cec.Diff cex -> checkb (what ^ ": cex replays") true (replays ca cb cex)
+      | Cec.Equal | Cec.Unknown _ -> ());
+      match sim_cex ca cb with
+      | Some cex ->
+          checkb (what ^ ": per-cone cex is the simulation one") true
+            (per = Cec.Diff cex);
+          checkb (what ^ ": joint cex is the per-cone one") true
+            (v = Cec.Diff cex)
+      | None -> ())
+    joint
+
+(* The three synthesis handoffs the flow proves, plus one pinned gate
+   in each design's majority netlist. *)
+let test_joint_matches_per_cone () =
+  let diffs = ref 0 in
+  List.iter
+    (fun name ->
+      let aoi = Opt.optimize (Circuits.benchmark name) in
+      let maj = Aoi_to_maj.convert aoi in
+      let aqfp0 = Synth_flow.run_quiet (Circuits.benchmark name) in
+      let aqfp1, _ = Resyn.run ~effort:Resyn.Full aqfp0 in
+      differential (name ^ " aoi->maj") aoi maj;
+      differential (name ^ " maj->aqfp") maj (Insertion.insert maj);
+      differential (name ^ " resyn") aqfp0 aqfp1;
+      let m = Netlist.copy maj in
+      let n = Netlist.size m in
+      let rec gate i =
+        match Netlist.kind m i with
+        | Netlist.Maj | Netlist.And | Netlist.Or -> i
+        | _ -> gate ((i + 1) mod n)
+      in
+      let g = gate (n / 2) in
+      Netlist.set_kind m g (Netlist.Const false);
+      Netlist.set_fanins m g [||];
+      differential (Printf.sprintf "%s mutated at %d" name g) aoi m;
+      Array.iter
+        (function Cec.Diff _ -> incr diffs | Cec.Equal | Cec.Unknown _ -> ())
+        (Cec.check_outputs aoi m))
+    Circuits.benchmark_names;
+  checkb "the mutations expose differing outputs" true (!diffs > 0)
+
 let () =
   Alcotest.run "sat"
     [
@@ -298,5 +397,7 @@ let () =
           Alcotest.test_case "miter basics" `Quick test_cec_basic;
           Alcotest.test_case "benchmarks + mutations" `Slow
             test_cec_benchmarks_and_mutations;
+          Alcotest.test_case "joint outputs match per-cone proofs" `Slow
+            test_joint_matches_per_cone;
         ] );
     ]
