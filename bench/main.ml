@@ -109,7 +109,7 @@ let ablation_splitter_arity () =
 
 let ablation_detailed_strategies () =
   print_endline
-    "Ablation: detailed-placement strategies (greedy swaps / +row DP / simulated annealing, apc32)";
+    "Ablation: detailed-placement strategies (greedy swaps / +row DP, apc32)";
   let aqfp = Synth_flow.run_quiet (Circuits.benchmark "apc32") in
   let t = Table.create ~headers:[ "strategy"; "HPWL (um)"; "WNS (ps)"; "cost" ] in
   let base () =
@@ -137,11 +137,6 @@ let ablation_detailed_strategies () =
   ignore (Detailed.run p);
   ignore (Row_dp.run p);
   record "swaps + row DP" p;
-  let p = base () in
-  ignore (Detailed.run p);
-  ignore (Row_dp.run p);
-  ignore (Detailed_sa.run p);
-  record "swaps + DP + annealing" p;
   Table.print t;
   print_newline ()
 

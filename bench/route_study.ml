@@ -1,15 +1,15 @@
-(* Route-core benchmark: old (legacy) vs new (fast) search cores for
-   both routing algorithms. Each run prints one machine-readable line
+(* Route benchmark: wall time and QoR of both routing algorithms per
+   circuit. Each run prints one machine-readable line
 
-     BENCH_ROUTE {"circuit":...,"alg":...,"core":...,"seconds":...,
+     BENCH_ROUTE {"circuit":...,"alg":...,"seconds":...,
                   "wirelength":...,"vias":...,"space_expansions":...,
                   "node_expansions":...,"rounds":...,"rerouted":...}
 
-   so CI can track the speedup and QoR drift over time.
+   so CI can track routing time and QoR drift over time.
 
      dune exec bench/route_study.exe            # full set (incl. apc128)
-     dune exec bench/route_study.exe -- quick   # small circuits, all cores
-     dune exec bench/route_study.exe -- check   # fast core only, compared
+     dune exec bench/route_study.exe -- quick   # small circuits
+     dune exec bench/route_study.exe -- check   # small circuits, compared
                                                 # against bench/route_baselines.txt
                                                 # (exit 1 on >1% QoR drift) *)
 
@@ -18,8 +18,8 @@ let check = Array.exists (fun a -> a = "check") Sys.argv
 
 let circuits =
   (* explicit benchmark names on the command line win; decoder's
-     negotiated routing takes minutes on either core, so the CI
-     subset stops at apc32 *)
+     negotiated routing takes minutes, so the CI subset stops at
+     apc32 *)
   let named =
     List.filter
       (fun a -> List.mem a (Circuits.benchmark_names))
@@ -33,26 +33,24 @@ let alg_name = function
   | Router.Sequential -> "sequential"
   | Router.Negotiated -> "negotiated"
 
-let core_name = function Router.Fast -> "fast" | Router.Legacy -> "legacy"
-
 (* One routing run on a fresh (deterministically re-placed) problem, so
-   the cores can't contaminate each other through space expansion's
+   runs can't contaminate each other through space expansion's
    row-gap mutation. The timed region is route_all only. *)
-let run name aqfp alg core =
+let run name aqfp alg =
   let p = Problem.of_netlist Tech.default aqfp in
   ignore (Placer.place Placer.Superflow p);
   let r, seconds =
-    Wallclock.time (fun () -> Router.route_all ~algorithm:alg ~core p)
+    Wallclock.time (fun () -> Router.route_all ~algorithm:alg p)
   in
   (match Router.check_routes p r with
   | Ok () -> ()
   | Error e ->
-      Printf.eprintf "route_study: %s %s/%s: invalid routing: %s\n" name
-        (alg_name alg) (core_name core) e;
+      Printf.eprintf "route_study: %s %s: invalid routing: %s\n" name
+        (alg_name alg) e;
       exit 1);
   Printf.printf
-    "BENCH_ROUTE {\"circuit\":\"%s\",\"alg\":\"%s\",\"core\":\"%s\",\"seconds\":%.3f,\"wirelength\":%.0f,\"vias\":%d,\"space_expansions\":%d,\"node_expansions\":%d,\"rounds\":%d,\"rerouted\":%d}\n%!"
-    name (alg_name alg) (core_name core) seconds r.Router.wirelength
+    "BENCH_ROUTE {\"circuit\":\"%s\",\"alg\":\"%s\",\"seconds\":%.3f,\"wirelength\":%.0f,\"vias\":%d,\"space_expansions\":%d,\"node_expansions\":%d,\"rounds\":%d,\"rerouted\":%d}\n%!"
+    name (alg_name alg) seconds r.Router.wirelength
     r.Router.total_vias r.Router.expansions r.Router.node_expansions
     r.Router.neg_rounds r.Router.neg_rerouted;
   r
@@ -107,7 +105,7 @@ let check_guard () =
       let aqfp = Synth_flow.run_quiet (Circuits.benchmark name) in
       List.iter
         (fun alg ->
-          let r = run name aqfp alg Router.Fast in
+          let r = run name aqfp alg in
           Hashtbl.replace results (name, alg_name alg) r)
         [ Router.Sequential; Router.Negotiated ])
     circuits;
@@ -146,11 +144,6 @@ let () =
       (fun name ->
         let aqfp = Synth_flow.run_quiet (Circuits.benchmark name) in
         List.iter
-          (fun (alg, core) -> ignore (run name aqfp alg core))
-          [
-            (Router.Sequential, Router.Legacy);
-            (Router.Sequential, Router.Fast);
-            (Router.Negotiated, Router.Legacy);
-            (Router.Negotiated, Router.Fast);
-          ])
+          (fun alg -> ignore (run name aqfp alg))
+          [ Router.Sequential; Router.Negotiated ])
       circuits

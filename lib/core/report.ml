@@ -115,7 +115,11 @@ let measure_table2 name =
 let wns_option sta =
   if Sta.meets_timing sta then None else Some sta.Sta.wns_ps
 
-let measure_table3 ?(seed = 1) name =
+(* every table is measured at one fixed seed: the memo caches above are
+   keyed by name (and router), not by seed *)
+let seed = 1
+
+let measure_table3 name =
   memo t3_cache name @@ fun () ->
   let aoi = Circuits.benchmark name in
   let aqfp = Synth_flow.run_quiet aoi in
@@ -138,7 +142,7 @@ let router_tag = function
   | Router.Sequential -> "seq"
   | Router.Negotiated -> "neg"
 
-let measure_table4 ?(seed = 1) ?(router = Router.Sequential) name =
+let measure_table4 ?(router = Router.Sequential) name =
   memo t4_cache (name ^ "#" ^ router_tag router) @@ fun () ->
   let aoi = Circuits.benchmark name in
   let r = Flow.run ~seed ~router aoi in
@@ -155,7 +159,7 @@ let measure_table4 ?(seed = 1) ?(router = Router.Sequential) name =
     r_depth = rr.Flow.resyn_report.Resyn.depth_before;
   }
 
-let measure_fig4 ?(seed = 1) name =
+let measure_fig4 name =
   memo f4_cache name @@ fun () ->
   let aoi = Circuits.benchmark name in
   let aqfp = Synth_flow.run_quiet aoi in

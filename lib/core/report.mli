@@ -45,14 +45,14 @@ val paper_table3 :
   (string * ((float * int * float option) * (float * int * float option) * (float * int * float option * float))) list
 val paper_table4 : (string * (int * int * float)) list
 
-(* Measurement (each runs the relevant stages of this implementation). *)
+(* Measurement (each runs the relevant stages of this implementation,
+   at placement seed 1). *)
 
 val measure_table2 : string -> synth_row
-val measure_table3 : ?seed:int -> string -> place_row list
+val measure_table3 : string -> place_row list
 (** GORDIAN-based, TAAS, SuperFlow — in that order. *)
 
-val measure_table4 :
-  ?seed:int -> ?router:Router.algorithm -> string -> route_row
+val measure_table4 : ?router:Router.algorithm -> string -> route_row
 (** [router] selects the routing algorithm the flow runs with
     (default [Sequential]); measurements are memoized per
     (circuit, router) pair. Each measurement runs the flow twice —
@@ -60,7 +60,7 @@ val measure_table4 :
     so the table carries the resyn delta. *)
 
 
-val measure_fig4 : ?seed:int -> string -> fig4_row list
+val measure_fig4 : string -> fig4_row list
 (** Size-matched-only vs mixed-size detailed placement. *)
 
 (* Printing. *)

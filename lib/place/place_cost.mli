@@ -1,7 +1,6 @@
 (** The detailed-placement cost model, shared by the greedy search
-    ({!Detailed}), the per-row DP ({!Row_dp} uses a specialized
-    moving-endpoint form of the same formula) and the simulated
-    annealer ({!Detailed_sa}):
+    ({!Detailed}) and the per-row DP ({!Row_dp} uses a specialized
+    moving-endpoint form of the same formula):
 
     net cost = manhattan length
              + λ_t · Eq.(2) timing / row_width

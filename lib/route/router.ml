@@ -10,7 +10,7 @@ type route = {
 type result = {
   routes : route array;
   expansions : int; (* space expansions: channel-growth retries *)
-  node_expansions : int; (* A* states popped (0 under the Legacy core) *)
+  node_expansions : int; (* A* states popped across all searches *)
   neg_rounds : int; (* max negotiation rounds over all row pairs *)
   neg_rerouted : int; (* total net reroutes across negotiation rounds *)
   wirelength : float;
@@ -115,7 +115,7 @@ let path_to_route ~grid ~y0 ~net path =
    or some resource its path occupies has more than one tenant.
    Clean nets keep their paths and their tallies, so late rounds cost
    only the congested remainder instead of a full re-route of every
-   net (the old core's behavior, kept in [Legacy]). *)
+   net. *)
 
 (* A net's tallied resources, deduplicated, encoded (idx lsl 2) lor
    kind so untallying is a flat list walk. *)
@@ -265,10 +265,6 @@ let negotiate_pair g arena endpoints ~via_q ~max_iterations =
 
 type algorithm = Sequential | Negotiated
 
-(* [Fast] is the arena/dial-queue core in [Search]; [Legacy] is the
-   frozen pre-overhaul core, kept for benchmarking and cross-checks. *)
-type core = Fast | Legacy
-
 (* everything a finished pair hands back to the merge step: routed
    paths still in pair-local grid indices, plus the gap the pair ended
    up needing and how many expansion steps it took to get there *)
@@ -287,7 +283,7 @@ type pair_outcome = {
    starting gap, tracks gap growth locally — so pairs can run on
    separate domains and still produce bit-identical results in any
    interleaving. *)
-let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
+let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~margin =
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
   let gap = ref p.Problem.row_gaps.(r) in
@@ -352,8 +348,8 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
       endpoints;
     let failed = ref None in
     let paths = ref [] in
-    (match (algorithm, core) with
-    | Negotiated, Fast -> (
+    (match algorithm with
+    | Negotiated -> (
         match negotiate_pair g arena endpoints ~via_q ~max_iterations:24 with
         | Some (routed, rds, rr) ->
             rounds := max !rounds rds;
@@ -369,21 +365,7 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
             match endpoints with
             | (first, _, _, _, _) :: _ -> failed := Some first
             | [] -> ()))
-    | Negotiated, Legacy -> (
-        match
-          Legacy.negotiate_pair g endpoints ~via_cost ~max_iterations:24
-        with
-        | Some routed ->
-            List.iter
-              (fun (ni, path) ->
-                commit g ~net:ni path;
-                paths := (ni, path) :: !paths)
-              routed
-        | None -> (
-            match endpoints with
-            | (first, _, _, _, _) :: _ -> failed := Some first
-            | [] -> ()))
-    | Sequential, Fast ->
+    | Sequential ->
         List.iter
           (fun (ni, sx, sy, gx, gy) ->
             if !failed = None then begin
@@ -394,16 +376,6 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
                   paths := (ni, path) :: !paths
               | None -> failed := Some ni
             end)
-          endpoints
-    | Sequential, Legacy ->
-        List.iter
-          (fun (ni, sx, sy, gx, gy) ->
-            if !failed = None then
-              match Legacy.astar g ~via_cost ~net:ni ~sx ~sy ~gx ~gy with
-              | Some path ->
-                  commit g ~net:ni path;
-                  paths := (ni, path) :: !paths
-              | None -> failed := Some ni)
           endpoints);
     match !failed with
     | None ->
@@ -439,7 +411,7 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~core ~margin =
   attempt ~promotions:0 0
 
 let route_all ?(via_cost = 20.0) ?(max_expansions = 400)
-    ?(algorithm = Sequential) ?(core = Fast) p =
+    ?(algorithm = Sequential) p =
   let t0 = Wallclock.now_s () in
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
@@ -461,7 +433,7 @@ let route_all ?(via_cost = 20.0) ?(max_expansions = 400)
         try
           Ok
             (route_pair p r ~nets:by_row.(r) ~via_cost ~max_expansions
-               ~algorithm ~core ~margin)
+               ~algorithm ~margin)
         with e -> Error e)
   in
   (* merge in row order: commit gap growth (raising the leftmost

@@ -34,7 +34,7 @@ type result = {
   routes : route array;  (** one per net, in net order *)
   expansions : int;  (** total space-expansion steps taken *)
   node_expansions : int;
-      (** A* states popped across all searches (0 under [Legacy]) *)
+      (** A* states popped across all searches *)
   neg_rounds : int;
       (** max negotiation rounds over all row pairs (0 = [Sequential]) *)
   neg_rerouted : int;
@@ -63,26 +63,18 @@ type algorithm =
           a pair whose negotiation stalls goes straight to space
           expansion *)
 
-type core =
-  | Fast
-      (** the shared arena search core ({!Search}): epoch-stamped
-          dist/parent arrays reused across nets, a bucketed dial
-          queue over quantized integer costs, bounding-box pruning
-          with full-grid fallback, and (under [Negotiated])
-          dirty-net-only rip-up and reroute *)
-  | Legacy
-      (** the frozen pre-overhaul core ({!Legacy}): per-net float
-          A* with a binary heap and reroute-everything negotiation;
-          kept as the measured baseline for [route_study] and the
-          old-vs-new property tests *)
-
 val route_all :
   ?via_cost:float -> ?max_expansions:int -> ?algorithm:algorithm ->
-  ?core:core -> Problem.t -> result
+  Problem.t -> result
 (** Route every net. Mutates [Problem.row_gaps] when space expansion
     is needed (so [Problem.row_top] afterwards reflects final
-    geometry). [max_expansions] is per row pair (default 400);
-    [core] defaults to [Fast]. *)
+    geometry). [max_expansions] is per row pair (default 400).
+
+    Both algorithms run the shared arena search core ({!Search}):
+    epoch-stamped dist/parent arrays reused across nets, a bucketed
+    dial queue over quantized integer costs, bounding-box pruning
+    with full-grid fallback, and (under [Negotiated]) dirty-net-only
+    rip-up and reroute. *)
 
 val check_routes : Problem.t -> result -> (unit, string) Stdlib.result
 (** Validate a routing result: every route connects its net's pins,

@@ -185,8 +185,8 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
   let dist = a.dist and parent = a.parent and stamp = a.stamp in
   let net = costs.net and neg = costs.neg in
   let[@inline] heuristic ix iy = qscale * (abs (ix - gx) + abs (iy - gy)) in
-  (* forced first move down out of the source pin; like the pre-arena
-     cores, the seed move is never priced *)
+  (* forced first move down out of the source pin; the seed move is
+     never priced *)
   let seeded =
     sy + 1 < ny
     && free g.v_owner ~net (node_index g sx sy)

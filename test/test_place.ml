@@ -303,29 +303,27 @@ let test_row_dp_run_matches_plain_sweeps () =
         { Row_dp.default_options with Row_dp.lambda_slack = 120.0; lambda_wmax = 20.0 } );
     ]
 
-(* ---------- Detailed_sa ---------- *)
+(* ---------- Place_cost ---------- *)
 
-let test_sa_never_regresses_and_stays_legal () =
+(* With every penalty weight at zero the cost model is plain Manhattan
+   length, so [total] must equal Σ Problem.net_length; each penalty
+   term is non-negative, so turning any weight on can only add. *)
+let test_place_cost_terms () =
   let p = medium_problem () in
   Quadratic.solve p ~net_weight:(fun _ -> 1.0);
   Legalize.run p;
-  let w = Place_cost.default_weights in
-  let before = Place_cost.total p w in
-  let moves = Detailed_sa.run p in
-  let after = Place_cost.total p w in
-  checkb "made moves" true (moves > 0);
-  checkb "best-state result never worse" true (after <= before +. 1e-6);
-  (match Problem.check_legal p with Ok () -> () | Error e -> Alcotest.fail e)
-
-let test_sa_deterministic () =
-  let run () =
-    let p = medium_problem () in
-    Quadratic.solve p ~net_weight:(fun _ -> 1.0);
-    Legalize.run p;
-    ignore (Detailed_sa.run ~options:{ Detailed_sa.default_options with seed = 3 } p);
-    Problem.hpwl p
-  in
-  Alcotest.(check (float 1e-9)) "same result" (run ()) (run ())
+  let zero = { Place_cost.lambda_t = 0.0; lambda_wmax = 0.0; lambda_slack = 0.0 } in
+  let length = Array.fold_left (fun acc e -> acc +. Problem.net_length p e) 0.0 p.Problem.nets in
+  let base = Place_cost.total p zero in
+  Alcotest.(check (float 1e-6)) "zero weights = manhattan length" length base;
+  List.iter
+    (fun (name, w) -> checkb name true (Place_cost.total p w >= base -. 1e-9))
+    [
+      ("timing term non-negative", { zero with Place_cost.lambda_t = 1.0 });
+      ("w_max term non-negative", { zero with Place_cost.lambda_wmax = 1.0 });
+      ("slack term non-negative", { zero with Place_cost.lambda_slack = 1.0 });
+      ("default weights", Place_cost.default_weights);
+    ]
 
 (* ---------- Global & baselines ---------- *)
 
@@ -460,11 +458,7 @@ let () =
           Alcotest.test_case "improves" `Quick test_detailed_improves_and_stays_legal;
           Alcotest.test_case "mixed beats matched" `Slow test_detailed_mixed_beats_matched;
         ] );
-      ( "detailed_sa",
-        [
-          Alcotest.test_case "never regresses" `Quick test_sa_never_regresses_and_stays_legal;
-          Alcotest.test_case "deterministic" `Quick test_sa_deterministic;
-        ] );
+      ("place_costs", [ Alcotest.test_case "terms" `Quick test_place_cost_terms ]);
       ( "row_dp",
         [
           Alcotest.test_case "never worsens" `Quick test_row_dp_never_worsens;

@@ -1,51 +1,10 @@
-(* Tests for the sf_util substrate: priority queue, union-find, vector,
+(* Tests for the sf_util substrate: dial queue, union-find, vector,
    RNG, geometry, stats, tables. *)
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf msg = Alcotest.(check (float 1e-9)) msg
-
-(* ---------- Pqueue ---------- *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  checki "length" 3 (Pqueue.length q);
-  check Alcotest.(option (pair (float 1e-9) string)) "peek" (Some (1.0, "a")) (Pqueue.peek q);
-  let order = List.init 3 (fun _ -> snd (Option.get (Pqueue.pop q))) in
-  check Alcotest.(list string) "pop order" [ "a"; "b"; "c" ] order;
-  checkb "empty after" true (Pqueue.is_empty q)
-
-let test_pqueue_duplicates () =
-  let q = Pqueue.create () in
-  Pqueue.push q 1.0 1;
-  Pqueue.push q 1.0 2;
-  Pqueue.push q 0.5 3;
-  checki "first" 3 (snd (Option.get (Pqueue.pop q)));
-  let a = snd (Option.get (Pqueue.pop q)) in
-  let b = snd (Option.get (Pqueue.pop q)) in
-  checkb "both equal-prio values come out" true (List.sort compare [ a; b ] = [ 1; 2 ])
-
-let test_pqueue_clear () =
-  let q = Pqueue.create () in
-  for i = 1 to 10 do
-    Pqueue.push q (float_of_int i) i
-  done;
-  Pqueue.clear q;
-  checkb "cleared" true (Pqueue.is_empty q);
-  check Alcotest.(option (pair (float 1e-9) int)) "pop none" None (Pqueue.pop q)
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue pops in sorted order" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.0))
-    (fun prios ->
-      let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.push q p p) prios;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare prios)
 
 (* ---------- Dqueue ---------- *)
 
@@ -123,34 +82,49 @@ let prop_dqueue_matches_model =
       && List.for_all (fun (mk, mv) -> pop_kv q = Some (mk, mv)) !model
       && pop_kv q = None)
 
-(* Same priority sequence as the float binary heap it replaces, under
-   interleaved pushes and pops dense with duplicate priorities (the
-   heap's tie order among equal priorities is unspecified, so only
-   the popped priorities are compared, not the payloads). *)
+(* Same priority sequence as a reference priority queue (a multiset of
+   keys in a balanced map, popped from its minimum binding), under
+   interleaved pushes and pops dense with duplicate priorities. Only
+   the popped priorities are compared; tie order is the model
+   property's concern. *)
+module Int_map = Map.Make (Int)
+
 let prop_dqueue_order_matches_pqueue =
   QCheck.Test.make ~name:"dqueue priority order matches pqueue" ~count:200
     QCheck.(list (pair bool (int_bound 40)))
     (fun ops ->
       let dq = Dqueue.create () in
-      let pq = Pqueue.create () in
+      let pq = ref Int_map.empty and pq_len = ref 0 in
+      let pq_push k =
+        pq := Int_map.update k (fun c -> Some (1 + Option.value c ~default:0)) !pq;
+        incr pq_len
+      in
+      let pq_pop () =
+        match Int_map.min_binding_opt !pq with
+        | None -> None
+        | Some (k, c) ->
+            pq := if c = 1 then Int_map.remove k !pq else Int_map.add k (c - 1) !pq;
+            decr pq_len;
+            Some k
+      in
       List.for_all
         (fun (is_push, key) ->
           if is_push then begin
             Dqueue.push dq key key;
-            Pqueue.push pq (float_of_int key) key;
-            Dqueue.length dq = Pqueue.length pq
+            pq_push key;
+            Dqueue.length dq = !pq_len
           end
           else
-            match (pop_kv dq, Pqueue.pop pq) with
+            match (pop_kv dq, pq_pop ()) with
             | None, None -> true
-            | Some (k, _), Some (p, _) -> float_of_int k = p
+            | Some (k, _), Some p -> k = p
             | _ -> false)
         ops
       &&
       let rec drain () =
-        match (pop_kv dq, Pqueue.pop pq) with
+        match (pop_kv dq, pq_pop ()) with
         | None, None -> true
-        | Some (k, _), Some (p, _) -> float_of_int k = p && drain ()
+        | Some (k, _), Some p -> k = p && drain ()
         | _ -> false
       in
       drain ())
@@ -412,13 +386,6 @@ let prop_json_escape_diag_line =
 let () =
   Alcotest.run "sf_util"
     [
-      ( "pqueue",
-        [
-          Alcotest.test_case "order" `Quick test_pqueue_order;
-          Alcotest.test_case "duplicates" `Quick test_pqueue_duplicates;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          QCheck_alcotest.to_alcotest prop_pqueue_sorts;
-        ] );
       ( "dqueue",
         [
           Alcotest.test_case "basic" `Quick test_dqueue_basic;
