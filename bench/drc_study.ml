@@ -52,7 +52,7 @@ let decks =
 
 let run name deck_name deck layout =
   let tbl : (string, Diag.t list) Hashtbl.t = Hashtbl.create 1024 in
-  let cache = { Drc.find = Hashtbl.find_opt tbl; store = Hashtbl.replace tbl } in
+  let cache = { Memo.find = Hashtbl.find_opt tbl; store = Hashtbl.replace tbl } in
   let cold, cold_s = Wallclock.time (fun () -> Drc.check ~deck ~cache layout) in
   let warm, warm_s = Wallclock.time (fun () -> Drc.check ~deck ~cache layout) in
   if warm.Drc.stats.Drc.tiles_checked <> 0 then begin

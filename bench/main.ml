@@ -529,7 +529,7 @@ let equiv_study () =
       in
       let cache =
         {
-          Equiv.find = (fun k -> Db.find_proof db ~key:k);
+          Memo.find = (fun k -> Db.find_proof db ~key:k);
           store = (fun k v -> Db.put_proof db ~key:k v);
         }
       in

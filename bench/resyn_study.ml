@@ -39,7 +39,7 @@ let circuits =
 let make_cache () =
   let tbl : (string, string) Hashtbl.t = Hashtbl.create 256 in
   {
-    Resyn.find = (fun k -> Hashtbl.find_opt tbl k);
+    Memo.find = (fun k -> Hashtbl.find_opt tbl k);
     store = (fun k v -> Hashtbl.replace tbl k v);
   }
 

@@ -63,6 +63,14 @@ let exit_err msg =
   Format.eprintf "error: %s@." msg;
   exit 1
 
+let or_exit = function Ok v -> v | Error e -> exit_err e
+
+let open_db =
+  Option.map (fun dir ->
+      match Db.open_ dir with
+      | Ok db -> db
+      | Error d -> exit_err (Diag.to_string d))
+
 (* ---- synth ---- *)
 
 let cmd_synth input =
@@ -129,23 +137,21 @@ let router_of_string = function
   | "negotiated" -> Ok Router.Negotiated
   | s -> Error (Printf.sprintf "unknown router %S (sequential|negotiated)" s)
 
-let cmd_route input placer_name router_name jobs =
-  match (load_input input, placer_of_string placer_name, router_of_string router_name) with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> exit_err e
-  | Ok aoi, Ok algorithm, Ok router_alg ->
-      (match jobs with Some j -> Parallel.set_jobs j | None -> ());
-      let aqfp = Synth_flow.run_quiet aoi in
-      let p = Problem.of_netlist Tech.default aqfp in
-      ignore (Placer.place algorithm p);
-      let routed = Router.route_all ~algorithm:router_alg p in
-      Format.printf
-        "routed %d nets: wirelength=%.0fum vias=%d space-expansions=%d (%.1fs)@."
-        (Array.length routed.Router.routes)
-        routed.Router.wirelength routed.Router.total_vias
-        routed.Router.expansions routed.Router.runtime_s;
-      (match Router.check_routes p routed with
-      | Ok () -> Format.printf "route check: clean@."
-      | Error e -> Format.printf "route check: %s@." e)
+let cmd_route design jobs =
+  let aoi, config = or_exit design in
+  Option.iter Parallel.set_jobs jobs;
+  let aqfp = Synth_flow.run_quiet aoi in
+  let p = Problem.of_netlist Tech.default aqfp in
+  ignore (Placer.place config.Flow.algorithm p);
+  let routed = Router.route_all ~algorithm:config.Flow.router p in
+  Format.printf
+    "routed %d nets: wirelength=%.0fum vias=%d space-expansions=%d (%.1fs)@."
+    (Array.length routed.Router.routes)
+    routed.Router.wirelength routed.Router.total_vias
+    routed.Router.expansions routed.Router.runtime_s;
+  match Router.check_routes p routed with
+  | Ok () -> Format.printf "route check: clean@."
+  | Error e -> Format.printf "route check: %s@." e
 
 (* ---- flow ---- *)
 
@@ -158,279 +164,205 @@ let stage_of_cli s =
   | Ok st -> st
   | Error e -> exit_err e
 
-let cmd_flow input placer_name router_name engine_opt resyn_name gds_out
-    def_out svg_out tech_file jobs check seed db_dir from_opt to_opt resume
-    check_out dsan =
-  match
-    ( load_input input,
-      placer_of_string placer_name,
-      router_of_string router_name,
-      load_tech tech_file,
-      engine_tier_of_opt engine_opt,
-      Resyn.effort_of_string resyn_name )
-  with
-  | Error e, _, _, _, _, _
-  | _, Error e, _, _, _, _
-  | _, _, Error e, _, _, _
-  | _, _, _, Error e, _, _
-  | _, _, _, _, Error e, _
-  | _, _, _, _, _, Error e ->
-      exit_err e
-  | ( Ok aoi,
-      Ok algorithm,
-      Ok router,
-      Ok tech,
-      Ok (equiv_engine, check_tier),
-      Ok resyn_effort ) ->
-      if db_dir = None && (from_opt <> None || resume) then
-        exit_err "--from and --resume need a design database (--db DIR)";
-      if dsan && db_dir <> None then
+let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
+    resume check_out =
+  let aoi, config = or_exit design in
+  let db_dir, dsan = or_exit store in
+  if db_dir = None && (from_opt <> None || resume) then
+    exit_err "--from and --resume need a design database (--db DIR)";
+  if resume then (
+    match db_dir with
+    | Some dir when not (Sys.file_exists (Filename.concat dir "meta")) ->
         exit_err
-          "--dsan runs are never cached (a hit would mask the race being \
-           hunted); drop --db";
-      if resume then (
-        match db_dir with
-        | Some dir when not (Sys.file_exists (Filename.concat dir "meta")) ->
-            exit_err
-              (Printf.sprintf "--resume: %s holds no previous run to resume"
-                 dir)
-        | _ -> ());
-      let from_stage =
-        match from_opt with Some s -> stage_of_cli s | None -> Flow.Synth
-      in
-      let to_stage =
-        match to_opt with
-        | Some s -> stage_of_cli s
-        | None -> if check then Flow.Check else Flow.Layout
-      in
-      if check && Flow.stage_rank to_stage < Flow.stage_rank Flow.Check then
-        exit_err
-          (Printf.sprintf "--check needs the full graph but --to %s stops early"
-             (Flow.stage_name to_stage));
-      let db =
-        match db_dir with
-        | None -> None
-        | Some dir -> (
-            match Db.open_ dir with
-            | Ok db -> Some db
-            | Error d -> exit_err (Diag.to_string d))
-      in
-      let run () =
-        Flow.run_staged ~tech ~algorithm ~router ?seed ?jobs ?db ~from_stage
-          ~to_stage ~equiv_engine ~check_tier ~resyn_effort
-          ?gds_path:gds_out ?def_path:def_out aoi
-      in
-      let staged_res, dsan_findings =
-        if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
-      in
-      let staged =
-        match staged_res with
-        | Ok s -> s
-        | Error d -> exit_err (Diag.to_string d)
-      in
-      List.iter
-        (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f))
-        dsan_findings;
-      List.iter
-        (fun d -> Format.eprintf "%a@." Diag.pp d)
-        staged.Flow.db_warnings;
-      if db <> None then
-        List.iter
-          (fun (stage, outcome) ->
-            match outcome with
-            | Flow.Cached s ->
-                Format.printf "stage %s: cache hit (%.2fs)@."
-                  (Flow.stage_name stage) s
-            | Flow.Computed s ->
-                Format.printf "stage %s: computed (%.2fs)@."
-                  (Flow.stage_name stage) s)
-          staged.Flow.outcomes;
-      (match staged.Flow.result with
-      | Some r ->
-          (match r.Flow.check_report with
-          | Some rep ->
-              List.iter (fun d -> Format.printf "%a@." Diag.pp d) rep.Check.diags
-          | None -> ());
-          (match svg_out with
-          | Some path ->
-              Svg.write_file path r.Flow.layout;
-              Format.printf "SVG written to %s@." path
-          | None -> ());
-          Format.printf "%a@." Flow.pp_summary r;
-          (match gds_out with
-          | Some path -> Format.printf "GDSII written to %s@." path
-          | None -> ());
-          (match def_out with
-          | Some path -> Format.printf "DEF written to %s@." path
-          | None -> ());
-          (match (check_out, r.Flow.check_report) with
-          | Some path, Some rep ->
-              let oc = open_out path in
-              output_string oc (Check.render_text rep);
-              close_out oc;
-              Format.printf "check report written to %s@." path
-          | Some _, None ->
-              exit_err "--check-out needs the check stage (--check or --to check)"
-          | None, _ -> ());
-          (match r.Flow.check_report with
-          | Some rep when not (Check.ok rep) -> exit 1
-          | _ -> ())
-      | None ->
-          (* partial run ([--to] before layout): report what exists *)
-          (match staged.Flow.synth with
-          | Some (aqfp0, report) ->
-              Format.printf "synthesis: %a@." Synth_flow.pp_report report;
-              Format.printf "aqfp:  %a@." Netlist.pp_stats aqfp0
-          | None -> ());
-          (match staged.Flow.resyned with
-          | Some (_, rr) when rr.Resyn.effort <> Resyn.Off ->
-              Format.printf
-                "resyn (%s): jj %d -> %d, depth %d -> %d, %d/%d rewrites@."
-                (Resyn.effort_name rr.Resyn.effort)
-                rr.Resyn.jj_before rr.Resyn.jj_after rr.Resyn.depth_before
-                rr.Resyn.depth_after
-                (Resyn.rewrites_accepted rr)
-                (Resyn.rewrites_tried rr)
-          | _ -> ());
-          (match staged.Flow.placed with
-          | Some (_, _, placement, buffer_lines) ->
-              Format.printf "placement: %a@." Placer.pp_result placement;
-              Format.printf "buffer lines: %d@." buffer_lines
-          | None -> ());
-          (match staged.Flow.routed with
-          | Some (routing, _, violations, rounds) ->
-              Format.printf
-                "routing: wl=%.0fum vias=%d expansions=%d@."
-                routing.Router.wirelength routing.Router.total_vias
-                routing.Router.expansions;
-              Format.printf "drc: %d violation(s), %d fix round(s)@."
-                (List.length violations) rounds
-          | None -> ());
-          (match def_out with
-          | Some path when staged.Flow.routed <> None ->
-              Format.printf "DEF written to %s@." path
-          | _ -> ()));
-      if dsan_findings <> [] then begin
-        Format.eprintf "dsan: %d determinism finding(s)@."
-          (List.length dsan_findings);
-        exit 1
-      end
+          (Printf.sprintf "--resume: %s holds no previous run to resume"
+             dir)
+    | _ -> ());
+  let from_stage =
+    match from_opt with Some s -> stage_of_cli s | None -> Flow.Synth
+  in
+  let to_stage =
+    match to_opt with
+    | Some s -> stage_of_cli s
+    | None -> if check then Flow.Check else Flow.Layout
+  in
+  if check && Flow.stage_rank to_stage < Flow.stage_rank Flow.Check then
+    exit_err
+      (Printf.sprintf "--check needs the full graph but --to %s stops early"
+         (Flow.stage_name to_stage));
+  let db = open_db db_dir in
+  Option.iter Parallel.set_jobs jobs;
+  let run () = Flow.run_staged ~config ?db ~from_stage ~to_stage aoi in
+  let staged_res, dsan_findings =
+    if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
+  in
+  let staged =
+    match staged_res with
+    | Ok s -> s
+    | Error d -> exit_err (Diag.to_string d)
+  in
+  (match (def_out, staged.Flow.routed) with
+  | Some path, Some (routing, p, _, _) ->
+      Def.write_file path (Def.of_design ~design:"superflow" p routing)
+  | _ -> ());
+  (match (gds_out, staged.Flow.built) with
+  | Some path, Some (layout, _, _) -> Layout.write_gds path layout
+  | _ -> ());
+  List.iter
+    (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f))
+    dsan_findings;
+  List.iter
+    (fun d -> Format.eprintf "%a@." Diag.pp d)
+    staged.Flow.db_warnings;
+  if db <> None then
+    List.iter
+      (fun (stage, outcome) ->
+        match outcome with
+        | Flow.Cached s ->
+            Format.printf "stage %s: cache hit (%.2fs)@."
+              (Flow.stage_name stage) s
+        | Flow.Computed s ->
+            Format.printf "stage %s: computed (%.2fs)@."
+              (Flow.stage_name stage) s)
+      staged.Flow.outcomes;
+  (match staged.Flow.result with
+  | Some r ->
+      (match r.Flow.check_report with
+      | Some rep ->
+          List.iter (fun d -> Format.printf "%a@." Diag.pp d) rep.Check.diags
+      | None -> ());
+      (match svg_out with
+      | Some path ->
+          Svg.write_file path r.Flow.layout;
+          Format.printf "SVG written to %s@." path
+      | None -> ());
+      Format.printf "%a@." Flow.pp_summary r;
+      (match gds_out with
+      | Some path -> Format.printf "GDSII written to %s@." path
+      | None -> ());
+      (match def_out with
+      | Some path -> Format.printf "DEF written to %s@." path
+      | None -> ());
+      (match (check_out, r.Flow.check_report) with
+      | Some path, Some rep ->
+          let oc = open_out path in
+          output_string oc (Check.render_text rep);
+          close_out oc;
+          Format.printf "check report written to %s@." path
+      | Some _, None ->
+          exit_err "--check-out needs the check stage (--check or --to check)"
+      | None, _ -> ());
+      (match r.Flow.check_report with
+      | Some rep when not (Check.ok rep) -> exit 1
+      | _ -> ())
+  | None ->
+      (* partial run ([--to] before layout): report what exists *)
+      (match staged.Flow.synth with
+      | Some (aqfp0, report) ->
+          Format.printf "synthesis: %a@." Synth_flow.pp_report report;
+          Format.printf "aqfp:  %a@." Netlist.pp_stats aqfp0
+      | None -> ());
+      (match staged.Flow.resyned with
+      | Some (_, rr) when rr.Resyn.effort <> Resyn.Off ->
+          Format.printf
+            "resyn (%s): jj %d -> %d, depth %d -> %d, %d/%d rewrites@."
+            (Resyn.effort_name rr.Resyn.effort)
+            rr.Resyn.jj_before rr.Resyn.jj_after rr.Resyn.depth_before
+            rr.Resyn.depth_after
+            (Resyn.rewrites_accepted rr)
+            (Resyn.rewrites_tried rr)
+      | _ -> ());
+      (match staged.Flow.placed with
+      | Some (_, _, placement, buffer_lines) ->
+          Format.printf "placement: %a@." Placer.pp_result placement;
+          Format.printf "buffer lines: %d@." buffer_lines
+      | None -> ());
+      (match staged.Flow.routed with
+      | Some (routing, _, violations, rounds) ->
+          Format.printf
+            "routing: wl=%.0fum vias=%d expansions=%d@."
+            routing.Router.wirelength routing.Router.total_vias
+            routing.Router.expansions;
+          Format.printf "drc: %d violation(s), %d fix round(s)@."
+            (List.length violations) rounds
+      | None -> ());
+      (match def_out with
+      | Some path when staged.Flow.routed <> None ->
+          Format.printf "DEF written to %s@." path
+      | _ -> ()));
+  if dsan_findings <> [] then begin
+    Format.eprintf "dsan: %d determinism finding(s)@."
+      (List.length dsan_findings);
+    exit 1
+  end
 
 (* ---- check ---- *)
 
-let cmd_check input placer_name router_name engine_opt tech_file jobs db_dir
-    json dsan =
-  match
-    ( load_input input,
-      placer_of_string placer_name,
-      router_of_string router_name,
-      load_tech tech_file,
-      engine_tier_of_opt engine_opt )
-  with
-  | Error e, _, _, _, _
-  | _, Error e, _, _, _
-  | _, _, Error e, _, _
-  | _, _, _, Error e, _
-  | _, _, _, _, Error e ->
-      exit_err e
-  | Ok aoi, Ok algorithm, Ok router, Ok tech, Ok (equiv_engine, check_tier) ->
-      if dsan && db_dir <> None then
-        exit_err
-          "--dsan runs are never cached (a hit would mask the race being \
-           hunted); drop --db";
-      let db =
-        match db_dir with
-        | None -> None
-        | Some dir -> (
-            match Db.open_ dir with
-            | Ok db -> Some db
-            | Error d -> exit_err (Diag.to_string d))
-      in
-      let run () =
-        Flow.run ~tech ~algorithm ~router ?jobs ~check:true ~equiv_engine
-          ~check_tier ?db aoi
-      in
-      let r, dsan_findings =
-        if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
-      in
-      let rep =
-        match r.Flow.check_report with
-        | Some rep -> rep
-        | None -> assert false
-      in
-      List.iter
-        (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f))
-        dsan_findings;
-      print_string
-        (if json then Check.render_json rep else Check.render_text rep);
-      if not json then
-        Format.printf "check runtime: %.2fs over %d pass(es)@."
-          (Check.total_seconds rep)
-          (List.length rep.Check.stats);
-      if (not (Check.ok rep)) || dsan_findings <> [] then exit 1
+let cmd_check design store jobs json =
+  let aoi, config = or_exit design in
+  let db_dir, dsan = or_exit store in
+  let db = open_db db_dir in
+  Option.iter Parallel.set_jobs jobs;
+  let run () = Flow.run_staged ~config ?db ~to_stage:Flow.Check aoi in
+  let staged, dsan_findings =
+    if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
+  in
+  let rep =
+    match staged with
+    | Ok { Flow.checked = Some rep; _ } -> rep
+    | Ok _ -> assert false (* the check stage always yields a report *)
+    | Error d -> exit_err (Diag.to_string d)
+  in
+  List.iter
+    (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f))
+    dsan_findings;
+  print_string
+    (if json then Check.render_json rep else Check.render_text rep);
+  if not json then
+    Format.printf "check runtime: %.2fs over %d pass(es)@."
+      (Check.total_seconds rep)
+      (List.length rep.Check.stats);
+  if (not (Check.ok rep)) || dsan_findings <> [] then exit 1
 
 (* ---- sanitize ---- *)
 
-let cmd_sanitize input placer_name router_name tech_file seed schedules jobs =
-  match
-    ( load_input input,
-      placer_of_string placer_name,
-      router_of_string router_name,
-      load_tech tech_file )
-  with
-  | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
-      exit_err e
-  | Ok aoi, Ok algorithm, Ok router, Ok tech -> (
-      match Sanitize.run ~tech ~algorithm ~router ~seed ~schedules ?jobs aoi with
-      | Error d -> exit_err (Diag.to_string d)
-      | Ok rep ->
-          print_string (Sanitize.render_text rep);
-          if rep.Sanitize.findings <> [] then exit 1)
+let cmd_sanitize design seed schedules jobs =
+  let aoi, config = or_exit design in
+  match Sanitize.run ~config ~seed ~schedules ?jobs aoi with
+  | Error d -> exit_err (Diag.to_string d)
+  | Ok rep ->
+      print_string (Sanitize.render_text rep);
+      if rep.Sanitize.findings <> [] then exit 1
 
 (* ---- drc ---- *)
 
-let cmd_drc input placer_name router_name tech_file jobs db_dir json =
-  match
-    ( load_input input,
-      placer_of_string placer_name,
-      router_of_string router_name,
-      load_tech tech_file )
-  with
-  | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
-      exit_err e
-  | Ok aoi, Ok algorithm, Ok router, Ok tech -> (
-      let db =
-        match db_dir with
-        | None -> None
-        | Some dir -> (
-            match Db.open_ dir with
-            | Ok db -> Some db
-            | Error d -> exit_err (Diag.to_string d))
+let cmd_drc design jobs db_dir json =
+  let aoi, config = or_exit design in
+  let db = open_db db_dir in
+  Option.iter Parallel.set_jobs jobs;
+  (* build (or load) the layout through the stage graph, then run
+     the full-deck signoff with the tile cache wired to the db.
+     Tile statistics go to stderr so stdout (the report) is
+     byte-comparable across cold/warm and --jobs runs. *)
+  match Flow.run_staged ~config ?db ~to_stage:Flow.Layout aoi with
+  | Error d -> exit_err (Diag.to_string d)
+  | Ok staged ->
+      let layout =
+        match staged.Flow.built with
+        | Some (layout, _, _) -> layout
+        | None -> exit_err "drc: the flow produced no layout"
       in
-      (* build (or load) the layout through the stage graph, then run
-         the full-deck signoff with the tile cache wired to the db.
-         Tile statistics go to stderr so stdout (the report) is
-         byte-comparable across cold/warm and --jobs runs. *)
-      match Flow.run_staged ~tech ~algorithm ~router ?jobs ?db ~to_stage:Flow.Layout aoi with
-      | Error d -> exit_err (Diag.to_string d)
-      | Ok staged ->
-          let layout =
-            match staged.Flow.built with
-            | Some (layout, _, _) -> layout
-            | None -> exit_err "drc: the flow produced no layout"
-          in
-          let cache = Option.map Flow.drc_cache_of_db db in
-          let rep = Drc.check ?cache layout in
-          let s = rep.Drc.stats in
-          Format.eprintf "# drc: tiles total=%d checked=%d cached=%d density=%s@."
-            s.Drc.tiles_total s.Drc.tiles_checked s.Drc.tiles_cached
-            (if s.Drc.density_cached then "cached" else "checked");
-          List.iter
-            (fun d ->
-              print_endline (if json then Diag.to_json d else Diag.to_string d))
-            rep.Drc.diags;
-          Format.printf "drc: %d violation(s)@." (List.length rep.Drc.diags);
-          if rep.Drc.diags <> [] then exit 1)
+      let cache = Option.map Flow.diag_memo db in
+      let rep = Drc.check ?cache layout in
+      let s = rep.Drc.stats in
+      Format.eprintf "# drc: tiles total=%d checked=%d cached=%d density=%s@."
+        s.Drc.tiles_total s.Drc.tiles_checked s.Drc.tiles_cached
+        (if s.Drc.density_cached then "cached" else "checked");
+      List.iter
+        (fun d ->
+          print_endline (if json then Diag.to_json d else Diag.to_string d))
+        rep.Drc.diags;
+      Format.printf "drc: %d violation(s)@." (List.length rep.Drc.diags);
+      if rep.Drc.diags <> [] then exit 1
 
 (* ---- timing ---- *)
 
@@ -710,10 +642,6 @@ let jobs_arg =
                variable, then the machine's core count. Results are \
                bit-identical for every value.")
 
-let route_cmd =
-  Cmd.v (Cmd.info "route" ~doc:"Synthesize, place and route")
-    Term.(const cmd_route $ input_arg $ placer_arg $ router_arg $ jobs_arg)
-
 let def_arg =
   Arg.(value & opt (some string) None & info [ "def" ] ~docv:"FILE"
          ~doc:"Also write a DEF-style placement/routing dump to $(docv).")
@@ -790,12 +718,76 @@ let dsan_flag_arg =
                stderr (exit 1 on any). Incompatible with --db: sanitized \
                runs are never cached.")
 
+(* ---- the design and its Flow.config, shared by the flow subcommands ---- *)
+
+(* A config flag: a term that sets its part of a [Flow.config]. *)
+let setting parse set arg =
+  Term.(const (fun v c -> Result.map (set c) (parse v)) $ arg)
+
+let placer_t =
+  setting placer_of_string
+    (fun c algorithm -> { c with Flow.algorithm })
+    placer_arg
+
+let router_t =
+  setting router_of_string (fun c router -> { c with Flow.router }) router_arg
+
+let tech_t = setting load_tech (fun c tech -> { c with Flow.tech }) tech_arg
+
+let engine_t =
+  setting engine_tier_of_opt
+    (fun c (equiv_engine, check_tier) ->
+      { c with Flow.equiv_engine; check_tier })
+    engine_arg
+
+let resyn_t =
+  setting Resyn.effort_of_string
+    (fun c resyn_effort -> { c with Flow.resyn_effort })
+    resyn_effort_arg
+
+let seed_t =
+  setting Result.ok
+    (fun c seed ->
+      { c with Flow.seed = Option.value seed ~default:c.Flow.seed })
+    seed_arg
+
+(* The input design and the config its flags select over
+   [Flow.default]. Every flag is parsed; the error reported is the
+   input's, else the first bad flag's in [settings] order. *)
+let design_t settings =
+  let config =
+    List.fold_left
+      (fun acc set -> Term.(const Result.bind $ acc $ set))
+      (Term.const (Ok Flow.default)) settings
+  in
+  Term.(
+    const (fun input config ->
+        match (load_input input, config) with
+        | Error e, _ | _, Error e -> Error e
+        | Ok aoi, Ok c -> Ok (aoi, c))
+    $ input_arg $ config)
+
+(* --db with --dsan: sanitized runs are never cached *)
+let store_t =
+  Term.(
+    const (fun db_dir dsan ->
+        if dsan && db_dir <> None then
+          Error
+            "--dsan runs are never cached (a hit would mask the race being \
+             hunted); drop --db"
+        else Ok (db_dir, dsan))
+    $ db_arg $ dsan_flag_arg)
+
+let route_cmd =
+  Cmd.v (Cmd.info "route" ~doc:"Synthesize, place and route")
+    Term.(const cmd_route $ design_t [ placer_t; router_t ] $ jobs_arg)
+
 let flow_cmd =
   Cmd.v (Cmd.info "flow" ~doc:"Full RTL-to-GDS flow")
-    Term.(const cmd_flow $ input_arg $ placer_arg $ router_arg $ engine_arg
-          $ resyn_effort_arg $ gds_arg $ def_arg $ svg_arg $ tech_arg
-          $ jobs_arg $ check_flag_arg $ seed_arg $ db_arg $ from_arg $ to_arg
-          $ resume_arg $ check_out_arg $ dsan_flag_arg)
+    Term.(const cmd_flow
+          $ design_t [ placer_t; router_t; tech_t; engine_t; resyn_t; seed_t ]
+          $ store_t $ gds_arg $ def_arg $ svg_arg $ jobs_arg $ check_flag_arg
+          $ from_arg $ to_arg $ resume_arg $ check_out_arg)
 
 let json_arg =
   Arg.(value & flag & info [ "json" ]
@@ -808,8 +800,8 @@ let check_cmd =
              netlist lints, AQFP legality, per-output formal equivalence, \
              placement audit, route connectivity, DRC and LVS-lite. Exits 1 \
              on any error-severity diagnostic.")
-    Term.(const cmd_check $ input_arg $ placer_arg $ router_arg $ engine_arg
-          $ tech_arg $ jobs_arg $ db_arg $ json_arg $ dsan_flag_arg)
+    Term.(const cmd_check $ design_t [ placer_t; router_t; tech_t; engine_t ]
+          $ store_t $ jobs_arg $ json_arg)
 
 let sanitize_seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N"
@@ -832,7 +824,7 @@ let sanitize_cmd =
              differing stage/slot (DSAN-SCHED-01 / DSAN-DIVERGE-01); \
              tracked shared arrays report ownership and overlap violations \
              (DSAN-OWN/WW/RW-01). Exits 1 on any finding.")
-    Term.(const cmd_sanitize $ input_arg $ placer_arg $ router_arg $ tech_arg
+    Term.(const cmd_sanitize $ design_t [ placer_t; router_t; tech_t ]
           $ sanitize_seed_arg $ schedules_arg $ jobs_arg)
 
 let drc_cmd =
@@ -844,8 +836,8 @@ let drc_cmd =
              pool size. With --db, tile verdicts are memoized so an ECO \
              rerun re-checks only the tiles whose geometry changed (tile \
              statistics go to stderr). Exits 1 on any violation.")
-    Term.(const cmd_drc $ input_arg $ placer_arg $ router_arg $ tech_arg
-          $ jobs_arg $ db_arg $ json_arg)
+    Term.(const cmd_drc $ design_t [ placer_t; router_t; tech_t ] $ jobs_arg
+          $ db_arg $ json_arg)
 
 let timing_cmd =
   Cmd.v (Cmd.info "timing" ~doc:"Static timing analysis of a placed design")

@@ -70,7 +70,7 @@ let int_of bits =
 let () =
   print_endline "Hierarchical ALU: five Verilog modules -> one AQFP chip";
   print_endline "-------------------------------------------------------";
-  match Flow.run_verilog ~gds_path:"alu4.gds" rtl with
+  match Verilog.parse rtl |> Result.map (Flow.run ~gds_path:"alu4.gds") with
   | Error e ->
       Format.eprintf "flow failed: %s@." e;
       exit 1

@@ -20,7 +20,9 @@ endmodule
 let () =
   print_endline "SuperFlow quickstart: eq4.v -> eq4.gds";
   print_endline "--------------------------------------";
-  match Flow.run_verilog ~gds_path:"eq4.gds" verilog_source with
+  match
+    Verilog.parse verilog_source |> Result.map (Flow.run ~gds_path:"eq4.gds")
+  with
   | Error e ->
       Format.eprintf "flow failed: %s@." e;
       exit 1

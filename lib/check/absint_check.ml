@@ -1,11 +1,6 @@
 (* The sf_absint dataflow analyses as Check passes, with optional
    memoization keyed by the netlist's structural hash. *)
 
-type cache = {
-  find : string -> Diag.t list option;
-  store : string -> Diag.t list -> unit;
-}
-
 let domains = [ "const"; "phase"; "obs"; "load"; "polar" ]
 
 let cache_key ~domain nl =
@@ -32,10 +27,10 @@ let passes ?cache nl =
             | None -> checker domain nl
             | Some c -> (
                 let key = cache_key ~domain nl in
-                match c.find key with
+                match c.Memo.find key with
                 | Some ds -> ds
                 | None ->
                     let ds = checker domain nl in
-                    c.store key ds;
+                    c.Memo.store key ds;
                     ds)))
     domains

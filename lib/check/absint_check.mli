@@ -16,13 +16,6 @@
     this to [sf_db]'s proof store, so a warm rerun re-solves
     nothing. A cache hit and a fresh solve render byte-identically. *)
 
-type cache = {
-  find : string -> Diag.t list option;
-  store : string -> Diag.t list -> unit;
-}
-(** Diagnostic memo. Like {!Equiv.cache}, the checker stays decoupled
-    from [sf_db]; the flow supplies an implementation backed by it. *)
-
 val domains : string list
 (** The domain names in pass order:
     [["const"; "phase"; "obs"; "load"; "polar"]]. *)
@@ -30,6 +23,6 @@ val domains : string list
 val cache_key : domain:string -> Netlist.t -> string
 (** The memo key for one domain's findings on one netlist. *)
 
-val passes : ?cache:cache -> Netlist.t -> Check.pass list
+val passes : ?cache:Diag.t list Memo.t -> Netlist.t -> Check.pass list
 (** The five passes over [nl], each consulting (and filling) the
     cache when one is given. *)

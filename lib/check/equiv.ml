@@ -64,8 +64,6 @@ type verdict =
   | Sampled_diff of fallback
   | Cex_invalid of bool array
 
-type cache = { find : string -> string option; store : string -> string -> unit }
-
 (* A counterexample is only reported after it actually distinguishes
    the two cones under simulation; a non-replaying cex is a solver
    bug, not a design difference. *)
@@ -162,7 +160,7 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
           match cache with
           | None -> None
           | Some c ->
-              Option.bind (c.find keys.(i)) (fun s ->
+              Option.bind (c.Memo.find keys.(i)) (fun s ->
                   let ca, cb = Lazy.force cones.(i) in
                   decode_verdict ca cb s))
     in
@@ -202,7 +200,7 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
             | Some _ -> ()
             | None -> (
                 match encode_verdict v with
-                | Some s -> c.store keys.(i) s
+                | Some s -> c.Memo.store keys.(i) s
                 | None -> ()))
           verdicts);
     let diags = ref [] in

@@ -36,7 +36,7 @@
     constants cut BDD variables and SAT clauses alike, and the cache
     key is computed over the folded cone.
 
-    Proven verdicts can be memoized through a {!cache} (the flow
+    Proven verdicts can be memoized through a {!Memo.t} (the flow
     wires this to [sf_db]); keys are content hashes of the two folded
     cones of one output, so only the cache misses are proven and a
     warm rerun re-proves nothing. Cache lookups and stores run outside
@@ -65,14 +65,6 @@ val engine_name : engine -> string
 
 val engine_of_name : string -> engine option
 
-type cache = {
-  find : string -> string option;
-  store : string -> string -> unit;
-}
-(** Proof-verdict memo. Only {e proven} verdicts are stored. The
-    checker stays decoupled from [sf_db]; the flow supplies an
-    implementation backed by it. *)
-
 val cone : Netlist.t -> int -> Netlist.t
 (** [cone nl oid] — the sub-netlist feeding output marker [oid]: all
     primary inputs of [nl] (in order, used or not) plus the
@@ -83,7 +75,7 @@ val check_pair :
   ?engine:engine ->
   ?max_nodes:int ->
   ?conflict_budget:int ->
-  ?cache:cache ->
+  ?cache:string Memo.t ->
   stage:string ->
   Netlist.t ->
   Netlist.t ->
@@ -91,4 +83,4 @@ val check_pair :
 (** [check_pair ~stage before after] — per-output equivalence of two
     netlists; [stage] (e.g. ["aoi->maj"]) tags the messages.
     [conflict_budget] bounds the one joint SAT proof as in
-    {!Cec.check_outputs}. *)
+    {!Cec.check_outputs}; [cache] stores {e proven} verdicts only. *)

@@ -24,6 +24,27 @@ type result = {
   times : times;
 }
 
+type config = {
+  tech : Tech.t;
+  algorithm : Placer.algorithm;
+  router : Router.algorithm;
+  seed : int;
+  equiv_engine : Equiv.engine;
+  check_tier : Check.tier;
+  resyn_effort : Resyn.effort;
+}
+
+let default =
+  {
+    tech = Tech.default;
+    algorithm = Placer.Superflow;
+    router = Router.Sequential;
+    seed = 1;
+    equiv_engine = `Auto;
+    check_tier = Check.Fast;
+    resyn_effort = Resyn.Off;
+  }
+
 let check_passes ?(tier = Check.Fast) ?absint_cache r =
   [
     Check.pass "lint" (fun () -> Lint.check ~tier r.aqfp_netlist);
@@ -86,6 +107,34 @@ let stage_rank = function
   | Layout -> 4
   | Check -> 5
 
+(* Every config-derived component of a stage's cache key, in key
+   order; the key is the stage's input-artifact hashes followed by
+   these. [--jobs] is deliberately absent: stage results are
+   bit-identical at any pool size. *)
+let key_params ~guard c stage =
+  let guards =
+    if guard then "guards-" ^ Equiv.engine_name c.equiv_engine else "noguards"
+  in
+  match stage with
+  | Synth -> [ guards ]
+  | Resyn -> [ "effort-" ^ Resyn.effort_name c.resyn_effort; guards ]
+  | Place ->
+      [
+        Db.hash (Artifact.tech.Artifact.encode c.tech);
+        Placer.algorithm_name c.algorithm;
+        string_of_int c.seed;
+      ]
+  | Route -> (
+      match c.router with
+      | Router.Sequential -> [ "sequential" ]
+      | Router.Negotiated -> [ "negotiated" ])
+  | Layout -> []
+  | Check ->
+      [
+        "tier-" ^ Check.tier_name c.check_tier;
+        "engine-" ^ Equiv.engine_name c.equiv_engine;
+      ]
+
 type outcome = Cached of float | Computed of float
 
 type staged = {
@@ -123,67 +172,43 @@ let scalar scalars name =
 
 let put db codec v = Db.put_object db (codec.Artifact.encode v)
 
-(* DRC tile verdicts memoize through the proof store under their
-   content-hash keys ("drct1:"/"drcd1:"), so an ECO rerun re-checks
-   only the tiles whose geometry changed; decode failures (stale
-   codec) degrade to a recompute-and-overwrite *)
-let drc_cache_of_db dbh =
+(* The two proof-store adapters: raw verdict strings (equivalence and
+   resynthesis window proofs) and diagnostic lists (absint findings,
+   DRC tile verdicts). Diagnostic decode failures (stale codec)
+   degrade to a recompute-and-overwrite. *)
+let proof_memo dbh =
   {
-    Drc.find =
+    Memo.find = (fun k -> Db.find_proof dbh ~key:k);
+    store = (fun k v -> Db.put_proof dbh ~key:k v);
+  }
+
+let diag_memo dbh =
+  {
+    Memo.find =
       (fun k ->
-        match Db.find_proof dbh ~key:k with
-        | None -> None
-        | Some s -> (
-            match Artifact.diags.Artifact.decode s with
-            | Ok ds -> Some ds
-            | Error _ -> None));
+        Option.bind (Db.find_proof dbh ~key:k) (fun s ->
+            Result.to_option (Artifact.diags.Artifact.decode s)));
     store =
       (fun k ds -> Db.put_proof dbh ~key:k (Artifact.diags.Artifact.encode ds));
   }
 
-let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
-    ?(router = Router.Sequential) ?(seed = 1) ?jobs ?db ?(from_stage = Synth)
-    ?(to_stage = Layout) ?(equiv_engine = `Auto) ?(check_tier = Check.Fast)
-    ?(resyn_effort = Resyn.Off) ?gds_path ?def_path aoi =
-  (match jobs with Some j -> Parallel.set_jobs j | None -> ());
+let run_staged ?(config = default) ?db ?(from_stage = Synth)
+    ?(to_stage = Layout) aoi =
+  let { tech; algorithm; router; seed; equiv_engine; check_tier; resyn_effort }
+      =
+    config
+  in
   (* running "to check" switches the synthesis equivalence guards on,
      exactly like [run ~check:true] *)
   let guard = stage_rank to_stage >= stage_rank Check in
   (* proof verdicts are memoized per cone pair in the database: a warm
      [--check] rerun whose synth stage somehow misses (say, a changed
-     engine) still re-proves nothing that is already on disk *)
-  let proof_cache =
-    match db with
-    | Some dbh when guard ->
-        Some
-          {
-            Equiv.find = (fun k -> Db.find_proof dbh ~key:k);
-            store = (fun k v -> Db.put_proof dbh ~key:k v);
-          }
-    | _ -> None
-  in
-  (* the absint dataflow findings memoize through the same proof
-     store, keyed by the netlist's structural hash; decode failures
-     (stale codec) degrade to a recompute-and-overwrite *)
-  let absint_cache =
-    match db with
-    | Some dbh when guard ->
-        Some
-          {
-            Absint_check.find =
-              (fun k ->
-                match Db.find_proof dbh ~key:k with
-                | None -> None
-                | Some s -> (
-                    match Artifact.diags.Artifact.decode s with
-                    | Ok ds -> Some ds
-                    | Error _ -> None));
-            store =
-              (fun k ds ->
-                Db.put_proof dbh ~key:k (Artifact.diags.Artifact.encode ds));
-          }
-    | _ -> None
-  in
+     engine) still re-proves nothing that is already on disk; the
+     absint dataflow findings memoize through the same store, keyed by
+     the netlist's structural hash *)
+  let guard_memo memo = if guard then Option.map memo db else None in
+  let proof_cache = guard_memo proof_memo in
+  let absint_cache = guard_memo diag_memo in
   if stage_rank from_stage > stage_rank to_stage then
     Error
       (Codec.err ~rule:"DB-RANGE-01" "--from %s is after --to %s"
@@ -198,12 +223,11 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
     let note stage o = outcomes := (stage, o) :: !outcomes in
     let included stage = stage_rank stage <= stage_rank to_stage in
     (* One stage: cache lookup (when a database is attached), else
-       compute and persist. [parts] builds the cache key — input
-       artifact hashes plus every parameter that affects the stage;
-       the worker-pool size is deliberately absent (results are
-       bit-identical at any [--jobs]). Corrupt cache entries degrade
-       to a miss with a warning and are overwritten. *)
-    let exec ~stage ~parts ~load ~store ~compute =
+       compute and persist. The cache key is the stage's input
+       artifact hashes ([inputs]) followed by its [key_params].
+       Corrupt cache entries degrade to a miss with a warning and are
+       overwritten. *)
+    let exec ~stage ~inputs ~load ~store ~compute =
       let name = stage_name stage in
       let must_hit = stage_rank stage < stage_rank from_stage in
       match db with
@@ -212,7 +236,11 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
           note stage (Computed s);
           (v, [])
       | Some dbh -> (
-          let key = Db.stage_key (graph_version :: name :: parts ()) in
+          let key =
+            Db.stage_key
+              ((graph_version :: name :: inputs ())
+              @ key_params ~guard config stage)
+          in
           let cached =
             match Db.get_stage dbh ~stage:name ~key with
             | None -> None
@@ -254,18 +282,11 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
     let shash slots name =
       match List.assoc_opt name slots with Some h -> h | None -> "?"
     in
-    let h_aoi = lazy (Db.hash (aoi |> Artifact.netlist.Artifact.encode)) in
-    let h_tech = lazy (Db.hash (tech |> Artifact.tech.Artifact.encode)) in
     try
       (* 1. logic synthesis: AOI -> MAJ -> balanced AQFP netlist *)
       let (aqfp0, synth_report), s_synth =
         exec ~stage:Synth
-          ~parts:(fun () ->
-            [
-              Lazy.force h_aoi;
-              (if guard then "guards-" ^ Equiv.engine_name equiv_engine
-               else "noguards");
-            ])
+          ~inputs:(fun () -> [ Db.hash (Artifact.netlist.Artifact.encode aoi) ])
           ~load:(fun db slots _ ->
             match load_obj db Artifact.netlist slots "aqfp0" with
             | Error _ as e -> e
@@ -295,13 +316,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
         else
           Some
             (exec ~stage:Resyn
-               ~parts:(fun () ->
-                 [
-                   shash s_synth "aqfp0";
-                   "effort-" ^ Resyn.effort_name resyn_effort;
-                   (if guard then "guards-" ^ Equiv.engine_name equiv_engine
-                    else "noguards");
-                 ])
+               ~inputs:(fun () -> [ shash s_synth "aqfp0" ])
                ~load:(fun db slots _ ->
                  match load_obj db Artifact.netlist slots "aqfp1" with
                  | Error _ as e -> e
@@ -318,18 +333,9 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
                    ],
                    [] ))
                ~compute:(fun () ->
-                 let resyn_cache =
-                   match db with
-                   | Some dbh ->
-                       Some
-                         {
-                           Resyn.find = (fun k -> Db.find_proof dbh ~key:k);
-                           store = (fun k v -> Db.put_proof dbh ~key:k v);
-                         }
-                   | None -> None
-                 in
                  let nl, rep =
-                   Resyn.run ~effort:resyn_effort ?cache:resyn_cache aqfp0
+                   Resyn.run ~effort:resyn_effort
+                     ?cache:(Option.map proof_memo db) aqfp0
                  in
                  let rep =
                    if guard && resyn_effort <> Resyn.Off then
@@ -357,13 +363,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
             else
           Some
             (exec ~stage:Place
-               ~parts:(fun () ->
-                 [
-                   shash s_resyn "aqfp1";
-                   Lazy.force h_tech;
-                   Placer.algorithm_name algorithm;
-                   string_of_int seed;
-                 ])
+               ~inputs:(fun () -> [ shash s_resyn "aqfp1" ])
                ~load:(fun db slots scalars ->
                  match load_obj db Artifact.netlist slots "aqfp" with
                  | Error _ as e -> e
@@ -421,13 +421,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
             else
               Some
                 (exec ~stage:Route
-                   ~parts:(fun () ->
-                     [
-                       shash s_place "problem";
-                       (match router with
-                       | Router.Sequential -> "sequential"
-                       | Router.Negotiated -> "negotiated");
-                     ])
+                   ~inputs:(fun () -> [ shash s_place "problem" ])
                    ~load:(fun db slots scalars ->
                      match load_obj db Artifact.routing slots "routing" with
                      | Error _ as e -> e
@@ -450,7 +444,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
                        ],
                        [ ("fix_rounds", rounds) ] ))
                    ~compute:(fun () ->
-                     let drc_cache = Option.map drc_cache_of_db db in
+                     let drc_cache = Option.map diag_memo db in
                      let routing0 = Router.route_all ~algorithm:router p in
                      let rec fix_loop routing rounds =
                        let layout = Layout.build p routing in
@@ -486,12 +480,6 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
                      in
                      fix_loop routing0 0))
       in
-      (* DEF captures placement + routing; it can be written as soon as
-         the route stage has run *)
-      (match (def_path, routed) with
-      | Some path, Some ((routing, p', _, _), _) ->
-          Def.write_file path (Def.of_design ~design:"superflow" p' routing)
-      | _ -> ());
       (* 5. layout assembly + sign-off timing (actual routed lengths)
          + adiabatic energy *)
       let built =
@@ -502,7 +490,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
             else
               Some
                 (exec ~stage:Layout
-                   ~parts:(fun () ->
+                   ~inputs:(fun () ->
                      [
                        shash s_route "problem";
                        shash s_route "routing";
@@ -536,9 +524,6 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
                      (layout, sta, energy)))
         | _ -> None
       in
-      (match (gds_path, built) with
-      | Some path, Some ((layout, _, _), _) -> Layout.write_gds path layout
-      | _ -> ());
       let seconds stage =
         match List.assoc_opt stage !outcomes with
         | Some (Cached s) | Some (Computed s) -> s
@@ -585,7 +570,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
         | Some r0 when included Check ->
             let report, _ =
               exec ~stage:Check
-                ~parts:(fun () ->
+                ~inputs:(fun () ->
                   match (resyned, placed, routed, built) with
                   | ( Some (_, s_resyn),
                       Some (_, s_place),
@@ -599,7 +584,6 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
                         shash s_route "routing";
                         shash s_route "drc";
                         shash s_layout "layout";
-                        "tier-" ^ Check.tier_name check_tier;
                       ]
                   | _ -> assert false)
                 ~load:(fun db slots _ ->
@@ -645,32 +629,32 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
     with Stage_failed d -> Error d
   end
 
-let run ?tech ?algorithm ?router ?seed ?jobs ?(check = false) ?equiv_engine
-    ?check_tier ?resyn_effort ?db ?gds_path ?def_path aoi =
+let run ?algorithm ?router ?seed ?resyn_effort ?jobs ?(check = false) ?db
+    ?gds_path ?def_path aoi =
+  Option.iter Parallel.set_jobs jobs;
+  let pick o d = Option.value o ~default:d in
+  let config =
+    {
+      default with
+      algorithm = pick algorithm default.algorithm;
+      router = pick router default.router;
+      seed = pick seed default.seed;
+      resyn_effort = pick resyn_effort default.resyn_effort;
+    }
+  in
   match
-    run_staged ?tech ?algorithm ?router ?seed ?jobs ?db
-      ~to_stage:(if check then Check else Layout)
-      ?equiv_engine ?check_tier ?resyn_effort ?gds_path ?def_path aoi
+    run_staged ~config ?db ~to_stage:(if check then Check else Layout) aoi
   with
-  | Ok { result = Some r; _ } -> r
+  | Ok { result = Some r; _ } ->
+      Option.iter
+        (fun path ->
+          Def.write_file path
+            (Def.of_design ~design:"superflow" r.problem r.routing))
+        def_path;
+      Option.iter (fun path -> Layout.write_gds path r.layout) gds_path;
+      r
   | Ok _ -> assert false (* to_stage >= Layout always yields a result *)
   | Error d -> failwith (Diag.to_string d)
-
-let run_verilog ?tech ?algorithm ?router ?seed ?jobs ?check ?equiv_engine
-    ?check_tier ?resyn_effort ?db ?gds_path ?def_path source =
-  match Verilog.parse source with
-  | Error e -> Error e
-  | Ok aoi ->
-      Ok (run ?tech ?algorithm ?router ?seed ?jobs ?check ?equiv_engine
-            ?check_tier ?resyn_effort ?db ?gds_path ?def_path aoi)
-
-let run_bench_file ?tech ?algorithm ?router ?seed ?jobs ?check ?equiv_engine
-    ?check_tier ?resyn_effort ?db ?gds_path ?def_path path =
-  match Bench_parser.parse_file path with
-  | Error e -> Error e
-  | Ok aoi ->
-      Ok (run ?tech ?algorithm ?router ?seed ?jobs ?check ?equiv_engine
-            ?check_tier ?resyn_effort ?db ?gds_path ?def_path aoi)
 
 let pp_summary ppf r =
   let s = Layout.stats r.layout in

@@ -8,7 +8,14 @@
     regions get extra routing space and are re-routed) → GDSII.
 
     Every stage's report is retained so callers (CLI, benches, tests)
-    can reproduce the paper's tables from one [run]. *)
+    can reproduce the paper's tables from one [run].
+
+    The flow is configured by one {!config} record: {!run_staged}
+    takes it whole, {!run} overrides the handful of fields its callers
+    vary, and {!key_params} says which field enters which stage's
+    cache key. Input front ends stay outside:
+    [Verilog.parse src |> Result.map Flow.run] (or
+    [Bench_parser.parse_file path]). *)
 
 type times = {
   synth_s : float;
@@ -43,14 +50,36 @@ type result = {
   times : times;
 }
 
-val drc_cache_of_db : Db.t -> Drc.cache
-(** DRC tile-verdict memo wired to the database's proof store — what
-    the [route] stage (and [superflow drc]) attach so an ECO rerun
-    re-checks only the tiles whose geometry changed. *)
+type config = {
+  tech : Tech.t;
+  algorithm : Placer.algorithm;  (** placement algorithm *)
+  router : Router.algorithm;
+  seed : int;  (** placement seed *)
+  equiv_engine : Equiv.engine;
+      (** proof engine of the synthesis/resynthesis equivalence guards;
+          recorded in the check report header *)
+  check_tier : Check.tier;  (** the verification gate's tier *)
+  resyn_effort : Resyn.effort;  (** the resynthesis stage's effort *)
+}
+(** Everything that selects what the flow computes. The worker-pool
+    size is not in it: results are bit-identical at any [--jobs]
+    (set it with {!Parallel.set_jobs}). *)
+
+val default : config
+(** [Tech.default], [Placer.Superflow], [Router.Sequential], seed 1,
+    engine [`Auto] (BDD first, SAT on blow-up), [Check.Fast] (the
+    [sf_absint] dataflow tier; [Full] adds the AIG/SAT-backed lints),
+    [Resyn.Off] (identity resynthesis). *)
+
+val diag_memo : Db.t -> Diag.t list Memo.t
+(** Diagnostic-list memo wired to the database's proof store — the
+    DRC tile verdicts the [route] stage (and [superflow drc]) attach so
+    an ECO rerun re-checks only the tiles whose geometry changed, and
+    the absint findings of the check gate. *)
 
 val check_passes :
   ?tier:Check.tier ->
-  ?absint_cache:Absint_check.cache ->
+  ?absint_cache:Diag.t list Memo.t ->
   result ->
   Check.pass list
 (** The standard verification pipeline over a finished flow result —
@@ -66,31 +95,8 @@ val check_passes :
 
     The flow is an explicit six-stage graph — [synth → resyn → place
     → route → layout → check] — and each stage is independently
-    cacheable in a {!Db.t} design database. A stage's cache key is
-    the hash of its input-artifact hashes plus every parameter that
-    affects its result:
-
-    - [synth]: the AOI netlist, whether equivalence guards run
-      (i.e. whether the flow ends at the [check] stage), and which
-      {!Equiv.engine} proves them;
-    - [resyn]: the AQFP netlist from [synth], the {!Resyn.effort},
-      and the guard configuration — covers cut-based majority
-      resynthesis ({!Resyn.run}); its window-CEC verdicts memoize
-      into the database's proof store, so a warm rerun proves
-      nothing;
-    - [place]: the AQFP netlist from [resyn], the technology record,
-      the placement algorithm and the seed — covers placement,
-      buffer-line insertion, the settling pass and channel pre-sizing;
-    - [route]: the placed problem and the routing algorithm — covers
-      the DRC fix loop, so its outputs are the final routing, the
-      problem with its final row gaps, the residual violations and
-      the fix-round count;
-    - [layout]: the routed problem, the routing and the AQFP netlist
-      — covers layout assembly, sign-off STA and the energy report;
-    - [check]: every artifact the verification gate reads.
-
-    [--jobs] is deliberately absent from every key: stage results
-    are bit-identical at any pool size (see {!Parallel}). *)
+    cacheable in a {!Db.t} design database. A stage's cache key is the
+    hash of its input-artifact hashes followed by {!key_params}. *)
 
 type stage = Synth | Resyn | Place | Route | Layout | Check
 
@@ -100,6 +106,11 @@ val stages : stage list
 val stage_name : stage -> string
 val stage_of_string : string -> (stage, string) Stdlib.result
 val stage_rank : stage -> int
+
+val key_params : guard:bool -> config -> stage -> string list
+(** Every config-derived component of [stage]'s cache key, in key
+    order. [guard] is whether the equivalence guards run, i.e.
+    whether the flow ends at the [check] stage. *)
 
 type outcome =
   | Cached of float  (** loaded from the database, in [s] seconds *)
@@ -124,91 +135,52 @@ type staged = {
 }
 
 val run_staged :
-  ?tech:Tech.t ->
-  ?algorithm:Placer.algorithm ->
-  ?router:Router.algorithm ->
-  ?seed:int ->
-  ?jobs:int ->
+  ?config:config ->
   ?db:Db.t ->
   ?from_stage:stage ->
   ?to_stage:stage ->
-  ?equiv_engine:Equiv.engine ->
-  ?check_tier:Check.tier ->
-  ?resyn_effort:Resyn.effort ->
-  ?gds_path:string ->
-  ?def_path:string ->
   Netlist.t ->
   (staged, Diag.t) Stdlib.result
-(** Run a slice of the stage graph, caching through [db] when given.
+(** Run a slice of the stage graph under [config] (default
+    {!default}), caching through [db] when given. Writes no files.
 
     Each stage first looks itself up in the database (key as above):
     on a hit its artifacts are loaded instead of recomputed and its
     outcome is [Cached]; on a miss it executes and persists its
-    outputs. Without [db], every stage is [Computed].
+    outputs. Without [db], every stage is [Computed]. With [db], the
+    equivalence proofs, the resynthesis window-CEC verdicts, the absint
+    findings and the DRC tile verdicts also memoize into the
+    database's proof store ({!Db.put_proof}), so a stage that misses
+    re-proves nothing already on disk.
 
     [from_stage] (default [Synth]) asserts that every earlier stage
     is already in the database — a miss there fails with [DB-FROM-01]
     rather than silently recomputing; [to_stage] (default [Layout])
     stops the graph early. [to_stage = Check] switches the synthesis
-    equivalence guards on, exactly like [run ~check:true];
-    [equiv_engine] (default [`Auto]) selects the guard's proof engine
-    ({!Equiv.engine}) and participates in the [synth] cache key, and
-    when [db] is attached the individual cone proofs memoize into the
-    database's proof cache ({!Db.put_proof}). [check_tier] (default
-    [Check.Fast]) selects the gate's tier — [Fast] leans on the
-    [sf_absint] dataflow passes, [Full] adds the AIG/SAT-backed lints
-    — participates in the [check] cache key, and is recorded in the
-    report header; the absint findings memoize into the proof cache
-    keyed by the netlist's structural hash. [resyn_effort] (default
-    [Resyn.Off]) selects the resynthesis stage's effort and
-    participates in its cache key; its window-CEC verdicts memoize
-    into the proof cache. Errors: [DB-RANGE-01]
-    when [from_stage] is after [to_stage] or [from_stage] is given
-    without [db]. *)
+    equivalence guards on, exactly like [run ~check:true]. Errors:
+    [DB-RANGE-01] when [from_stage] is after [to_stage] or
+    [from_stage] is given without [db]. *)
 
 val run :
-  ?tech:Tech.t ->
   ?algorithm:Placer.algorithm ->
   ?router:Router.algorithm ->
   ?seed:int ->
+  ?resyn_effort:Resyn.effort ->
   ?jobs:int ->
   ?check:bool ->
-  ?equiv_engine:Equiv.engine ->
-  ?check_tier:Check.tier ->
-  ?resyn_effort:Resyn.effort ->
   ?db:Db.t ->
   ?gds_path:string ->
   ?def_path:string ->
   Netlist.t ->
   result
-(** Run the full flow on an AOI netlist. [algorithm] defaults to
-    [Placer.Superflow] and [router] to [Router.Sequential];
-    [jobs] sets the domain-pool size for the parallel stages
-    (routing, placement gradients, STA, DRC, checker) — results are
-    bit-identical at every value, see {!Parallel}; [check] (default
-    false) runs the {!Check} static-verification gate over every
-    stage handoff and stores its report; [equiv_engine] selects the
-    synthesis guards' proof engine (default [`Auto]: BDD first, SAT
-    on blow-up); [db] attaches a design
-    database so stages are cached ({!run_staged}); [gds_path] writes
-    the final GDSII stream; [def_path] the DEF-style
+(** Run the full flow on an AOI netlist: {!run_staged} under
+    {!default} with the given fields overridden. [jobs] sets the
+    domain-pool size for the parallel stages ({!Parallel.set_jobs});
+    [check] (default false) runs the {!Check} static-verification
+    gate over every stage handoff and stores its report; [db]
+    attaches a design database so stages are cached; [gds_path]
+    writes the final GDSII stream; [def_path] the DEF-style
     placement/routing dump. *)
-
-val run_verilog :
-  ?tech:Tech.t -> ?algorithm:Placer.algorithm -> ?router:Router.algorithm ->
-  ?seed:int -> ?jobs:int -> ?check:bool -> ?equiv_engine:Equiv.engine ->
-  ?check_tier:Check.tier -> ?resyn_effort:Resyn.effort -> ?db:Db.t ->
-  ?gds_path:string ->
-  ?def_path:string -> string -> (result, string) Stdlib.result
-(** Full flow from Verilog source text. *)
-
-val run_bench_file :
-  ?tech:Tech.t -> ?algorithm:Placer.algorithm -> ?router:Router.algorithm ->
-  ?seed:int -> ?jobs:int -> ?check:bool -> ?equiv_engine:Equiv.engine ->
-  ?check_tier:Check.tier -> ?resyn_effort:Resyn.effort -> ?db:Db.t ->
-  ?gds_path:string ->
-  ?def_path:string -> string -> (result, string) Stdlib.result
-(** Full flow from an ISCAS [.bench] file path. *)
 
 val version : string
 

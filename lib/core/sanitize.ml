@@ -132,15 +132,14 @@ let divergence_finding ~rule ~jobs ~schedule base trial =
               where k (List.length base) jobs schedule;
         }
 
-let run ?tech ?algorithm ?router ?flow_seed ?(to_stage = Flow.Layout)
-    ?(seed = 0) ?(schedules = 4) ?(jobs = 4) aoi =
+let run ?config ?(to_stage = Flow.Layout) ?(seed = 0) ?(schedules = 4)
+    ?(jobs = 4) aoi =
   let saved_jobs = Parallel.jobs () in
   let one_run ~jobs ~fuzz ~fuzz_seed =
     Parallel.set_jobs jobs;
     let (res : (Flow.staged, Diag.t) result), findings =
       Dsan.with_sanitizer ~seed:fuzz_seed ~fuzz (fun () ->
-          Flow.run_staged ?tech ?algorithm ?router ?seed:flow_seed ~to_stage
-            aoi)
+          Flow.run_staged ?config ~to_stage aoi)
     in
     match res with
     | Error d -> Error d

@@ -37,22 +37,20 @@ val first_divergence : slot list -> slot list -> (int * slot option) option
     prefix of the other). *)
 
 val run :
-  ?tech:Tech.t ->
-  ?algorithm:Placer.algorithm ->
-  ?router:Router.algorithm ->
-  ?flow_seed:int ->
+  ?config:Flow.config ->
   ?to_stage:Flow.stage ->
   ?seed:int ->
   ?schedules:int ->
   ?jobs:int ->
   Netlist.t ->
   (report, Diag.t) result
-(** Sanitize one design. [seed] (default 0) seeds the schedule
-    fuzzer, [schedules] (default 4) counts permutations per arm,
-    [jobs] (default 4) is the parallel arm's pool size. Restores the
-    previous [Parallel] job count before returning. [Error] reports
-    the first flow failure (the sanitizer cannot conclude anything
-    from a crashed run). *)
+(** Sanitize one design under [config] (default {!Flow.default}).
+    [seed] (default 0) seeds the schedule fuzzer, [schedules]
+    (default 4) counts permutations per arm, [jobs] (default 4) is
+    the parallel arm's pool size. Restores the previous [Parallel]
+    job count before returning. [Error] reports the first flow
+    failure (the sanitizer cannot conclude anything from a crashed
+    run). *)
 
 val render_text : report -> string
 (** Run summary, one finding per line, and a clean/finding verdict. *)

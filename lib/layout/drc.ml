@@ -41,11 +41,6 @@ let deck_of_tech (tech : Tech.t) =
     tile = 120 * Igeom.nm_per_um;
   }
 
-type cache = {
-  find : string -> Diag.t list option;
-  store : string -> Diag.t list -> unit;
-}
-
 type stats = {
   tiles_total : int;
   tiles_checked : int;
@@ -633,7 +628,7 @@ let check ?deck ?cache (t : Layout.t) =
     | Some c ->
         for i = 0 to ntiles - 1 do
           keys.(i) <- tile_key d tiling i locals.(i);
-          cached.(i) <- c.find keys.(i)
+          cached.(i) <- c.Memo.find keys.(i)
         done);
     (* only cache misses hit the pool; results replayed in tile order.
        The tile bins and cache slots are shared inputs — the sanitizer
@@ -657,7 +652,7 @@ let check ?deck ?cache (t : Layout.t) =
           (fun (i, ds) ->
             incr checked;
             tile_diags.(i) <- ds;
-            match cache with Some c -> c.store keys.(i) ds | None -> ())
+            match cache with Some c -> c.Memo.store keys.(i) ds | None -> ())
           part)
       parts;
     Array.iteri
@@ -667,7 +662,7 @@ let check ?deck ?cache (t : Layout.t) =
     let density_cached = ref false in
     let density =
       match
-        match cache with Some c -> c.find (Lazy.force dkey) | None -> None
+        match cache with Some c -> c.Memo.find (Lazy.force dkey) | None -> None
       with
       | Some ds ->
           density_cached := true;
@@ -677,7 +672,7 @@ let check ?deck ?cache (t : Layout.t) =
           density_binned d shapes (fun (_, _, diag) -> acc := diag :: !acc);
           let ds = List.rev !acc in
           (match cache with
-          | Some c -> c.store (Lazy.force dkey) ds
+          | Some c -> c.Memo.store (Lazy.force dkey) ds
           | None -> ());
           ds
     in

@@ -41,7 +41,7 @@
     tiles are checked independently (sharded over {!Parallel}, results
     combined in tile order — byte-identical at any jobs count), and
     each violation is emitted only by the tile owning its canonical
-    point. With a {!cache} attached, a tile's verdict is memoized under
+    point. With a {!Memo.t} cache attached, a tile's verdict is memoized under
     a content hash of the deck and the geometry in tile+halo, so an ECO
     rerun re-checks only the tiles whose geometry actually changed. *)
 
@@ -66,14 +66,6 @@ val deck_of_tech : Tech.t -> deck
     technology: edge gaps are [s_min] minus the drawn wire width, the
     grid is the routing grid, density 90% over 200 µm windows. *)
 
-type cache = {
-  find : string -> Diag.t list option;
-  store : string -> Diag.t list -> unit;
-}
-(** Tile-verdict memo, keyed by content-hash strings. [lib/layout]
-    cannot see [sf_db], so the flow injects closures wired to the
-    database's proof store (exactly like the absint cache). *)
-
 type stats = {
   tiles_total : int;
   tiles_checked : int;  (** recomputed this run *)
@@ -83,7 +75,7 @@ type stats = {
 
 type report = { diags : Diag.t list; stats : stats }
 
-val check : ?deck:deck -> ?cache:cache -> Layout.t -> report
+val check : ?deck:deck -> ?cache:Diag.t list Memo.t -> Layout.t -> report
 (** Full-deck signoff. [report.diags] is sorted with {!Diag.compare};
     an empty list is a clean layout. Without [?deck] the deck derives
     from [layout.tech]. *)

@@ -41,11 +41,6 @@ type report = {
 let rewrites_tried r = List.fold_left (fun a p -> a + p.tried) 0 r.passes
 let rewrites_accepted r = List.fold_left (fun a p -> a + p.accepted) 0 r.passes
 
-type cache = Window.cache = {
-  find : string -> string option;
-  store : string -> string -> unit;
-}
-
 (* ---- fabric stripping and re-insertion ---- *)
 
 let strip aqfp =
@@ -176,8 +171,11 @@ let pass_rewrite guard diags nl =
   let const_leaf = const_facts nl in
   let cuts = Cuts.enumerate nl in
   let fanout = Netlist.fanout_counts nl in
-  (* NPN class table, built serially before the parallel section *)
+  (* NPN class and database tables, built serially before the parallel
+     section: the first force of [Maj_db]'s lazy table must not happen
+     in two domains at once (a warm synth stage leaves it unforced) *)
   let npn = Array.init 256 (fun f -> Npn.canon f) in
+  let db = Array.init 256 Maj_db.lookup in
   let best_impl tt3 care =
     let best = ref None in
     let consider impl =
@@ -189,9 +187,9 @@ let pass_rewrite guard diags nl =
     let base = tt3 land care in
     for t' = 0 to 255 do
       if t' land care = base then begin
-        consider (Maj_db.lookup t');
+        consider db.(t');
         let rep, tr = npn.(t') in
-        consider (Npn.uncanon tr (Maj_db.lookup rep))
+        consider (Npn.uncanon tr db.(rep))
       end
     done;
     match !best with Some (_, i) -> i | None -> assert false

@@ -84,11 +84,6 @@ type report = {
 val rewrites_tried : report -> int
 val rewrites_accepted : report -> int
 
-type cache = Window.cache = {
-  find : string -> string option;
-  store : string -> string -> unit;
-}
-
 val strip : Netlist.t -> Netlist.t
 (** Remove the buffer/splitter fabric from a post-insertion netlist:
     every [Buf]/[Splitter] is bypassed to its transitive driver,
@@ -99,7 +94,8 @@ val reinsert : Netlist.t -> Netlist.t * Insertion.stats
 (** {!Synth_flow}'s insertion selection: cheaper of per-edge and
     ladder by (JJ, delay), with the ladder's failure fallback. *)
 
-val run : ?effort:effort -> ?cache:cache -> Netlist.t -> Netlist.t * report
+val run :
+  ?effort:effort -> ?cache:string Memo.t -> Netlist.t -> Netlist.t * report
 (** [run aqfp0] — the full stage on a post-insertion netlist.
     [effort] defaults to [Off] (identity). When nothing improves, the
     input netlist is returned {e unchanged} (same bytes), which makes

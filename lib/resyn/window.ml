@@ -1,8 +1,3 @@
-type cache = {
-  find : string -> string option;
-  store : string -> string -> unit;
-}
-
 type stats = {
   mutable windows : int;
   mutable proved : int;
@@ -12,7 +7,7 @@ type stats = {
 }
 
 type guard = {
-  persistent : cache option;
+  persistent : string Memo.t option;
   memo : (string, bool) Hashtbl.t;
   s : stats;
 }
@@ -43,7 +38,7 @@ let prove_equal g a b =
         v
       in
       let persisted =
-        match g.persistent with None -> None | Some c -> c.find k
+        match g.persistent with None -> None | Some c -> c.Memo.find k
       in
       (match persisted with
       | Some verdict ->
@@ -56,13 +51,13 @@ let prove_equal g a b =
             | Cec.Equal ->
                 g.s.proved <- g.s.proved + 1;
                 (match g.persistent with
-                | Some c -> c.store k "equal"
+                | Some c -> c.Memo.store k "equal"
                 | None -> ());
                 remember true
             | Cec.Diff _ ->
                 (* proven non-equivalence: also worth caching *)
                 (match g.persistent with
-                | Some c -> c.store k "diff"
+                | Some c -> c.Memo.store k "diff"
                 | None -> ());
                 remember false
             | Cec.Unknown _ -> remember false

@@ -6,7 +6,7 @@
     implementation over the same leaves (window B) with the
     {!Cec} SAT machinery, and every whole-netlist pass candidate is
     proved against its predecessor the same way. Verdicts are
-    memoized twice — an in-run table, and a persistent [find]/[store]
+    memoized twice — an in-run table, and a persistent {!Memo.t}
     cache the flow wires to the design database's proof store —
     keyed by the {!Netlist.struct_hash} pair of the two windows
     (commutative-canonical, so re-encounters hit across runs). Only
@@ -19,13 +19,6 @@
     dataflow fact" — and the matcher may pick an implementation that
     differs outside that care set. *)
 
-type cache = {
-  find : string -> string option;
-  store : string -> string -> unit;
-}
-(** Persistent verdict store, e.g. {!Db.find_proof}/{!Db.put_proof}.
-    Both directions are called serially. *)
-
 type stats = {
   mutable windows : int;  (** pairs submitted *)
   mutable proved : int;  (** fresh SAT proofs that returned [Equal] *)
@@ -36,7 +29,7 @@ type stats = {
 
 type guard
 
-val make : ?cache:cache -> unit -> guard
+val make : ?cache:string Memo.t -> unit -> guard
 val stats : guard -> stats
 
 val prove_equal : guard -> Netlist.t -> Netlist.t -> bool

@@ -23,7 +23,7 @@ type report = {
 val run :
   ?check:bool ->
   ?engine:Equiv.engine ->
-  ?cache:Equiv.cache ->
+  ?cache:string Memo.t ->
   Netlist.t ->
   Netlist.t * report
 (** Synthesize an AOI netlist into a placement-ready AQFP netlist:

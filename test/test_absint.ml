@@ -288,7 +288,7 @@ let test_absint_cache_transparent () =
   let hits = ref 0 and misses = ref 0 in
   let cache =
     {
-      Absint_check.find =
+      Memo.find =
         (fun k ->
           match Hashtbl.find_opt store k with
           | Some _ as r ->

@@ -234,7 +234,7 @@ let test_equiv_proof_cache () =
   let hits = ref 0 and stores = ref 0 in
   let cache =
     {
-      Equiv.find =
+      Memo.find =
         (fun k ->
           let r = Hashtbl.find_opt mem k in
           (match r with Some _ -> incr hits | None -> ());
@@ -288,7 +288,7 @@ let recording_cache entries =
   List.iter (fun (k, v) -> Hashtbl.replace mem k v) entries;
   let stored = ref [] in
   ( {
-      Equiv.find = Hashtbl.find_opt mem;
+      Memo.find = Hashtbl.find_opt mem;
       store =
         (fun k v ->
           stored := (k, v) :: !stored;

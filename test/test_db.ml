@@ -305,6 +305,84 @@ let test_corrupt_cache_self_heals () =
       ignore (Flow.run ~db (aoi ()));
       checki "store healed: warm again" 0 (Db.misses db))
 
+(* The stage-key table, as code: perturbing one config field away from
+   [Flow.default] must change [key_params] for exactly these stages. *)
+let test_key_participation () =
+  let d = Flow.default in
+  (* names every field, so a new one fails to compile until it is
+     added to the table below *)
+  let {
+    Flow.tech;
+    algorithm = _;
+    router = _;
+    seed = _;
+    equiv_engine = _;
+    check_tier = _;
+    resyn_effort = _;
+  } =
+    d
+  in
+  let wider = { tech with Tech.s_min = 2. *. tech.Tech.s_min } in
+  (* field, perturbed config, stages it keys when guarded, unguarded *)
+  let table =
+    Flow.
+      [
+        ("tech", { d with tech = wider }, [ Place ], [ Place ]);
+        ("algorithm", { d with algorithm = Placer.Gordian }, [ Place ],
+         [ Place ]);
+        ("router", { d with router = Router.Negotiated }, [ Route ], [ Route ]);
+        ("seed", { d with seed = 7 }, [ Place ], [ Place ]);
+        ( "equiv_engine",
+          { d with equiv_engine = `Sat },
+          [ Synth; Resyn; Check ],
+          [ Check ] );
+        ("check_tier", { d with check_tier = Check.Full }, [ Check ],
+         [ Check ]);
+        ( "resyn_effort",
+          { d with resyn_effort = Resyn.Full },
+          [ Resyn ],
+          [ Resyn ] );
+      ]
+  in
+  List.iter
+    (fun (field, c, guarded, unguarded) ->
+      List.iter
+        (fun (guard, expect) ->
+          let changed =
+            List.filter
+              (fun st ->
+                Flow.key_params ~guard c st <> Flow.key_params ~guard d st)
+              Flow.stages
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, guard=%b" field guard)
+            (List.map Flow.stage_name expect)
+            (List.map Flow.stage_name changed))
+        [ (true, guarded); (false, unguarded) ])
+    table
+
+(* The check report's header names the engine, so a warm rerun under
+   another engine must recompute the check stage, not replay the old
+   header. *)
+let test_engine_change_recomputes_check () =
+  let run ?db equiv_engine =
+    let config =
+      { Flow.default with Flow.equiv_engine; check_tier = Check.Full }
+    in
+    match Flow.run_staged ~config ?db ~to_stage:Flow.Check (aoi ()) with
+    | Ok staged -> staged
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let report staged = Check.render_text (Option.get staged.Flow.checked) in
+  with_db (fun _dir db ->
+      ignore (run ~db `Auto);
+      let warm = run ~db `Sat in
+      checkb "check recomputed" true
+        (List.assoc "check" (outcome_names warm) = `Miss);
+      checkb "header names sat" true
+        (List.mem "# engine: sat" (String.split_on_char '\n' (report warm)));
+      checks "report = db-free sat run" (report (run `Sat)) (report warm))
+
 let () =
   Alcotest.run "sf_db"
     [
@@ -334,5 +412,8 @@ let () =
             test_from_stage_requires_cached_prefix;
           Alcotest.test_case "corrupt cache self-heals" `Quick
             test_corrupt_cache_self_heals;
+          Alcotest.test_case "key participation" `Quick test_key_participation;
+          Alcotest.test_case "engine change recomputes check" `Quick
+            test_engine_change_recomputes_check;
         ] );
     ]

@@ -39,7 +39,7 @@ module majority_vote(a, b, c, y);
 endmodule
 |}
   in
-  match Flow.run_verilog src with
+  match Verilog.parse src |> Result.map Flow.run with
   | Error e -> Alcotest.fail e
   | Ok r ->
       (* the synthesized design computes majority *)
@@ -56,7 +56,7 @@ endmodule
       checkb "mapped to maj" true (majs >= 1 && majs <= 3)
 
 let test_flow_from_verilog_error () =
-  match Flow.run_verilog "module broken(" with
+  match Verilog.parse "module broken(" |> Result.map Flow.run with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted broken verilog"
 
@@ -65,7 +65,7 @@ let test_flow_bench_file () =
   let oc = open_out path in
   output_string oc "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n";
   close_out oc;
-  (match Flow.run_bench_file path with
+  (match Bench_parser.parse_file path |> Result.map Flow.run with
   | Error e -> Alcotest.fail e
   | Ok r ->
       List.iter

@@ -508,7 +508,7 @@ let test_drc_eco_incremental () =
   (* a small tile so the design spans many of them *)
   let deck = { (deck0 ()) with Drc.tile = 40_000 } in
   let tbl : (string, Diag.t list) Hashtbl.t = Hashtbl.create 64 in
-  let cache = { Drc.find = Hashtbl.find_opt tbl; store = Hashtbl.replace tbl } in
+  let cache = { Memo.find = Hashtbl.find_opt tbl; store = Hashtbl.replace tbl } in
   let ra = Drc.check ~deck ~cache layout_a in
   checki "cold run checks every tile" ra.Drc.stats.Drc.tiles_total
     ra.Drc.stats.Drc.tiles_checked;

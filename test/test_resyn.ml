@@ -116,7 +116,7 @@ let test_cache_warm_reproves_nothing () =
   let tbl = Hashtbl.create 64 in
   let cache =
     {
-      Resyn.find = (fun k -> Hashtbl.find_opt tbl k);
+      Memo.find = (fun k -> Hashtbl.find_opt tbl k);
       store = (fun k v -> Hashtbl.replace tbl k v);
     }
   in
