@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: build test bench bench-quick bench-speedup perf-smoke explain-all mlint clean
+.PHONY: build test bench bench-quick qor perf-smoke explain-all mlint clean
 
 build:
 	dune build
@@ -8,20 +8,22 @@ build:
 test:
 	dune runtest
 
-# Full evaluation: every paper table/figure + ablations + micro-benchmarks.
+# Full evaluation: every paper table and figure, the claim verdicts,
+# and a regenerated EXPERIMENTS.md.
 bench:
 	dune exec bench/main.exe
 
-# Small-circuit subset, finishes in a couple of minutes. Emits
-# machine-readable `BENCH_STAGE {...}` JSON lines for per-stage
-# timing tracking.
+# The same tables on three small circuits, in about a minute; writes
+# nothing.
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Only the multicore speedup table (jobs=1 vs jobs=N on the parallel
-# stages, with an identical-results check).
-bench-speedup:
-	dune exec bench/main.exe -- speedup quick
+# QoR guard: routing, DRC and resynthesis counts on fixed cases must
+# equal bench/qor_baselines.txt line for line, and the warm-cache,
+# route-validity and equivalence invariants must hold. Exits 1 on any
+# difference or failed check. CI runs this as a merge gate.
+qor:
+	dune exec bench/main.exe -- check
 
 # Short traced passes of the placer-heavy, the routing-heavy and the
 # proof-heavy perf workloads. perf.exe exits 1 on any failed design

@@ -580,9 +580,9 @@ let cmd_explain id_opt all markdown =
 let cmd_tables circuits =
   let names = if circuits = [] then Circuits.benchmark_names else circuits in
   Report.print_table1 ();
-  Report.print_table2 names;
-  Report.print_table3 names;
-  Report.print_table4 names
+  Report.print_table2 (List.map Report.measure_table2 names);
+  Report.print_table3 (List.map Report.measure_table3 names);
+  Report.print_table4 (List.map (fun n -> Report.measure_table4 n) names)
 
 let cmd_bench_list () =
   List.iter

@@ -27,6 +27,13 @@ type fig4_row = {
   moves : int;
 }
 
+type rows = {
+  table2 : synth_row list;
+  table3 : place_row list list;
+  table4 : route_row list;
+  fig4 : (string * fig4_row list) list;
+}
+
 (* ---- paper reference values ---- *)
 
 let paper_table2 =
@@ -86,41 +93,20 @@ let paper_table4 =
     ("c1908", (15408, 7574, 617350.));
   ]
 
-(* ---- measurement (memoized: the bench harness prints tables and
-   renders EXPERIMENTS.md from the same data) ---- *)
-
-let memo (tbl : (string, 'a) Hashtbl.t) name f =
-  match Hashtbl.find_opt tbl name with
-  | Some v -> v
-  | None ->
-      let v = f () in
-      Hashtbl.replace tbl name v;
-      v
-
-(* memo caches keyed by benchmark name; values are deterministic functions
-   of the input deck, so sharing across table calls cannot change a row.
-   sl-ignore: SL-GLOBAL-01 read-through memo cache, keyed deterministically *)
-let t2_cache : (string, synth_row) Hashtbl.t = Hashtbl.create 16
-let t3_cache : (string, place_row list) Hashtbl.t = Hashtbl.create 16 (* sl-ignore: SL-GLOBAL-01 same memo cache as t2_cache *)
-let t4_cache : (string, route_row) Hashtbl.t = Hashtbl.create 16 (* sl-ignore: SL-GLOBAL-01 same memo cache as t2_cache *)
-let f4_cache : (string, fig4_row list) Hashtbl.t = Hashtbl.create 16 (* sl-ignore: SL-GLOBAL-01 same memo cache as t2_cache *)
+(* ---- measurement ---- *)
 
 let measure_table2 name =
-  memo t2_cache name (fun () ->
-      let aoi = Circuits.benchmark name in
-      let _, r = Synth_flow.run aoi in
-      { s_name = name; jjs = r.Synth_flow.jjs; nets = r.Synth_flow.nets;
-        delay = r.Synth_flow.delay })
+  let _, r = Synth_flow.run (Circuits.benchmark name) in
+  { s_name = name; jjs = r.Synth_flow.jjs; nets = r.Synth_flow.nets;
+    delay = r.Synth_flow.delay }
 
 let wns_option sta =
   if Sta.meets_timing sta then None else Some sta.Sta.wns_ps
 
-(* every table is measured at one fixed seed: the memo caches above are
-   keyed by name (and router), not by seed *)
+(* every table is measured at one fixed seed *)
 let seed = 1
 
 let measure_table3 name =
-  memo t3_cache name @@ fun () ->
   let aoi = Circuits.benchmark name in
   let aqfp = Synth_flow.run_quiet aoi in
   List.map
@@ -138,12 +124,7 @@ let measure_table3 name =
       })
     [ Placer.Gordian; Placer.Taas; Placer.Superflow ]
 
-let router_tag = function
-  | Router.Sequential -> "seq"
-  | Router.Negotiated -> "neg"
-
 let measure_table4 ?(router = Router.Sequential) name =
-  memo t4_cache (name ^ "#" ^ router_tag router) @@ fun () ->
   let aoi = Circuits.benchmark name in
   let r = Flow.run ~seed ~router aoi in
   (* the resyn-on arm: same flow with the resynthesis stage at full
@@ -160,13 +141,12 @@ let measure_table4 ?(router = Router.Sequential) name =
   }
 
 let measure_fig4 name =
-  memo f4_cache name @@ fun () ->
   let aoi = Circuits.benchmark name in
   let aqfp = Synth_flow.run_quiet aoi in
   List.map
     (fun mixed ->
       let p = Problem.of_netlist Tech.default aqfp in
-      Global.run ~options:{ Global.default_options with seed } p;
+      Global.run ~seed p;
       Legalize.run p;
       let moves =
         Detailed.run
@@ -208,7 +188,7 @@ let print_table1 () =
   Table.print t;
   Format.printf "technology: %a@.@." Tech.pp Tech.default
 
-let print_table2 names =
+let print_table2 rows =
   print_endline "Table II: majority-based logic synthesis results (paper vs measured)";
   let t =
     Table.create
@@ -216,8 +196,8 @@ let print_table2 names =
         [ "Circuit"; "#JJs(paper)"; "#JJs"; "#Nets(paper)"; "#Nets"; "#Delay(paper)"; "#Delay" ]
   in
   List.iter
-    (fun name ->
-      let m = measure_table2 name in
+    (fun m ->
+      let name = m.s_name in
       let pj, pn, pd =
         match List.assoc_opt name paper_table2 with
         | Some (a, b, c) -> (string_of_int a, string_of_int b, string_of_int c)
@@ -225,11 +205,11 @@ let print_table2 names =
       in
       Table.add_row t
         [ name; pj; Table.fmt_int m.jjs; pn; Table.fmt_int m.nets; pd; string_of_int m.delay ])
-    names;
+    rows;
   Table.print t;
   print_newline ()
 
-let print_table3 names =
+let print_table3 per_circuit =
   print_endline
     "Table III: placement comparison GORDIAN-based / TAAS / SuperFlow (paper vs measured)";
   let t =
@@ -239,11 +219,10 @@ let print_table3 names =
           "WNS(paper)"; "WNS"; "Runtime(s)" ]
   in
   List.iter
-    (fun name ->
-      let rows = measure_table3 name in
-      let paper = List.assoc_opt name paper_table3 in
+    (fun rows ->
       List.iter
         (fun r ->
+          let paper = List.assoc_opt r.p_name paper_table3 in
           let p_hpwl, p_buf, p_wns =
             match (paper, r.algorithm) with
             | Some ((h, b, w), _, _), Placer.Gordian ->
@@ -268,11 +247,11 @@ let print_table3 names =
             ])
         rows;
       Table.add_sep t)
-    names;
+    per_circuit;
   Table.print t;
   print_newline ()
 
-let print_table4 ?(router = Router.Sequential) names =
+let print_table4 rows =
   print_endline "Table IV: routing results of SuperFlow (paper vs measured)";
   let t =
     Table.create
@@ -281,8 +260,8 @@ let print_table4 ?(router = Router.Sequential) names =
           "#Nets"; "WL um(paper)"; "WL um"; "Depth"; "Depth(resyn)" ]
   in
   List.iter
-    (fun name ->
-      let m = measure_table4 ~router name in
+    (fun m ->
+      let name = m.r_name in
       let pj, pn, pw =
         match List.assoc_opt name paper_table4 with
         | Some (a, b, c) -> (string_of_int a, string_of_int b, Table.fmt_float ~dec:0 c)
@@ -294,11 +273,11 @@ let print_table4 ?(router = Router.Sequential) names =
           Table.fmt_int m.r_nets; pw; Table.fmt_float ~dec:0 m.routed_wl;
           string_of_int m.r_depth; string_of_int m.r_depth_resyn;
         ])
-    names;
+    rows;
   Table.print t;
   print_newline ()
 
-let print_fig4 names =
+let print_fig4 per_circuit =
   print_endline
     "Fig. 4 ablation: detailed placement with size-matched vs mixed-size candidates";
   let t =
@@ -306,7 +285,7 @@ let print_fig4 names =
       ~headers:[ "Circuit"; "Candidates"; "HPWL"; "WNS(ps)"; "Violations"; "Moves" ]
   in
   List.iter
-    (fun name ->
+    (fun (name, arms) ->
       List.iter
         (fun r ->
           Table.add_row t
@@ -318,9 +297,9 @@ let print_fig4 names =
               string_of_int r.f_violations;
               string_of_int r.moves;
             ])
-        (measure_fig4 name);
+        arms;
       Table.add_sep t)
-    names;
+    per_circuit;
   Table.print t;
   print_newline ()
 
@@ -328,12 +307,11 @@ let print_fig4 names =
 
 type claim = { claim : string; holds : bool; evidence : string }
 
-let check_claims names =
-  let t3 = List.map (fun n -> (n, measure_table3 n)) names in
+let check_claims rows =
   let by_alg alg =
     List.map
-      (fun (_, rows) -> List.find (fun r -> r.algorithm = alg) rows)
-      t3
+      (fun per_placer -> List.find (fun r -> r.algorithm = alg) per_placer)
+      rows.table3
   in
   let sf = by_alg Placer.Superflow
   and taas = by_alg Placer.Taas
@@ -354,7 +332,7 @@ let check_claims names =
     Stats.mean (Array.of_list (List.map (fun r -> float_of_int r.buffers) rows))
   in
   let buf_sf = buf_mean sf and buf_taas = buf_mean taas and buf_gor = buf_mean gor in
-  let t2 = List.map measure_table2 names in
+  let t2 = rows.table2 in
   [
     {
       claim = "SuperFlow wirelength beats both baselines (geomean)";
@@ -396,7 +374,7 @@ let check_claims names =
     };
   ]
 
-let print_claims names =
+let print_claims claims =
   print_endline "Reproduction verdicts (paper claims vs this implementation):";
   List.iter
     (fun c ->
@@ -405,12 +383,12 @@ let print_claims names =
 "
         (if c.holds then "HOLDS" else "MISSES")
         c.claim c.evidence)
-    (check_claims names);
+    claims;
   print_newline ()
 
 (* ---- EXPERIMENTS.md rendering ---- *)
 
-let experiments_markdown names =
+let experiments_markdown rows =
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "# EXPERIMENTS — paper vs measured\n\n";
@@ -427,65 +405,60 @@ let experiments_markdown names =
   add "| circuit | JJs paper | JJs here | nets paper | nets here | delay paper | delay here |\n";
   add "|---|---|---|---|---|---|---|\n";
   List.iter
-    (fun name ->
-      let m = measure_table2 name in
+    (fun m ->
+      let name = m.s_name in
       match List.assoc_opt name paper_table2 with
       | Some (pj, pn, pd) ->
           add "| %s | %d | %d | %d | %d | %d | %d |\n" name pj m.jjs pn m.nets pd m.delay
       | None -> add "| %s | ? | %d | ? | %d | ? | %d |\n" name m.jjs m.nets m.delay)
-    names;
+    rows.table2;
   add "\n## Table III — placement (HPWL um / buffer lines / WNS ps)\n\n";
   add "| circuit | placer | HPWL paper | HPWL here | buf paper | buf here | WNS paper | WNS here |\n";
   add "|---|---|---|---|---|---|---|---|\n";
   List.iter
-    (fun name ->
-      let rows = measure_table3 name in
-      let paper = List.assoc_opt name paper_table3 in
-      List.iter
-        (fun r ->
-          let ph, pb, pw =
-            match (paper, r.algorithm) with
-            | Some ((h, b, w), _, _), Placer.Gordian -> (h, b, w)
-            | Some (_, (h, b, w), _), Placer.Taas -> (h, b, w)
-            | Some (_, _, (h, b, w, _)), Placer.Superflow -> (h, b, w)
-            | None, _ -> (0., 0, None)
-          in
-          add "| %s | %s | %.0f | %.0f | %d | %d | %s | %s |\n" name
-            (Placer.algorithm_name r.algorithm)
-            ph r.hpwl pb r.buffers (fmt_wns pw) (fmt_wns r.wns))
-        rows)
-    names;
+    (fun r ->
+      let ph, pb, pw =
+        match (List.assoc_opt r.p_name paper_table3, r.algorithm) with
+        | Some ((h, b, w), _, _), Placer.Gordian -> (h, b, w)
+        | Some (_, (h, b, w), _), Placer.Taas -> (h, b, w)
+        | Some (_, _, (h, b, w, _)), Placer.Superflow -> (h, b, w)
+        | None, _ -> (0., 0, None)
+      in
+      add "| %s | %s | %.0f | %.0f | %d | %d | %s | %s |\n" r.p_name
+        (Placer.algorithm_name r.algorithm)
+        ph r.hpwl pb r.buffers (fmt_wns pw) (fmt_wns r.wns))
+    (List.concat rows.table3);
   add "\n## Table IV — routing (SuperFlow)\n\n";
   add
     "| circuit | JJs paper | JJs here | JJs resyn | nets paper | nets here \
      | routed WL paper | routed WL here | depth | depth resyn |\n";
   add "|---|---|---|---|---|---|---|---|---|---|\n";
   List.iter
-    (fun name ->
-      let m = measure_table4 name in
+    (fun m ->
+      let name = m.r_name in
       match List.assoc_opt name paper_table4 with
       | Some (pj, pn, pw) ->
           add "| %s | %d | %d | %d | %d | %d | %.0f | %.0f | %d | %d |\n" name
             pj m.r_jjs m.r_jjs_resyn pn m.r_nets pw m.routed_wl m.r_depth
             m.r_depth_resyn
       | None -> ())
-    names;
+    rows.table4;
   add "\n## Claim verdicts\n\n";
   List.iter
     (fun c ->
       add "- **%s** — %s (%s)\n" (if c.holds then "HOLDS" else "MISSES") c.claim
         c.evidence)
-    (check_claims names);
+    (check_claims rows);
   add "\n## Fig. 4 — mixed-cell-size detailed placement ablation\n\n";
   add "| circuit | candidates | HPWL | WNS ps | violations | moves |\n";
   add "|---|---|---|---|---|---|\n";
   List.iter
-    (fun name ->
+    (fun (name, arms) ->
       List.iter
         (fun r ->
           add "| %s | %s | %.0f | %.1f | %d | %d |\n" name
             (if r.mixed then "mixed-size" else "size-matched")
             r.f_hpwl r.f_wns r.f_violations r.moves)
-        (measure_fig4 name))
-    names;
+        arms)
+    rows.fig4;
   Buffer.contents buf

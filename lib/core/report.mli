@@ -1,8 +1,10 @@
 (** Experiment harness: regenerates every table and figure of the
     paper's evaluation (§IV) on this implementation, printing
-    paper-vs-measured rows. Used by the CLI ([superflow tables]) and
-    the bench executable, which also renders EXPERIMENTS.md from the
-    same data. *)
+    paper-vs-measured rows. Measuring and printing are separate: the
+    caller measures each row once and hands the rows to the printers,
+    so the bench executable prints the tables and renders
+    EXPERIMENTS.md from the same data. Used by the CLI
+    ([superflow tables]) and [bench/main.exe]. *)
 
 type synth_row = { s_name : string; jjs : int; nets : int; delay : int }
 (** One Table II row. *)
@@ -38,6 +40,14 @@ type fig4_row = {
 }
 (** One arm of the Fig. 4 mixed-cell-size ablation. *)
 
+type rows = {
+  table2 : synth_row list;
+  table3 : place_row list list;  (** one {!measure_table3} per circuit *)
+  table4 : route_row list;
+  fig4 : (string * fig4_row list) list;  (** circuit, {!measure_fig4} *)
+}
+(** Every measured row of one evaluation run, in circuit order. *)
+
 (* Paper reference values (from the published tables). *)
 
 val paper_table2 : (string * (int * int * int)) list
@@ -54,11 +64,9 @@ val measure_table3 : string -> place_row list
 
 val measure_table4 : ?router:Router.algorithm -> string -> route_row
 (** [router] selects the routing algorithm the flow runs with
-    (default [Sequential]); measurements are memoized per
-    (circuit, router) pair. Each measurement runs the flow twice —
+    (default [Sequential]). Each measurement runs the flow twice —
     resynthesis off (the paper's configuration) and at full effort —
     so the table carries the resyn delta. *)
-
 
 val measure_fig4 : string -> fig4_row list
 (** Size-matched-only vs mixed-size detailed placement. *)
@@ -66,16 +74,16 @@ val measure_fig4 : string -> fig4_row list
 (* Printing. *)
 
 val print_table1 : unit -> unit
-val print_table2 : string list -> unit
-val print_table3 : string list -> unit
-val print_table4 : ?router:Router.algorithm -> string list -> unit
-val print_fig4 : string list -> unit
+val print_table2 : synth_row list -> unit
+val print_table3 : place_row list list -> unit
+val print_table4 : route_row list -> unit
+val print_fig4 : (string * fig4_row list) list -> unit
 
 type claim = { claim : string; holds : bool; evidence : string }
 
-val check_claims : string list -> claim list
-(** Grade the paper's headline claims against this implementation's
-    measurements (geometric means over the given circuits):
+val check_claims : rows -> claim list
+(** Grade the paper's headline claims against the Table II and
+    Table III rows (geometric means over the measured circuits):
 
     - SuperFlow's wirelength beats both baselines on average (the
       paper's 12.8%);
@@ -88,8 +96,10 @@ val check_claims : string list -> claim list
     - the GORDIAN-style baseline, lacking a timing term, has the worst
       WNS on average. *)
 
-val print_claims : string list -> unit
+val print_claims : claim list -> unit
 
-val experiments_markdown : string list -> string
+val experiments_markdown : rows -> string
 (** Render the full paper-vs-measured comparison as the contents of
-    EXPERIMENTS.md. *)
+    EXPERIMENTS.md. The committed file is rendered from all nine
+    circuits with Table IV measured by the default sequential
+    router. *)

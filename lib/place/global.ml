@@ -1,30 +1,18 @@
-type options = {
-  iterations : int;
-  learning_rate : float;
-  timing_weight : float;
-  wmax_weight : float;
-  density_anneal : float;
-  seed : int;
-  verbose : bool;
-}
-
-let default_options =
-  {
-    iterations = 150;
-    learning_rate = 2.0;
-    timing_weight = 0.05;
-    wmax_weight = 1.0;
-    density_anneal = 1.02;
-    seed = 1;
-    verbose = false;
-  }
+(* Adam steps, step scale (µm), relative timing-term weight after
+   gradient normalization, max-wirelength weight, and the density
+   weight's growth per Adam step *)
+let iterations = 150
+let learning_rate = 2.0
+let timing_weight = 0.05
+let wmax_weight = 1.0
+let density_anneal = 1.02
 
 (* Gradient-magnitude normalization (DREAMPlace-style): scale each
    secondary term so its initial gradient norm is a chosen fraction of
    the wirelength gradient norm. *)
 let norm1 g = Array.fold_left (fun acc x -> acc +. Float.abs x) 0.0 g
 
-let calibrate p base_weights opts xs =
+let calibrate p base_weights xs =
   let wl_only =
     { base_weights with Wa_model.lambda_t = 0.0; lambda_w = 0.0; lambda_d = 0.0 }
   in
@@ -47,21 +35,21 @@ let calibrate p base_weights opts xs =
   let safe num = if num < 1e-9 then 1.0 else n_wl /. num in
   {
     base_weights with
-    Wa_model.lambda_t = opts.timing_weight *. safe n_t;
-    lambda_w = opts.wmax_weight *. safe n_w;
+    Wa_model.lambda_t = timing_weight *. safe n_t;
+    lambda_w = wmax_weight *. safe n_w;
     lambda_d = 0.2 *. safe n_d;
   }
 
 (* One Adam refinement phase over continuous positions. *)
-let adam_refine p options =
+let adam_refine p ~seed =
   let n = Array.length p.Problem.cells in
   let xs = Problem.copy_positions p in
-  let rng = Rng.create options.seed in
+  let rng = Rng.create seed in
   Array.iteri (fun i x -> xs.(i) <- x +. Rng.float rng 1.0) xs;
-  let weights = ref (calibrate p (Wa_model.default_weights p.Problem.tech) options xs) in
+  let weights = ref (calibrate p (Wa_model.default_weights p.Problem.tech) xs) in
   let m = Array.make n 0.0 and v = Array.make n 0.0 in
   let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
-  for it = 1 to options.iterations do
+  for it = 1 to iterations do
     let _, grad = Wa_model.cost_and_grad p !weights xs in
     let b1t = 1.0 -. (beta1 ** float_of_int it) in
     let b2t = 1.0 -. (beta2 ** float_of_int it) in
@@ -69,11 +57,11 @@ let adam_refine p options =
       m.(i) <- (beta1 *. m.(i)) +. ((1.0 -. beta1) *. grad.(i));
       v.(i) <- (beta2 *. v.(i)) +. ((1.0 -. beta2) *. grad.(i) *. grad.(i));
       let mh = m.(i) /. b1t and vh = v.(i) /. b2t in
-      xs.(i) <- xs.(i) -. (options.learning_rate *. mh /. (sqrt vh +. eps));
+      xs.(i) <- xs.(i) -. (learning_rate *. mh /. (sqrt vh +. eps));
       if xs.(i) < 0.0 then xs.(i) <- 0.0
     done;
     weights :=
-      { !weights with Wa_model.lambda_d = !weights.Wa_model.lambda_d *. options.density_anneal }
+      { !weights with Wa_model.lambda_d = !weights.Wa_model.lambda_d *. density_anneal }
   done;
   Problem.restore_positions p xs
 
@@ -177,17 +165,15 @@ let barycenter_sweeps ?(sweeps = 40) ?(timing_bias = 0.0) ?(timing_weight = 0.0)
   done;
   Problem.restore_positions p !best
 
-let run ?(options = default_options) p =
+let run ?(seed = 1) p =
   if Array.length p.Problem.cells > 0 then begin
     (* 1. quadratic warm start *)
     Quadratic.solve p ~net_weight:(fun _ -> 1.0);
     (* 2. nonlinear refinement on the continuous solution (WA model,
        Eq. 2 timing, max-wirelength penalty, annealed density) *)
-    adam_refine p options;
+    adam_refine p ~seed;
     (* 3. ordering/legalization sweeps retain the analytical quality
        in a legal placement; timing bias mirrors the objective *)
-    barycenter_sweeps ~sweeps:60 ~timing_bias:(options.timing_weight *. 2.0)
-      ~timing_weight:options.timing_weight p;
-    if options.verbose then
-      Format.eprintf "global done: hpwl=%.0f@." (Problem.hpwl p)
+    barycenter_sweeps ~sweeps:60 ~timing_bias:(timing_weight *. 2.0)
+      ~timing_weight p
   end

@@ -16,21 +16,9 @@
     The result is legal (spacing/grid) and ready for detailed
     placement. *)
 
-type options = {
-  iterations : int;  (** Adam steps *)
-  learning_rate : float;  (** µm per step scale *)
-  timing_weight : float;  (** relative timing-term weight after
-      gradient normalization; 0 disables timing awareness *)
-  wmax_weight : float;
-  density_anneal : float;  (** density-weight growth per Adam step *)
-  seed : int;
-  verbose : bool;
-}
-
-val default_options : options
-
-val run : ?options:options -> Problem.t -> unit
-(** Optimize cell positions in place; ends legalized. *)
+val run : ?seed:int -> Problem.t -> unit
+(** Optimize cell positions in place; ends legalized. [seed]
+    (default 1) jitters the Adam phase's starting positions. *)
 
 val barycenter_sweeps :
   ?sweeps:int -> ?timing_bias:float -> ?timing_weight:float -> Problem.t -> unit

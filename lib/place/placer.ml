@@ -19,7 +19,7 @@ type result = {
    DP alternated to a fixpoint, closed by a slack/W_max-focused
    polish. *)
 let superflow_run_once ~seed p =
-  Global.run ~options:{ Global.default_options with seed } p;
+  Global.run ~seed p;
   Legalize.run p;
   let total = ref 0 in
   let rec refine round =

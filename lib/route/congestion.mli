@@ -11,8 +11,8 @@
     estimate misses (via detours, pin congestion).
 
     This is a deliberate extension beyond the paper (which only
-    expands reactively); the bench's router ablation quantifies the
-    saved expansions. *)
+    expands reactively); a route test checks that it never costs
+    the router expansions. *)
 
 val channel_density : Problem.t -> int -> int
 (** [channel_density p r] — maximum overlap count of the horizontal

@@ -283,7 +283,12 @@ type pair_outcome = {
    starting gap, tracks gap growth locally — so pairs can run on
    separate domains and still produce bit-identical results in any
    interleaving. *)
-let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~margin =
+(* cost of one via in the A* search (µm-equivalent), and the space
+   expansions a row pair may take before its net is unroutable *)
+let via_cost = 20.0
+let max_expansions = 400
+
+let route_pair p r ~nets ~algorithm ~margin =
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
   let gap = ref p.Problem.row_gaps.(r) in
@@ -410,8 +415,7 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~margin =
   in
   attempt ~promotions:0 0
 
-let route_all ?(via_cost = 20.0) ?(max_expansions = 400)
-    ?(algorithm = Sequential) p =
+let route_all ?(algorithm = Sequential) p =
   let t0 = Wallclock.now_s () in
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
@@ -432,8 +436,7 @@ let route_all ?(via_cost = 20.0) ?(max_expansions = 400)
     Parallel.map_chunks ~label:"route.pairs" ~chunk:1 ~n:n_pairs (fun r _ ->
         try
           Ok
-            (route_pair p r ~nets:by_row.(r) ~via_cost ~max_expansions
-               ~algorithm ~margin)
+            (route_pair p r ~nets:by_row.(r) ~algorithm ~margin)
         with e -> Error e)
   in
   (* merge in row order: commit gap growth (raising the leftmost

@@ -63,12 +63,11 @@ type algorithm =
           a pair whose negotiation stalls goes straight to space
           expansion *)
 
-val route_all :
-  ?via_cost:float -> ?max_expansions:int -> ?algorithm:algorithm ->
-  Problem.t -> result
+val route_all : ?algorithm:algorithm -> Problem.t -> result
 (** Route every net. Mutates [Problem.row_gaps] when space expansion
     is needed (so [Problem.row_top] afterwards reflects final
-    geometry). [max_expansions] is per row pair (default 400).
+    geometry). A via costs 20 µm of wire in the search, and a row
+    pair that still fails after 400 space expansions raises.
 
     Both algorithms run the shared arena search core ({!Search}):
     epoch-stamped dist/parent arrays reused across nets, a bucketed

@@ -36,5 +36,6 @@ val convert_with_stats : Netlist.t -> Netlist.t * stats
 val convert_naive : Netlist.t -> Netlist.t
 (** Per-gate mapping baseline: every AOI gate is replaced by its own
     database implementation without any multi-gate cut collapsing —
-    the "no Karnaugh matching" arm of the synthesis ablation. Same
+    the "no Karnaugh matching" alternative that synthesis also builds,
+    keeping whichever mapping has fewer JJs. Same
     correctness guarantees as {!convert}. *)

@@ -241,7 +241,8 @@ let prop_valid_and_jobs_invariant =
 let test_known_answer_sequential () =
   (* sequential QoR on a real benchmark, pinned exactly: the
      pre-overhaul float-heap core produced the same wirelength, vias
-     and space expansions on this input (see bench/route_baselines.txt) *)
+     and space expansions on this input (see the historical record in
+     bench/qor_baselines.txt) *)
   let p = placed_problem "adder8" Placer.Superflow in
   let r = Router.route_all ~algorithm:Router.Sequential p in
   Alcotest.(check (float 1e-6)) "wirelength" 133480.0 r.Router.wirelength;
