@@ -60,7 +60,7 @@ let all =
     e "DB-FROM-01" Diag.Error "flow"
       "--from asserts earlier stages are already cached, but a required \
        stage is missing from the database.";
-    e "DB-IO-01" Diag.Error "sf_db" "An object or manifest file failed to read/write.";
+    e "DB-IO-01" Diag.Error "sf_db" "An object or manifest file failed to read/write, or the database directory could not be created.";
     e "DB-KIND-01" Diag.Error "sf_db"
       "A stored frame carries the wrong artifact kind tag for the slot it \
        was loaded into.";

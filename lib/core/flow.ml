@@ -157,20 +157,94 @@ exception Stage_failed of Diag.t
 
 let slot_err name = Codec.err ~rule:"DB-SLOT-01" "manifest lacks slot %S" name
 
-let load_obj db codec slots name =
-  match List.assoc_opt name slots with
-  | None -> Error (slot_err name)
-  | Some h -> (
-      match Db.get_object db h with
-      | Error _ as e -> e
-      | Ok bytes -> codec.Artifact.decode bytes)
+(* ---- what each stage persists ---- *)
 
-let scalar scalars name =
-  match List.assoc_opt name scalars with
-  | Some v -> Ok v
-  | None -> Error (slot_err name)
+(* One output of a stage as its manifest records it: an object slot
+   holds the sealed bytes of an Artifact codec, a scalar an int. *)
+type item = Object of string | Scalar of int
 
-let put db codec v = Db.put_object db (codec.Artifact.encode v)
+exception Unusable of Diag.t
+
+(* A stage's slot list, built slot by slot like a [Codec] record: [put]
+   lists a value's items in slot order, [get] rebuilds the value from
+   two lookups by slot name, object bytes and scalars (either raising
+   [Unusable]). One description per stage drives the store, the load
+   and [artifacts]. *)
+type ('v, 'k) slots = {
+  put : 'v -> (string * item) list;
+  get : (string -> string) * (string -> int) -> 'k;
+}
+
+let slots make = { put = (fun _ -> []); get = (fun _ -> make) }
+
+let slot name to_item read get s =
+  {
+    put = (fun v -> s.put v @ [ (name, to_item (get v)) ]);
+    get =
+      (fun lookups ->
+        let k = s.get lookups in
+        k (read lookups name));
+  }
+
+let obj name codec =
+  slot name
+    (fun v -> Object (codec.Artifact.encode v))
+    (fun (bytes, _) name ->
+      match codec.Artifact.decode (bytes name) with
+      | Ok v -> v
+      | Error d -> raise (Unusable d))
+
+let scalar name = slot name (fun n -> Scalar n) (fun (_, scalar) -> scalar)
+
+let synth_slots =
+  slots (fun nl rep -> (nl, rep))
+  |> obj "aqfp0" Artifact.netlist fst
+  |> obj "report" Artifact.synth_report snd
+
+let resyn_slots =
+  slots (fun nl rep -> (nl, rep))
+  |> obj "aqfp1" Artifact.netlist fst
+  |> obj "report" Artifact.resyn_report snd
+
+let place_slots =
+  slots (fun aqfp p placement lines -> (aqfp, p, placement, lines))
+  |> obj "aqfp" Artifact.netlist (fun (a, _, _, _) -> a)
+  |> obj "problem" Artifact.problem (fun (_, p, _, _) -> p)
+  |> obj "placement" Artifact.placement (fun (_, _, pl, _) -> pl)
+  |> scalar "buffer_lines" (fun (_, _, _, n) -> n)
+
+let route_slots =
+  slots (fun routing p violations rounds -> (routing, p, violations, rounds))
+  |> obj "routing" Artifact.routing (fun (r, _, _, _) -> r)
+  |> obj "problem" Artifact.problem (fun (_, p, _, _) -> p)
+  |> obj "drc" Artifact.drc (fun (_, _, v, _) -> v)
+  |> scalar "fix_rounds" (fun (_, _, _, n) -> n)
+
+let layout_slots =
+  slots (fun layout sta energy -> (layout, sta, energy))
+  |> obj "layout" Artifact.layout (fun (l, _, _) -> l)
+  |> obj "sta" Artifact.sta (fun (_, s, _) -> s)
+  |> obj "energy" Artifact.energy (fun (_, _, e) -> e)
+
+let check_slots = slots Fun.id |> obj "report" Artifact.check_report Fun.id
+
+let artifacts st =
+  let part stage slots = function
+    | None -> []
+    | Some v ->
+        List.map
+          (fun (name, item) ->
+            ( stage,
+              name,
+              match item with Object b -> b | Scalar n -> string_of_int n ))
+          (slots.put v)
+  in
+  part Synth synth_slots st.synth
+  @ part Resyn resyn_slots st.resyned
+  @ part Place place_slots st.placed
+  @ part Route route_slots st.routed
+  @ part Layout layout_slots st.built
+  @ part Check check_slots st.checked
 
 (* The two proof-store adapters: raw verdict strings (equivalence and
    resynthesis window proofs) and diagnostic lists (absint findings,
@@ -227,7 +301,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
        artifact hashes ([inputs]) followed by its [key_params].
        Corrupt cache entries degrade to a miss with a warning and are
        overwritten. *)
-    let exec ~stage ~inputs ~load ~store ~compute =
+    let exec ~stage ~inputs ~slots ~compute =
       let name = stage_name stage in
       let must_hit = stage_rank stage < stage_rank from_stage in
       match db with
@@ -244,10 +318,20 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
           let cached =
             match Db.get_stage dbh ~stage:name ~key with
             | None -> None
-            | Some (slots, scalars) -> (
-                match timed (fun () -> load dbh slots scalars) with
-                | Ok v, s -> Some (v, s, slots)
-                | Error d, _ ->
+            | Some (objects, scalars) -> (
+                let lookup entries slot =
+                  match List.assoc_opt slot entries with
+                  | Some v -> v
+                  | None -> raise (Unusable (slot_err slot))
+                in
+                let bytes slot =
+                  match Db.get_object dbh (lookup objects slot) with
+                  | Ok bytes -> bytes
+                  | Error d -> raise (Unusable d)
+                in
+                match timed (fun () -> slots.get (bytes, lookup scalars)) with
+                | v, s -> Some (v, s, objects)
+                | exception Unusable d ->
                     Db.warn dbh
                       {
                         d with
@@ -260,10 +344,10 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                     None)
           in
           match cached with
-          | Some (v, s, slots) ->
+          | Some (v, s, objects) ->
               Db.record dbh name Db.Hit s;
               note stage (Cached s);
-              (v, slots)
+              (v, objects)
           | None ->
               if must_hit then
                 raise
@@ -273,11 +357,22 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                          rerun without --from"
                         name));
               let v, s = timed compute in
-              let slots, scalars = store dbh v in
-              Db.put_stage dbh ~stage:name ~key ~slots ~scalars;
+              let items = slots.put v in
+              let objects =
+                List.filter_map
+                  (function
+                    | n, Object b -> Some (n, Db.put_object dbh b) | _ -> None)
+                  items
+              in
+              let scalars =
+                List.filter_map
+                  (function n, Scalar i -> Some (n, i) | _ -> None)
+                  items
+              in
+              Db.put_stage dbh ~stage:name ~key ~slots:objects ~scalars;
               Db.record dbh name Db.Miss s;
               note stage (Computed s);
-              (v, slots))
+              (v, objects))
     in
     let shash slots name =
       match List.assoc_opt name slots with Some h -> h | None -> "?"
@@ -287,19 +382,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
       let (aqfp0, synth_report), s_synth =
         exec ~stage:Synth
           ~inputs:(fun () -> [ Db.hash (Artifact.netlist.Artifact.encode aoi) ])
-          ~load:(fun db slots _ ->
-            match load_obj db Artifact.netlist slots "aqfp0" with
-            | Error _ as e -> e
-            | Ok nl -> (
-                match load_obj db Artifact.synth_report slots "report" with
-                | Error e -> Error e
-                | Ok rep -> Ok (nl, rep)))
-          ~store:(fun db (nl, rep) ->
-            ( [
-                ("aqfp0", put db Artifact.netlist nl);
-                ("report", put db Artifact.synth_report rep);
-              ],
-              [] ))
+          ~slots:synth_slots
           ~compute:(fun () ->
             Synth_flow.run ~check:guard ~engine:equiv_engine ?cache:proof_cache
               aoi)
@@ -317,21 +400,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
           Some
             (exec ~stage:Resyn
                ~inputs:(fun () -> [ shash s_synth "aqfp0" ])
-               ~load:(fun db slots _ ->
-                 match load_obj db Artifact.netlist slots "aqfp1" with
-                 | Error _ as e -> e
-                 | Ok nl -> (
-                     match
-                       load_obj db Artifact.resyn_report slots "report"
-                     with
-                     | Error e -> Error e
-                     | Ok rep -> Ok (nl, rep)))
-               ~store:(fun db (nl, rep) ->
-                 ( [
-                     ("aqfp1", put db Artifact.netlist nl);
-                     ("report", put db Artifact.resyn_report rep);
-                   ],
-                   [] ))
+               ~slots:resyn_slots
                ~compute:(fun () ->
                  let nl, rep =
                    Resyn.run ~effort:resyn_effort
@@ -364,28 +433,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
           Some
             (exec ~stage:Place
                ~inputs:(fun () -> [ shash s_resyn "aqfp1" ])
-               ~load:(fun db slots scalars ->
-                 match load_obj db Artifact.netlist slots "aqfp" with
-                 | Error _ as e -> e
-                 | Ok aqfp -> (
-                     match load_obj db Artifact.problem slots "problem" with
-                     | Error _ as e -> e
-                     | Ok p -> (
-                         match
-                           load_obj db Artifact.placement slots "placement"
-                         with
-                         | Error _ as e -> e
-                         | Ok placement -> (
-                             match scalar scalars "buffer_lines" with
-                             | Error e -> Error e
-                             | Ok lines -> Ok (aqfp, p, placement, lines)))))
-               ~store:(fun db (aqfp, p, placement, lines) ->
-                 ( [
-                     ("aqfp", put db Artifact.netlist aqfp);
-                     ("problem", put db Artifact.problem p);
-                     ("placement", put db Artifact.placement placement);
-                   ],
-                   [ ("buffer_lines", lines) ] ))
+               ~slots:place_slots
                ~compute:(fun () ->
                  let p0 = Problem.of_netlist tech aqfp1 in
                  let placement = Placer.place ~seed algorithm p0 in
@@ -422,27 +470,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
               Some
                 (exec ~stage:Route
                    ~inputs:(fun () -> [ shash s_place "problem" ])
-                   ~load:(fun db slots scalars ->
-                     match load_obj db Artifact.routing slots "routing" with
-                     | Error _ as e -> e
-                     | Ok routing -> (
-                         match load_obj db Artifact.problem slots "problem" with
-                         | Error _ as e -> e
-                         | Ok p' -> (
-                             match load_obj db Artifact.drc slots "drc" with
-                             | Error _ as e -> e
-                             | Ok violations -> (
-                                 match scalar scalars "fix_rounds" with
-                                 | Error e -> Error e
-                                 | Ok rounds ->
-                                     Ok (routing, p', violations, rounds)))))
-                   ~store:(fun db (routing, p', violations, rounds) ->
-                     ( [
-                         ("routing", put db Artifact.routing routing);
-                         ("problem", put db Artifact.problem p');
-                         ("drc", put db Artifact.drc violations);
-                       ],
-                       [ ("fix_rounds", rounds) ] ))
+                   ~slots:route_slots
                    ~compute:(fun () ->
                      let drc_cache = Option.map diag_memo db in
                      let routing0 = Router.route_all ~algorithm:router p in
@@ -496,23 +524,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                        shash s_route "routing";
                        shash s_place "aqfp";
                      ])
-                   ~load:(fun db slots _ ->
-                     match load_obj db Artifact.layout slots "layout" with
-                     | Error _ as e -> e
-                     | Ok layout -> (
-                         match load_obj db Artifact.sta slots "sta" with
-                         | Error _ as e -> e
-                         | Ok sta -> (
-                             match load_obj db Artifact.energy slots "energy" with
-                             | Error _ as e -> e
-                             | Ok energy -> Ok (layout, sta, energy))))
-                   ~store:(fun db (layout, sta, energy) ->
-                     ( [
-                         ("layout", put db Artifact.layout layout);
-                         ("sta", put db Artifact.sta sta);
-                         ("energy", put db Artifact.energy energy);
-                       ],
-                       [] ))
+                   ~slots:layout_slots
                    ~compute:(fun () ->
                      let layout =
                        match !memo with
@@ -586,10 +598,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                         shash s_layout "layout";
                       ]
                   | _ -> assert false)
-                ~load:(fun db slots _ ->
-                  load_obj db Artifact.check_report slots "report")
-                ~store:(fun db rep ->
-                  ([ ("report", put db Artifact.check_report rep) ], []))
+                ~slots:check_slots
                 ~compute:(fun () ->
                   Check.run
                     ~header:

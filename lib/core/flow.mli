@@ -161,6 +161,14 @@ val run_staged :
     [DB-RANGE-01] when [from_stage] is after [to_stage] or
     [from_stage] is given without [db]. *)
 
+val artifacts : staged -> (stage * string * string) list
+(** What the database stores for the stages [staged] holds, in stage
+    and slot order: [(stage, slot, bytes)]. [bytes] is the sealed
+    artifact frame of an object slot (e.g. ["aqfp0"], ["placement"],
+    ["drc"]) or the decimal text of an int scalar (["buffer_lines"],
+    ["fix_rounds"]). One slot description per stage produces these,
+    stores them and loads them back. *)
+
 val run :
   ?algorithm:Placer.algorithm ->
   ?router:Router.algorithm ->

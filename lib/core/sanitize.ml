@@ -4,10 +4,10 @@
    jobs=1 with the schedule fuzzer off (the baseline), then under N
    seeded schedule permutations at jobs=1 and at jobs=k — with the
    Dsan race detector armed throughout. Every run is fingerprinted as
-   the ordered list of its stage artifacts' codec bytes (volatile
-   wall-clock fields zeroed first: they differ between any two runs
-   and would drown the signal); a fingerprint that differs from the
-   baseline is localized to the first divergent (stage, slot) by
+   the digests of [Flow.artifacts], the bytes a database would store
+   for it (volatile wall-clock fields zeroed first: they differ between
+   any two runs and would drown the signal); a fingerprint that differs
+   from the baseline is localized to the first divergent (stage, slot) by
    binary search over the prefix-equality predicate and reported as
    DSAN-SCHED-01 (schedule-dependent at equal jobs) or
    DSAN-DIVERGE-01 (jobs-dependent).
@@ -23,64 +23,41 @@ type report = {
   slots : int;  (** artifact slots in the baseline fingerprint *)
 }
 
-let digest_of codec v = Digest.to_hex (Digest.string (codec.Artifact.encode v))
-
 (* wall-clock fields are honest outputs but poison byte comparison *)
-let still_placement (p : Placer.result) = { p with Placer.runtime_s = 0.0 }
-
-let still_routing (r : Router.result) = { r with Router.runtime_s = 0.0 }
-
-let still_check (r : Check.report) =
+let still (st : Flow.staged) =
   {
-    r with
-    Check.stats =
-      List.map (fun s -> { s with Check.seconds = 0.0 }) r.Check.stats;
+    st with
+    Flow.placed =
+      Option.map
+        (fun (nl, p, pr, lines) ->
+          (nl, p, { pr with Placer.runtime_s = 0.0 }, lines))
+        st.Flow.placed;
+    routed =
+      Option.map
+        (fun (r, p, viols, rounds) ->
+          ({ r with Router.runtime_s = 0.0 }, p, viols, rounds))
+        st.Flow.routed;
+    checked =
+      Option.map
+        (fun (r : Check.report) ->
+          {
+            r with
+            Check.stats =
+              List.map (fun s -> { s with Check.seconds = 0.0 }) r.Check.stats;
+          })
+        st.Flow.checked;
   }
 
-let fingerprint (st : Flow.staged) : slot list =
-  let acc = ref [] in
-  let slot stage name digest =
-    acc := { sl_stage = stage; sl_name = name; sl_digest = digest } :: !acc
-  in
-  (match st.Flow.synth with
-  | None -> ()
-  | Some (nl, rep) ->
-      slot Flow.Synth "netlist" (digest_of Artifact.netlist nl);
-      slot Flow.Synth "report" (digest_of Artifact.synth_report rep));
-  (match st.Flow.resyned with
-  | None -> ()
-  | Some (nl, rep) ->
-      slot Flow.Resyn "netlist" (digest_of Artifact.netlist nl);
-      slot Flow.Resyn "report" (digest_of Artifact.resyn_report rep));
-  (match st.Flow.placed with
-  | None -> ()
-  | Some (nl, p, pr, buffer_lines) ->
-      slot Flow.Place "netlist" (digest_of Artifact.netlist nl);
-      slot Flow.Place "problem" (digest_of Artifact.problem p);
-      slot Flow.Place "report"
-        (digest_of Artifact.placement (still_placement pr));
-      slot Flow.Place "buffer-lines"
-        (Digest.to_hex (Digest.string (string_of_int buffer_lines))));
-  (match st.Flow.routed with
-  | None -> ()
-  | Some (r, p, viols, rounds) ->
-      slot Flow.Route "routing" (digest_of Artifact.routing (still_routing r));
-      slot Flow.Route "problem" (digest_of Artifact.problem p);
-      slot Flow.Route "violations" (digest_of Artifact.diags viols);
-      slot Flow.Route "fix-rounds"
-        (Digest.to_hex (Digest.string (string_of_int rounds))));
-  (match st.Flow.built with
-  | None -> ()
-  | Some (l, sta, energy) ->
-      slot Flow.Layout "layout" (digest_of Artifact.layout l);
-      slot Flow.Layout "sta" (digest_of Artifact.sta sta);
-      slot Flow.Layout "energy" (digest_of Artifact.energy energy));
-  (match st.Flow.checked with
-  | None -> ()
-  | Some rep ->
-      slot Flow.Check "report"
-        (digest_of Artifact.check_report (still_check rep)));
-  List.rev !acc
+(* exactly the bytes the database would store for the run *)
+let fingerprint st =
+  List.map
+    (fun (stage, name, bytes) ->
+      {
+        sl_stage = stage;
+        sl_name = name;
+        sl_digest = Digest.to_hex (Digest.string bytes);
+      })
+    (Flow.artifacts (still st))
 
 (* first index where the fingerprints disagree, by binary search over
    the monotone predicate "the first [k] slots agree" — the scan a

@@ -4,9 +4,10 @@
     Executes the stage graph repeatedly with the {!Dsan} race detector
     armed — a jobs=1 un-fuzzed baseline, then [schedules] seeded
     chunk-order permutations at jobs=1 and at jobs=[k] — and compares
-    each run's {e fingerprint}: the ordered list of stage-artifact
-    codec bytes with volatile wall-clock fields (placement/routing
-    [runtime_s], check pass [seconds]) zeroed. A differing fingerprint
+    each run's {e fingerprint}: the digests of {!Flow.artifacts}, the
+    bytes a database would store for the run, with volatile wall-clock
+    fields (placement/routing [runtime_s], check pass [seconds])
+    zeroed. A differing fingerprint
     is localized to its first divergent (stage, slot) by binary search
     over the prefix-equality predicate and reported as
     [DSAN-SCHED-01] (differs at equal jobs under a permuted schedule)
@@ -17,7 +18,7 @@
 
 type slot = {
   sl_stage : Flow.stage;
-  sl_name : string;  (** output slot within the stage, e.g. ["problem"] *)
+  sl_name : string;  (** the stage's database slot, e.g. ["problem"] *)
   sl_digest : string;  (** hex digest of the artifact's codec bytes *)
 }
 
@@ -28,7 +29,8 @@ type report = {
 }
 
 val fingerprint : Flow.staged -> slot list
-(** The run's artifacts in stage order, volatile fields zeroed. *)
+(** Digests of {!Flow.artifacts} in stage and slot order, volatile
+    fields zeroed. *)
 
 val first_divergence : slot list -> slot list -> (int * slot option) option
 (** [first_divergence base trial] — [None] when byte-identical;

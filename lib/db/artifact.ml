@@ -1,8 +1,9 @@
-(* Stage-handoff codecs. Each [body]/[read] pair below is the payload
-   format of one artifact kind; the frame (magic, kind, version,
-   length, checksum) comes from Codec. Bump a codec's version whenever
-   its payload layout changes — stale artifacts then fail loudly with
-   DB-VERSION-01 instead of decoding garbage. *)
+(* Stage-handoff codecs. Each description below is the payload format of
+   one artifact kind or of a part embedded in several; the frame
+   (magic, kind, version, length, checksum) comes from Codec. Bump a
+   codec's version whenever its payload layout changes — stale
+   artifacts then fail loudly with DB-VERSION-01 instead of decoding
+   garbage. *)
 
 open Codec
 
@@ -13,12 +14,12 @@ type 'a codec = {
   decode : string -> ('a, Diag.t) result;
 }
 
-let make ~kind ~version body read =
+let make ~kind ~version c =
   {
     kind;
     version;
-    encode = (fun v -> Codec.encode ~kind ~version (fun b -> body b v));
-    decode = (fun bytes -> Codec.decode ~kind ~version read bytes);
+    encode = Codec.encode ~kind ~version c;
+    decode = Codec.decode ~kind ~version c;
   }
 
 let save c path v = save_file path (c.encode v)
@@ -28,658 +29,405 @@ let load c path =
 
 (* ---- netlist ---- *)
 
-let w_kind b = function
-  | Netlist.Input -> w_u8 b 0
-  | Netlist.Output -> w_u8 b 1
-  | Netlist.Const false -> w_u8 b 2
-  | Netlist.Const true -> w_u8 b 3
-  | Netlist.Buf -> w_u8 b 4
-  | Netlist.Not -> w_u8 b 5
-  | Netlist.And -> w_u8 b 6
-  | Netlist.Or -> w_u8 b 7
-  | Netlist.Nand -> w_u8 b 8
-  | Netlist.Nor -> w_u8 b 9
-  | Netlist.Xor -> w_u8 b 10
-  | Netlist.Xnor -> w_u8 b 11
-  | Netlist.Maj -> w_u8 b 12
-  | Netlist.Splitter k ->
-      w_u8 b 13;
-      w_int b k
+let gate_kind =
+  enum "gate-kind"
+    Netlist.
+      [
+        const 0 Input; const 1 Output; const 2 (Const false);
+        const 3 (Const true); const 4 Buf; const 5 Not; const 6 And;
+        const 7 Or; const 8 Nand; const 9 Nor; const 10 Xor; const 11 Xnor;
+        const 12 Maj;
+        case 13 int (fun k -> Splitter k) (function
+          | Splitter k -> Some k | _ -> None);
+      ]
 
-let r_kind r =
-  match r_u8 r with
-  | 0 -> Netlist.Input
-  | 1 -> Netlist.Output
-  | 2 -> Netlist.Const false
-  | 3 -> Netlist.Const true
-  | 4 -> Netlist.Buf
-  | 5 -> Netlist.Not
-  | 6 -> Netlist.And
-  | 7 -> Netlist.Or
-  | 8 -> Netlist.Nand
-  | 9 -> Netlist.Nor
-  | 10 -> Netlist.Xor
-  | 11 -> Netlist.Xnor
-  | 12 -> Netlist.Maj
-  | 13 -> Netlist.Splitter (r_int r)
-  | t -> raise (Corrupt (Printf.sprintf "unknown gate-kind tag %d" t))
+(* one node: kind, fan-ins, name, phase *)
+let node =
+  record (fun kind fanins name phase -> (kind, fanins, name, phase))
+  |+ (gate_kind, fun (k, _, _, _) -> k)
+  |+ (array int, fun (_, f, _, _) -> f)
+  |+ (option string, fun (_, _, n, _) -> n)
+  |+ (int, fun (_, _, _, p) -> p)
+  |> close
 
-let netlist_body b nl =
-  w_int b (Netlist.size nl);
-  Netlist.iter nl (fun nd ->
-      w_kind b nd.Netlist.kind;
-      w_array (fun b f -> w_int b f) b nd.Netlist.fanins;
-      w_opt w_string b nd.Netlist.name;
-      w_int b nd.Netlist.phase)
-
-let netlist_read r =
-  let n = r_int r in
-  if n < 0 then raise (Corrupt "negative node count");
-  let nl = Netlist.create () in
-  let fixups = ref [] in
-  for id = 0 to n - 1 do
-    let kind = r_kind r in
-    let fanins = r_array (fun r -> r_int r) r in
-    Array.iter
-      (fun f ->
-        if f < 0 || f >= n then
-          raise (Corrupt (Printf.sprintf "node %d: fanin %d out of range" id f)))
-      fanins;
-    let name = r_opt r_string r in
-    let phase = r_int r in
-    (* fan-ins may point forward (insertion rewires edges), so add a
-       placeholder first and wire the real fan-ins afterwards — the
-       same two-pass scheme as [Netlist.copy] *)
-    let placeholder = Array.map (fun f -> if f < id then f else 0) fanins in
-    let id' = Netlist.add nl ?name kind placeholder in
-    if id' <> id then raise (Corrupt "node id drift during rebuild");
-    Netlist.set_phase nl id phase;
-    fixups := (id, fanins) :: !fixups
-  done;
-  List.iter (fun (id, fanins) -> Netlist.set_fanins nl id fanins) !fixups;
-  nl
-
-let netlist = make ~kind:"netlist" ~version:1 netlist_body netlist_read
-
-(* ---- technology ---- *)
-
-let tech_body b t =
-  w_f64 b t.Tech.grid;
-  w_f64 b t.Tech.s_min;
-  w_f64 b t.Tech.w_max;
-  w_f64 b t.Tech.row_gap;
-  w_f64 b t.Tech.clock_freq_ghz;
-  w_int b t.Tech.phases;
-  w_f64 b t.Tech.signal_velocity;
-  w_f64 b t.Tech.clock_velocity;
-  w_f64 b t.Tech.gate_delay_ps;
-  w_int b t.Tech.metal_layers
-
-let tech_read r =
-  let grid = r_f64 r in
-  let s_min = r_f64 r in
-  let w_max = r_f64 r in
-  let row_gap = r_f64 r in
-  let clock_freq_ghz = r_f64 r in
-  let phases = r_int r in
-  let signal_velocity = r_f64 r in
-  let clock_velocity = r_f64 r in
-  let gate_delay_ps = r_f64 r in
-  let metal_layers = r_int r in
+(* the node count, then every node in id order; reading rebuilds the
+   netlist and refuses fan-ins outside the node range *)
+let netlist_body =
   {
-    Tech.grid;
-    s_min;
-    w_max;
-    row_gap;
-    clock_freq_ghz;
-    phases;
-    signal_velocity;
-    clock_velocity;
-    gate_delay_ps;
-    metal_layers;
+    write =
+      (fun b nl ->
+        int.write b (Netlist.size nl);
+        Netlist.iter nl (fun nd ->
+            node.write b
+              Netlist.(nd.kind, nd.fanins, nd.name, nd.phase)));
+    read =
+      (fun r ->
+        let n = int.read r in
+        if n < 0 then raise (Corrupt "negative node count");
+        let nl = Netlist.create () in
+        let fixups = ref [] in
+        for id = 0 to n - 1 do
+          let kind, fanins, name, phase = node.read r in
+          Array.iter
+            (fun f ->
+              if f < 0 || f >= n then
+                raise
+                  (Corrupt
+                     (Printf.sprintf "node %d: fanin %d out of range" id f)))
+            fanins;
+          (* fan-ins may point forward (insertion rewires edges), so add
+             a placeholder first and wire the real fan-ins afterwards —
+             the same two-pass scheme as [Netlist.copy] *)
+          let placeholder =
+            Array.map (fun f -> if f < id then f else 0) fanins
+          in
+          let id' = Netlist.add nl ?name kind placeholder in
+          if id' <> id then raise (Corrupt "node id drift during rebuild");
+          Netlist.set_phase nl id phase;
+          fixups := (id, fanins) :: !fixups
+        done;
+        List.iter (fun (id, fanins) -> Netlist.set_fanins nl id fanins) !fixups;
+        nl);
   }
 
-let tech = make ~kind:"tech" ~version:1 tech_body tech_read
+(* ---- technology and library cells (embedded in problem/layout) ---- *)
 
-(* ---- library cells (embedded in problem/layout payloads) ---- *)
+let tech_body =
+  record
+    (fun grid s_min w_max row_gap clock_freq_ghz phases signal_velocity
+         clock_velocity gate_delay_ps metal_layers ->
+      { Tech.grid; s_min; w_max; row_gap; clock_freq_ghz; phases;
+        signal_velocity; clock_velocity; gate_delay_ps; metal_layers })
+  |+ (f64, fun t -> t.Tech.grid)
+  |+ (f64, fun t -> t.Tech.s_min)
+  |+ (f64, fun t -> t.Tech.w_max)
+  |+ (f64, fun t -> t.Tech.row_gap)
+  |+ (f64, fun t -> t.Tech.clock_freq_ghz)
+  |+ (int, fun t -> t.Tech.phases)
+  |+ (f64, fun t -> t.Tech.signal_velocity)
+  |+ (f64, fun t -> t.Tech.clock_velocity)
+  |+ (f64, fun t -> t.Tech.gate_delay_ps)
+  |+ (int, fun t -> t.Tech.metal_layers)
+  |> close
 
-let cell_body b c =
-  w_string b c.Cell.cell_name;
-  w_f64 b c.Cell.width;
-  w_f64 b c.Cell.height;
-  w_int b c.Cell.jj_count;
-  w_array w_f64 b c.Cell.in_pins;
-  w_array w_f64 b c.Cell.out_pins
-
-let cell_read r =
-  let cell_name = r_string r in
-  let width = r_f64 r in
-  let height = r_f64 r in
-  let jj_count = r_int r in
-  let in_pins = r_array r_f64 r in
-  let out_pins = r_array r_f64 r in
-  { Cell.cell_name; width; height; jj_count; in_pins; out_pins }
+let cell =
+  record (fun cell_name width height jj_count in_pins out_pins ->
+      { Cell.cell_name; width; height; jj_count; in_pins; out_pins })
+  |+ (string, fun c -> c.Cell.cell_name)
+  |+ (f64, fun c -> c.Cell.width)
+  |+ (f64, fun c -> c.Cell.height)
+  |+ (int, fun c -> c.Cell.jj_count)
+  |+ (array f64, fun c -> c.Cell.in_pins)
+  |+ (array f64, fun c -> c.Cell.out_pins)
+  |> close
 
 (* ---- placement problem ---- *)
 
-let problem_body b p =
-  tech_body b p.Problem.tech;
-  w_array
-    (fun b (c : Problem.cell) ->
-      w_int b c.Problem.node;
-      w_kind b c.Problem.kind;
-      cell_body b c.Problem.lib;
-      w_int b c.Problem.row;
-      w_f64 b c.Problem.x)
-    b p.Problem.cells;
-  w_array
-    (fun b (n : Problem.net) ->
-      w_int b n.Problem.src;
-      w_int b n.Problem.dst;
-      w_int b n.Problem.src_pin;
-      w_int b n.Problem.dst_pin)
-    b p.Problem.nets;
-  w_int b p.Problem.n_rows;
-  w_array (w_array (fun b i -> w_int b i)) b p.Problem.row_cells;
-  w_array w_f64 b p.Problem.row_gaps;
-  w_f64 b p.Problem.row_height
+let problem_cell =
+  record (fun node kind lib row x -> { Problem.node; kind; lib; row; x })
+  |+ (int, fun (c : Problem.cell) -> c.Problem.node)
+  |+ (gate_kind, fun c -> c.Problem.kind)
+  |+ (cell, fun c -> c.Problem.lib)
+  |+ (int, fun c -> c.Problem.row)
+  |+ (f64, fun c -> c.Problem.x)
+  |> close
 
-let problem_read r =
-  let tech = tech_read r in
-  let cells =
-    r_array
-      (fun r ->
-        let node = r_int r in
-        let kind = r_kind r in
-        let lib = cell_read r in
-        let row = r_int r in
-        let x = r_f64 r in
-        { Problem.node; kind; lib; row; x })
-      r
-  in
-  let nets =
-    r_array
-      (fun r ->
-        let src = r_int r in
-        let dst = r_int r in
-        let src_pin = r_int r in
-        let dst_pin = r_int r in
-        { Problem.src; dst; src_pin; dst_pin })
-      r
-  in
-  let n_rows = r_int r in
-  let row_cells = r_array (r_array (fun r -> r_int r)) r in
-  let row_gaps = r_array r_f64 r in
-  let row_height = r_f64 r in
-  { Problem.tech; cells; nets; n_rows; row_cells; row_gaps; row_height }
+let problem_net =
+  record (fun src dst src_pin dst_pin ->
+      { Problem.src; dst; src_pin; dst_pin })
+  |+ (int, fun (n : Problem.net) -> n.Problem.src)
+  |+ (int, fun n -> n.Problem.dst)
+  |+ (int, fun n -> n.Problem.src_pin)
+  |+ (int, fun n -> n.Problem.dst_pin)
+  |> close
 
-let problem = make ~kind:"problem" ~version:1 problem_body problem_read
+let problem_body =
+  record (fun tech cells nets n_rows row_cells row_gaps row_height ->
+      { Problem.tech; cells; nets; n_rows; row_cells; row_gaps; row_height })
+  |+ (tech_body, fun p -> p.Problem.tech)
+  |+ (array problem_cell, fun p -> p.Problem.cells)
+  |+ (array problem_net, fun p -> p.Problem.nets)
+  |+ (int, fun p -> p.Problem.n_rows)
+  |+ (array (array int), fun p -> p.Problem.row_cells)
+  |+ (array f64, fun p -> p.Problem.row_gaps)
+  |+ (f64, fun p -> p.Problem.row_height)
+  |> close
 
 (* ---- placement report ---- *)
 
-let algorithm_tag = function
-  | Placer.Superflow -> 0
-  | Placer.Gordian -> 1
-  | Placer.Taas -> 2
-
-let algorithm_of_tag = function
-  | 0 -> Placer.Superflow
-  | 1 -> Placer.Gordian
-  | 2 -> Placer.Taas
-  | t -> raise (Corrupt (Printf.sprintf "unknown placer tag %d" t))
-
-let placement =
-  make ~kind:"placement" ~version:1
-    (fun b (p : Placer.result) ->
-      w_u8 b (algorithm_tag p.Placer.algorithm);
-      w_f64 b p.Placer.hpwl;
-      w_int b p.Placer.buffer_lines;
-      w_f64 b p.Placer.timing_cost;
-      w_f64 b p.Placer.runtime_s;
-      w_int b p.Placer.moves)
-    (fun r ->
-      let algorithm = algorithm_of_tag (r_u8 r) in
-      let hpwl = r_f64 r in
-      let buffer_lines = r_int r in
-      let timing_cost = r_f64 r in
-      let runtime_s = r_f64 r in
-      let moves = r_int r in
+let placement_body =
+  record
+    (fun algorithm hpwl buffer_lines timing_cost runtime_s moves ->
       { Placer.algorithm; hpwl; buffer_lines; timing_cost; runtime_s; moves })
+  |+ ( enum "placer"
+         Placer.[ const 0 Superflow; const 1 Gordian; const 2 Taas ],
+       fun (p : Placer.result) -> p.Placer.algorithm )
+  |+ (f64, fun p -> p.Placer.hpwl)
+  |+ (int, fun p -> p.Placer.buffer_lines)
+  |+ (f64, fun p -> p.Placer.timing_cost)
+  |+ (f64, fun p -> p.Placer.runtime_s)
+  |+ (int, fun p -> p.Placer.moves)
+  |> close
 
 (* ---- routing ---- *)
 
-let routing =
-  make ~kind:"routing" ~version:2
-    (fun b (res : Router.result) ->
-      w_array
-        (fun b (rt : Router.route) ->
-          w_int b rt.Router.net;
-          w_list (w_pair w_f64 w_f64) b rt.Router.points;
-          w_int b rt.Router.vias;
-          w_f64 b rt.Router.length)
-        b res.Router.routes;
-      w_int b res.Router.expansions;
-      w_int b res.Router.node_expansions;
-      w_int b res.Router.neg_rounds;
-      w_int b res.Router.neg_rerouted;
-      w_f64 b res.Router.wirelength;
-      w_int b res.Router.total_vias;
-      w_f64 b res.Router.runtime_s)
-    (fun r ->
-      let routes =
-        r_array
-          (fun r ->
-            let net = r_int r in
-            let points = r_list (r_pair r_f64 r_f64) r in
-            let vias = r_int r in
-            let length = r_f64 r in
-            { Router.net; points; vias; length })
-          r
-      in
-      let expansions = r_int r in
-      let node_expansions = r_int r in
-      let neg_rounds = r_int r in
-      let neg_rerouted = r_int r in
-      let wirelength = r_f64 r in
-      let total_vias = r_int r in
-      let runtime_s = r_f64 r in
-      {
-        Router.routes;
-        expansions;
-        node_expansions;
-        neg_rounds;
-        neg_rerouted;
-        wirelength;
-        total_vias;
-        runtime_s;
-      })
+let route =
+  record (fun net points vias length -> { Router.net; points; vias; length })
+  |+ (int, fun (rt : Router.route) -> rt.Router.net)
+  |+ (list (pair f64 f64), fun rt -> rt.Router.points)
+  |+ (int, fun rt -> rt.Router.vias)
+  |+ (f64, fun rt -> rt.Router.length)
+  |> close
+
+let routing_body =
+  record
+    (fun routes expansions node_expansions neg_rounds neg_rerouted
+         wirelength total_vias runtime_s ->
+      { Router.routes; expansions; node_expansions; neg_rounds;
+        neg_rerouted; wirelength; total_vias; runtime_s })
+  |+ (array route, fun (res : Router.result) -> res.Router.routes)
+  |+ (int, fun res -> res.Router.expansions)
+  |+ (int, fun res -> res.Router.node_expansions)
+  |+ (int, fun res -> res.Router.neg_rounds)
+  |+ (int, fun res -> res.Router.neg_rerouted)
+  |+ (f64, fun res -> res.Router.wirelength)
+  |+ (int, fun res -> res.Router.total_vias)
+  |+ (f64, fun res -> res.Router.runtime_s)
+  |> close
 
 (* ---- layout ---- *)
 
-let w_point b (p : Geom.point) =
-  w_f64 b p.Geom.x;
-  w_f64 b p.Geom.y
+let point =
+  map (fun (x, y) -> { Geom.x; y }) (fun p -> Geom.(p.x, p.y)) (pair f64 f64)
 
-let r_point r =
-  let x = r_f64 r in
-  let y = r_f64 r in
-  { Geom.x; y }
+let wire =
+  record (fun net layer a b -> { Layout.net; layer; a; b })
+  |+ (int, fun (w : Layout.wire) -> w.Layout.net)
+  |+ (int, fun w -> w.Layout.layer)
+  |+ (point, fun w -> w.Layout.a)
+  |+ (point, fun w -> w.Layout.b)
+  |> close
 
-let w_wire b (w : Layout.wire) =
-  w_int b w.Layout.net;
-  w_int b w.Layout.layer;
-  w_point b w.Layout.a;
-  w_point b w.Layout.b
+let placed_cell =
+  record (fun lib node name origin -> { Layout.lib; node; name; origin })
+  |+ (cell, fun (c : Layout.placed_cell) -> c.Layout.lib)
+  |+ (int, fun c -> c.Layout.node)
+  |+ (option string, fun c -> c.Layout.name)
+  |+ (point, fun c -> c.Layout.origin)
+  |> close
 
-let r_wire r =
-  let net = r_int r in
-  let layer = r_int r in
-  let a = r_point r in
-  let b = r_point r in
-  { Layout.net; layer; a; b }
+let via =
+  record (fun net at -> { Layout.net; at })
+  |+ (int, fun (v : Layout.via) -> v.Layout.net)
+  |+ (point, fun v -> v.Layout.at)
+  |> close
 
-let layout =
-  make ~kind:"layout" ~version:1
-    (fun b (l : Layout.t) ->
-      tech_body b l.Layout.tech;
-      w_array
-        (fun b (c : Layout.placed_cell) ->
-          cell_body b c.Layout.lib;
-          w_int b c.Layout.node;
-          w_opt w_string b c.Layout.name;
-          w_point b c.Layout.origin)
-        b l.Layout.cells;
-      w_array w_wire b l.Layout.wires;
-      w_array
-        (fun b (v : Layout.via) ->
-          w_int b v.Layout.net;
-          w_point b v.Layout.at)
-        b l.Layout.vias;
-      w_array w_wire b l.Layout.bias;
-      w_f64 b l.Layout.die.Geom.lx;
-      w_f64 b l.Layout.die.Geom.ly;
-      w_f64 b l.Layout.die.Geom.hx;
-      w_f64 b l.Layout.die.Geom.hy)
-    (fun r ->
-      let tech = tech_read r in
-      let cells =
-        r_array
-          (fun r ->
-            let lib = cell_read r in
-            let node = r_int r in
-            let name = r_opt r_string r in
-            let origin = r_point r in
-            { Layout.lib; node; name; origin })
-          r
-      in
-      let wires = r_array r_wire r in
-      let vias =
-        r_array
-          (fun r ->
-            let net = r_int r in
-            let at = r_point r in
-            { Layout.net; at })
-          r
-      in
-      let bias = r_array r_wire r in
-      let lx = r_f64 r in
-      let ly = r_f64 r in
-      let hx = r_f64 r in
-      let hy = r_f64 r in
-      {
-        Layout.tech;
-        cells;
-        wires;
-        vias;
-        bias;
-        die = { Geom.lx; ly; hx; hy };
-      })
+let die =
+  record (fun lx ly hx hy -> { Geom.lx; ly; hx; hy })
+  |+ (f64, fun d -> d.Geom.lx)
+  |+ (f64, fun d -> d.Geom.ly)
+  |+ (f64, fun d -> d.Geom.hx)
+  |+ (f64, fun d -> d.Geom.hy)
+  |> close
 
-(* ---- timing ---- *)
+let layout_body =
+  record (fun tech cells wires vias bias die ->
+      { Layout.tech; cells; wires; vias; bias; die })
+  |+ (tech_body, fun (l : Layout.t) -> l.Layout.tech)
+  |+ (array placed_cell, fun l -> l.Layout.cells)
+  |+ (array wire, fun l -> l.Layout.wires)
+  |+ (array via, fun l -> l.Layout.vias)
+  |+ (array wire, fun l -> l.Layout.bias)
+  |+ (die, fun l -> l.Layout.die)
+  |> close
 
-let sta =
-  make ~kind:"sta" ~version:1
-    (fun b (s : Sta.report) ->
-      w_f64 b s.Sta.wns_ps;
-      w_f64 b s.Sta.tns_ps;
-      w_int b s.Sta.violations;
-      w_list
-        (fun b (nt : Sta.net_timing) ->
-          w_int b nt.Sta.net;
-          w_f64 b nt.Sta.slack_ps;
-          w_f64 b nt.Sta.flight_ps;
-          w_f64 b nt.Sta.skew_ps)
-        b s.Sta.worst)
-    (fun r ->
-      let wns_ps = r_f64 r in
-      let tns_ps = r_f64 r in
-      let violations = r_int r in
-      let worst =
-        r_list
-          (fun r ->
-            let net = r_int r in
-            let slack_ps = r_f64 r in
-            let flight_ps = r_f64 r in
-            let skew_ps = r_f64 r in
-            { Sta.net; slack_ps; flight_ps; skew_ps })
-          r
-      in
+(* ---- timing and energy ---- *)
+
+let net_timing =
+  record (fun net slack_ps flight_ps skew_ps ->
+      { Sta.net; slack_ps; flight_ps; skew_ps })
+  |+ (int, fun (nt : Sta.net_timing) -> nt.Sta.net)
+  |+ (f64, fun nt -> nt.Sta.slack_ps)
+  |+ (f64, fun nt -> nt.Sta.flight_ps)
+  |+ (f64, fun nt -> nt.Sta.skew_ps)
+  |> close
+
+let sta_body =
+  record (fun wns_ps tns_ps violations worst ->
       { Sta.wns_ps; tns_ps; violations; worst })
+  |+ (f64, fun (s : Sta.report) -> s.Sta.wns_ps)
+  |+ (f64, fun s -> s.Sta.tns_ps)
+  |+ (int, fun s -> s.Sta.violations)
+  |+ (list net_timing, fun s -> s.Sta.worst)
+  |> close
 
-(* ---- energy ---- *)
-
-let energy =
-  make ~kind:"energy" ~version:1
-    (fun b (e : Energy.report) ->
-      w_int b e.Energy.jj_count;
-      w_int b e.Energy.gate_count;
-      w_f64 b e.Energy.energy_per_cycle_j;
-      w_f64 b e.Energy.power_w;
-      w_f64 b e.Energy.cmos_energy_per_cycle_j;
-      w_f64 b e.Energy.efficiency_gain)
-    (fun r ->
-      let jj_count = r_int r in
-      let gate_count = r_int r in
-      let energy_per_cycle_j = r_f64 r in
-      let power_w = r_f64 r in
-      let cmos_energy_per_cycle_j = r_f64 r in
-      let efficiency_gain = r_f64 r in
-      {
-        Energy.jj_count;
-        gate_count;
-        energy_per_cycle_j;
-        power_w;
-        cmos_energy_per_cycle_j;
-        efficiency_gain;
-      })
+let energy_body =
+  record
+    (fun jj_count gate_count energy_per_cycle_j power_w
+         cmos_energy_per_cycle_j efficiency_gain ->
+      { Energy.jj_count; gate_count; energy_per_cycle_j; power_w;
+        cmos_energy_per_cycle_j; efficiency_gain })
+  |+ (int, fun (e : Energy.report) -> e.Energy.jj_count)
+  |+ (int, fun e -> e.Energy.gate_count)
+  |+ (f64, fun e -> e.Energy.energy_per_cycle_j)
+  |+ (f64, fun e -> e.Energy.power_w)
+  |+ (f64, fun e -> e.Energy.cmos_energy_per_cycle_j)
+  |+ (f64, fun e -> e.Energy.efficiency_gain)
+  |> close
 
 (* ---- diagnostics (embedded in reports) ---- *)
 
-let w_severity b = function
-  | Diag.Error -> w_u8 b 0
-  | Diag.Warning -> w_u8 b 1
-  | Diag.Info -> w_u8 b 2
+let loc =
+  enum "location"
+    Diag.
+      [
+        case 0 int (fun i -> Node i) (function Node i -> Some i | _ -> None);
+        case 1 int (fun i -> Net i) (function Net i -> Some i | _ -> None);
+        case 2 int (fun i -> Row i) (function Row i -> Some i | _ -> None);
+        case 3 (pair f64 f64)
+          (fun (x, y) -> At (x, y))
+          (function At (x, y) -> Some (x, y) | _ -> None);
+        const 4 Global;
+      ]
 
-let r_severity r =
-  match r_u8 r with
-  | 0 -> Diag.Error
-  | 1 -> Diag.Warning
-  | 2 -> Diag.Info
-  | t -> raise (Corrupt (Printf.sprintf "unknown severity tag %d" t))
-
-let w_loc b = function
-  | Diag.Node i ->
-      w_u8 b 0;
-      w_int b i
-  | Diag.Net i ->
-      w_u8 b 1;
-      w_int b i
-  | Diag.Row i ->
-      w_u8 b 2;
-      w_int b i
-  | Diag.At (x, y) ->
-      w_u8 b 3;
-      w_f64 b x;
-      w_f64 b y
-  | Diag.Global -> w_u8 b 4
-
-let r_loc r =
-  match r_u8 r with
-  | 0 -> Diag.Node (r_int r)
-  | 1 -> Diag.Net (r_int r)
-  | 2 -> Diag.Row (r_int r)
-  | 3 ->
-      let x = r_f64 r in
-      let y = r_f64 r in
-      Diag.At (x, y)
-  | 4 -> Diag.Global
-  | t -> raise (Corrupt (Printf.sprintf "unknown location tag %d" t))
-
-let w_diag b (d : Diag.t) =
-  w_string b d.Diag.rule;
-  w_severity b d.Diag.severity;
-  w_loc b d.Diag.loc;
-  w_string b d.Diag.message;
-  w_list w_string b d.Diag.witness
-
-let r_diag r =
-  let rule = r_string r in
-  let severity = r_severity r in
-  let loc = r_loc r in
-  let message = r_string r in
-  let witness = r_list r_string r in
-  { Diag.rule; severity; loc; message; witness }
-
-(* bare diagnostic lists: the absint memo entries in the proof store *)
-let diags =
-  make ~kind:"diags" ~version:1
-    (fun b ds -> w_list w_diag b ds)
-    (fun r -> r_list r_diag r)
+let diag =
+  record (fun rule severity loc message witness ->
+      { Diag.rule; severity; loc; message; witness })
+  |+ (string, fun (d : Diag.t) -> d.Diag.rule)
+  |+ ( enum "severity" Diag.[ const 0 Error; const 1 Warning; const 2 Info ],
+       fun d -> d.Diag.severity )
+  |+ (loc, fun d -> d.Diag.loc)
+  |+ (string, fun d -> d.Diag.message)
+  |+ (list string, fun d -> d.Diag.witness)
+  |> close
 
 (* ---- synthesis report ---- *)
 
-let synth_report =
-  (* v2: embedded diagnostics gained the witness field *)
-  make ~kind:"synth-report" ~version:2
-    (fun b (s : Synth_flow.report) ->
-      w_int b s.Synth_flow.jjs;
-      w_int b s.Synth_flow.nets;
-      w_int b s.Synth_flow.delay;
-      w_int b s.Synth_flow.opt_stats.Opt.nodes_before;
-      w_int b s.Synth_flow.opt_stats.Opt.nodes_after;
-      w_int b s.Synth_flow.opt_stats.Opt.iterations;
-      w_int b s.Synth_flow.maj_stats.Aoi_to_maj.aoi_gates;
-      w_int b s.Synth_flow.maj_stats.Aoi_to_maj.maj_gates;
-      w_int b s.Synth_flow.maj_stats.Aoi_to_maj.jj_before;
-      w_int b s.Synth_flow.maj_stats.Aoi_to_maj.jj_after;
-      w_int b s.Synth_flow.ins_stats.Insertion.splitters;
-      w_int b s.Synth_flow.ins_stats.Insertion.buffers;
-      w_int b s.Synth_flow.ins_stats.Insertion.delay;
-      w_int b s.Synth_flow.ins_stats.Insertion.jj;
-      w_int b s.Synth_flow.ins_stats.Insertion.nets;
-      w_list w_diag b s.Synth_flow.guard_diags)
-    (fun r ->
-      let jjs = r_int r in
-      let nets = r_int r in
-      let delay = r_int r in
-      let nodes_before = r_int r in
-      let nodes_after = r_int r in
-      let iterations = r_int r in
-      let opt_stats = { Opt.nodes_before; nodes_after; iterations } in
-      let aoi_gates = r_int r in
-      let maj_gates = r_int r in
-      let jj_before = r_int r in
-      let jj_after = r_int r in
-      let maj_stats = { Aoi_to_maj.aoi_gates; maj_gates; jj_before; jj_after } in
-      let splitters = r_int r in
-      let buffers = r_int r in
-      let delay' = r_int r in
-      let jj = r_int r in
-      let nets' = r_int r in
-      let ins_stats =
-        { Insertion.splitters; buffers; delay = delay'; jj; nets = nets' }
-      in
-      let guard_diags = r_list r_diag r in
-      {
-        Synth_flow.jjs;
-        nets;
-        delay;
-        opt_stats;
-        maj_stats;
-        ins_stats;
-        guard_diags;
-      })
+let opt_stats =
+  record (fun nodes_before nodes_after iterations ->
+      { Opt.nodes_before; nodes_after; iterations })
+  |+ (int, fun (s : Opt.stats) -> s.Opt.nodes_before)
+  |+ (int, fun s -> s.Opt.nodes_after)
+  |+ (int, fun s -> s.Opt.iterations)
+  |> close
+
+let maj_stats =
+  record (fun aoi_gates maj_gates jj_before jj_after ->
+      { Aoi_to_maj.aoi_gates; maj_gates; jj_before; jj_after })
+  |+ (int, fun (s : Aoi_to_maj.stats) -> s.Aoi_to_maj.aoi_gates)
+  |+ (int, fun s -> s.Aoi_to_maj.maj_gates)
+  |+ (int, fun s -> s.Aoi_to_maj.jj_before)
+  |+ (int, fun s -> s.Aoi_to_maj.jj_after)
+  |> close
+
+let ins_stats =
+  record (fun splitters buffers delay jj nets ->
+      { Insertion.splitters; buffers; delay; jj; nets })
+  |+ (int, fun (s : Insertion.stats) -> s.Insertion.splitters)
+  |+ (int, fun s -> s.Insertion.buffers)
+  |+ (int, fun s -> s.Insertion.delay)
+  |+ (int, fun s -> s.Insertion.jj)
+  |+ (int, fun s -> s.Insertion.nets)
+  |> close
+
+let synth_body =
+  record (fun jjs nets delay opt_stats maj_stats ins_stats guard_diags ->
+      { Synth_flow.jjs; nets; delay; opt_stats; maj_stats; ins_stats;
+        guard_diags })
+  |+ (int, fun (s : Synth_flow.report) -> s.Synth_flow.jjs)
+  |+ (int, fun s -> s.Synth_flow.nets)
+  |+ (int, fun s -> s.Synth_flow.delay)
+  |+ (opt_stats, fun s -> s.Synth_flow.opt_stats)
+  |+ (maj_stats, fun s -> s.Synth_flow.maj_stats)
+  |+ (ins_stats, fun s -> s.Synth_flow.ins_stats)
+  |+ (list diag, fun s -> s.Synth_flow.guard_diags)
+  |> close
 
 (* ---- resynthesis report ---- *)
 
-let effort_tag = function Resyn.Off -> 0 | Resyn.Fast -> 1 | Resyn.Full -> 2
+let pass_stat =
+  record (fun pass iterations tried accepted ->
+      { Resyn.pass; iterations; tried; accepted })
+  |+ (string, fun (p : Resyn.pass_stat) -> p.Resyn.pass)
+  |+ (int, fun p -> p.Resyn.iterations)
+  |+ (int, fun p -> p.Resyn.tried)
+  |+ (int, fun p -> p.Resyn.accepted)
+  |> close
 
-let effort_of_tag = function
-  | 0 -> Resyn.Off
-  | 1 -> Resyn.Fast
-  | 2 -> Resyn.Full
-  | t -> raise (Corrupt (Printf.sprintf "unknown resyn effort tag %d" t))
+let cec_stats =
+  record (fun windows proved cached memoized failed ->
+      { Resyn.windows; proved; cached; memoized; failed })
+  |+ (int, fun (c : Resyn.cec_stats) -> c.Resyn.windows)
+  |+ (int, fun c -> c.Resyn.proved)
+  |+ (int, fun c -> c.Resyn.cached)
+  |+ (int, fun c -> c.Resyn.memoized)
+  |+ (int, fun c -> c.Resyn.failed)
+  |> close
 
-let resyn_report =
-  make ~kind:"resyn-report" ~version:1
-    (fun b (s : Resyn.report) ->
-      w_u8 b (effort_tag s.Resyn.effort);
-      w_int b s.Resyn.rounds;
-      w_int b s.Resyn.maj_before;
-      w_int b s.Resyn.maj_after;
-      w_int b s.Resyn.jj_before;
-      w_int b s.Resyn.jj_after;
-      w_int b s.Resyn.depth_before;
-      w_int b s.Resyn.depth_after;
-      w_int b s.Resyn.buffers_before;
-      w_int b s.Resyn.buffers_after;
-      w_int b s.Resyn.splitters_before;
-      w_int b s.Resyn.splitters_after;
-      w_list
-        (fun b (p : Resyn.pass_stat) ->
-          w_string b p.Resyn.pass;
-          w_int b p.Resyn.iterations;
-          w_int b p.Resyn.tried;
-          w_int b p.Resyn.accepted)
-        b s.Resyn.passes;
-      w_int b s.Resyn.cec.Resyn.windows;
-      w_int b s.Resyn.cec.Resyn.proved;
-      w_int b s.Resyn.cec.Resyn.cached;
-      w_int b s.Resyn.cec.Resyn.memoized;
-      w_int b s.Resyn.cec.Resyn.failed;
-      w_list w_diag b s.Resyn.diags)
-    (fun r ->
-      let effort = effort_of_tag (r_u8 r) in
-      let rounds = r_int r in
-      let maj_before = r_int r in
-      let maj_after = r_int r in
-      let jj_before = r_int r in
-      let jj_after = r_int r in
-      let depth_before = r_int r in
-      let depth_after = r_int r in
-      let buffers_before = r_int r in
-      let buffers_after = r_int r in
-      let splitters_before = r_int r in
-      let splitters_after = r_int r in
-      let passes =
-        r_list
-          (fun r ->
-            let pass = r_string r in
-            let iterations = r_int r in
-            let tried = r_int r in
-            let accepted = r_int r in
-            { Resyn.pass; iterations; tried; accepted })
-          r
-      in
-      let windows = r_int r in
-      let proved = r_int r in
-      let cached = r_int r in
-      let memoized = r_int r in
-      let failed = r_int r in
-      let cec = { Resyn.windows; proved; cached; memoized; failed } in
-      let diags = r_list r_diag r in
-      {
-        Resyn.effort;
-        rounds;
-        maj_before;
-        maj_after;
-        jj_before;
-        jj_after;
-        depth_before;
-        depth_after;
-        buffers_before;
-        buffers_after;
-        splitters_before;
-        splitters_after;
-        passes;
-        cec;
-        diags;
-      })
+let resyn_body =
+  record
+    (fun effort rounds maj_before maj_after jj_before jj_after depth_before
+         depth_after buffers_before buffers_after splitters_before
+         splitters_after passes cec diags ->
+      { Resyn.effort; rounds; maj_before; maj_after; jj_before; jj_after;
+        depth_before; depth_after; buffers_before; buffers_after;
+        splitters_before; splitters_after; passes; cec; diags })
+  |+ ( enum "resyn effort" Resyn.[ const 0 Off; const 1 Fast; const 2 Full ],
+       fun (s : Resyn.report) -> s.Resyn.effort )
+  |+ (int, fun s -> s.Resyn.rounds)
+  |+ (int, fun s -> s.Resyn.maj_before)
+  |+ (int, fun s -> s.Resyn.maj_after)
+  |+ (int, fun s -> s.Resyn.jj_before)
+  |+ (int, fun s -> s.Resyn.jj_after)
+  |+ (int, fun s -> s.Resyn.depth_before)
+  |+ (int, fun s -> s.Resyn.depth_after)
+  |+ (int, fun s -> s.Resyn.buffers_before)
+  |+ (int, fun s -> s.Resyn.buffers_after)
+  |+ (int, fun s -> s.Resyn.splitters_before)
+  |+ (int, fun s -> s.Resyn.splitters_after)
+  |+ (list pass_stat, fun s -> s.Resyn.passes)
+  |+ (cec_stats, fun s -> s.Resyn.cec)
+  |+ (list diag, fun s -> s.Resyn.diags)
+  |> close
 
 (* ---- checker report ---- *)
 
-let check_report =
-  (* v2: report header (tier/engine) + diagnostic witnesses *)
-  make ~kind:"check-report" ~version:2
-    (fun b (rep : Check.report) ->
-      w_list
-        (fun b (k, v) ->
-          w_string b k;
-          w_string b v)
-        b rep.Check.header;
-      w_list w_diag b rep.Check.diags;
-      w_list
-        (fun b (s : Check.pass_stat) ->
-          w_string b s.Check.pass_name;
-          w_int b s.Check.n_diags;
-          w_f64 b s.Check.seconds)
-        b rep.Check.stats)
-    (fun r ->
-      let header =
-        r_list
-          (fun r ->
-            let k = r_string r in
-            let v = r_string r in
-            (k, v))
-          r
-      in
-      let diags = r_list r_diag r in
-      let stats =
-        r_list
-          (fun r ->
-            let pass_name = r_string r in
-            let n_diags = r_int r in
-            let seconds = r_f64 r in
-            { Check.pass_name; n_diags; seconds })
-          r
-      in
-      { Check.header; diags; stats })
+let pass_timing =
+  record (fun pass_name n_diags seconds ->
+      { Check.pass_name; n_diags; seconds })
+  |+ (string, fun (s : Check.pass_stat) -> s.Check.pass_name)
+  |+ (int, fun s -> s.Check.n_diags)
+  |+ (f64, fun s -> s.Check.seconds)
+  |> close
 
-(* ---- DRC violations ---- *)
+let check_body =
+  record (fun header diags stats -> { Check.header; diags; stats })
+  |+ (list (pair string string), fun (rep : Check.report) -> rep.Check.header)
+  |+ (list diag, fun rep -> rep.Check.diags)
+  |+ (list pass_timing, fun rep -> rep.Check.stats)
+  |> close
 
-let drc =
-  (* v2: full witness-carrying diagnostics (the old ad-hoc
-     rule/point/detail triple is gone with the string-rule checker) *)
-  make ~kind:"drc" ~version:2
-    (fun b ds -> w_list w_diag b ds)
-    (fun r -> r_list r_diag r)
+(* ---- the artifact kinds ---- *)
+
+let netlist = make ~kind:"netlist" ~version:1 netlist_body
+let tech = make ~kind:"tech" ~version:1 tech_body
+let problem = make ~kind:"problem" ~version:1 problem_body
+let placement = make ~kind:"placement" ~version:1 placement_body
+let routing = make ~kind:"routing" ~version:2 routing_body
+let layout = make ~kind:"layout" ~version:1 layout_body
+let sta = make ~kind:"sta" ~version:1 sta_body
+let energy = make ~kind:"energy" ~version:1 energy_body
+
+(* v2: embedded diagnostics gained the witness field *)
+let synth_report = make ~kind:"synth-report" ~version:2 synth_body
+let resyn_report = make ~kind:"resyn-report" ~version:1 resyn_body
+
+(* v2: report header (tier/engine) + diagnostic witnesses *)
+let check_report = make ~kind:"check-report" ~version:2 check_body
+
+(* v2: full witness-carrying diagnostics (the old ad-hoc
+   rule/point/detail triple is gone with the string-rule checker) *)
+let drc = make ~kind:"drc" ~version:2 (list diag)
+
+(* bare diagnostic lists: the absint memo entries in the proof store *)
+let diags = make ~kind:"diags" ~version:1 (list diag)

@@ -1,12 +1,16 @@
 (** Versioned binary codecs for every stage handoff of the flow.
 
-    One [encode_x] / [decode_x] / [save_x] / [load_x] quartet per
-    artifact: the AOI/MAJ/AQFP netlist IR, the placement problem (with
-    its technology and cell library embedded), the placement /
-    routing / STA / energy / synthesis / checker reports, the DRC
-    violation list and the assembled layout.
+    One {!codec} per artifact kind — its frame kind and version, and
+    [encode] / [decode] built from a single {!Codec.t} payload
+    description, so the reader cannot drift from the writer: the
+    AOI/MAJ/AQFP netlist IR, the technology, the placement problem
+    (with its technology and cell library embedded), the placement /
+    routing / STA / energy / synthesis / resynthesis / checker
+    reports, the DRC violation list, bare diagnostic lists and the
+    assembled layout. {!save} and {!load} go through files.
 
-    Guarantees (tested property-style over the bundled benchmarks):
+    Guarantees (tested over the bundled benchmarks; the bytes of
+    every kind are also pinned by MD5):
     - {e exact round-trip}: [decode (encode x)] rebuilds a value whose
       re-encoding is byte-identical to the first encoding — floats
       travel as IEEE-754 bit patterns, never through text;

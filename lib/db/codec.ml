@@ -4,109 +4,173 @@
 
 let err ~rule fmt = Diag.error ~rule Diag.Global fmt
 
-(* ---- writing ---- *)
+(* ---- descriptions ---- *)
 
 type writer = Buffer.t
-
-let writer () = Buffer.create 4096
-let w_bool b v = Buffer.add_uint8 b (if v then 1 else 0)
-
-let w_u8 b v =
-  if v < 0 || v > 255 then invalid_arg "Codec.w_u8";
-  Buffer.add_uint8 b v
-
-let w_int b v = Buffer.add_int64_le b (Int64.of_int v)
-let w_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
-
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
-
-let w_opt f b = function
-  | None -> w_bool b false
-  | Some v ->
-      w_bool b true;
-      f b v
-
-let w_array f b a =
-  w_int b (Array.length a);
-  Array.iter (f b) a
-
-let w_list f b l =
-  w_int b (List.length l);
-  List.iter (f b) l
-
-let w_pair fa fb b (x, y) =
-  fa b x;
-  fb b y
-
-let contents = Buffer.contents
-
-(* ---- reading ---- *)
-
 type reader = { buf : string; mutable pos : int; limit : int }
+type 'a t = { write : writer -> 'a -> unit; read : reader -> 'a }
 
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 
-let need r n =
-  if n < 0 || r.pos + n > r.limit then
-    corrupt "payload truncated at byte %d (need %d of %d)" r.pos n r.limit
+(* claim the next [n] payload bytes, returning their offset; the test
+   is [n > limit - pos], not [pos + n > limit], so that a huge length
+   field cannot overflow past it *)
+let take r n =
+  if n < 0 || n > r.limit - r.pos then
+    corrupt "payload truncated at byte %d (need %d of %d)" r.pos n r.limit;
+  let at = r.pos in
+  r.pos <- at + n;
+  at
 
-let r_u8 r =
-  need r 1;
-  let v = Char.code r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
+let u8 =
+  {
+    write =
+      (fun b v ->
+        if v < 0 || v > 255 then invalid_arg "Codec.u8";
+        Buffer.add_uint8 b v);
+    read = (fun r -> Char.code r.buf.[take r 1]);
+  }
 
-let r_bool r =
-  match r_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | v -> corrupt "bad bool byte %d" v
+let bool =
+  {
+    write = (fun b v -> u8.write b (if v then 1 else 0));
+    read =
+      (fun r ->
+        match u8.read r with
+        | 0 -> false
+        | 1 -> true
+        | v -> corrupt "bad bool byte %d" v);
+  }
 
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_le r.buf r.pos) in
-  r.pos <- r.pos + 8;
-  v
+let int =
+  {
+    write = (fun b v -> Buffer.add_int64_le b (Int64.of_int v));
+    read = (fun r -> Int64.to_int (String.get_int64_le r.buf (take r 8)));
+  }
 
-let r_f64 r =
-  need r 8;
-  let v = Int64.float_of_bits (String.get_int64_le r.buf r.pos) in
-  r.pos <- r.pos + 8;
-  v
+let f64 =
+  {
+    write = (fun b v -> Buffer.add_int64_le b (Int64.bits_of_float v));
+    read =
+      (fun r -> Int64.float_of_bits (String.get_int64_le r.buf (take r 8)));
+  }
 
-let r_string r =
-  let n = r_int r in
-  need r n;
-  let s = String.sub r.buf r.pos n in
-  r.pos <- r.pos + n;
-  s
+let string =
+  {
+    write =
+      (fun b s ->
+        int.write b (String.length s);
+        Buffer.add_string b s);
+    read =
+      (fun r ->
+        let n = int.read r in
+        String.sub r.buf (take r n) n);
+  }
 
-let r_opt f r = if r_bool r then Some (f r) else None
+let option c =
+  {
+    write =
+      (fun b -> function
+        | None -> bool.write b false
+        | Some v ->
+            bool.write b true;
+            c.write b v);
+    read = (fun r -> if bool.read r then Some (c.read r) else None);
+  }
 
 (* every element is at least one byte, so a length beyond the
    remaining payload can only come from corruption — checking here
    keeps a flipped length byte from attempting a giant allocation *)
-let r_len r =
-  let n = r_int r in
+let count r =
+  let n = int.read r in
   if n < 0 || n > r.limit - r.pos then corrupt "bad collection length %d" n;
   n
 
-let r_array f r =
-  let n = r_len r in
-  Array.init n (fun _ -> f r)
+let sequence length iter init c =
+  {
+    write =
+      (fun b s ->
+        int.write b (length s);
+        iter (c.write b) s);
+    read = (fun r -> init (count r) (fun _ -> c.read r));
+  }
 
-let r_list f r =
-  let n = r_len r in
-  List.init n (fun _ -> f r)
+let array c = sequence Array.length Array.iter Array.init c
+let list c = sequence List.length List.iter List.init c
 
-let r_pair fa fb r =
-  let x = fa r in
-  let y = fb r in
-  (x, y)
+let pair ca cb =
+  {
+    write =
+      (fun b (x, y) ->
+        ca.write b x;
+        cb.write b y);
+    read =
+      (fun r ->
+        let x = ca.read r in
+        (x, cb.read r));
+  }
+
+let map of_a to_a c =
+  { write = (fun b v -> c.write b (to_a v)); read = (fun r -> of_a (c.read r)) }
+
+(* a case writes its tag and payload when the value is its constructor *)
+type 'a case = { tag : int; put : writer -> 'a -> bool; get : reader -> 'a }
+
+let case tag c inject project =
+  {
+    tag;
+    put =
+      (fun b x ->
+        match project x with
+        | None -> false
+        | Some p ->
+            u8.write b tag;
+            c.write b p;
+            true);
+    get = (fun r -> inject (c.read r));
+  }
+
+let const tag v =
+  case tag
+    { write = (fun _ () -> ()); read = (fun _ -> ()) }
+    (fun () -> v)
+    (fun x -> if x = v then Some () else None)
+
+let enum what cases =
+  {
+    write =
+      (fun b v ->
+        if not (List.exists (fun c -> c.put b v) cases) then
+          invalid_arg ("Codec.enum " ^ what));
+    read =
+      (fun r ->
+        let t = u8.read r in
+        match List.find_opt (fun c -> c.tag = t) cases with
+        | Some c -> c.get r
+        | None -> corrupt "unknown %s tag %d" what t);
+  }
+
+(* a record under construction: the fields so far, and the constructor
+   applied to as many of them as have been read *)
+type ('r, 'c) fields = { fwrite : writer -> 'r -> unit; fread : reader -> 'c }
+
+let record make = { fwrite = (fun _ _ -> ()); fread = (fun _ -> make) }
+
+let ( |+ ) fs (c, get) =
+  {
+    fwrite =
+      (fun b v ->
+        fs.fwrite b v;
+        c.write b (get v));
+    fread =
+      (fun r ->
+        let k = fs.fread r in
+        k (c.read r));
+  }
+
+let close fs = { write = fs.fwrite; read = fs.fread }
 
 (* ---- container frames ---- *)
 
@@ -152,12 +216,12 @@ let split bytes =
             (err ~rule:"DB-CKSUM-01" "%S artifact failed its checksum" kind)
         else Ok (kind, version, payload)
 
-let encode ~kind ~version f =
-  let b = writer () in
-  f b;
-  seal ~kind ~version (contents b)
+let encode ~kind ~version c v =
+  let b = Buffer.create 4096 in
+  c.write b v;
+  seal ~kind ~version (Buffer.contents b)
 
-let decode ~kind ~version f bytes =
+let decode ~kind ~version c bytes =
   match split bytes with
   | Error _ as e -> e
   | Ok (k, v, payload) ->
@@ -171,7 +235,7 @@ let decode ~kind ~version f bytes =
              version)
       else begin
         let r = { buf = payload; pos = 0; limit = String.length payload } in
-        match f r with
+        match c.read r with
         | value ->
             if r.pos <> r.limit then
               Error

@@ -12,11 +12,10 @@ let format_stamp = "sf_db 1\n"
 
 let ( / ) = Filename.concat
 
-let mkdir_p path =
+let rec mkdir_p path =
   if not (Sys.file_exists path) then begin
     let parent = Filename.dirname path in
-    if parent <> path && not (Sys.file_exists parent) then
-      ignore (Sys.command (Printf.sprintf "mkdir -p %s" (Filename.quote parent)));
+    if parent <> path then mkdir_p parent;
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
@@ -40,13 +39,20 @@ let open_ dir =
     Error
       (Codec.err ~rule:"DB-DIR-01"
          "%s is a non-empty directory without an sf_db format stamp" dir)
-  else begin
-    mkdir_p dir;
-    mkdir_p (dir / "objects");
-    mkdir_p (dir / "stages");
-    Codec.save_file meta format_stamp;
-    Ok { dir; log = []; warns = [] }
-  end
+  else
+    match
+      mkdir_p (dir / "objects");
+      mkdir_p (dir / "stages");
+      Codec.save_file meta format_stamp
+    with
+    | () -> Ok { dir; log = []; warns = [] }
+    | exception Unix.Unix_error (e, _, path) ->
+        Error
+          (Codec.err ~rule:"DB-IO-01" "cannot create database %s: %s: %s" dir
+             path (Unix.error_message e))
+    | exception Sys_error msg ->
+        Error
+          (Codec.err ~rule:"DB-IO-01" "cannot create database %s: %s" dir msg)
 
 let dir t = t.dir
 
@@ -93,34 +99,25 @@ let get_object t h =
 
 let manifest_path t ~stage ~key = t.dir / "stages" / (stage ^ "." ^ key ^ ".sfm")
 
-let manifest_bytes slots scalars =
-  Codec.encode ~kind:"manifest" ~version:1 (fun b ->
-      Codec.w_list (Codec.w_pair Codec.w_string Codec.w_string) b slots;
-      Codec.w_list
-        (Codec.w_pair Codec.w_string (fun b i -> Codec.w_int b i))
-        b scalars)
-
-let manifest_decode bytes =
-  Codec.decode ~kind:"manifest" ~version:1
-    (fun r ->
-      let slots = Codec.r_list (Codec.r_pair Codec.r_string Codec.r_string) r in
-      let scalars =
-        Codec.r_list (Codec.r_pair Codec.r_string (fun r -> Codec.r_int r)) r
-      in
-      (slots, scalars))
-    bytes
+let manifest =
+  Codec.(pair (list (pair string string)) (list (pair string int)))
 
 let warn t d = t.warns <- d :: t.warns
 let warnings t = List.rev t.warns
 
 let put_stage t ~stage ~key ~slots ~scalars =
-  Codec.save_file (manifest_path t ~stage ~key) (manifest_bytes slots scalars)
+  Codec.save_file
+    (manifest_path t ~stage ~key)
+    (Codec.encode ~kind:"manifest" ~version:1 manifest (slots, scalars))
 
 let get_stage t ~stage ~key =
   let path = manifest_path t ~stage ~key in
   if not (Sys.file_exists path) then None
   else
-    match Result.bind (Codec.load_file path) manifest_decode with
+    match
+      Result.bind (Codec.load_file path)
+        (Codec.decode ~kind:"manifest" ~version:1 manifest)
+    with
     | Ok entry -> Some entry
     | Error d ->
         (* self-healing: report, then let the stage recompute and

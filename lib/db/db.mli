@@ -32,7 +32,9 @@ type outcome = Hit | Miss
 val open_ : string -> (t, Diag.t) result
 (** Open (creating if needed) a database directory. Fails with
     [DB-DIR-01] when the path exists but is not an sf_db directory,
-    or with [DB-VERSION-01] on a format-stamp mismatch. *)
+    with [DB-VERSION-01] on a format-stamp mismatch, or with
+    [DB-IO-01] when the directory cannot be created (say, a parent is
+    a regular file). *)
 
 val dir : t -> string
 

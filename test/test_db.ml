@@ -61,6 +61,27 @@ let flow_result =
   (* one shared flow run keeps the artifact tests fast *)
   lazy (Flow.run ~check:true (Circuits.benchmark "adder8"))
 
+(* full resynthesis, so the resyn report's passes and CEC stats are
+   non-empty *)
+let full_result =
+  lazy
+    (Flow.run ~check:true ~resyn_effort:Resyn.Full
+       (Circuits.benchmark "adder8"))
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* one diagnostic per severity and location variant, with and without a
+   witness: the flow's own lists are empty on a clean design *)
+let sample_diags =
+  [
+    Diag.error ~rule:"DB-TEST-01" (Diag.Node 3) "node %d" 3;
+    Diag.warning ~witness:[ "a"; "b -> c" ] ~rule:"DB-TEST-02" (Diag.Net 7)
+      "net";
+    Diag.info ~rule:"DB-TEST-03" (Diag.Row 2) "row";
+    Diag.error ~rule:"DB-TEST-04" (Diag.At (1.5, -0.25)) "at";
+    Diag.warning ~rule:"DB-TEST-05" Diag.Global "global";
+  ]
+
 let test_flow_artifact_codecs () =
   let r = Lazy.force flow_result in
   ignore (roundtrip "aqfp netlist" Artifact.netlist r.Flow.aqfp_netlist);
@@ -81,6 +102,96 @@ let test_flow_artifact_codecs () =
       let rep' = roundtrip "check report" Artifact.check_report rep in
       checks "check report renders identically" (Check.render_text rep)
         (Check.render_text rep')
+
+let test_report_codecs () =
+  let r = Lazy.force full_result in
+  let rr = r.Flow.resyn_report in
+  checkb "resyn passes recorded" true (rr.Resyn.passes <> []);
+  checkb "resyn CEC windows recorded" true (rr.Resyn.cec.Resyn.windows > 0);
+  let rr' = roundtrip "resyn report" Artifact.resyn_report rr in
+  checki "resyn jj after" rr.Resyn.jj_after rr'.Resyn.jj_after;
+  let ds = roundtrip "diags" Artifact.diags sample_diags in
+  checks "diags render identically"
+    (String.concat "\n" (List.map Diag.to_string sample_diags))
+    (String.concat "\n" (List.map Diag.to_string ds));
+  ignore (roundtrip "drc diags" Artifact.drc sample_diags);
+  let rep = Option.get r.Flow.check_report in
+  ignore
+    (roundtrip "check report with diags" Artifact.check_report
+       { rep with Check.diags = sample_diags })
+
+(* Round-trips cannot see a symmetric format change (writer and reader
+   edited alike), which would orphan every existing database. These
+   MD5s pin the bytes of every artifact kind on one fixed run; a change
+   here needs a codec version bump. *)
+let test_codec_bytes_pinned () =
+  let r = Lazy.force full_result in
+  let rep = Option.get r.Flow.check_report in
+  (* wall-clock fields zeroed, as [superflow sanitize] does *)
+  let rep =
+    {
+      rep with
+      Check.stats =
+        List.map (fun s -> { s with Check.seconds = 0.0 }) rep.Check.stats;
+    }
+  in
+  let enc (type a) (c : a Artifact.codec) (v : a) =
+    (c.Artifact.kind, md5 (c.Artifact.encode v))
+  in
+  let manifest =
+    with_db (fun dir db ->
+        let key = Db.stage_key [ "pinned" ] in
+        Db.put_stage db ~stage:"place" ~key
+          ~slots:[ ("aqfp", "h1"); ("problem", "h2") ]
+          ~scalars:[ ("buffer_lines", 3) ];
+        let path =
+          Filename.concat
+            (Filename.concat dir "stages")
+            ("place." ^ key ^ ".sfm")
+        in
+        let ic = open_in_bin path in
+        let bytes = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        ("manifest", md5 bytes))
+  in
+  let got =
+    [
+      enc Artifact.netlist r.Flow.aqfp_netlist;
+      enc Artifact.tech Tech.default;
+      enc Artifact.problem r.Flow.problem;
+      enc Artifact.placement { r.Flow.placement with Placer.runtime_s = 0.0 };
+      enc Artifact.routing { r.Flow.routing with Router.runtime_s = 0.0 };
+      enc Artifact.layout r.Flow.layout;
+      enc Artifact.sta r.Flow.sta;
+      enc Artifact.energy r.Flow.energy;
+      enc Artifact.synth_report r.Flow.synth_report;
+      enc Artifact.resyn_report r.Flow.resyn_report;
+      enc Artifact.check_report rep;
+      enc Artifact.drc r.Flow.violations;
+      enc Artifact.diags sample_diags;
+      manifest;
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "MD5 per artifact kind"
+    [
+      ("netlist", "2ac2f635682b4716fef388bcd6b32b59");
+      ("tech", "a02a6ea892a7a3eefa35c6b2e5ebba95");
+      ("problem", "25d0d1259eb0d4760b25fd10dcab2f56");
+      ("placement", "af124cacfffe1703a608f24b9f6ee825");
+      ("routing", "6099b94a95348230bac1695bfbd441ea");
+      ("layout", "42ae343ed69ecf79eda89e5adca3120b");
+      ("sta", "baf8bb8e1d4fce8841faccac9e709531");
+      ("energy", "df5fedbdb09625ae875012ed2ea5c60f");
+      ("synth-report", "fe85a659a1886976625a9d6a88040b4f");
+      ("resyn-report", "38e577dfdf5c48d33d054f708c99d2f7");
+      ("check-report", "030aa1ffcb727848bc11bf6a8133595c");
+      ("drc", "728f124c5fcee59ce1024232a594158a");
+      ("diags", "e2a585bbea5a88e8b4adc5eb59daeff9");
+      ("manifest", "9f8c883fedf577dbd30aefc05b7e13a4");
+    ]
+    got
+
 
 (* ---------- corruption: loud, structured failure ---------- *)
 
@@ -132,6 +243,47 @@ let test_save_load_files () =
            (Artifact.netlist.Artifact.encode nl')));
   Sys.remove path;
   expect_rule "missing file" "DB-IO-01" (Artifact.load Artifact.netlist path)
+
+(* hand-built payloads, one field at a time *)
+let i64 n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  Bytes.to_string b
+
+let u8 n = String.make 1 (Char.chr n)
+let str s = i64 (String.length s) ^ s
+
+let expect_parse name (codec : 'a Artifact.codec) parts =
+  let frame =
+    Codec.seal ~kind:codec.Artifact.kind ~version:codec.Artifact.version
+      (String.concat "" parts)
+  in
+  match codec.Artifact.decode frame with
+  | Ok _ -> Alcotest.fail (name ^ ": expected a structured error")
+  | Error d ->
+      checks name "DB-PARSE-01" d.Diag.rule;
+      d.Diag.message
+
+(* every tagged variant refuses the first unknown tag, a netlist its
+   out-of-range fan-ins, and a string a length that would overflow the
+   bounds check *)
+let test_bad_payloads () =
+  let diag_head = [ i64 1; str "R" ] in
+  ignore (expect_parse "gate kind 14" Artifact.netlist [ i64 1; u8 14 ]);
+  ignore
+    (expect_parse "loc 5" Artifact.diags (diag_head @ [ u8 0; u8 5 ]));
+  ignore (expect_parse "placer 3" Artifact.placement [ u8 3 ]);
+  ignore (expect_parse "severity 3" Artifact.diags (diag_head @ [ u8 3 ]));
+  ignore (expect_parse "effort 3" Artifact.resyn_report [ u8 3 ]);
+  ignore
+    (expect_parse "fanin out of range" Artifact.netlist
+       [ i64 1; u8 4; i64 1; i64 5; u8 0; i64 0 ]);
+  let msg =
+    expect_parse "string length max_int" Artifact.diags
+      [ i64 1; i64 max_int; "R" ]
+  in
+  checkb "length overflow reads as truncation" true
+    (List.mem "truncated" (String.split_on_char ' ' msg))
 
 (* ---------- the store ---------- *)
 
@@ -187,6 +339,16 @@ let test_open_rejects_foreign_dirs () =
   close_out oc;
   expect_rule "future db format" "DB-VERSION-01" (Db.open_ dir);
   rm_rf dir
+
+(* a path whose parent is a regular file cannot be created: a
+   structured error, not an escaping Unix exception *)
+let test_open_uncreatable_dir () =
+  let file = Filename.temp_file "sfdb_file" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      expect_rule "parent is a file" "DB-IO-01"
+        (Db.open_ (Filename.concat (Filename.concat file "sub") "db")))
 
 (* ---------- the cached stage graph ---------- *)
 
@@ -391,6 +553,9 @@ let () =
           Alcotest.test_case "netlists (all benchmarks)" `Quick
             test_netlist_codec_all_benchmarks;
           Alcotest.test_case "flow artifacts" `Quick test_flow_artifact_codecs;
+          Alcotest.test_case "report artifacts" `Quick test_report_codecs;
+          Alcotest.test_case "codec bytes pinned" `Quick test_codec_bytes_pinned;
+          Alcotest.test_case "bad payloads" `Quick test_bad_payloads;
           Alcotest.test_case "corrupt frames" `Quick test_corrupt_frames;
           Alcotest.test_case "save/load files" `Quick test_save_load_files;
         ] );
@@ -399,6 +564,7 @@ let () =
           Alcotest.test_case "objects" `Quick test_store_objects;
           Alcotest.test_case "stages" `Quick test_store_stages;
           Alcotest.test_case "foreign dirs" `Quick test_open_rejects_foreign_dirs;
+          Alcotest.test_case "uncreatable dir" `Quick test_open_uncreatable_dir;
         ] );
       ( "staged flow",
         [
