@@ -1,15 +1,26 @@
 (* SuperFlow command-line interface.
 
-   Subcommands mirror the flow stages:
-     superflow synth   <input>          — logic synthesis report
-     superflow resyn   <input> [--effort ...]  — majority resynthesis report
-     superflow place   <input> [--placer ...]
-     superflow route   <input>
-     superflow flow    <input> [-o out.gds] [--check] [--engine ...]
-     superflow check   <input> [--json] [--engine ...]  — verification gate
-     superflow prove   <a> <b> [--engine ...]  — complete equivalence proof
-     superflow tables                    — regenerate the paper tables
-     superflow bench-list                — list built-in benchmarks
+   Subcommands that run the flow are views of one stage-graph run
+   ([run_graph] over [Flow.run_staged]), stopped after the stage they
+   report on:
+     superflow synth   <input>                  — to synth: synthesis report
+     superflow resyn   <input> [--effort ...]   — to resyn: resynthesis report
+     superflow place   <input> [--placer ...]   — to place
+     superflow timing  <input> [--placer ...]   — to place: static timing
+     superflow route   <input> [--router ...]   — to route
+     superflow report  <input> [--html f]       — to layout: signoff report
+     superflow drc     <input> [--db d]         — to layout, then full-deck DRC
+     superflow flow    <input> [-o out.gds] [--check] [--to ...] [--db d]
+     superflow check   <input> [--json] [--engine ...]  — to check: the gate
+   The rest work beside the graph:
+     superflow sanitize <input>                 — determinism fuzzing
+     superflow sim     <input> [--vcd f]        — random-vector simulation
+     superflow prove   <a> <b> [--engine ...]   — complete equivalence proof
+     superflow atpg    <input> [-o f]           — stuck-at test vectors
+     superflow mlint   [root]                   — determinism lint of the sources
+     superflow explain <RULE-ID>                — diagnostic rule registry
+     superflow tables                           — regenerate the paper tables
+     superflow bench-list                       — list built-in benchmarks
 
    <input> is either the name of a built-in benchmark (adder8, apc32,
    apc128, decoder, sorter32, c432, c499, c1355, c1908), a Verilog
@@ -19,14 +30,8 @@ let load_input input =
   match Circuits.benchmark input with
   | nl -> Ok nl
   | exception Not_found ->
-  if Filename.check_suffix input ".v" then
-    match Verilog.parse_file input with
-    | Ok nl -> Ok nl
-    | Error e -> Error (Printf.sprintf "%s: %s" input e)
-  else if Filename.check_suffix input ".bench" then
-    match Bench_parser.parse_file input with
-    | Ok nl -> Ok nl
-    | Error e -> Error (Printf.sprintf "%s: %s" input e)
+  if Filename.check_suffix input ".v" then Verilog.parse_file input
+  else if Filename.check_suffix input ".bench" then Bench_parser.parse_file input
   else
     Error
       (Printf.sprintf
@@ -65,19 +70,59 @@ let exit_err msg =
 
 let or_exit = function Ok v -> v | Error e -> exit_err e
 
+(* File I/O on a user-named path: a path the system refuses is an
+   [error:] line and exit 1, not an uncaught exception. *)
+let io f = try f () with Sys_error e -> exit_err e
+
+let write_text path text =
+  io (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text))
+
 let open_db =
   Option.map (fun dir ->
       match Db.open_ dir with
       | Ok db -> db
       | Error d -> exit_err (Diag.to_string d))
 
+(* ---- the run harness ---- *)
+
+(* The one way a subcommand runs the flow: the stage graph from
+   [from_stage] to [to_stage] over [(aoi, config)], on the database and
+   the determinism sanitizer [store] selects, with [jobs] workers. DSAN
+   findings and healed cache entries go to stderr and a graph
+   diagnostic exits 1; [k] then reports the run, and any DSAN finding
+   exits 1 after it. *)
+let run_graph ?(store = (None, false)) ?jobs ?from_stage ~to_stage
+    (aoi, config) k =
+  let db_dir, dsan = store in
+  let db = open_db db_dir in
+  Option.iter Parallel.set_jobs jobs;
+  let run () = Flow.run_staged ~config ?db ?from_stage ~to_stage aoi in
+  let staged, findings =
+    if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
+  in
+  List.iter (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f)) findings;
+  let staged =
+    match staged with Ok s -> s | Error d -> exit_err (Diag.to_string d)
+  in
+  List.iter (fun d -> Format.eprintf "%a@." Diag.pp d) staged.Flow.db_warnings;
+  k db staged;
+  if findings <> [] then begin
+    Format.eprintf "dsan: %d determinism finding(s)@." (List.length findings);
+    exit 1
+  end
+
+(* The artifacts of a stage the run went through. *)
+let ran = function
+  | Some v -> v
+  | None -> assert false (* [run_graph] stops after this stage, not before *)
+
 (* ---- synth ---- *)
 
-let cmd_synth input =
-  match load_input input with
-  | Error e -> exit_err e
-  | Ok aoi ->
-      let aqfp, report = Synth_flow.run aoi in
+let cmd_synth design =
+  let ((aoi, _) as design) = or_exit design in
+  run_graph ~to_stage:Flow.Synth design (fun _ staged ->
+      let aqfp, report = ran staged.Flow.synth in
       Format.printf "input: %a@." Netlist.pp_stats aoi;
       Format.printf "aqfp:  %a@." Netlist.pp_stats aqfp;
       Format.printf "%a@." Synth_flow.pp_report report;
@@ -85,16 +130,14 @@ let cmd_synth input =
       Format.printf "structure: %a@." Netlist_stats.pp (Netlist_stats.analyze aqfp);
       Format.printf "balanced: %b, equivalence (sampled): %b@."
         (Netlist.is_balanced aqfp)
-        (Sim.equivalent aoi aqfp)
+        (Sim.equivalent aoi aqfp))
 
 (* ---- resyn ---- *)
 
-let cmd_resyn input effort_name =
-  match (load_input input, Resyn.effort_of_string effort_name) with
-  | Error e, _ | _, Error e -> exit_err e
-  | Ok aoi, Ok effort ->
-      let aqfp0 = Synth_flow.run_quiet aoi in
-      let aqfp1, r = Resyn.run ~effort aqfp0 in
+let cmd_resyn design =
+  run_graph ~to_stage:Flow.Resyn (or_exit design) (fun _ staged ->
+      let aqfp0, _ = ran staged.Flow.synth in
+      let aqfp1, r = ran staged.Flow.resyned in
       Format.printf "before: %a@." Netlist.pp_stats aqfp0;
       Format.printf "after:  %a@." Netlist.pp_stats aqfp1;
       Format.printf
@@ -114,21 +157,18 @@ let cmd_resyn input effort_name =
         "cec windows: %d (%d proved, %d cached, %d memoized, %d refused)@."
         c.Resyn.windows c.Resyn.proved c.Resyn.cached c.Resyn.memoized
         c.Resyn.failed;
-      List.iter (fun d -> Format.printf "%a@." Diag.pp d) r.Resyn.diags
+      List.iter (fun d -> Format.printf "%a@." Diag.pp d) r.Resyn.diags)
 
 (* ---- place ---- *)
 
-let cmd_place input placer_name =
-  match (load_input input, placer_of_string placer_name) with
-  | Error e, _ | _, Error e -> exit_err e
-  | Ok aoi, Ok algorithm ->
-      let aqfp = Synth_flow.run_quiet aoi in
-      let p = Problem.of_netlist Tech.default aqfp in
-      let r = Placer.place algorithm p in
-      let sta = Sta.analyze p in
+(* [place] and [timing] report the placed problem the flow routes:
+   after buffer-line insertion and channel pre-sizing. *)
+let cmd_place design =
+  run_graph ~to_stage:Flow.Place (or_exit design) (fun _ staged ->
+      let _, p, r, _ = ran staged.Flow.placed in
       Format.printf "%a@." Placer.pp_result r;
-      Format.printf "%a@." Sta.pp_report sta;
-      Format.printf "%a@." Problem.pp_summary p
+      Format.printf "%a@." Sta.pp_report (Sta.analyze p);
+      Format.printf "%a@." Problem.pp_summary p)
 
 (* ---- route ---- *)
 
@@ -138,20 +178,16 @@ let router_of_string = function
   | s -> Error (Printf.sprintf "unknown router %S (sequential|negotiated)" s)
 
 let cmd_route design jobs =
-  let aoi, config = or_exit design in
-  Option.iter Parallel.set_jobs jobs;
-  let aqfp = Synth_flow.run_quiet aoi in
-  let p = Problem.of_netlist Tech.default aqfp in
-  ignore (Placer.place config.Flow.algorithm p);
-  let routed = Router.route_all ~algorithm:config.Flow.router p in
-  Format.printf
-    "routed %d nets: wirelength=%.0fum vias=%d space-expansions=%d (%.1fs)@."
-    (Array.length routed.Router.routes)
-    routed.Router.wirelength routed.Router.total_vias
-    routed.Router.expansions routed.Router.runtime_s;
-  match Router.check_routes p routed with
-  | Ok () -> Format.printf "route check: clean@."
-  | Error e -> Format.printf "route check: %s@." e
+  run_graph ?jobs ~to_stage:Flow.Route (or_exit design) (fun _ staged ->
+      let routed, p, _, _ = ran staged.Flow.routed in
+      Format.printf
+        "routed %d nets: wirelength=%.0fum vias=%d space-expansions=%d (%.1fs)@."
+        (Array.length routed.Router.routes)
+        routed.Router.wirelength routed.Router.total_vias
+        routed.Router.expansions routed.Router.runtime_s;
+      match Router.check_routes p routed with
+      | Ok () -> Format.printf "route check: clean@."
+      | Error e -> Format.printf "route check: %s@." e)
 
 (* ---- flow ---- *)
 
@@ -166,8 +202,8 @@ let stage_of_cli s =
 
 let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
     resume check_out =
-  let aoi, config = or_exit design in
-  let db_dir, dsan = or_exit store in
+  let design = or_exit design in
+  let ((db_dir, _) as store) = or_exit store in
   if db_dir = None && (from_opt <> None || resume) then
     exit_err "--from and --resume need a design database (--db DIR)";
   if resume then (
@@ -177,42 +213,35 @@ let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
           (Printf.sprintf "--resume: %s holds no previous run to resume"
              dir)
     | _ -> ());
-  let from_stage =
-    match from_opt with Some s -> stage_of_cli s | None -> Flow.Synth
-  in
+  let from_stage = Option.map stage_of_cli from_opt in
   let to_stage =
     match to_opt with
     | Some s -> stage_of_cli s
     | None -> if check then Flow.Check else Flow.Layout
   in
-  if check && Flow.stage_rank to_stage < Flow.stage_rank Flow.Check then
-    exit_err
-      (Printf.sprintf "--check needs the full graph but --to %s stops early"
-         (Flow.stage_name to_stage));
-  let db = open_db db_dir in
-  Option.iter Parallel.set_jobs jobs;
-  let run () = Flow.run_staged ~config ?db ~from_stage ~to_stage aoi in
-  let staged_res, dsan_findings =
-    if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
-  in
-  let staged =
-    match staged_res with
-    | Ok s -> s
-    | Error d -> exit_err (Diag.to_string d)
-  in
+  (* refuse, before running, an output the run stops short of *)
+  List.iter
+    (fun (flag, given, stage) ->
+      if given && Flow.stage_rank to_stage < Flow.stage_rank stage then
+        exit_err
+          (Printf.sprintf "%s needs the %s stage but the run stops after %s"
+             flag (Flow.stage_name stage) (Flow.stage_name to_stage)))
+    [
+      ("--check", check, Flow.Check);
+      ("-o", gds_out <> None, Flow.Layout);
+      ("--svg", svg_out <> None, Flow.Layout);
+      ("--def", def_out <> None, Flow.Route);
+      ("--check-out", check_out <> None, Flow.Check);
+    ];
+  run_graph ~store ?jobs ?from_stage ~to_stage design @@ fun db staged ->
   (match (def_out, staged.Flow.routed) with
   | Some path, Some (routing, p, _, _) ->
-      Def.write_file path (Def.of_design ~design:"superflow" p routing)
+      io (fun () ->
+          Def.write_file path (Def.of_design ~design:"superflow" p routing))
   | _ -> ());
   (match (gds_out, staged.Flow.built) with
-  | Some path, Some (layout, _, _) -> Layout.write_gds path layout
+  | Some path, Some (layout, _, _) -> io (fun () -> Layout.write_gds path layout)
   | _ -> ());
-  List.iter
-    (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f))
-    dsan_findings;
-  List.iter
-    (fun d -> Format.eprintf "%a@." Diag.pp d)
-    staged.Flow.db_warnings;
   if db <> None then
     List.iter
       (fun (stage, outcome) ->
@@ -232,28 +261,10 @@ let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
       | None -> ());
       (match svg_out with
       | Some path ->
-          Svg.write_file path r.Flow.layout;
+          io (fun () -> Svg.write_file path r.Flow.layout);
           Format.printf "SVG written to %s@." path
       | None -> ());
-      Format.printf "%a@." Flow.pp_summary r;
-      (match gds_out with
-      | Some path -> Format.printf "GDSII written to %s@." path
-      | None -> ());
-      (match def_out with
-      | Some path -> Format.printf "DEF written to %s@." path
-      | None -> ());
-      (match (check_out, r.Flow.check_report) with
-      | Some path, Some rep ->
-          let oc = open_out path in
-          output_string oc (Check.render_text rep);
-          close_out oc;
-          Format.printf "check report written to %s@." path
-      | Some _, None ->
-          exit_err "--check-out needs the check stage (--check or --to check)"
-      | None, _ -> ());
-      (match r.Flow.check_report with
-      | Some rep when not (Check.ok rep) -> exit 1
-      | _ -> ())
+      Format.printf "%a@." Flow.pp_summary r
   | None ->
       (* partial run ([--to] before layout): report what exists *)
       (match staged.Flow.synth with
@@ -284,44 +295,37 @@ let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
             routing.Router.expansions;
           Format.printf "drc: %d violation(s), %d fix round(s)@."
             (List.length violations) rounds
+      | None -> ()));
+  (match gds_out with
+  | Some path -> Format.printf "GDSII written to %s@." path
+  | None -> ());
+  (match def_out with
+  | Some path -> Format.printf "DEF written to %s@." path
+  | None -> ());
+  match staged.Flow.checked with
+  | Some rep ->
+      (match check_out with
+      | Some path ->
+          write_text path (Check.render_text rep);
+          Format.printf "check report written to %s@." path
       | None -> ());
-      (match def_out with
-      | Some path when staged.Flow.routed <> None ->
-          Format.printf "DEF written to %s@." path
-      | _ -> ()));
-  if dsan_findings <> [] then begin
-    Format.eprintf "dsan: %d determinism finding(s)@."
-      (List.length dsan_findings);
-    exit 1
-  end
+      if not (Check.ok rep) then exit 1
+  | None -> ()
 
 (* ---- check ---- *)
 
 let cmd_check design store jobs json =
-  let aoi, config = or_exit design in
-  let db_dir, dsan = or_exit store in
-  let db = open_db db_dir in
-  Option.iter Parallel.set_jobs jobs;
-  let run () = Flow.run_staged ~config ?db ~to_stage:Flow.Check aoi in
-  let staged, dsan_findings =
-    if dsan then Dsan.with_sanitizer ~seed:0 run else (run (), [])
-  in
-  let rep =
-    match staged with
-    | Ok { Flow.checked = Some rep; _ } -> rep
-    | Ok _ -> assert false (* the check stage always yields a report *)
-    | Error d -> exit_err (Diag.to_string d)
-  in
-  List.iter
-    (fun f -> Format.eprintf "%a@." Diag.pp (Dsan.to_diag f))
-    dsan_findings;
-  print_string
-    (if json then Check.render_json rep else Check.render_text rep);
-  if not json then
-    Format.printf "check runtime: %.2fs over %d pass(es)@."
-      (Check.total_seconds rep)
-      (List.length rep.Check.stats);
-  if (not (Check.ok rep)) || dsan_findings <> [] then exit 1
+  let design = or_exit design in
+  let store = or_exit store in
+  run_graph ~store ?jobs ~to_stage:Flow.Check design (fun _ staged ->
+      let rep = ran staged.Flow.checked in
+      print_string
+        (if json then Check.render_json rep else Check.render_text rep);
+      if not json then
+        Format.printf "check runtime: %.2fs over %d pass(es)@."
+          (Check.total_seconds rep)
+          (List.length rep.Check.stats);
+      if not (Check.ok rep) then exit 1)
 
 (* ---- sanitize ---- *)
 
@@ -335,22 +339,14 @@ let cmd_sanitize design seed schedules jobs =
 
 (* ---- drc ---- *)
 
+(* The layout comes from the stage graph; the full-deck signoff then
+   runs with the tile cache wired to the db. Tile statistics go to
+   stderr so stdout (the report) is byte-comparable across cold/warm
+   and --jobs runs. *)
 let cmd_drc design jobs db_dir json =
-  let aoi, config = or_exit design in
-  let db = open_db db_dir in
-  Option.iter Parallel.set_jobs jobs;
-  (* build (or load) the layout through the stage graph, then run
-     the full-deck signoff with the tile cache wired to the db.
-     Tile statistics go to stderr so stdout (the report) is
-     byte-comparable across cold/warm and --jobs runs. *)
-  match Flow.run_staged ~config ?db ~to_stage:Flow.Layout aoi with
-  | Error d -> exit_err (Diag.to_string d)
-  | Ok staged ->
-      let layout =
-        match staged.Flow.built with
-        | Some (layout, _, _) -> layout
-        | None -> exit_err "drc: the flow produced no layout"
-      in
+  run_graph ~store:(db_dir, false) ?jobs ~to_stage:Flow.Layout (or_exit design)
+    (fun db staged ->
+      let layout, _, _ = ran staged.Flow.built in
       let cache = Option.map Flow.diag_memo db in
       let rep = Drc.check ?cache layout in
       let s = rep.Drc.stats in
@@ -362,19 +358,14 @@ let cmd_drc design jobs db_dir json =
           print_endline (if json then Diag.to_json d else Diag.to_string d))
         rep.Drc.diags;
       Format.printf "drc: %d violation(s)@." (List.length rep.Drc.diags);
-      if rep.Drc.diags <> [] then exit 1
+      if rep.Drc.diags <> [] then exit 1)
 
 (* ---- timing ---- *)
 
-let cmd_timing input placer_name =
-  match (load_input input, placer_of_string placer_name) with
-  | Error e, _ | _, Error e -> exit_err e
-  | Ok aoi, Ok algorithm ->
-      let aqfp = Synth_flow.run_quiet aoi in
-      let p = Problem.of_netlist Tech.default aqfp in
-      ignore (Placer.place algorithm p);
-      let sta = Sta.analyze p in
-      Format.printf "%a@." Sta.pp_report sta;
+let cmd_timing design =
+  run_graph ~to_stage:Flow.Place (or_exit design) (fun _ staged ->
+      let _, p, _, _ = ran staged.Flow.placed in
+      Format.printf "%a@." Sta.pp_report (Sta.analyze p);
       Format.printf "max frequency for this placement: %.2f GHz@.@." (Sta.fmax_ghz p);
       Format.printf "slack histogram (ps):@.%a@." Sta.pp_histogram
         (Sta.slack_histogram p);
@@ -385,7 +376,7 @@ let cmd_timing input placer_name =
       |> List.filter (fun (_, w) -> w < infinity)
       |> List.sort (fun (_, a) (_, b) -> compare a b)
       |> List.filteri (fun i _ -> i < 5)
-      |> List.iter (fun (r, wns) -> Format.printf "  phase %d: wns %.1f ps@." r wns)
+      |> List.iter (fun (r, wns) -> Format.printf "  phase %d: wns %.1f ps@." r wns))
 
 (* ---- sim ---- *)
 
@@ -409,31 +400,9 @@ let cmd_sim input n_vectors vcd_out =
         vectors;
       (match vcd_out with
       | Some path ->
-          Vcd.write_file path aoi vectors;
+          io (fun () -> Vcd.write_file path aoi vectors);
           Format.printf "VCD written to %s@." path
       | None -> ())
-
-(* ---- verify ---- *)
-
-let cmd_verify input_a input_b =
-  match (load_input input_a, load_input input_b) with
-  | Error e, _ | _, Error e -> exit_err e
-  | Ok nl_a, Ok nl_b -> (
-      match Bdd.check_equivalence nl_a nl_b with
-      | Bdd.Equivalent ->
-          Format.printf "EQUIVALENT (formally proven, BDD)@."
-      | Bdd.Different cex ->
-          Format.printf "DIFFERENT — counterexample inputs: %s@."
-            (String.concat ""
-               (List.map (fun b -> if b then "1" else "0") (Array.to_list cex)));
-          exit 1
-      | Bdd.Too_large ->
-          let same = Sim.equivalent nl_a nl_b in
-          Format.printf "%s (BDD too large; simulation%s)@."
-            (if same then "equivalent" else "DIFFERENT")
-            (if List.length (Netlist.inputs nl_a) <= 14 then ", exhaustive"
-             else ", sampled");
-          if not same then exit 1)
 
 (* ---- prove ---- *)
 
@@ -482,31 +451,29 @@ let cmd_atpg input out_file =
         (List.length t.Fault.undetected);
       (match out_file with
       | Some path ->
-          let oc = open_out path in
-          List.iter
-            (fun v ->
-              Array.iter (fun b -> output_char oc (if b then '1' else '0')) v;
-              output_char oc '\n')
-            t.Fault.vectors;
-          close_out oc;
+          write_text path
+            (String.concat ""
+               (List.map
+                  (fun v ->
+                    String.init (Array.length v) (fun i ->
+                        if v.(i) then '1' else '0')
+                    ^ "\n")
+                  t.Fault.vectors));
           Format.printf "vectors written to %s@." path
       | None -> ())
 
 (* ---- report ---- *)
 
-let cmd_report input placer_name html_out jobs =
-  match (load_input input, placer_of_string placer_name) with
-  | Error e, _ | _, Error e -> exit_err e
-  | Ok aoi, Ok algorithm ->
-      let r = Flow.run ~algorithm ?jobs aoi in
+let cmd_report input design html_out jobs =
+  run_graph ?jobs ~to_stage:Flow.Layout (or_exit design) (fun _ staged ->
+      let r = ran staged.Flow.result in
       let rep = Chip_report.of_flow r in
       Chip_report.print rep;
-      (match html_out with
+      match html_out with
       | Some path ->
           let svg = Svg.render r.Flow.layout in
-          let oc = open_out path in
-          output_string oc (Chip_report.to_html ~svg ~title:("SuperFlow: " ^ input) rep);
-          close_out oc;
+          write_text path
+            (Chip_report.to_html ~svg ~title:("SuperFlow: " ^ input) rep);
           Format.printf "HTML report written to %s@." path
       | None -> ())
 
@@ -525,19 +492,18 @@ let cmd_mlint root json update_baseline baseline_opt =
     | Error msg -> exit_err (Printf.sprintf "%s: %s" baseline_path msg)
   in
   let baseline = if update_baseline then [] else baseline in
-  match Mlint.run ~known_ids ~baseline ~root () with
+  match io (fun () -> Mlint.run ~known_ids ~baseline ~root ()) with
   | Error msg -> exit_err msg
   | Ok rep ->
       if update_baseline then begin
         let lines = Mlint.baseline_lines rep.Mlint.findings in
-        let oc = open_out baseline_path in
-        output_string oc
-          "# Grandfathered SL-* errors (regenerate: superflow mlint \
-           --update-baseline).\n\
-           # Keep this empty or near-empty: new code fixes or sl-ignores its \
-           findings.\n";
-        List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-        close_out oc;
+        write_text baseline_path
+          (String.concat ""
+             ("# Grandfathered SL-* errors (regenerate: superflow mlint \
+               --update-baseline).\n\
+               # Keep this empty or near-empty: new code fixes or sl-ignores \
+               its findings.\n"
+             :: List.map (fun l -> l ^ "\n") lines));
         Format.eprintf "%s@." (Mlint.summary rep);
         Format.printf "baseline: %d entr%s written to %s@." (List.length lines)
           (if List.length lines = 1 then "y" else "ies")
@@ -611,25 +577,9 @@ let circuits_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"CIRCUIT"
          ~doc:"Circuits to include (default: all nine benchmarks).")
 
-let synth_cmd =
-  Cmd.v (Cmd.info "synth" ~doc:"Run majority-based logic synthesis")
-    Term.(const cmd_synth $ input_arg)
-
 let resyn_cmd_effort_arg =
   Arg.(value & opt string "full" & info [ "effort" ] ~docv:"EFFORT"
          ~doc:"Resynthesis effort: none, fast or full (default full).")
-
-let resyn_cmd =
-  Cmd.v
-    (Cmd.info "resyn"
-       ~doc:"Synthesize, then run the cut-based majority resynthesis engine \
-             and report its QoR deltas, per-pass statistics and window-CEC \
-             counts.")
-    Term.(const cmd_resyn $ input_arg $ resyn_cmd_effort_arg)
-
-let place_cmd =
-  Cmd.v (Cmd.info "place" ~doc:"Synthesize and place")
-    Term.(const cmd_place $ input_arg $ placer_arg)
 
 let router_arg =
   Arg.(value & opt string "sequential" & info [ "router" ] ~docv:"ROUTER"
@@ -741,9 +691,8 @@ let engine_t =
     engine_arg
 
 let resyn_t =
-  setting Resyn.effort_of_string
-    (fun c resyn_effort -> { c with Flow.resyn_effort })
-    resyn_effort_arg
+  setting Resyn.effort_of_string (fun c resyn_effort ->
+      { c with Flow.resyn_effort })
 
 let seed_t =
   setting Result.ok
@@ -778,6 +727,22 @@ let store_t =
         else Ok (db_dir, dsan))
     $ db_arg $ dsan_flag_arg)
 
+let synth_cmd =
+  Cmd.v (Cmd.info "synth" ~doc:"Run majority-based logic synthesis")
+    Term.(const cmd_synth $ design_t [])
+
+let resyn_cmd =
+  Cmd.v
+    (Cmd.info "resyn"
+       ~doc:"Synthesize, then run the cut-based majority resynthesis engine \
+             and report its QoR deltas, per-pass statistics and window-CEC \
+             counts.")
+    Term.(const cmd_resyn $ design_t [ resyn_t resyn_cmd_effort_arg ])
+
+let place_cmd =
+  Cmd.v (Cmd.info "place" ~doc:"Synthesize and place")
+    Term.(const cmd_place $ design_t [ placer_t ])
+
 let route_cmd =
   Cmd.v (Cmd.info "route" ~doc:"Synthesize, place and route")
     Term.(const cmd_route $ design_t [ placer_t; router_t ] $ jobs_arg)
@@ -785,7 +750,7 @@ let route_cmd =
 let flow_cmd =
   Cmd.v (Cmd.info "flow" ~doc:"Full RTL-to-GDS flow")
     Term.(const cmd_flow
-          $ design_t [ placer_t; router_t; tech_t; engine_t; resyn_t; seed_t ]
+          $ design_t [ placer_t; router_t; tech_t; engine_t; resyn_t resyn_effort_arg; seed_t ]
           $ store_t $ gds_arg $ def_arg $ svg_arg $ jobs_arg $ check_flag_arg
           $ from_arg $ to_arg $ resume_arg $ check_out_arg)
 
@@ -841,7 +806,7 @@ let drc_cmd =
 
 let timing_cmd =
   Cmd.v (Cmd.info "timing" ~doc:"Static timing analysis of a placed design")
-    Term.(const cmd_timing $ input_arg $ placer_arg)
+    Term.(const cmd_timing $ design_t [ placer_t ])
 
 let input_b_arg =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"INPUT2"
@@ -857,10 +822,6 @@ let vcd_arg =
 let sim_cmd =
   Cmd.v (Cmd.info "sim" ~doc:"Simulate random vectors (optionally dumping VCD)")
     Term.(const cmd_sim $ input_arg $ sim_n_arg $ vcd_arg)
-
-let verify_cmd =
-  Cmd.v (Cmd.info "verify" ~doc:"Formally check two designs for equivalence")
-    Term.(const cmd_verify $ input_arg $ input_b_arg)
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N"
@@ -895,7 +856,8 @@ let html_arg =
 
 let report_cmd =
   Cmd.v (Cmd.info "report" ~doc:"Full design signoff report (area/wiring/timing/energy)")
-    Term.(const cmd_report $ input_arg $ placer_arg $ html_arg $ jobs_arg)
+    Term.(const cmd_report $ input_arg $ design_t [ placer_t ] $ html_arg
+          $ jobs_arg)
 
 let mlint_root_arg =
   Arg.(value & pos 0 string "." & info [] ~docv:"ROOT"
@@ -964,6 +926,6 @@ let main =
        ~doc:"Fully-customized RTL-to-GDS design automation flow for AQFP circuits")
     [ synth_cmd; resyn_cmd; place_cmd; route_cmd; flow_cmd; check_cmd; drc_cmd;
       sanitize_cmd; mlint_cmd; explain_cmd; timing_cmd; report_cmd; sim_cmd;
-      verify_cmd; prove_cmd; atpg_cmd; tables_cmd; bench_list_cmd ]
+      prove_cmd; atpg_cmd; tables_cmd; bench_list_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -189,11 +189,9 @@ let parse source =
   with Parse_error msg -> Error msg
 
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  parse content
+  match In_channel.with_open_text path In_channel.input_all with
+  | content -> Result.map_error (Printf.sprintf "%s: %s" path) (parse content)
+  | exception Sys_error msg -> Error msg
 
 let to_bench nl =
   let buf = Buffer.create 1024 in

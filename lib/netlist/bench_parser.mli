@@ -15,6 +15,9 @@ val parse : string -> (Netlist.t, string) result
 (** Parse source text. [Error] carries a message with a line number. *)
 
 val parse_file : string -> (Netlist.t, string) result
+(** Read and parse a file. [Error] names the path once: the system's
+    message for an unreadable file, else [path: ] before the parse
+    error. The channel is closed on every path. *)
 
 val to_bench : Netlist.t -> string
 (** Render an AOI netlist back to [.bench] text (round-trip tested).

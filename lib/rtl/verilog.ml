@@ -733,10 +733,6 @@ let parse src =
   | Invalid_argument msg -> Result.Error msg
 
 let parse_file path =
-  try
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    parse content
-  with Sys_error msg -> Result.Error msg
+  match In_channel.with_open_text path In_channel.input_all with
+  | content -> Result.map_error (Printf.sprintf "%s: %s" path) (parse content)
+  | exception Sys_error msg -> Result.Error msg

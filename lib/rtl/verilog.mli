@@ -32,3 +32,6 @@ val parse : string -> (Netlist.t, string) result
     to one netlist input/output per bit, named [port\[i\]]. *)
 
 val parse_file : string -> (Netlist.t, string) result
+(** Read and parse a file. [Error] names the path once: the system's
+    message for an unreadable file, else [path: ] before the parse
+    error. The channel is closed on every path. *)

@@ -421,6 +421,34 @@ let test_writer_sanitizes_names () =
   | Error e -> Alcotest.fail e
   | Ok nl2 -> checkb "equivalent" true (Sim.equivalent nl nl2)
 
+(* Both file front ends return [Error] (never raise) on a path they
+   cannot read, and name the path once in every error. *)
+let test_parse_file_errors () =
+  let missing = Filename.temp_file "superflow" "" in
+  Sys.remove missing;
+  let occurrences sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i acc =
+      if i + m > n then acc
+      else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  let expect_error path = function
+    | Ok _ -> Alcotest.failf "%s: accepted" path
+    | Error msg -> checki (path ^ " named once") 1 (occurrences path msg)
+  in
+  expect_error (missing ^ ".v") (Verilog.parse_file (missing ^ ".v"));
+  expect_error (missing ^ ".bench") (Bench_parser.parse_file (missing ^ ".bench"));
+  let bad = Filename.temp_file "superflow" ".v" in
+  Out_channel.with_open_text bad (fun oc -> output_string oc "module m(\n");
+  (match Verilog.parse_file bad with
+  | Ok _ -> Alcotest.fail "bad .v accepted"
+  | Error msg ->
+      checkb "parse error names the path" true
+        (String.starts_with ~prefix:(bad ^ ": ") msg));
+  Sys.remove bad
+
 let () =
   Alcotest.run "sf_rtl"
     [
@@ -456,5 +484,6 @@ let () =
           Alcotest.test_case "roundtrip random" `Quick test_writer_roundtrip_random;
           Alcotest.test_case "aqfp cells" `Quick test_writer_aqfp_cells;
           Alcotest.test_case "sanitized names" `Quick test_writer_sanitizes_names;
+          Alcotest.test_case "parse_file errors" `Quick test_parse_file_errors;
         ] );
     ]
