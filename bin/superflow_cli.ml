@@ -78,10 +78,17 @@ let write_text path text =
   io (fun () ->
       Out_channel.with_open_text path (fun oc -> output_string oc text))
 
+(* Proof verdicts found after the last stage (say, by [drc]'s own
+   check) are appended to the database on every way out. *)
 let open_db =
   Option.map (fun dir ->
       match Db.open_ dir with
-      | Ok db -> db
+      | Ok db ->
+          at_exit (fun () ->
+              try Db.flush db
+              with Sys_error e ->
+                Format.eprintf "warning: proof verdicts not saved: %s@." e);
+          db
       | Error d -> exit_err (Diag.to_string d))
 
 (* ---- the run harness ---- *)

@@ -187,68 +187,114 @@ let seal ~kind ~version payload =
   Buffer.add_string b (Digest.string payload);
   Buffer.contents b
 
-let split bytes =
-  let total = String.length bytes in
-  if total < 4 || String.sub bytes 0 4 <> magic then
+(* the header of the frame at byte [pos]: kind, version, payload
+   offset and the payload length the header claims *)
+let header bytes pos =
+  let total = String.length bytes - pos in
+  if total < 4 || String.sub bytes pos 4 <> magic then
     Error (err ~rule:"DB-MAGIC-01" "not an sf_db artifact (bad magic)")
   else if total < 6 then
     Error (err ~rule:"DB-TRUNC-01" "artifact truncated inside the header")
   else
-    let klen = String.get_uint16_le bytes 4 in
-    let header = 4 + 2 + klen + 2 + 8 in
-    if total < header then
+    let klen = String.get_uint16_le bytes (pos + 4) in
+    let at = pos + 4 + 2 + klen + 2 + 8 in
+    if at > String.length bytes then
       Error (err ~rule:"DB-TRUNC-01" "artifact truncated inside the header")
     else
-      let kind = String.sub bytes 6 klen in
-      let version = String.get_uint16_le bytes (6 + klen) in
-      let plen = Int64.to_int (String.get_int64_le bytes (8 + klen)) in
-      if plen < 0 || total <> header + plen + 16 then
+      Ok
+        ( String.sub bytes (pos + 6) klen,
+          String.get_uint16_le bytes (pos + 6 + klen),
+          at,
+          Int64.to_int (String.get_int64_le bytes (pos + 8 + klen)) )
+
+(* The frame at byte [pos] whose magic, header, length and checksum
+   hold: kind, version, payload offset and length. [exact] frames must
+   end where [bytes] does; others need only fit. The length test is
+   [plen <> rest], not [total <> at + plen + 16], so that a huge length
+   field cannot overflow past it. *)
+let frame bytes pos ~exact =
+  match header bytes pos with
+  | Error _ as e -> e
+  | Ok (kind, version, at, plen) ->
+      let rest = String.length bytes - at - 16 in
+      if plen < 0 || (if exact then plen <> rest else plen > rest) then
         Error
           (err ~rule:"DB-TRUNC-01"
              "%S artifact truncated: %d payload byte(s) expected, %d present"
-             kind plen
-             (max 0 (total - header - 16)))
-      else
-        let payload = String.sub bytes header plen in
-        let checksum = String.sub bytes (header + plen) 16 in
-        if Digest.string payload <> checksum then
-          Error
-            (err ~rule:"DB-CKSUM-01" "%S artifact failed its checksum" kind)
-        else Ok (kind, version, payload)
+             kind plen (max 0 rest))
+      else if
+        not
+          (String.equal
+             (Digest.substring bytes at plen)
+             (String.sub bytes (at + plen) 16))
+      then
+        Error (err ~rule:"DB-CKSUM-01" "%S artifact failed its checksum" kind)
+      else Ok (kind, version, at, plen)
+
+let split bytes =
+  Result.map
+    (fun (kind, version, at, plen) -> (kind, version, String.sub bytes at plen))
+    (frame bytes 0 ~exact:true)
 
 let encode ~kind ~version c v =
   let b = Buffer.create 4096 in
   c.write b v;
   seal ~kind ~version (Buffer.contents b)
 
+(* the value in the [len] payload bytes at [pos] of [buf], once the
+   frame's kind and version are the expected ones *)
+let payload ~kind ~version c (k, v) buf pos len =
+  if k <> kind then
+    Error (err ~rule:"DB-KIND-01" "expected a %S artifact, found %S" kind k)
+  else if v <> version then
+    Error
+      (err ~rule:"DB-VERSION-01"
+         "%S artifact has format version %d, this build reads %d" kind v
+         version)
+  else begin
+    let r = { buf; pos; limit = pos + len } in
+    match c.read r with
+    | value ->
+        if r.pos <> r.limit then
+          Error
+            (err ~rule:"DB-PARSE-01" "%S artifact has %d trailing byte(s)" kind
+               (r.limit - r.pos))
+        else Ok value
+    | exception Corrupt msg ->
+        Error (err ~rule:"DB-PARSE-01" "%S artifact: %s" kind msg)
+    | exception exn ->
+        Error
+          (err ~rule:"DB-PARSE-01" "%S artifact: %s" kind
+             (Printexc.to_string exn))
+  end
+
 let decode ~kind ~version c bytes =
-  match split bytes with
-  | Error _ as e -> e
-  | Ok (k, v, payload) ->
-      if k <> kind then
-        Error
-          (err ~rule:"DB-KIND-01" "expected a %S artifact, found %S" kind k)
-      else if v <> version then
-        Error
-          (err ~rule:"DB-VERSION-01"
-             "%S artifact has format version %d, this build reads %d" kind v
-             version)
-      else begin
-        let r = { buf = payload; pos = 0; limit = String.length payload } in
-        match c.read r with
-        | value ->
-            if r.pos <> r.limit then
-              Error
-                (err ~rule:"DB-PARSE-01"
-                   "%S artifact has %d trailing byte(s)" kind (r.limit - r.pos))
-            else Ok value
-        | exception Corrupt msg ->
-            Error (err ~rule:"DB-PARSE-01" "%S artifact: %s" kind msg)
-        | exception exn ->
-            Error
-              (err ~rule:"DB-PARSE-01" "%S artifact: %s" kind
-                 (Printexc.to_string exn))
-      end
+  Result.bind (split bytes) (fun (k, v, p) ->
+      payload ~kind ~version c (k, v) p 0 (String.length p))
+
+let scan ~kind ~version c bytes ~frame:on_frame ~damage =
+  let n = String.length bytes in
+  let rec resync pos =
+    match String.index_from_opt bytes pos magic.[0] with
+    | Some i when i + 4 <= n ->
+        if String.sub bytes i 4 = magic then i else resync (i + 1)
+    | _ -> n
+  in
+  let rec go pos damaged =
+    if pos < n then
+      match
+        Result.bind (frame bytes pos ~exact:false) (fun (k, v, at, plen) ->
+            payload ~kind ~version c (k, v) bytes at plen
+            |> Result.map (fun value -> (value, at + plen + 16 - pos)))
+      with
+      | Ok (value, len) ->
+          on_frame pos len value;
+          go (pos + len) false
+      | Error d ->
+          if not damaged then damage pos d;
+          go (resync (pos + 1)) true
+  in
+  go 0 false
 
 (* ---- files ---- *)
 
@@ -257,10 +303,15 @@ let save_file path bytes =
   let tmp =
     Filename.temp_file ~temp_dir:dir "." (Filename.basename path ^ ".tmp")
   in
-  let oc = open_out_bin tmp in
-  output_string oc bytes;
-  close_out oc;
-  Sys.rename tmp path
+  match
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc bytes);
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let load_file path =
   match open_in_bin path with

@@ -111,12 +111,27 @@ val decode :
     and any exception the decoder raises all come back as structured
     errors. *)
 
+val scan :
+  kind:string ->
+  version:int ->
+  'a t ->
+  string ->
+  frame:(int -> int -> 'a -> unit) ->
+  damage:(int -> Diag.t -> unit) ->
+  unit
+(** Read a log of frames written back to back: [frame pos len v] for
+    each frame that decodes, in order, with its byte offset and length.
+    A stretch of bytes that does not — a flipped byte, a torn tail —
+    is reported once, as [damage pos d] with the first frame's error;
+    reading resumes at the next magic that starts a good frame. *)
+
 (** {1 Files} *)
 
 val save_file : string -> string -> unit
 (** Atomic write: the bytes land under a temporary name in the target
     directory and are renamed into place, so a killed process never
-    leaves a half-written artifact. *)
+    leaves a half-written artifact. When the write or the rename fails
+    the temporary file is removed and the exception re-raised. *)
 
 val load_file : string -> (string, Diag.t) result
 (** Read a whole file; missing/unreadable files are a [DB-IO-01]

@@ -6,7 +6,15 @@ type t = {
   dir : string;
   mutable log : (string * outcome * float) list; (* reversed *)
   mutable warns : Diag.t list; (* reversed *)
+  pending : Buffer.t; (* sealed proof frames not yet in the log *)
+  mutable index : (string, string) Hashtbl.t option;
+      (* key MD5 -> verdict over the log and [pending]: built by the
+         first lookup after a flush, dropped by the next flush *)
+  mutable heal : bool; (* the log has a damaged stretch to drop *)
 }
+
+let handle dir =
+  { dir; log = []; warns = []; pending = Buffer.create 256; index = None; heal = false }
 
 let format_stamp = "sf_db 1\n"
 
@@ -31,7 +39,7 @@ let open_ dir =
           Error
             (Codec.err ~rule:"DB-VERSION-01"
                "%s: unsupported database format %S" dir (String.trim stamp))
-        else Ok { dir; log = []; warns = [] }
+        else Ok (handle dir)
   end
   else if
     Sys.file_exists dir && Sys.readdir dir <> [||]
@@ -45,7 +53,7 @@ let open_ dir =
       mkdir_p (dir / "stages");
       Codec.save_file meta format_stamp
     with
-    | () -> Ok { dir; log = []; warns = [] }
+    | () -> Ok (handle dir)
     | exception Unix.Unix_error (e, _, path) ->
         Error
           (Codec.err ~rule:"DB-IO-01" "cannot create database %s: %s: %s" dir
@@ -105,7 +113,80 @@ let manifest =
 let warn t d = t.warns <- d :: t.warns
 let warnings t = List.rev t.warns
 
+(* ---- the proof log ----
+
+   [proofs.sfp] is a sequence of sealed "proof" frames, each one
+   (MD5 of the caller's key, verdict). Frames are only ever appended,
+   one write per flush; reading resyncs after a damaged stretch (a
+   flipped byte, a torn tail), so one bad frame costs one verdict,
+   never the log. *)
+
+let proof_log t = t.dir / "proofs.sfp"
+
+let proof = Codec.(pair string string)
+let scan = Codec.scan ~kind:"proof" ~version:1 proof
+
+let read_log t =
+  let path = proof_log t in
+  if not (Sys.file_exists path) then ""
+  else
+    match Codec.load_file path with
+    | Ok bytes -> bytes
+    | Error d ->
+        warn t { d with Diag.severity = Diag.Warning };
+        ""
+
+let index t =
+  match t.index with
+  | Some ix -> ix
+  | None ->
+      let ix = Hashtbl.create 1024 in
+      let frame _ _ (key, verdict) = Hashtbl.replace ix key verdict in
+      scan (read_log t) ~frame ~damage:(fun pos d ->
+          t.heal <- true;
+          warn t
+            {
+              d with
+              Diag.severity = Diag.Warning;
+              message =
+                Printf.sprintf
+                  "proof log: %s at byte %d; skipped to the next frame"
+                  d.Diag.message pos;
+            });
+      scan (Buffer.contents t.pending) ~frame ~damage:(fun _ _ -> ());
+      t.index <- Some ix;
+      ix
+
+let flush t =
+  if t.heal then begin
+    (* rewrite the log without its damaged stretches *)
+    let bytes = read_log t in
+    let b = Buffer.create (String.length bytes + Buffer.length t.pending) in
+    scan bytes
+      ~frame:(fun pos len _ -> Buffer.add_substring b bytes pos len)
+      ~damage:(fun _ _ -> ());
+    Buffer.add_buffer b t.pending;
+    Codec.save_file (proof_log t) (Buffer.contents b);
+    t.heal <- false
+  end
+  else if Buffer.length t.pending > 0 then
+    Out_channel.with_open_gen
+      [ Open_wronly; Open_append; Open_creat; Open_binary ]
+      0o644 (proof_log t)
+      (fun oc -> Buffer.output_buffer oc t.pending);
+  Buffer.reset t.pending;
+  t.index <- None
+
+let put_proof t ~key verdict =
+  let key = Digest.string key in
+  Buffer.add_string t.pending
+    (Codec.encode ~kind:"proof" ~version:1 proof (key, verdict));
+  Option.iter (fun ix -> Hashtbl.replace ix key verdict) t.index
+
+let find_proof t ~key = Hashtbl.find_opt (index t) (Digest.string key)
+
 let put_stage t ~stage ~key ~slots ~scalars =
+  flush t;
   Codec.save_file
     (manifest_path t ~stage ~key)
     (Codec.encode ~kind:"manifest" ~version:1 manifest (slots, scalars))
@@ -146,22 +227,3 @@ let misses t =
 let reset_log t =
   t.log <- [];
   t.warns <- []
-
-(* Proof-verdict memos: tiny manifests under the "proof" stage whose
-   single slot points at the verdict bytes in the object store (all
-   "equal" proofs share one object). The caller's key is an arbitrary
-   content-derived string; it is hashed into the manifest name. *)
-
-let put_proof t ~key verdict =
-  let h = put_object t verdict in
-  put_stage t ~stage:"proof" ~key:(hash key) ~slots:[ ("verdict", h) ]
-    ~scalars:[]
-
-let find_proof t ~key =
-  match get_stage t ~stage:"proof" ~key:(hash key) with
-  | None -> None
-  | Some (slots, _) -> (
-      match List.assoc_opt "verdict" slots with
-      | None -> None
-      | Some h -> (
-          match get_object t h with Ok v -> Some v | Error _ -> None))

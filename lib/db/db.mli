@@ -11,15 +11,19 @@
       stages/<stage>.<key>.sfm one manifest per cached stage execution:
                                output-slot -> object hash, plus small
                                scalar outputs (e.g. DRC fix rounds)
+      proofs.sfp               append-only proof log: one sealed
+                               (key MD5, verdict) frame per verdict
     v}
 
     A stage's [key] is the MD5 of its input-artifact hashes and every
     parameter that affects its result (see {!stage_key}); the worker
     pool size ([--jobs]) is {e never} part of a key because stage
-    results are bit-identical at any pool size. All writes are atomic
-    (temp file + rename), so a run killed mid-flow leaves only whole
-    artifacts behind and the next run resumes from the last persisted
-    stage.
+    results are bit-identical at any pool size. Objects, manifests and
+    the stamp are written atomically (temp file + rename), so a run
+    killed mid-flow leaves only whole artifacts behind and the next run
+    resumes from the last persisted stage. The proof log is appended
+    to instead; a torn tail a killed append leaves is skipped on read
+    like any other damaged frame.
 
     Corrupt cache entries are self-healing: a manifest or object that
     fails validation is reported as a {!warnings} diagnostic and
@@ -61,7 +65,8 @@ val put_stage :
   scalars:(string * int) list ->
   unit
 (** Record a stage execution: named output objects plus scalar
-    outputs. *)
+    outputs. {!flush}es the pending proof verdicts first, so a
+    manifest on disk implies the verdicts its stage proved are too. *)
 
 val get_stage :
   t ->
@@ -71,17 +76,30 @@ val get_stage :
 (** Look up a cached stage execution. [None] on a genuine miss {e or}
     on a corrupt manifest (which is also recorded via {!warnings}). *)
 
-(** {1 Proof cache} *)
+(** {1 Proof cache}
+
+    Verdicts are frames in [proofs.sfp], appended by {!flush}. A lookup
+    reads the log once into an index that the next flush drops again,
+    so a handle holds no verdicts between stages. A frame that fails
+    its checks is one {!warnings} diagnostic ([DB-CKSUM-01] for a bad
+    checksum, [DB-TRUNC-01] for a torn tail); reading resyncs on the
+    next frame, that verdict is a miss, and the next flush rewrites the
+    log without the damage. *)
 
 val put_proof : t -> key:string -> string -> unit
 (** Memoize an equivalence-proof verdict under a caller-chosen
     content-derived key (the equivalence engine keys on the hashes of
-    the two cones). Verdict bytes land in the object store, so
-    identical verdicts are shared. *)
+    the two cones). The frame is pending until the next {!flush};
+    lookups on this handle see it at once. A key stored twice is
+    harmless: the later verdict wins. *)
 
 val find_proof : t -> key:string -> string option
-(** Look up a memoized verdict; [None] on a miss or any corrupt
-    entry (which self-heals like every other stage entry). *)
+(** Look up a memoized verdict; [None] on a miss or a damaged frame. *)
+
+val flush : t -> unit
+(** Append the pending verdicts to the log in one write and drop the
+    lookup index. {!put_stage} flushes; a caller that proves after its
+    last stage (say, [superflow drc]) flushes before it exits. *)
 
 (** {1 Run log} *)
 

@@ -27,7 +27,7 @@ let gap_legal s_min g = g > -1e-6 && (g < 1e-6 || g >= s_min -. 1e-6)
 let run ?(options = default_options) p =
   let tech = p.Problem.tech in
   let s_min = tech.Tech.s_min in
-  let nets_of = Problem.cell_nets p in
+  let nets_of = Array.map Array.of_list (Problem.cell_nets p) in
   let dys = Problem.net_dys p in
   let weights =
     {
@@ -46,19 +46,29 @@ let run ?(options = default_options) p =
         o)
       p.Problem.row_cells
   in
-  let eval_nets ~row_width nets =
-    List.fold_left
-      (fun acc ni ->
-        acc +. Place_cost.net_cost p weights ~row_width ~dy:dys.(ni) p.Problem.nets.(ni))
-      0.0 nets
-  in
+  (* a cell's nets come in descending index order; [union_nets a b]
+     merges two cells' lists into [union] in ascending order without
+     repeats and returns its length *)
+  let union = Array.make (Array.length p.Problem.nets) 0 in
   let union_nets a b =
-    List.sort_uniq Int.compare (nets_of.(a) @ nets_of.(b))
+    let na = nets_of.(a) and nb = nets_of.(b) in
+    let i = ref (Array.length na - 1) and j = ref (Array.length nb - 1) in
+    let k = ref 0 in
+    while !i >= 0 || !j >= 0 do
+      let x = if !i >= 0 then na.(!i) else max_int in
+      let y = if !j >= 0 then nb.(!j) else max_int in
+      let ni = min x y in
+      union.(!k) <- ni;
+      incr k;
+      if x = ni then decr i;
+      if y = ni then decr j
+    done;
+    !k
   in
   (* preferred x for a cell: mean of its net partners' pin positions *)
   let desired_x c ci =
     let sum = ref 0.0 and count = ref 0 in
-    List.iter
+    Array.iter
       (fun ni ->
         let e = p.Problem.nets.(ni) in
         let partner_pin =
@@ -75,7 +85,7 @@ let run ?(options = default_options) p =
       nets_of.(ci);
     if !count = 0 then c.Problem.x else !sum /. float_of_int !count
   in
-  let try_shift ~row_width order i =
+  let try_shift m order i =
     let ci = order.(i) in
     let c = p.Problem.cells.(ci) in
     let w = c.Problem.lib.Cell.width in
@@ -101,14 +111,16 @@ let run ?(options = default_options) p =
       && Tech.on_grid tech x
     in
     let old_x = c.Problem.x in
-    let base = eval_nets ~row_width nets_of.(ci) in
+    let nets = nets_of.(ci) in
+    let eval () = Place_cost.sum p m ~dys nets (Array.length nets) in
+    let base = eval () in
     let best = ref None in
     List.iter
       (fun x ->
         let x = Tech.snap tech x in
         if legal x && Float.abs (x -. old_x) > 1e-6 then begin
           c.Problem.x <- x;
-          let v = eval_nets ~row_width nets_of.(ci) in
+          let v = eval () in
           c.Problem.x <- old_x;
           match !best with
           | Some (bv, _) when bv <= v -> ()
@@ -122,7 +134,7 @@ let run ?(options = default_options) p =
         true
     | None -> false
   in
-  let try_swap ~row_width order i j =
+  let try_swap m order i j =
     let ci = order.(i) and cj = order.(j) in
     let a = p.Problem.cells.(ci) and b = p.Problem.cells.(cj) in
     let wa = a.Problem.lib.Cell.width and wb = b.Problem.lib.Cell.width in
@@ -163,11 +175,11 @@ let run ?(options = default_options) p =
       in
       if not ok then false
       else begin
-        let nets = union_nets ci cj in
-        let base = eval_nets ~row_width nets in
+        let n = union_nets ci cj in
+        let base = Place_cost.sum p m ~dys union n in
         a.Problem.x <- xa_new;
         b.Problem.x <- xb_new;
-        let v = eval_nets ~row_width nets in
+        let v = Place_cost.sum p m ~dys union n in
         if v < base -. 1e-9 then begin
           let tmp = order.(i) in
           order.(i) <- order.(j);
@@ -185,14 +197,14 @@ let run ?(options = default_options) p =
   in
   let pass () =
     let before = !accepted in
-    let row_width = Problem.row_width p in
+    let m = Place_cost.model tech weights ~row_width:(Problem.row_width p) in
     Array.iter
       (fun order ->
         let n = Array.length order in
         for i = 0 to n - 1 do
-          ignore (try_shift ~row_width order i);
+          ignore (try_shift m order i);
           for d = 1 to options.window do
-            if i + d < n then ignore (try_swap ~row_width order i (i + d))
+            if i + d < n then ignore (try_swap m order i (i + d))
           done
         done)
       orders;

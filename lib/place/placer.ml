@@ -40,33 +40,6 @@ let superflow_run_once ~seed p =
         p;
   !total
 
-(* the worst per-net timing violation at the current positions, in ps *)
-let worst_violation p =
-  let row_width = Float.max 1.0 (Problem.row_width p) in
-  let tech = p.Problem.tech in
-  Array.fold_left
-    (fun acc e ->
-      let sc = p.Problem.cells.(e.Problem.src) in
-      let xs = sc.Problem.x +. sc.Problem.lib.Cell.out_pins.(e.Problem.src_pin) in
-      let dc = p.Problem.cells.(e.Problem.dst) in
-      let pins = dc.Problem.lib.Cell.in_pins in
-      let xd = dc.Problem.x +. pins.(e.Problem.dst_pin mod Array.length pins) in
-      let base =
-        match ((sc.Problem.row mod 4) + 4) mod 4 with
-        | 0 -> xd -. xs
-        | 1 -> xd +. xs
-        | 2 -> -.xd +. xs
-        | 3 -> (2.0 *. row_width) -. xd -. xs
-        | _ -> assert false
-      in
-      let slack =
-        Tech.phase_window_ps tech -. tech.Tech.gate_delay_ps
-        -. (Problem.net_length p e /. tech.Tech.signal_velocity)
-        -. (Float.max 0.0 base /. tech.Tech.clock_velocity)
-      in
-      Float.max acc (-.slack))
-    0.0 p.Problem.nets
-
 (* Multi-start: the pipeline is cheap relative to the paper's
    runtimes, so run it from a few seeds and keep the best placement —
    worst violation first, wirelength as the tie-breaker. *)
@@ -77,7 +50,7 @@ let superflow_pipeline ~seed p =
     (fun s ->
       let m = superflow_run_once ~seed:s p in
       moves := !moves + m;
-      let score = (Float.round (worst_violation p *. 10.0), Problem.hpwl p) in
+      let score = (Float.round (Place_cost.worst_violation p *. 10.0), Problem.hpwl p) in
       match !best with
       | Some (best_score, _) when best_score <= score -> ()
       | _ -> best := Some (score, Problem.copy_positions p))

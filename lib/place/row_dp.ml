@@ -9,6 +9,9 @@ type options = {
 let default_options =
   { lambda_t = 0.3; lambda_wmax = 5.0; lambda_slack = 20.0; margin = 300.0; passes = 2 }
 
+let weights o =
+  { Place_cost.lambda_t = o.lambda_t; lambda_wmax = o.lambda_wmax; lambda_slack = o.lambda_slack }
+
 (* Everything needed to cost one net as a function of the moving
    cell's x: the other endpoint is frozen. *)
 type net_view = {
@@ -43,57 +46,113 @@ let net_views p nets_of ci =
       })
     nets_of.(ci)
 
-let net_cost tech opts ~row_width v x =
-  let pin = x +. v.own_offset in
-  let xs, xd = if v.moving_is_src then (pin, v.partner) else (v.partner, pin) in
-  let len = Float.abs (xd -. xs) +. v.dy in
-  let base =
-    match ((v.phase mod 4) + 4) mod 4 with
-    | 0 -> xd -. xs
-    | 1 -> xd +. xs
-    | 2 -> -.xd +. xs
-    | 3 -> (2.0 *. row_width) -. xd -. xs
-    | _ -> assert false
-  in
-  let timing = Float.max 0.0 base ** 2.0 in
-  let excess = Float.max 0.0 (len -. tech.Tech.w_max) in
-  let violation =
-    if opts.lambda_slack = 0.0 then 0.0
-    else
-      let slack =
-        Tech.phase_window_ps tech -. tech.Tech.gate_delay_ps
-        -. (len /. tech.Tech.signal_velocity)
-        -. (Float.max 0.0 base /. tech.Tech.clock_velocity)
-      in
-      Float.max 0.0 (-.slack)
-  in
-  len
-  +. (opts.lambda_t *. timing /. Float.max 1.0 row_width)
-  +. (opts.lambda_wmax *. excess)
-  +. (opts.lambda_slack *. violation)
+let views p nets_of order =
+  Array.map (fun ci -> Array.of_list (net_views p nets_of ci)) order
 
-let optimize_row_with ?(options = default_options) p nets_of r =
+(* The DP over a row of [n] cells in a fixed order. Cell i's left edge
+   is at least lo_i (the widths before it, abutted) and at most hi_i
+   (the last edge from which the rest of the row still fits in the
+   position domain); every edge in between is reachable, and every
+   band lo_i..hi_i has the same width, so the state is (cell, offset
+   into its band). Abutting keeps the offset and a gap of at least
+   s_min lowers it by s_min or more: both transitions stay inside the
+   bands, and the optimum is the full-domain DP's, bit for bit. *)
+let solve options p views order =
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
+  let n = Array.length order in
+  let row_width = Float.max 1.0 (Problem.row_width p) in
+  let positions = int_of_float ((row_width +. options.margin) /. grid) + 1 in
+  let smin_g = int_of_float (tech.Tech.s_min /. grid +. 0.5) in
+  let width_g ci =
+    int_of_float (p.Problem.cells.(ci).Problem.lib.Cell.width /. grid +. 0.5)
+  in
+  let lo = Array.make n 0 in
+  for i = 1 to n - 1 do
+    lo.(i) <- lo.(i - 1) + width_g order.(i - 1)
+  done;
+  (* the free grid steps: band width minus one *)
+  let slack = positions - 1 - lo.(n - 1) in
+  if slack < 0 then None
+  else begin
+    let m = Place_cost.model tech (weights options) ~row_width in
+    let band = slack + 1 in
+    let cost = Array.make band 0.0 in
+    let costs i =
+      Array.fill cost 0 band 0.0;
+      Array.iter
+        (fun v ->
+          Place_cost.add_band m ~phase:v.phase ~dy:v.dy ~pin:v.own_offset
+            ~partner:v.partner ~src:v.moving_is_src ~grid ~lo:lo.(i)
+            ~hi:(lo.(i) + slack) cost)
+        views.(i)
+    in
+    let prev = Array.make band 0.0 and cur = Array.make band 0.0 in
+    let parent = Array.make_matrix n band (-1) in
+    costs 0;
+    Array.blit cost 0 prev 0 band;
+    let prefix_min = Array.make band 0 in
+    for i = 1 to n - 1 do
+      (* prefix argmin of prev *)
+      let best_so_far = ref 0 in
+      for j = 0 to slack do
+        if prev.(j) < prev.(!best_so_far) then best_so_far := j;
+        prefix_min.(j) <- !best_so_far
+      done;
+      costs i;
+      for j = 0 to slack do
+        let via_abut = prev.(j) in
+        let jg = j - smin_g in
+        let via_gap = if jg >= 0 then prev.(prefix_min.(jg)) else infinity in
+        if via_abut <= via_gap then begin
+          cur.(j) <- cost.(j) +. via_abut;
+          parent.(i).(j) <- j
+        end
+        else begin
+          cur.(j) <- cost.(j) +. via_gap;
+          parent.(i).(j) <- prefix_min.(jg)
+        end
+      done;
+      Array.blit cur 0 prev 0 band
+    done;
+    (* best end offset, then backtrack *)
+    let best_end = ref 0 in
+    for j = 1 to slack do
+      if prev.(j) < prev.(!best_end) then best_end := j
+    done;
+    let xs = Array.make n 0 in
+    let j = ref !best_end in
+    for i = n - 1 downto 0 do
+      xs.(i) <- lo.(i) + !j;
+      if i > 0 then j := parent.(i).(!j)
+    done;
+    Some (prev.(!best_end), xs)
+  end
+
+let row_order p r =
   let order = Array.copy p.Problem.row_cells.(r) in
   Array.sort
     (fun a b -> Float.compare p.Problem.cells.(a).Problem.x p.Problem.cells.(b).Problem.x)
     order;
+  order
+
+let solve_row ?(options = default_options) p r =
+  let order = row_order p r in
+  if Array.length order = 0 then None
+  else solve options p (views p (Problem.cell_nets p) order) order
+
+let optimize_row_with ?(options = default_options) p nets_of r =
+  let order = row_order p r in
   let n = Array.length order in
   if n = 0 then false
   else begin
-    let row_width = Float.max 1.0 (Problem.row_width p) in
-    let positions = int_of_float ((row_width +. options.margin) /. grid) + 1 in
-    let smin_g = int_of_float (tech.Tech.s_min /. grid +. 0.5) in
-    let views = Array.map (fun ci -> Array.of_list (net_views p nets_of ci)) order in
-    let cost i x_g =
-      let x = float_of_int x_g *. grid in
-      Array.fold_left
-        (fun acc v -> acc +. net_cost tech options ~row_width v x)
-        0.0 views.(i)
-    in
+    let views = views p nets_of order in
     (* current total, for the improvement decision *)
     let old_total =
+      let m =
+        Place_cost.model p.Problem.tech (weights options)
+          ~row_width:(Float.max 1.0 (Problem.row_width p))
+      in
       let acc = ref 0.0 in
       Array.iteri
         (fun i ci ->
@@ -101,66 +160,25 @@ let optimize_row_with ?(options = default_options) p nets_of r =
           acc :=
             !acc
             +. Array.fold_left
-                 (fun a v -> a +. net_cost tech options ~row_width v x)
+                 (fun a v ->
+                   let pin = x +. v.own_offset in
+                   a
+                   +.
+                   if v.moving_is_src then
+                     Place_cost.eval m ~phase:v.phase ~dy:v.dy pin v.partner
+                   else Place_cost.eval m ~phase:v.phase ~dy:v.dy v.partner pin)
                  0.0 views.(i))
         order;
       !acc
     in
-    (* DP over (cell, left-edge grid position) *)
-    let prev = Array.make positions infinity in
-    let parent = Array.make_matrix n positions (-1) in
-    for x = 0 to positions - 1 do
-      prev.(x) <- cost 0 x
-    done;
-    let prefix_min = Array.make positions 0 in
-    for i = 1 to n - 1 do
-      let w_prev_g =
-        int_of_float (p.Problem.cells.(order.(i - 1)).Problem.lib.Cell.width /. grid +. 0.5)
-      in
-      (* prefix argmin of prev *)
-      let best_so_far = ref 0 in
-      for x = 0 to positions - 1 do
-        if prev.(x) < prev.(!best_so_far) then best_so_far := x;
-        prefix_min.(x) <- !best_so_far
-      done;
-      let cur = Array.make positions infinity in
-      for x = 0 to positions - 1 do
-        let xa = x - w_prev_g in
-        let xg = x - w_prev_g - smin_g in
-        let via_abut = if xa >= 0 then prev.(xa) else infinity in
-        let via_gap = if xg >= 0 then prev.(prefix_min.(xg)) else infinity in
-        if via_abut < infinity || via_gap < infinity then begin
-          if via_abut <= via_gap then begin
-            cur.(x) <- cost i x +. via_abut;
-            parent.(i).(x) <- xa
-          end
-          else begin
-            cur.(x) <- cost i x +. via_gap;
-            parent.(i).(x) <- prefix_min.(xg)
-          end
-        end
-      done;
-      Array.blit cur 0 prev 0 positions
-    done;
-    (* best end position, then backtrack *)
-    let best_end = ref 0 in
-    for x = 1 to positions - 1 do
-      if prev.(x) < prev.(!best_end) then best_end := x
-    done;
-    let new_total = prev.(!best_end) in
-    if new_total < old_total -. 1e-6 then begin
-      let xs = Array.make n 0 in
-      let pos = ref !best_end in
-      for i = n - 1 downto 0 do
-        xs.(i) <- !pos;
-        if i > 0 then pos := parent.(i).(!pos)
-      done;
-      Array.iteri
-        (fun i ci -> p.Problem.cells.(ci).Problem.x <- float_of_int xs.(i) *. grid)
-        order;
-      true
-    end
-    else false
+    match solve options p views order with
+    | Some (new_total, xs) when new_total < old_total -. 1e-6 ->
+        let grid = p.Problem.tech.Tech.grid in
+        Array.iteri
+          (fun i ci -> p.Problem.cells.(ci).Problem.x <- float_of_int xs.(i) *. grid)
+          order;
+        true
+    | _ -> false
   end
 
 let optimize_row ?options p r =

@@ -14,7 +14,10 @@
     grid position); the spacing rule makes exactly two transition
     classes legal — abut the previous cell, or leave at least s_min —
     and a running prefix-minimum over the second class keeps the whole
-    sweep O(cells × positions).
+    sweep linear in the states. A cell's states are only the left
+    edges it can reach that still leave room for the rest of the row,
+    so a sweep is O(cells × free grid steps), and each cell's net costs
+    come from one {!Place_cost.add_band} call per net.
 
     Since the current placement is itself a feasible solution of the
     DP, a sweep never increases the cost; it is used as the polish
@@ -29,6 +32,12 @@ type options = {
 }
 
 val default_options : options
+
+val solve_row : ?options:options -> Problem.t -> int -> (float * int array) option
+(** The DP's optimum for row [r] without moving anything: its cost and
+    each cell's left edge in grid steps, cells in their current x
+    order. [None] for an empty row or one whose cells do not fit the
+    position domain. *)
 
 val optimize_row : ?options:options -> Problem.t -> int -> bool
 (** Optimally re-place one row (fixed order, everything else frozen).

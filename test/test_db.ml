@@ -350,6 +350,22 @@ let test_open_uncreatable_dir () =
       expect_rule "parent is a file" "DB-IO-01"
         (Db.open_ (Filename.concat (Filename.concat file "sub") "db")))
 
+(* a failed rename (onto a non-empty directory) leaves no temp file *)
+let test_save_file_cleans_up () =
+  let dir = tmp_dir () in
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let target = Filename.concat dir "target" in
+      Sys.mkdir target 0o755;
+      Out_channel.with_open_bin (Filename.concat target "inside") (fun _ -> ());
+      (match Codec.save_file target "bytes" with
+      | () -> Alcotest.fail "renamed onto a non-empty directory"
+      | exception Sys_error _ -> ());
+      Alcotest.(check (array string)) "only the target left" [| "target" |]
+        (Sys.readdir dir))
+
 (* ---------- the cached stage graph ---------- *)
 
 let aoi () = Circuits.benchmark "adder8"
@@ -545,6 +561,141 @@ let test_engine_change_recomputes_check () =
         (List.mem "# engine: sat" (String.split_on_char '\n' (report warm)));
       checks "report = db-free sat run" (report (run `Sat)) (report warm))
 
+(* ---------- the proof log ---------- *)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_bytes path bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+
+let proof_log dir = Filename.concat dir "proofs.sfp"
+
+let reopen dir =
+  match Db.open_ dir with Ok db -> db | Error d -> Alcotest.fail (Diag.to_string d)
+
+let key i = Printf.sprintf "key-%d" i
+(* like a DRC tile verdict, a sealed frame of its own: a reader that
+   resyncs on the magic meets it inside the damaged frame *)
+let verdict i = Codec.seal ~kind:"verdict" ~version:1 (Printf.sprintf "%03d" i)
+
+(* which of keys 0..n-1 hit with their own verdict *)
+let hits db n =
+  List.init n (fun i -> Db.find_proof db ~key:(key i) = Some (verdict i))
+
+let put_all db n =
+  for i = 0 to n - 1 do
+    Db.put_proof db ~key:(key i) (verdict i)
+  done;
+  Db.flush db
+
+let rules db = List.map (fun d -> d.Diag.rule) (Db.warnings db)
+
+let test_proof_log_flipped_byte () =
+  with_db (fun dir db ->
+      let n = 20 in
+      put_all db n;
+      let bytes = read_bytes (proof_log dir) in
+      (* equal-length frames: flip a byte of frame 10's payload, past
+         the magic of the verdict frame inside it *)
+      let len = String.length bytes / n in
+      let b = Bytes.of_string bytes in
+      let at = (10 * len) + len - 20 in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x40));
+      write_bytes (proof_log dir) (Bytes.to_string b);
+      let db = reopen dir in
+      Alcotest.(check (list bool)) "only frame 10 lost"
+        (List.init n (fun i -> i <> 10))
+        (hits db n);
+      Alcotest.(check (list string)) "one warning" [ "DB-CKSUM-01" ] (rules db);
+      (* the caller recomputes it; the next flush appends it again and
+         drops the damaged frame *)
+      Db.put_proof db ~key:(key 10) (verdict 10);
+      Db.flush db;
+      let db = reopen dir in
+      Alcotest.(check (list bool)) "all hit" (List.init n (fun _ -> true)) (hits db n);
+      Alcotest.(check (list string)) "healed" [] (rules db);
+      checki "log size" (n * len) (String.length (read_bytes (proof_log dir))))
+
+let test_proof_log_torn_tail () =
+  with_db (fun dir db ->
+      let n = 5 in
+      put_all db n;
+      let bytes = read_bytes (proof_log dir) in
+      let len = String.length bytes / n in
+      (* cut inside the last frame's payload, then inside its header *)
+      List.iter
+        (fun cut ->
+          write_bytes (proof_log dir) (String.sub bytes 0 (String.length bytes - cut));
+          let db = reopen dir in
+          Alcotest.(check (list bool)) "last frame lost"
+            (List.init n (fun i -> i < n - 1))
+            (hits db n);
+          Alcotest.(check (list string)) "one warning" [ "DB-TRUNC-01" ] (rules db))
+        [ 7; len - 5 ];
+      let db = reopen dir in
+      ignore (hits db n);
+      Db.put_proof db ~key:(key (n - 1)) (verdict (n - 1));
+      Db.flush db;
+      let db = reopen dir in
+      Alcotest.(check (list bool)) "all hit after re-append"
+        (List.init n (fun _ -> true)) (hits db n);
+      Alcotest.(check (list string)) "healed" [] (rules db))
+
+let test_proof_log_duplicate_key () =
+  with_db (fun dir db ->
+      Db.put_proof db ~key:"k" "equal";
+      Db.put_proof db ~key:"k" "equal";
+      Db.flush db;
+      let db = reopen dir in
+      checkb "hit" true (Db.find_proof db ~key:"k" = Some "equal");
+      Db.put_proof db ~key:"k" "diff";
+      checkb "pending verdict seen" true (Db.find_proof db ~key:"k" = Some "diff");
+      Db.flush db;
+      let db = reopen dir in
+      checkb "later verdict wins" true (Db.find_proof db ~key:"k" = Some "diff");
+      checkb "no warnings" true (Db.warnings db = []))
+
+(* A database from before the log kept one manifest per verdict under
+   the "proof" stage. Its stage entries still hit; the old proof files
+   are never read. *)
+let test_pre_log_database () =
+  with_db (fun dir db ->
+      let run db =
+        match Flow.run_staged ~db ~to_stage:Flow.Check (aoi ()) with
+        | Ok staged -> staged
+        | Error d -> Alcotest.fail (Diag.to_string d)
+      in
+      let cold = run db in
+      Sys.remove (proof_log dir);
+      let h = Db.put_object db "equal" in
+      Db.put_stage db ~stage:"proof" ~key:(Db.hash "old-key")
+        ~slots:[ ("verdict", h) ] ~scalars:[];
+      let db = reopen dir in
+      let warm = run db in
+      Alcotest.(check (list (pair string bool)))
+        "every stage hits"
+        (List.map (fun (s, _) -> (s, true)) (outcome_names cold))
+        (List.map (fun (s, o) -> (s, o = `Hit)) (outcome_names warm));
+      checkb "no warnings" true (warm.Flow.db_warnings = []);
+      checkb "old proofs not read" true (Db.find_proof db ~key:"old-key" = None);
+      checks "format stamp" "sf_db 1\n" (read_bytes (Filename.concat dir "meta")))
+
+(* [bench/perf] keeps every pass's handle: after a stage is stored the
+   handle must hold neither the verdict index nor the pending frames *)
+let test_handle_retains_nothing () =
+  with_db (fun _dir db ->
+      let words () = Obj.reachable_words (Obj.repr db) in
+      let fresh = words () in
+      for i = 0 to 499 do
+        Db.put_proof db ~key:(key i) (verdict i)
+      done;
+      ignore (hits db 500);
+      checkb "index held while proving" true (words () > fresh + 5000);
+      Db.put_stage db ~stage:"check" ~key:(Db.stage_key [ "k" ]) ~slots:[]
+        ~scalars:[];
+      checki "nothing held after put_stage" fresh (words ());
+      checkb "flushed" true (hits db 500 = List.init 500 (fun _ -> true)))
+
 let () =
   Alcotest.run "sf_db"
     [
@@ -565,6 +716,16 @@ let () =
           Alcotest.test_case "stages" `Quick test_store_stages;
           Alcotest.test_case "foreign dirs" `Quick test_open_rejects_foreign_dirs;
           Alcotest.test_case "uncreatable dir" `Quick test_open_uncreatable_dir;
+          Alcotest.test_case "save_file cleans up" `Quick test_save_file_cleans_up;
+        ] );
+      ( "proof log",
+        [
+          Alcotest.test_case "flipped byte" `Quick test_proof_log_flipped_byte;
+          Alcotest.test_case "torn tail" `Quick test_proof_log_torn_tail;
+          Alcotest.test_case "duplicate key" `Quick test_proof_log_duplicate_key;
+          Alcotest.test_case "pre-log database" `Quick test_pre_log_database;
+          Alcotest.test_case "handle retains nothing" `Quick
+            test_handle_retains_nothing;
         ] );
       ( "staged flow",
         [

@@ -303,6 +303,262 @@ let test_row_dp_run_matches_plain_sweeps () =
         { Row_dp.default_options with Row_dp.lambda_slack = 120.0; lambda_wmax = 20.0 } );
     ]
 
+(* The full-width row DP as it stood before the banded kernel: every
+   cell over every grid position, costed net by net with [Float.max]
+   and [**]. Kept as the oracle for [Row_dp.solve_row]. *)
+module Reference_dp = struct
+  type net_view = {
+    own_offset : float;
+    partner : float;
+    moving_is_src : bool;
+    phase : int;
+    dy : float;
+  }
+
+  let net_views p nets_of ci =
+    let c = p.Problem.cells.(ci) in
+    List.map
+      (fun ni ->
+        let e = p.Problem.nets.(ni) in
+        let moving_is_src = e.Problem.src = ci in
+        let own_offset =
+          if moving_is_src then c.Problem.lib.Cell.out_pins.(e.Problem.src_pin)
+          else
+            let pins = c.Problem.lib.Cell.in_pins in
+            pins.(e.Problem.dst_pin mod Array.length pins)
+        in
+        let partner =
+          if moving_is_src then Problem.pin_x p ni `Dst else Problem.pin_x p ni `Src
+        in
+        {
+          own_offset;
+          partner;
+          moving_is_src;
+          phase = p.Problem.cells.(e.Problem.src).Problem.row;
+          dy = Problem.net_dy p e;
+        })
+      nets_of.(ci)
+
+  let net_cost tech (opts : Row_dp.options) ~row_width v x =
+    let pin = x +. v.own_offset in
+    let xs, xd = if v.moving_is_src then (pin, v.partner) else (v.partner, pin) in
+    let len = Float.abs (xd -. xs) +. v.dy in
+    let base =
+      match ((v.phase mod 4) + 4) mod 4 with
+      | 0 -> xd -. xs
+      | 1 -> xd +. xs
+      | 2 -> -.xd +. xs
+      | 3 -> (2.0 *. row_width) -. xd -. xs
+      | _ -> assert false
+    in
+    let timing = Float.max 0.0 base ** 2.0 in
+    let excess = Float.max 0.0 (len -. tech.Tech.w_max) in
+    let violation =
+      if opts.Row_dp.lambda_slack = 0.0 then 0.0
+      else
+        let slack =
+          Tech.phase_window_ps tech -. tech.Tech.gate_delay_ps
+          -. (len /. tech.Tech.signal_velocity)
+          -. (Float.max 0.0 base /. tech.Tech.clock_velocity)
+        in
+        Float.max 0.0 (-.slack)
+    in
+    len
+    +. (opts.Row_dp.lambda_t *. timing /. Float.max 1.0 row_width)
+    +. (opts.Row_dp.lambda_wmax *. excess)
+    +. (opts.Row_dp.lambda_slack *. violation)
+
+  (* the optimum cost and grid positions, [None] when nothing fits *)
+  let solve_row (options : Row_dp.options) p r =
+    let nets_of = Problem.cell_nets p in
+    let tech = p.Problem.tech in
+    let grid = tech.Tech.grid in
+    let order = Array.copy p.Problem.row_cells.(r) in
+    Array.sort
+      (fun a b -> Float.compare p.Problem.cells.(a).Problem.x p.Problem.cells.(b).Problem.x)
+      order;
+    let n = Array.length order in
+    if n = 0 then None
+    else begin
+      let row_width = Float.max 1.0 (Problem.row_width p) in
+      let positions = int_of_float ((row_width +. options.Row_dp.margin) /. grid) + 1 in
+      let smin_g = int_of_float (tech.Tech.s_min /. grid +. 0.5) in
+      let views = Array.map (fun ci -> Array.of_list (net_views p nets_of ci)) order in
+      let cost i x_g =
+        let x = float_of_int x_g *. grid in
+        Array.fold_left
+          (fun acc v -> acc +. net_cost tech options ~row_width v x)
+          0.0 views.(i)
+      in
+      let prev = Array.make positions infinity in
+      let parent = Array.make_matrix n positions (-1) in
+      for x = 0 to positions - 1 do
+        prev.(x) <- cost 0 x
+      done;
+      let prefix_min = Array.make positions 0 in
+      for i = 1 to n - 1 do
+        let w_prev_g =
+          int_of_float (p.Problem.cells.(order.(i - 1)).Problem.lib.Cell.width /. grid +. 0.5)
+        in
+        let best_so_far = ref 0 in
+        for x = 0 to positions - 1 do
+          if prev.(x) < prev.(!best_so_far) then best_so_far := x;
+          prefix_min.(x) <- !best_so_far
+        done;
+        let cur = Array.make positions infinity in
+        for x = 0 to positions - 1 do
+          let xa = x - w_prev_g in
+          let xg = x - w_prev_g - smin_g in
+          let via_abut = if xa >= 0 then prev.(xa) else infinity in
+          let via_gap = if xg >= 0 then prev.(prefix_min.(xg)) else infinity in
+          if via_abut < infinity || via_gap < infinity then begin
+            if via_abut <= via_gap then begin
+              cur.(x) <- cost i x +. via_abut;
+              parent.(i).(x) <- xa
+            end
+            else begin
+              cur.(x) <- cost i x +. via_gap;
+              parent.(i).(x) <- prefix_min.(xg)
+            end
+          end
+        done;
+        Array.blit cur 0 prev 0 positions
+      done;
+      let best_end = ref 0 in
+      for x = 1 to positions - 1 do
+        if prev.(x) < prev.(!best_end) then best_end := x
+      done;
+      if prev.(!best_end) = infinity then None
+      else begin
+        let xs = Array.make n 0 in
+        let pos = ref !best_end in
+        for i = n - 1 downto 0 do
+          xs.(i) <- !pos;
+          if i > 0 then pos := parent.(i).(!pos)
+        done;
+        Some (prev.(!best_end), xs)
+      end
+    end
+end
+
+(* Random rows: every cell at a random grid position, each row in a
+   random order with abutting or s_min-plus gaps, then every row solved
+   by both DPs. The banded kernel must return the same positions and
+   the same cost bits. A 2.5 µm grid puts pins off the integers, so the
+   timing term's [**] fallback runs too. *)
+let test_row_dp_banded_matches_full () =
+  let aqfp = Synth_flow.run_quiet (Circuits.benchmark "apc32") in
+  let bits = Option.map (fun (c, xs) -> (Int64.bits_of_float c, xs)) in
+  List.iter
+    (fun (what, tech) ->
+      let p = Problem.of_netlist tech aqfp in
+      let grid = tech.Tech.grid and s_min = tech.Tech.s_min in
+      for seed = 1 to 3 do
+        let rng = Random.State.make [| seed |] in
+        Array.iter
+          (fun row ->
+            let row = Array.copy row in
+            for i = Array.length row - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let t = row.(i) in
+              row.(i) <- row.(j);
+              row.(j) <- t
+            done;
+            let x = ref (float_of_int (Random.State.int rng 20) *. grid) in
+            Array.iter
+              (fun ci ->
+                let c = p.Problem.cells.(ci) in
+                c.Problem.x <- !x;
+                let gap =
+                  if Random.State.bool rng then 0.0
+                  else Tech.snap_up tech s_min +. (float_of_int (Random.State.int rng 30) *. grid)
+                in
+                x := !x +. c.Problem.lib.Cell.width +. gap)
+              row)
+          p.Problem.row_cells;
+        List.iter
+          (fun options ->
+            for r = 0 to p.Problem.n_rows - 1 do
+              let want = bits (Reference_dp.solve_row options p r) in
+              let got = bits (Row_dp.solve_row ~options p r) in
+              checkb (Printf.sprintf "%s seed %d row %d" what seed r) true (want = got)
+            done)
+          [
+            Row_dp.default_options;
+            { Row_dp.default_options with Row_dp.lambda_slack = 120.0; lambda_wmax = 20.0 };
+            { Row_dp.default_options with Row_dp.lambda_slack = 0.0; margin = 0.0 };
+            (* plain length: integer costs, so the DP meets exact ties *)
+            { Row_dp.default_options with Row_dp.lambda_t = 0.0; lambda_wmax = 0.0; lambda_slack = 0.0 };
+          ]
+      done)
+    [ ("grid 10", Tech.default); ("grid 2.5", { Tech.default with Tech.grid = 2.5 }) ]
+
+(* One net's cost from the kernel against the formula it replaced, on
+   random doubles: [**] and [*.] disagree on some non-integers, so the
+   kernel must fall back to [**] on exactly those. *)
+let test_kernel_matches_formula () =
+  let rng = Random.State.make [| 2 |] in
+  let tech = Tech.default in
+  List.iter
+    (fun options ->
+      for _ = 1 to 20_000 do
+        let f lo hi = lo +. Random.State.float rng (hi -. lo) in
+        let row_width = f 1.0 5000.0 and x = f 0.0 5000.0 in
+        let v =
+          {
+            Reference_dp.own_offset = f 0.0 40.0;
+            partner = f 0.0 5000.0;
+            moving_is_src = Random.State.bool rng;
+            phase = Random.State.int rng 9 - 4;
+            dy = f 0.0 200.0;
+          }
+        in
+        let want = Reference_dp.net_cost tech options ~row_width v x in
+        let m =
+          Place_cost.model tech
+            {
+              Place_cost.lambda_t = options.Row_dp.lambda_t;
+              lambda_wmax = options.Row_dp.lambda_wmax;
+              lambda_slack = options.Row_dp.lambda_slack;
+            }
+            ~row_width
+        in
+        let pin = x +. v.Reference_dp.own_offset in
+        let got =
+          if v.Reference_dp.moving_is_src then
+            Place_cost.eval m ~phase:v.Reference_dp.phase ~dy:v.Reference_dp.dy pin
+              v.Reference_dp.partner
+          else
+            Place_cost.eval m ~phase:v.Reference_dp.phase ~dy:v.Reference_dp.dy
+              v.Reference_dp.partner pin
+        in
+        if Int64.bits_of_float want <> Int64.bits_of_float got then
+          Alcotest.failf "cost %h, formula %h" got want
+      done)
+    [
+      Row_dp.default_options;
+      { Row_dp.default_options with Row_dp.lambda_slack = 0.0 };
+    ]
+
+(* The timing term squares with [b *. b] instead of [b ** 2.0] when b
+   is an integer below 2^26, where the exact square fits a double. A
+   libm whose [pow] is not exact there fails this test rather than
+   moving placements. *)
+let test_square_identity () =
+  let same k =
+    let b = float_of_int k in
+    Int64.equal (Int64.bits_of_float (b ** 2.0)) (Int64.bits_of_float (b *. b))
+  in
+  for k = 0 to 1 lsl 20 do
+    if not (same k) then Alcotest.failf "%d ** 2.0 <> %d *. %d" k k k
+  done;
+  let rng = Random.State.make [| 26 |] in
+  for _ = 1 to 100_000 do
+    let k = (1 lsl 20) + Random.State.int rng ((1 lsl 26) - (1 lsl 20)) in
+    if not (same k) then Alcotest.failf "%d ** 2.0 <> %d *. %d" k k k
+  done;
+  checkb "largest" true (same ((1 lsl 26) - 1))
+
 (* ---------- Place_cost ---------- *)
 
 (* With every penalty weight at zero the cost model is plain Manhattan
@@ -466,6 +722,10 @@ let () =
           Alcotest.test_case "converges" `Quick test_row_dp_converges;
           Alcotest.test_case "run matches plain sweeps" `Quick
             test_row_dp_run_matches_plain_sweeps;
+          Alcotest.test_case "banded matches full width" `Quick
+            test_row_dp_banded_matches_full;
+          Alcotest.test_case "kernel matches formula bits" `Quick test_kernel_matches_formula;
+          Alcotest.test_case "k ** 2.0 = k *. k below 2^26" `Quick test_square_identity;
         ] );
       ( "placers",
         [
