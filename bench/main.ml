@@ -73,6 +73,7 @@ let tables () =
      route <circuit> <algorithm> wirelength=.. vias=.. space_expansions=..
      drc <circuit> <deck> tiles=.. violations=..
      resyn <circuit> jj_before=.. jj_after=.. depth_before=.. depth_after=..
+       windows=.. proved=.. refused=..
 
    and the set of printed lines must equal the non-comment lines of
    bench/qor_baselines.txt exactly: every baseline line measured, every
@@ -187,8 +188,12 @@ let resyn_case name =
   | Cec.Equal -> ()
   | Cec.Diff _ -> fail "%s: result is NOT equivalent to its input" id
   | Cec.Unknown _ -> fail "%s: equivalence to its input unknown" id);
-  case "%s jj_before=%d jj_after=%d depth_before=%d depth_after=%d" id
-    r.Resyn.jj_before r.Resyn.jj_after r.Resyn.depth_before r.Resyn.depth_after
+  let cec = r.Resyn.cec in
+  case
+    "%s jj_before=%d jj_after=%d depth_before=%d depth_after=%d windows=%d \
+     proved=%d refused=%d"
+    id r.Resyn.jj_before r.Resyn.jj_after r.Resyn.depth_before r.Resyn.depth_after
+    cec.Resyn.windows cec.Resyn.proved cec.Resyn.failed
 
 let load_baseline () =
   In_channel.with_open_text baseline_path In_channel.input_all

@@ -12,7 +12,21 @@
     Determinism and parallelism: cuts depend only on strictly
     shallower nodes, so nodes are processed level-synchronously —
     each level shards over {!Parallel.parallel_map} (ordered
-    combine), making the result bit-identical at any [--jobs]. *)
+    combine), making the result bit-identical at any [--jobs].
+
+    Known limitation (the cause of today's [RS-CEC-01] refusals): the
+    table is computed as if the leaves were independent, but a cut may
+    hold two leaves where one is a function of the other. On c1355,
+    node 339 has the cut [{333, 334, 335}] with [335 = NOT 334]; the
+    merge expresses part of the function through [334] and part
+    through [335], so [tt] is right only on the rows where
+    [335 = NOT 334]. {!Window.cone} stops at [335] and treats it as a
+    free input, so the window and the matched implementation differ
+    only on rows no input can reach, and the guard refuses a rewrite
+    that was correct in context (2 refusals on c1355, 4 on c1908, all
+    of this shape). It is not a matcher bug, and every refusal is
+    sound; dropping such cuts or treating the unreachable rows as
+    don't-cares would change QoR and [bench/qor_baselines.txt]. *)
 
 type cut = {
   leaves : int array;  (** sorted ascending, [1 <= length <= 3] *)

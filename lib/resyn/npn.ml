@@ -13,16 +13,19 @@ let perms =
   |]
 
 let apply t f =
-  Truth.of_fun 3 (fun ys ->
-      let xs = Array.make 3 false in
-      for j = 0 to 2 do
-        let k = t.perm.(j) in
-        xs.(k) <- ys.(j) <> (t.phase land (1 lsl k) <> 0)
-      done;
-      Truth.eval f xs <> t.out_neg)
+  let g = ref 0 in
+  for y = 0 to 7 do
+    let x = ref 0 in
+    for j = 0 to 2 do
+      let k = t.perm.(j) in
+      x := !x lor ((((y lsr j) lxor (t.phase lsr k)) land 1) lsl k)
+    done;
+    if (f lsr !x) land 1 = 1 <> t.out_neg then g := !g lor (1 lsl y)
+  done;
+  !g
 
-let canon f =
-  let f = f land 255 in
+(* Smallest image over all 96 transforms; ties keep the first found. *)
+let search f =
   let best = ref (f, identity) in
   Array.iter
     (fun perm ->
@@ -36,6 +39,12 @@ let canon f =
       done)
     perms;
   !best
+
+(* Built once at module initialisation and only read afterwards, so
+   lookups are safe from any domain. *)
+let table = Array.init 256 search
+
+let canon f = table.(f land 255)
 
 let map_operand t = function
   | Maj_db.Var (j, neg) ->

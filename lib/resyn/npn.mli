@@ -10,7 +10,10 @@
     on {!Maj_db.operand}s, so the transport is exact.
 
     Everything here is a pure table computation: deterministic by
-    construction. *)
+    construction. The 256 answers of {!canon} are computed once, when
+    the module is initialised, with a bitwise {!apply}; a call is an
+    array read, so the rewriter asks it per cut without building a
+    table of its own, from any domain. *)
 
 type transform = {
   perm : int array;
@@ -31,7 +34,8 @@ val canon : Truth.t -> Truth.t * transform
 (** The numerically smallest table over all 96 NPN transforms of [f],
     with a deterministic witness [t] such that
     [apply t f = canonical]. Only the low 8 bits of [f] are
-    considered. *)
+    considered. Looked up in the table built at initialisation; the
+    returned transform is shared, so callers must not mutate [perm]. *)
 
 val uncanon : transform -> Maj_db.impl -> Maj_db.impl
 (** Transport an implementation of the canonical representative back

@@ -171,10 +171,10 @@ let pass_rewrite guard diags nl =
   let const_leaf = const_facts nl in
   let cuts = Cuts.enumerate nl in
   let fanout = Netlist.fanout_counts nl in
-  (* NPN class and database tables, built serially before the parallel
-     section: the first force of [Maj_db]'s lazy table must not happen
-     in two domains at once (a warm synth stage leaves it unforced) *)
-  let npn = Array.init 256 (fun f -> Npn.canon f) in
+  (* database table, built serially before the parallel section: the
+     first force of [Maj_db]'s lazy table must not happen in two
+     domains at once (a warm synth stage leaves it unforced). [Npn]'s
+     table is built at module initialisation. *)
   let db = Array.init 256 Maj_db.lookup in
   let best_impl tt3 care =
     let best = ref None in
@@ -188,7 +188,7 @@ let pass_rewrite guard diags nl =
     for t' = 0 to 255 do
       if t' land care = base then begin
         consider db.(t');
-        let rep, tr = npn.(t') in
+        let rep, tr = Npn.canon t' in
         consider (Npn.uncanon tr db.(rep))
       end
     done;

@@ -87,6 +87,41 @@ let check_outputs ?(conflict_budget = default_budget) a b =
         budget_left := !budget_left - used;
         r
       in
+      (* Counterexample reuse: the model of every sweep query that
+         answers [Sat] becomes bit [k] of a pattern word per input (k =
+         the k-th such model), and the AIG is re-simulated on it. A
+         later pair that some stored pattern already separates is not
+         asked: the solver would answer [Sat], so the pair is handled
+         as such an answer is (neither merged nor made a
+         representative). [full] holds the node values of filled words,
+         [cur] the word being filled, [cur_vals] its node values. *)
+      let full = ref [] in
+      let cur = Array.make n_in 0L and cur_bits = ref 0 in
+      let cur_vals = ref [||] in
+      let separated lv lr =
+        let differ mask vals =
+          Int64.logand mask (Int64.logxor (Aig.lit_word vals lv) (Aig.lit_word vals lr))
+          <> 0L
+        in
+        (!cur_bits > 0
+        && differ (Int64.pred (Int64.shift_left 1L !cur_bits)) !cur_vals)
+        || List.exists (differ (-1L)) !full
+      in
+      let store_model () =
+        let bit = Int64.shift_left 1L !cur_bits in
+        for i = 0 to n_in - 1 do
+          if Solver.model_value solver (slit (Aig.input_lit aig i)) then
+            cur.(i) <- Int64.logor cur.(i) bit
+        done;
+        incr cur_bits;
+        let vals = Aig.sim aig cur in
+        if !cur_bits = 64 then begin
+          full := vals :: !full;
+          Array.fill cur 0 n_in 0L;
+          cur_bits := 0
+        end
+        else cur_vals := vals
+      in
       let v = ref 0 in
       while !v < n_nodes && !sweep_left > 0 do
         let key, ph = canon !v in
@@ -95,15 +130,19 @@ let check_outputs ?(conflict_budget = default_budget) a b =
         | Some (r, phr) ->
           let lv = (2 * !v) lor (if ph then 1 else 0) in
           let lr = (2 * r) lor (if phr then 1 else 0) in
-          let q1 = run_query [ slit lv; Solver.neg_lit (slit lr) ] in
-          if q1 = Solver.Unsat && !sweep_left > 0 then begin
-            let q2 = run_query [ Solver.neg_lit (slit lv); slit lr ] in
-            if q2 = Solver.Unsat then begin
-              (* proven: merge so later queries see the equivalence *)
-              Solver.add_clause solver
-                [ Solver.neg_lit (slit lv); slit lr ];
-              Solver.add_clause solver
-                [ slit lv; Solver.neg_lit (slit lr) ]
+          if not (separated lv lr) then begin
+            let q1 = run_query [ slit lv; Solver.neg_lit (slit lr) ] in
+            if q1 = Solver.Sat then store_model ()
+            else if q1 = Solver.Unsat && !sweep_left > 0 then begin
+              let q2 = run_query [ Solver.neg_lit (slit lv); slit lr ] in
+              if q2 = Solver.Sat then store_model ()
+              else if q2 = Solver.Unsat then begin
+                (* proven: merge so later queries see the equivalence *)
+                Solver.add_clause solver
+                  [ Solver.neg_lit (slit lv); slit lr ];
+                Solver.add_clause solver
+                  [ slit lv; Solver.neg_lit (slit lr) ]
+              end
             end
           end);
         incr v

@@ -16,6 +16,23 @@
     + each open output's XOR is then decided by one assumption solve,
       which gets whatever budget the sweep left.
 
+    The sweep reuses its own counterexamples. The model of every
+    sweep query that answers [Sat] is packed into 64-bit pattern words
+    (bit [k] of input [i]'s word = input [i] in the [k]-th model) and
+    the AIG is re-simulated on them. A later candidate pair that a
+    stored pattern already separates is skipped: it is not asked, not
+    merged and not made a representative, exactly as a [Sat] answer
+    is handled. A pattern is a real input assignment and merges only
+    add equivalences that hold, so the skipped query would have
+    answered [Sat]; bucketing, node order and representative choice
+    are unchanged, and the queries asked are a subsequence of those
+    asked without reuse. When no query exhausts its budget the same
+    pairs are merged and every verdict class is the same; only the
+    solver's learned clauses differ, so a counterexample found by a
+    final solve may be another model. When a budget does run out,
+    the conflicts the skipped queries no longer spend go to later
+    queries.
+
     Because the two netlists share one AIG and one sweep, logic that
     several output cones have in common is proven once, not once per
     cone. Everything is deterministic: the stimulus comes from a fixed

@@ -133,6 +133,64 @@ let test_cache_warm_reproves_nothing () =
 let test_npn_classes () =
   checki "3-input NPN classes" 14 (Npn.classes ())
 
+(* NPN canonicalization as it stood before the table built at module
+   initialisation: [apply] tabulates through [Truth.of_fun] and
+   [canon] searches all 96 transforms on every call. Kept as the
+   oracle for [Npn.canon]. *)
+module Reference_npn = struct
+  let perms =
+    [| [| 0; 1; 2 |]; [| 0; 2; 1 |]; [| 1; 0; 2 |];
+       [| 1; 2; 0 |]; [| 2; 0; 1 |]; [| 2; 1; 0 |] |]
+
+  let apply (t : Npn.transform) f =
+    Truth.of_fun 3 (fun ys ->
+        let xs = Array.make 3 false in
+        for j = 0 to 2 do
+          let k = t.Npn.perm.(j) in
+          xs.(k) <- ys.(j) <> (t.Npn.phase land (1 lsl k) <> 0)
+        done;
+        Truth.eval f xs <> t.Npn.out_neg)
+
+  let canon f =
+    let f = f land 255 in
+    let best = ref (f, Npn.identity) in
+    Array.iter
+      (fun perm ->
+        for phase = 0 to 7 do
+          List.iter
+            (fun out_neg ->
+              let t = { Npn.perm; phase; out_neg } in
+              let g = apply t f in
+              if g < fst !best then best := (g, t))
+            [ false; true ]
+        done)
+      perms;
+    !best
+end
+
+let show_transform (t : Npn.transform) =
+  Printf.sprintf "perm=%d%d%d phase=%d out_neg=%b" t.Npn.perm.(0) t.Npn.perm.(1)
+    t.Npn.perm.(2) t.Npn.phase t.Npn.out_neg
+
+let test_npn_matches_reference () =
+  (* the transform matters as much as the representative: [uncanon]
+     reads it *)
+  for f = 0 to 255 do
+    let g, t = Npn.canon f in
+    let g', t' = Reference_npn.canon f in
+    checki (Printf.sprintf "tt %d representative" f) g' g;
+    checks (Printf.sprintf "tt %d transform" f) (show_transform t') (show_transform t);
+    checki (Printf.sprintf "tt %d witness" f) g (Npn.apply t f);
+    Array.iter
+      (fun perm ->
+        for phase = 0 to 15 do
+          let t = { Npn.perm; phase = phase land 7; out_neg = phase >= 8 } in
+          if Npn.apply t f <> Reference_npn.apply t f then
+            Alcotest.failf "tt %d: apply differs under %s" f (show_transform t)
+        done)
+      Reference_npn.perms
+  done
+
 let test_npn_uncanon_semantics () =
   (* uncanon must transport the canonical class representative's
      implementation back so that it computes the original function;
@@ -207,6 +265,8 @@ let () =
       ( "npn",
         [
           Alcotest.test_case "class count" `Quick test_npn_classes;
+          Alcotest.test_case "canon matches reference" `Quick
+            test_npn_matches_reference;
           Alcotest.test_case "uncanon semantics" `Quick
             test_npn_uncanon_semantics;
         ] );

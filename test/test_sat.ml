@@ -377,6 +377,136 @@ let test_joint_matches_per_cone () =
     Circuits.benchmark_names;
   checkb "the mutations expose differing outputs" true (!diffs > 0)
 
+(* ---------- sweep counterexample reuse ---------- *)
+
+(* Random pairs over at most 10 inputs whose outputs are planted equal
+   or unequal, built mostly from wide ANDs and decoder minterms: such
+   nodes are rarely true, so many share the all-zero simulation
+   signature with the constant node and the sweep asks the solver
+   about them, and a counterexample found for one term often
+   separates a later one. *)
+let rare_pair rng =
+  let n = 4 + Rng.int rng 7 in
+  let a = Netlist.create () and b = Netlist.create () in
+  let ins nl = Array.init n (fun _ -> Netlist.add nl Netlist.Input [||]) in
+  let ia = ins a and ib = ins b in
+  let lit nl xs (i, pos) =
+    if pos then xs.(i) else Netlist.add nl Netlist.Not [| xs.(i) |]
+  in
+  let chain nl xs = function
+    | [] -> Netlist.add nl (Netlist.Const true) [||]
+    | l :: rest ->
+        List.fold_left
+          (fun acc l -> Netlist.add nl Netlist.And [| acc; lit nl xs l |])
+          (lit nl xs l) rest
+  in
+  (* a wide term: [n - Rng.int 3] distinct inputs, random polarities *)
+  let wide () =
+    let order = Array.init n Fun.id in
+    Rng.shuffle rng order;
+    List.init (n - Rng.int rng 3) (fun k -> (order.(k), Rng.bool rng))
+  in
+  (* one minterm of a 3-input decoder ANDed onto a shared prefix *)
+  let decoder_term prefix j =
+    prefix @ List.init 3 (fun k -> (n - 1 - k, (j lsr k) land 1 = 1))
+  in
+  let prefix = List.init (n - 3) (fun i -> (i, Rng.bool rng)) in
+  let outs = ref [] in
+  let out oa ob = outs := (oa, ob) :: !outs in
+  for _ = 1 to 6 + Rng.int rng 6 do
+    match Rng.int rng 5 with
+    | 0 ->
+        (* equal: the same term chained in opposite orders *)
+        let t = wide () in
+        out (chain a ia t) (chain b ib (List.rev t))
+    | 1 ->
+        (* unequal: the last literal's polarity flipped *)
+        let t = wide () in
+        let t' =
+          List.mapi
+            (fun k (i, pos) -> if k = List.length t - 1 then (i, not pos) else (i, pos))
+            t
+        in
+        out (chain a ia t) (chain b ib t')
+    | 2 ->
+        (* unequal: a rare term against constant false *)
+        out (chain a ia (wide ()))
+          (Netlist.add b (Netlist.Const false) [||])
+    | 3 ->
+        (* decoder terms: an OR of minterms, equal or one minterm off *)
+        let js = List.init 3 (fun _ -> Rng.int rng 8) in
+        let js' =
+          if Rng.bool rng then List.rev js
+          else List.mapi (fun k j -> if k = 0 then (j + 1) mod 8 else j) js
+        in
+        let any nl xs js =
+          List.fold_left
+            (fun acc j ->
+              Netlist.add nl Netlist.Or [| acc; chain nl xs (decoder_term prefix j) |])
+            (Netlist.add nl (Netlist.Const false) [||])
+            js
+        in
+        out (any a ia js) (any b ib js')
+    | _ ->
+        (* majority of rare terms, operands permuted: equal *)
+        let t1 = wide () and t2 = wide () and x = Rng.int rng n in
+        let m nl xs order =
+          let ops = [| chain nl xs t1; chain nl xs t2; xs.(x) |] in
+          Netlist.add nl Netlist.Maj (Array.map (fun k -> ops.(k)) order)
+        in
+        out (m a ia [| 0; 1; 2 |]) (m b ib [| 2; 0; 1 |])
+  done;
+  List.iter
+    (fun (oa, ob) ->
+      ignore (Netlist.add a Netlist.Output [| oa |]);
+      ignore (Netlist.add b Netlist.Output [| ob |]))
+    (List.rev !outs);
+  (n, a, b)
+
+(* Which outputs differ on some input, by exhaustive simulation. *)
+let exhaustive_diff n a b =
+  let n_out = List.length (Netlist.outputs a) in
+  let differs = Array.make n_out false in
+  for v = 0 to (1 lsl n) - 1 do
+    let x = Array.init n (fun k -> (v lsr k) land 1 = 1) in
+    let ya = Sim.eval a x and yb = Sim.eval b x in
+    for o = 0 to n_out - 1 do
+      if ya.(o) <> yb.(o) then differs.(o) <- true
+    done
+  done;
+  differs
+
+let test_sweep_reuse_exact () =
+  let rng = Rng.create 0x5ee9 in
+  let past_sim = ref 0 in
+  for pair = 1 to 60 do
+    let n, a, b = rare_pair rng in
+    let verdicts = Cec.check_outputs a b in
+    let again = Cec.check_outputs a b in
+    checkb (Printf.sprintf "pair %d: two calls agree" pair) true (verdicts = again);
+    let differs = exhaustive_diff n a b in
+    let outs_a = Array.of_list (Netlist.outputs a) in
+    let outs_b = Array.of_list (Netlist.outputs b) in
+    Array.iteri
+      (fun o v ->
+        let what = Printf.sprintf "pair %d output %d" pair o in
+        Alcotest.(check string)
+          (what ^ ": verdict class")
+          (if differs.(o) then "diff" else "equal")
+          (verdict_class v);
+        (match v with
+        | Cec.Diff cex ->
+            checkb (what ^ ": cex replays") true
+              ((Sim.eval a cex).(o) <> (Sim.eval b cex).(o))
+        | Cec.Equal | Cec.Unknown _ -> ());
+        if differs.(o)
+           && sim_cex (Equiv.cone a outs_a.(o)) (Equiv.cone b outs_b.(o)) = None
+        then incr past_sim)
+      verdicts
+  done;
+  (* the property is only tested if differences reach the sweep *)
+  checkb "some differences escape simulation" true (!past_sim > 0)
+
 let () =
   Alcotest.run "sat"
     [
@@ -399,5 +529,7 @@ let () =
             test_cec_benchmarks_and_mutations;
           Alcotest.test_case "joint outputs match per-cone proofs" `Slow
             test_joint_matches_per_cone;
+          Alcotest.test_case "sweep reuse matches exhaustive simulation" `Quick
+            test_sweep_reuse_exact;
         ] );
     ]
