@@ -1,7 +1,7 @@
 (* Verification and test signoff: after the physical flow, formally
-   prove the synthesized AQFP netlist equals the RTL (BDD-based, with
-   a simulation fallback), then generate a compact manufacturing test
-   set with stuck-at fault coverage.
+   prove the synthesized AQFP netlist equals the RTL with the flow's own
+   equivalence gate, then generate a compact manufacturing test set
+   with stuck-at fault coverage.
 
      dune exec examples/signoff.exe [circuit]   (default adder8) *)
 
@@ -23,20 +23,13 @@ let () =
     (Array.length r.Flow.problem.Problem.nets)
     (if r.Flow.violations = [] then "clean" else "VIOLATIONS");
 
-  (* 2. functional signoff: formal first, simulation as fallback *)
-  (match Bdd.check_equivalence aoi r.Flow.aqfp_netlist with
-  | Bdd.Equivalent -> Format.printf "equivalence: PROVEN (BDD)@."
-  | Bdd.Different cex ->
-      Format.printf "equivalence: FAILED — counterexample %s@."
-        (String.concat ""
-           (List.map (fun b -> if b then "1" else "0") (Array.to_list cex)));
-      exit 1
-  | Bdd.Too_large ->
-      let ok = Sim.equivalent aoi r.Flow.aqfp_netlist in
-      Format.printf "equivalence: %s (BDD too large; %s simulation)@."
-        (if ok then "passed" else "FAILED")
-        (if List.length (Netlist.inputs aoi) <= 14 then "exhaustive" else "sampled");
-      if not ok then exit 1);
+  (* 2. functional signoff: every output proven, as the flow's gate does;
+     a warning means an output was only sampled, an error that it differs *)
+  (match Equiv.check_pair ~stage:"rtl->aqfp" aoi r.Flow.aqfp_netlist with
+  | [] -> Format.printf "equivalence: PROVEN@."
+  | diags ->
+      List.iter (fun d -> Format.printf "equivalence: %s@." (Diag.to_string d)) diags;
+      if Diag.count Diag.Error diags > 0 then exit 1);
 
   (* 3. manufacturing tests on the netlist that will be fabricated *)
   let tests = Fault.generate ~seed:11 r.Flow.aqfp_netlist in

@@ -75,27 +75,6 @@ let of_kind = function
 
 let jj_of_kind k = (of_kind k).jj_count
 
-let library =
-  let cells =
-    [
-      of_kind Netlist.Input;
-      of_kind Netlist.Output;
-      of_kind (Netlist.Const false);
-      of_kind Netlist.Buf;
-      of_kind Netlist.Not;
-      of_kind Netlist.And;
-      of_kind Netlist.Or;
-      of_kind Netlist.Nand;
-      of_kind Netlist.Nor;
-      of_kind Netlist.Xor;
-      of_kind Netlist.Xnor;
-      of_kind Netlist.Maj;
-      of_kind (Netlist.Splitter 2);
-      of_kind (Netlist.Splitter 3);
-    ]
-  in
-  List.map (fun c -> (c.cell_name, c)) cells
-
 let max_splitter_outputs = 3
 
 let netlist_jj_count nl =
@@ -105,7 +84,3 @@ let netlist_jj_count nl =
       | Netlist.Output -> acc
       | k -> acc + jj_of_kind k)
     0
-
-let pp ppf c =
-  Format.fprintf ppf "%s %.0fx%.0fum %dJJ %din/%dout" c.cell_name c.width
-    c.height c.jj_count (Array.length c.in_pins) (Array.length c.out_pins)

@@ -28,9 +28,6 @@ val of_kind : Netlist.kind -> t
 val jj_of_kind : Netlist.kind -> int
 (** Shorthand for [(of_kind k).jj_count]. *)
 
-val library : (string * t) list
-(** All distinct cells, for reports and GDS cell-definition emission. *)
-
 val max_splitter_outputs : int
 (** Largest splitter the library offers (3); wider fan-outs are built
     as splitter trees by the insertion stage. *)
@@ -39,5 +36,3 @@ val netlist_jj_count : Netlist.t -> int
 (** Total JJs of all placeable nodes of a netlist ([Output] markers
     are free; [Input] ports count as buffer-sized DC/SFQ converters,
     matching the paper counting all inserted cells). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,23 +1,10 @@
-type direction = Rightward | Leftward
+let[@inline] skew_base ~row_width ~phase ~x_start ~x_end =
+  match ((phase mod 4) + 4) mod 4 with
+  | 0 -> x_end -. x_start
+  | 1 -> x_end +. x_start
+  | 2 -> -.x_end +. x_start
+  | 3 -> (2.0 *. row_width) -. x_end -. x_start
+  | _ -> assert false
 
-let direction row = if row mod 2 = 0 then Rightward else Leftward
-
-let clock_arrival_ps tech ~row_width ~phase ~x =
-  let v = tech.Tech.clock_velocity in
-  match direction phase with
-  | Rightward -> x /. v
-  | Leftward -> (row_width -. x) /. v
-
-let timing_cost tech ~row_width ~phase ~x_start ~x_end ~alpha =
-  ignore tech;
-  let base =
-    match ((phase mod 4) + 4) mod 4 with
-    | 0 -> x_end -. x_start
-    | 1 -> x_end +. x_start
-    | 2 -> -.x_end +. x_start
-    | 3 -> (2.0 *. row_width) -. x_end -. x_start
-    | _ -> assert false
-  in
-  Float.max 0.0 base ** alpha
-
-let phase_of_row row = ((row mod 4) + 4) mod 4
+let timing_cost ~row_width ~phase ~x_start ~x_end ~alpha =
+  Float.max 0.0 (skew_base ~row_width ~phase ~x_start ~x_end) ** alpha

@@ -7,26 +7,30 @@
     and traverses leftwards, and so on. Consequently the clock arrival
     time at a cell depends on its x position and its row's traversal
     direction — this is the origin of the four cases of the paper's
-    Eq. (2) timing cost. *)
+    Eq. (2) timing cost.
 
-type direction = Rightward | Leftward
-
-val direction : int -> direction
-(** Traversal direction of a phase row: even rows are [Rightward]. *)
-
-val clock_arrival_ps : Tech.t -> row_width:float -> phase:int -> x:float -> float
-(** Clock arrival time at horizontal position [x] of a row, relative
-    to the start of that row's phase window: [x / v_clk] for rightward
-    rows, [(row_width - x) / v_clk] for leftward rows. *)
-
-val timing_cost : Tech.t -> row_width:float -> phase:int -> x_start:float ->
-  x_end:float -> alpha:float -> float
-(** The paper's Eq. (2): the four-phase timing cost of a connection
+    This module holds the one definition of Eq. (2). For a connection
     leaving a cell at [x_start] in row [phase] and entering its sink at
-    [x_end] in row [phase + 1], with exponent [alpha]. The base inside
-    the power is clamped at 0 (a connection that "flows with" the clock
-    has no timing pressure). The [phase mod 4] case split matches the
-    relative clock directions of the two rows. *)
+    [x_end] in row [phase + 1], with [W] the row width, the base is
 
-val phase_of_row : int -> int
-(** [row mod 4] — the AC phase index (0..3) powering a row. *)
+    {v
+      phase mod 4 = 0:  x_end - x_start
+      phase mod 4 = 1:  x_end + x_start
+      phase mod 4 = 2:  x_start - x_end
+      phase mod 4 = 3:  2W - x_end - x_start
+    v}
+
+    and [max(0, base)] is the connection's unfavourable clock skew in
+    µm. The placer's cost raises it to the power [alpha]; {!Sta}
+    divides it by the clock velocity. *)
+
+val skew_base :
+  row_width:float -> phase:int -> x_start:float -> x_end:float -> float
+(** The unclamped Eq. (2) base above; [phase] may be any integer (it is
+    taken mod 4). *)
+
+val timing_cost :
+  row_width:float -> phase:int -> x_start:float -> x_end:float -> alpha:float -> float
+(** The paper's Eq. (2): [max(0, skew_base) ** alpha]. The base is
+    clamped at 0 (a connection that "flows with" the clock has no
+    timing pressure). *)

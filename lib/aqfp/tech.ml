@@ -38,23 +38,6 @@ let pp ppf t =
     "grid=%.0fum s_min=%.0fum w_max=%.0fum clock=%.1fGHz phases=%d window=%.1fps"
     t.grid t.s_min t.w_max t.clock_freq_ghz t.phases (phase_window_ps t)
 
-let to_string t =
-  String.concat "\n"
-    [
-      "# AQFP technology description";
-      Printf.sprintf "grid = %.12g" t.grid;
-      Printf.sprintf "s_min = %.12g" t.s_min;
-      Printf.sprintf "w_max = %.12g" t.w_max;
-      Printf.sprintf "row_gap = %.12g" t.row_gap;
-      Printf.sprintf "clock_freq_ghz = %.12g" t.clock_freq_ghz;
-      Printf.sprintf "phases = %d" t.phases;
-      Printf.sprintf "signal_velocity = %.12g" t.signal_velocity;
-      Printf.sprintf "clock_velocity = %.12g" t.clock_velocity;
-      Printf.sprintf "gate_delay_ps = %.12g" t.gate_delay_ps;
-      Printf.sprintf "metal_layers = %d" t.metal_layers;
-      "";
-    ]
-
 let of_string source =
   let tech = ref default in
   let err = ref None in

@@ -39,14 +39,11 @@ val on_grid : t -> float -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val to_string : t -> string
-(** Render as the [key = value] text accepted by {!of_string}. *)
-
 val of_string : string -> (t, string) result
 (** Parse a technology description: one [key = value] per line,
     [#] comments, unknown keys rejected, missing keys defaulted from
     {!default}. Keys: grid, s_min, w_max, row_gap, clock_freq_ghz,
     phases, signal_velocity, clock_velocity, gate_delay_ps,
-    metal_layers. Round-trips with {!to_string}. *)
+    metal_layers. *)
 
 val of_file : string -> (t, string) result

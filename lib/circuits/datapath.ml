@@ -209,24 +209,3 @@ let parity n =
   in
   ignore (Netlist.add nl ~name:"p" Netlist.Output [| p |]);
   nl
-
-module Ref = struct
-  let subtract w a b =
-    let mask = (1 lsl w) - 1 in
-    let d = (a - b) land mask in
-    (d, a >= b)
-
-  let compare_u _w a b = compare a b
-
-  let shift_left w x s = (x lsl s) land ((1 lsl w) - 1)
-
-  let priority n v =
-    let rec go i = if i < 0 then None else if (v lsr i) land 1 = 1 then Some i else go (i - 1) in
-    go (n - 1)
-
-  let mux _n v s = (v lsr s) land 1 = 1
-
-  let parity v =
-    let rec go acc v = if v = 0 then acc else go (acc <> (v land 1 = 1)) (v lsr 1) in
-    go false v
-end

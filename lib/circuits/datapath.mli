@@ -2,8 +2,8 @@
     benchmark set — the building blocks a user of the flow reaches for
     when assembling real designs (the paper's outlook: RISC-V CPUs and
     accelerators). All emit AOI netlists ready for {!Synth_flow.run};
-    each has a specification-level reference in {!Reference} and an
-    exhaustive or randomized test.
+    each is checked exhaustively or on random vectors against a
+    specification-level reference in the test suite.
 
     Bit order is LSB-first everywhere, matching {!Circuits}. *)
 
@@ -42,13 +42,3 @@ val mux_tree : int -> Netlist.t
 
 val parity : int -> Netlist.t
 (** [parity n] — xor-reduce of [n] inputs; output [p]. *)
-
-(** References for the test suite. *)
-module Ref : sig
-  val subtract : int -> int -> int -> int * bool
-  val compare_u : int -> int -> int -> int (* -1 / 0 / 1 *)
-  val shift_left : int -> int -> int -> int
-  val priority : int -> int -> int option
-  val mux : int -> int -> int -> bool
-  val parity : int -> bool
-end

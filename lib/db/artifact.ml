@@ -22,11 +22,6 @@ let make ~kind ~version c =
     decode = Codec.decode ~kind ~version c;
   }
 
-let save c path v = save_file path (c.encode v)
-
-let load c path =
-  match load_file path with Error _ as e -> e | Ok bytes -> c.decode bytes
-
 (* ---- netlist ---- *)
 
 let gate_kind =

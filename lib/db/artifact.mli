@@ -7,7 +7,8 @@
     (with its technology and cell library embedded), the placement /
     routing / STA / energy / synthesis / resynthesis / checker
     reports, the DRC violation list, bare diagnostic lists and the
-    assembled layout. {!save} and {!load} go through files.
+    assembled layout. {!Db} stores the frames; {!Codec.save_file} and
+    {!Codec.load_file} move them through files.
 
     Guarantees (tested over the bundled benchmarks; the bytes of
     every kind are also pinned by MD5):
@@ -27,11 +28,6 @@ type 'a codec = {
   encode : 'a -> string;  (** sealed frame bytes *)
   decode : string -> ('a, Diag.t) result;
 }
-
-val save : 'a codec -> string -> 'a -> unit
-(** [save c path v] — atomic file write of [c.encode v]. *)
-
-val load : 'a codec -> string -> ('a, Diag.t) result
 
 val netlist : Netlist.t codec
 val tech : Tech.t codec

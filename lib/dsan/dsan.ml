@@ -274,10 +274,6 @@ let set tr ix v =
   if Atomic.get active then note_set tr ix;
   tr.data.(ix) <- v
 
-let unsafe_data tr = tr.data
-
-let length tr = Array.length tr.data
-
 (* ---- the hooks ---- *)
 
 let fnv_hash s =

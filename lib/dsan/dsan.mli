@@ -115,9 +115,3 @@ val wrap : label:string -> mode:mode -> 'a array -> 'a t
 val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> unit
-
-val unsafe_data : 'a t -> 'a array
-(** The underlying array, for serial phases (merge loops, result
-    extraction) where per-element checking is pointless. *)
-
-val length : 'a t -> int

@@ -15,17 +15,9 @@ let area r = width r *. height r
 
 let center r = { x = (r.lx +. r.hx) /. 2.0; y = (r.ly +. r.hy) /. 2.0 }
 
-let translate r dx dy =
-  { lx = r.lx +. dx; ly = r.ly +. dy; hx = r.hx +. dx; hy = r.hy +. dy }
-
 let overlaps a b = a.lx < b.hx && b.lx < a.hx && a.ly < b.hy && b.ly < a.hy
 
 let contains r p = p.x >= r.lx && p.x < r.hx && p.y >= r.ly && p.y < r.hy
-
-let intersection a b =
-  let lx = Float.max a.lx b.lx and ly = Float.max a.ly b.ly in
-  let hx = Float.min a.hx b.hx and hy = Float.min a.hy b.hy in
-  if hx >= lx && hy >= ly then Some { lx; ly; hx; hy } else None
 
 let union_rect a b =
   { lx = Float.min a.lx b.lx;
@@ -34,17 +26,3 @@ let union_rect a b =
     hy = Float.max a.hy b.hy }
 
 let dist_manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)
-
-let gap_1d al ah bl bh =
-  if bh < al then al -. bh else if ah < bl then bl -. ah else 0.0
-
-let dist_rect a b =
-  gap_1d a.lx a.hx b.lx b.hx +. gap_1d a.ly a.hy b.ly b.hy
-
-let spacing_x a b =
-  if a.lx <= b.lx then b.lx -. a.hx else a.lx -. b.hx
-
-let pp_rect ppf r =
-  Format.fprintf ppf "[%.1f,%.1f %.1fx%.1f]" r.lx r.ly (width r) (height r)
-
-let pp_point ppf p = Format.fprintf ppf "(%.1f,%.1f)" p.x p.y

@@ -25,28 +25,12 @@ val area : rect -> float
 
 val center : rect -> point
 
-val translate : rect -> float -> float -> rect
-
 val overlaps : rect -> rect -> bool
 (** Strict interior intersection: abutting rectangles don't overlap. *)
 
 val contains : rect -> point -> bool
 
-val intersection : rect -> rect -> rect option
-
 val union_rect : rect -> rect -> rect
 (** Bounding box of the two. *)
 
 val dist_manhattan : point -> point -> float
-
-val dist_rect : rect -> rect -> float
-(** Minimum Manhattan gap between two rectangles; 0 when they touch or
-    overlap. *)
-
-val spacing_x : rect -> rect -> float
-(** Horizontal free space between two rectangles ([-] if overlapping in
-    x); used by spacing DRC. *)
-
-val pp_rect : Format.formatter -> rect -> unit
-
-val pp_point : Format.formatter -> point -> unit

@@ -8,9 +8,6 @@ let um_str n = Printf.sprintf "%.3f" (to_um n)
 
 type irect = { lx : int; ly : int; hx : int; hy : int }
 
-let rect x1 y1 x2 y2 =
-  { lx = min x1 x2; ly = min y1 y2; hx = max x1 x2; hy = max y1 y2 }
-
 let width r = r.hx - r.lx
 let height r = r.hy - r.ly
 let area r = width r * height r
@@ -21,11 +18,6 @@ let overlaps a b = a.lx < b.hx && b.lx < a.hx && a.ly < b.hy && b.ly < a.hy
 
 let touches a b = a.lx <= b.hx && b.lx <= a.hx && a.ly <= b.hy && b.ly <= a.hy
 
-let inter a b =
-  let lx = max a.lx b.lx and ly = max a.ly b.ly in
-  let hx = min a.hx b.hx and hy = min a.hy b.hy in
-  if lx <= hx && ly <= hy then Some { lx; ly; hx; hy } else None
-
 let inter_area a b =
   let w = min a.hx b.hx - max a.lx b.lx in
   let h = min a.hy b.hy - max a.ly b.ly in
@@ -34,8 +26,6 @@ let inter_area a b =
 let contains outer inner =
   outer.lx <= inner.lx && outer.ly <= inner.ly && inner.hx <= outer.hx
   && inner.hy <= outer.hy
-
-let contains_pt r x y = r.lx <= x && x < r.hx && r.ly <= y && y < r.hy
 
 let gap_1d al ah bl bh = if bh < al then al - bh else if ah < bl then bl - ah else 0
 

@@ -22,10 +22,6 @@ type irect = { lx : int; ly : int; hx : int; hy : int }
     identity through the pipeline and fail width/area rules instead of
     being silently dropped). *)
 
-val rect : int -> int -> int -> int -> irect
-(** Normalizes argument order: [rect x1 y1 x2 y2] takes opposite
-    corners in any order. *)
-
 val width : irect -> int
 val height : irect -> int
 val area : irect -> int
@@ -40,18 +36,11 @@ val overlaps : irect -> irect -> bool
 val touches : irect -> irect -> bool
 (** Closed intersection: true also when only edges/corners are shared. *)
 
-val inter : irect -> irect -> irect option
-(** Closed intersection rectangle (possibly degenerate), if any. *)
-
 val inter_area : irect -> irect -> int
 (** Area of the intersection, 0 when disjoint or merely touching. *)
 
 val contains : irect -> irect -> bool
 (** [contains outer inner]: closed containment. *)
-
-val contains_pt : irect -> int -> int -> bool
-(** Half-open membership ([lx <= x < hx]) — used for tile ownership so
-    every point belongs to exactly one tile. *)
 
 val gap_x : irect -> irect -> int
 (** Separation of the x-projections; 0 when they overlap or touch. *)

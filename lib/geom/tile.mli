@@ -23,8 +23,8 @@ val make : bbox:Igeom.irect -> size:int -> halo:int -> t
 val count : t -> int
 
 val proper : t -> int -> Igeom.irect
-(** Tile [i]'s own footprint (half-open ownership via
-    {!Igeom.contains_pt}). *)
+(** Tile [i]'s own footprint, owned half-open ([lx <= x < hx], and
+    likewise in y) so that every point belongs to exactly one tile. *)
 
 val with_halo : t -> int -> Igeom.irect
 (** Footprint grown by the halo: the geometry a tile gets to see. *)

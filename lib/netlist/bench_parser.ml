@@ -192,38 +192,3 @@ let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | content -> Result.map_error (Printf.sprintf "%s: %s" path) (parse content)
   | exception Sys_error msg -> Error msg
-
-let to_bench nl =
-  let buf = Buffer.create 1024 in
-  let node_name id =
-    match Netlist.name nl id with Some s -> s | None -> Printf.sprintf "n%d" id
-  in
-  List.iter
-    (fun id -> Buffer.add_string buf (Printf.sprintf "INPUT(%s)\n" (node_name id)))
-    (Netlist.inputs nl);
-  List.iter
-    (fun id ->
-      let driver = (Netlist.fanins nl id).(0) in
-      Buffer.add_string buf (Printf.sprintf "OUTPUT(%s)\n" (node_name driver)))
-    (Netlist.outputs nl);
-  Netlist.iter nl (fun nd ->
-      let args () =
-        String.concat ", " (Array.to_list (Array.map node_name nd.Netlist.fanins))
-      in
-      let emit op =
-        Buffer.add_string buf
-          (Printf.sprintf "%s = %s(%s)\n" (node_name nd.Netlist.id) op (args ()))
-      in
-      match nd.Netlist.kind with
-      | Netlist.Input | Netlist.Output -> ()
-      | Netlist.Not -> emit "NOT"
-      | Netlist.Buf -> emit "BUFF"
-      | Netlist.And -> emit "AND"
-      | Netlist.Or -> emit "OR"
-      | Netlist.Nand -> emit "NAND"
-      | Netlist.Nor -> emit "NOR"
-      | Netlist.Xor -> emit "XOR"
-      | Netlist.Xnor -> emit "XNOR"
-      | Netlist.Const _ | Netlist.Maj | Netlist.Splitter _ ->
-          invalid_arg "Bench_parser.to_bench: netlist is not pure AOI");
-  Buffer.contents buf

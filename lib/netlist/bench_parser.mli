@@ -18,8 +18,3 @@ val parse_file : string -> (Netlist.t, string) result
 (** Read and parse a file. [Error] names the path once: the system's
     message for an unreadable file, else [path: ] before the parse
     error. The channel is closed on every path. *)
-
-val to_bench : Netlist.t -> string
-(** Render an AOI netlist back to [.bench] text (round-trip tested).
-    Gates beyond the AOI subset ([Maj], [Splitter]) are rejected with
-    [Invalid_argument]. *)

@@ -162,8 +162,6 @@ let is_balanced t =
             nd.fanins);
   !ok
 
-let max_fanout t = Array.fold_left max 0 (fanout_counts t)
-
 let count_kind t p =
   fold t (fun acc nd -> if p nd.kind then acc + 1 else acc) 0
 
@@ -203,15 +201,6 @@ let validate_diags t =
   end;
   List.rev !diags
 
-let validate t =
-  match validate_diags t with
-  | [] ->
-      Ok
-        (Printf.sprintf "%d nodes, %d inputs, %d outputs" (size t)
-           (List.length (inputs t))
-           (List.length (outputs t)))
-  | ds -> Error (String.concat "; " (List.map (fun d -> d.Diag.message) ds))
-
 let copy t =
   (* fan-ins may reference later ids (edge rewiring during insertion
      creates forward references), so build placeholders first and wire
@@ -223,22 +212,6 @@ let copy t =
       (node t' id).phase <- nd.phase);
   iter t (fun nd -> set_fanins t' nd.id (Array.copy nd.fanins));
   t'
-
-let to_dot t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph netlist {\n  rankdir=TB;\n";
-  iter t (fun nd ->
-      let label =
-        match nd.name with
-        | Some s -> Printf.sprintf "%s\\n%s" s (kind_name nd.kind)
-        | None -> Printf.sprintf "%d:%s" nd.id (kind_name nd.kind)
-      in
-      Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" nd.id label);
-      Array.iter
-        (fun f -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" f nd.id))
-        nd.fanins);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
 
 let pp_stats ppf t =
   Format.fprintf ppf "nodes=%d inputs=%d outputs=%d maj=%d buf=%d spl=%d"

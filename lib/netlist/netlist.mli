@@ -100,8 +100,6 @@ val is_balanced : t -> bool
     prior [levelize]. [Output] nodes are exempt (they are markers, not
     gates). *)
 
-val max_fanout : t -> int
-
 val count_kind : t -> (kind -> bool) -> int
 
 val validate_diags : t -> Diag.t list
@@ -110,11 +108,6 @@ val validate_diags : t -> Diag.t list
     ([NL-CYCLE-01]) and [Splitter k] nodes whose real consumer count
     differs from [k] ([NL-FANOUT-01]). Empty list = structurally
     sound. The checker's netlist-lint pass builds on this. *)
-
-val validate : t -> (string, string) result
-(** [validate_diags] folded back into the legacy shape: [Ok summary]
-    when no diagnostics fire, [Error] joining their messages
-    otherwise. *)
 
 val copy : t -> t
 
@@ -131,8 +124,5 @@ val struct_hash : t -> string
     Two netlists with equal [struct_hash] are isomorphic as labeled
     DAGs up to commutative operand order. Used as the proof-cache key
     by the equivalence engines. *)
-
-val to_dot : t -> string
-(** Graphviz dump for debugging. *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -45,8 +45,6 @@ let of_fun n f =
   done;
   !tt
 
-let equal_on n a b = a land mask n = b land mask n
-
 let depends_on n tt k =
   if k < 0 || k >= n then invalid_arg "Truth.depends_on";
   let bits = 1 lsl n in
@@ -58,13 +56,6 @@ let depends_on n tt k =
     end
   done;
   !differs
-
-let support_size n tt =
-  let count = ref 0 in
-  for k = 0 to n - 1 do
-    if depends_on n tt k then incr count
-  done;
-  !count
 
 let to_string n tt =
   String.init (1 lsl n) (fun i -> if (tt lsr i) land 1 = 1 then '1' else '0')

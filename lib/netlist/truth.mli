@@ -38,14 +38,8 @@ val eval : t -> bool array -> bool
 val of_fun : int -> (bool array -> bool) -> t
 (** [of_fun n f] tabulates [f] over all [2^n] assignments. *)
 
-val equal_on : int -> t -> t -> bool
-(** Equality restricted to [n] variables. *)
-
 val depends_on : int -> t -> int -> bool
 (** [depends_on n tt k] — does the function depend on variable [k]? *)
-
-val support_size : int -> t -> int
-(** Number of variables the function actually depends on. *)
 
 val to_string : int -> t -> string
 (** Binary string, LSB (assignment 0) first. *)

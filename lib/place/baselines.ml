@@ -31,8 +31,7 @@ let taas ?(reweight_rounds = 3) p =
           let dc = p.Problem.cells.(e.Problem.dst) in
           let pins = dc.Problem.lib.Cell.in_pins in
           let xd = dc.Problem.x +. pins.(e.Problem.dst_pin mod Array.length pins) in
-          Clocking.timing_cost p.Problem.tech ~row_width ~phase:sc.Problem.row
-            ~x_start:xs ~x_end:xd ~alpha:2.0)
+          Clocking.timing_cost ~row_width ~phase:sc.Problem.row ~x_start:xs ~x_end:xd ~alpha:2.0)
         p.Problem.nets
     in
     let avg = Float.max 1e-9 (Stats.mean costs) in

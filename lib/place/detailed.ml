@@ -19,9 +19,6 @@ let default_options =
     seed = 7;
   }
 
-let cost p ~lambda_t ~lambda_wmax ~lambda_slack =
-  Place_cost.total p { Place_cost.lambda_t; lambda_wmax; lambda_slack }
-
 let gap_legal s_min g = g > -1e-6 && (g < 1e-6 || g >= s_min -. 1e-6)
 
 let run ?(options = default_options) p =

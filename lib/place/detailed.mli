@@ -37,7 +37,3 @@ val default_options : options
 val run : ?options:options -> Problem.t -> int
 (** Improve the placement in place; returns the number of accepted
     moves. Requires and preserves legality. *)
-
-val cost : Problem.t -> lambda_t:float -> lambda_wmax:float -> lambda_slack:float -> float
-(** The cost the search minimizes (exposed for tests: [run] never
-    increases it). *)

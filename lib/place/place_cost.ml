@@ -41,7 +41,8 @@ let[@inline] square b =
   if b < 67108864.0 && Float.of_int (Float.to_int b) = b then b *. b
   else b ** 2.0
 
-(* Eq. (2)'s clock-skew base of a net driven from row [phase] *)
+(* Eq. (2)'s clock-skew base of a net driven from row [phase]: the
+   formula of [Clocking.skew_base], copied so that it inlines here *)
 let[@inline] skew m ~phase xs xd =
   let q = phase land 3 in
   if q = 0 then xd -. xs

@@ -183,7 +183,7 @@ let timing_cost t ?(alpha = 2.0) () =
           let xd = dc.x +. pins.(e.dst_pin mod Array.length pins) in
           acc :=
             !acc
-            +. Clocking.timing_cost t.tech ~row_width:w ~phase:sc.row
+            +. Clocking.timing_cost ~row_width:w ~phase:sc.row
                  ~x_start:xs ~x_end:xd ~alpha
         done;
         !acc)

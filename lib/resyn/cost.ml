@@ -1,6 +1,5 @@
 let maj_jj = Cell.jj_of_kind Netlist.Maj
 let inverter_jj = Cell.jj_of_kind Netlist.Not
-let buffer_jj = Cell.jj_of_kind Netlist.Buf
 let const_cell_jj = Cell.jj_of_kind (Netlist.Const false)
 
 let operand_inverters = function
@@ -22,75 +21,3 @@ let impl_jj (impl : Maj_db.impl) =
   match impl.Maj_db.out with
   | Maj_db.Cst _ -> const_cell_jj
   | Maj_db.Var (_, n) | Maj_db.Gate (_, n) -> if n then inverter_jj else 0
-
-(* The balanced splitter tree [Insertion.insert] builds: [min 3 k]
-   ways at the root, consumers distributed round-robin into the
-   branches. Pure recursion (no memo table) so parallel chunks may
-   call it freely. *)
-let rec tree k =
-  if k <= 1 then (0, 0)
-  else begin
-    let ways = min Cell.max_splitter_outputs k in
-    let jj = ref (Cell.jj_of_kind (Netlist.Splitter ways)) in
-    let depth = ref 0 in
-    for i = 0 to ways - 1 do
-      let size = (k / ways) + if i < k mod ways then 1 else 0 in
-      let j, d = tree size in
-      jj := !jj + j;
-      depth := max !depth d
-    done;
-    (!jj, 1 + !depth)
-  end
-
-let splitter_tree_jj k = fst (tree k)
-let splitter_tree_depth k = snd (tree k)
-
-let levels nl =
-  let n = Netlist.size nl in
-  let fanout = Netlist.fanout_counts nl in
-  let lv = Array.make n 0 in
-  Array.iter
-    (fun id ->
-      match Netlist.kind nl id with
-      | Netlist.Input | Netlist.Const _ -> ()
-      | Netlist.Output -> lv.(id) <- lv.((Netlist.fanins nl id).(0))
-      | _ ->
-          lv.(id) <-
-            Array.fold_left
-              (fun acc f -> max acc (lv.(f) + splitter_tree_depth fanout.(f) + 1))
-              1 (Netlist.fanins nl id))
-    (Netlist.topo_order nl);
-  lv
-
-let projected nl =
-  let fanout = Netlist.fanout_counts nl in
-  let lv = levels nl in
-  let depth =
-    Netlist.fold nl
-      (fun acc nd ->
-        match nd.Netlist.kind with
-        | Netlist.Output -> acc
-        | _ -> max acc lv.(nd.Netlist.id))
-      0
-  in
-  let jj =
-    Netlist.fold nl
-      (fun acc nd ->
-        let id = nd.Netlist.id in
-        let cells = Cell.jj_of_kind nd.Netlist.kind + splitter_tree_jj fanout.(id) in
-        let buffers =
-          match nd.Netlist.kind with
-          | Netlist.Input | Netlist.Const _ -> 0
-          | Netlist.Output ->
-              let f = nd.Netlist.fanins.(0) in
-              max 0 (depth - lv.(f) - splitter_tree_depth fanout.(f))
-          | _ ->
-              Array.fold_left
-                (fun b f ->
-                  b + max 0 (lv.(id) - lv.(f) - splitter_tree_depth fanout.(f) - 1))
-                0 nd.Netlist.fanins
-        in
-        acc + cells + (buffer_jj * buffers))
-      0
-  in
-  (jj, depth)

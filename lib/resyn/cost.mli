@@ -1,16 +1,7 @@
-(** Resynthesis cost model: uniform implementation pricing plus a
-    fast projection of post-insertion JJ count and phase depth.
-
-    Pass-level accept/reject always re-runs the real
-    {!Insertion} strategies (exact); this module's [projected]
-    estimate steers the {e local} choices inside a pass — which cut
-    to pick, which chain shape to build, which driver to duplicate —
-    where rebuilding the whole netlist per alternative would be
-    quadratic. The projection mirrors the per-edge insertion
-    strategy: balanced ≤3-way splitter trees under every multi-fanout
-    driver (each tree level occupies a clock phase) and a 2-JJ buffer
-    per phase gap on every edge, with primary outputs padded to the
-    final phase. *)
+(** Resynthesis cost model: one uniform price for every {!Maj_db}
+    implementation, including those carried through an NPN transform.
+    Pass-level accept/reject re-runs the real {!Insertion} strategies
+    on the whole netlist. *)
 
 val impl_jj : Maj_db.impl -> int
 (** Uniform JJ price of a database implementation: 6 per majority
@@ -19,23 +10,3 @@ val impl_jj : Maj_db.impl -> int
     costs one 2-JJ constant cell). Matches {!Maj_db}'s own
     accounting and prices NPN-transported implementations
     ({!Npn.uncanon}) on the same scale. *)
-
-val splitter_tree_jj : int -> int
-(** JJ cost of the balanced splitter tree serving [k] consumers of
-    one driver (0 for [k <= 1]) — the shape
-    {!Insertion.insert} builds. *)
-
-val splitter_tree_depth : int -> int
-(** Clock phases the same tree occupies between driver and
-    consumers. *)
-
-val levels : Netlist.t -> int array
-(** Splitter-aware structural levels of a majority netlist:
-    inputs/constants at 0, each gate one past its deepest fan-in
-    {e plus} that fan-in's projected splitter-tree depth, outputs at
-    their driver's level. Deterministic. *)
-
-val projected : Netlist.t -> int * int
-(** [(jj, depth)] estimate of the netlist after buffer/splitter
-    insertion. Monotone enough to rank local alternatives; the pass
-    manager never trusts it for final acceptance. *)

@@ -72,10 +72,3 @@ let uncanon t (impl : Maj_db.impl) =
   let out = if t.out_neg then negate_operand out else out in
   let impl' = { impl with Maj_db.gates; out } in
   { impl' with Maj_db.jj = Cost.impl_jj impl' }
-
-let classes () =
-  let seen = Hashtbl.create 32 in
-  for f = 0 to 255 do
-    Hashtbl.replace seen (fst (canon f)) ()
-  done;
-  Hashtbl.length seen

@@ -41,11 +41,8 @@ val uncanon : transform -> Maj_db.impl -> Maj_db.impl
 (** Transport an implementation of the canonical representative back
     to the original function: substitute each input variable through
     [perm]/[phase] and complement the output when [out_neg] — i.e.
-    [eval_impl (uncanon t impl) x = eval_impl impl y XOR t.out_neg]
-    under the variable change of {!apply}. The [jj] field is
+    [eval (uncanon t impl) x = eval impl y XOR t.out_neg] under the
+    variable change of {!apply}, [eval] being the implementation's
+    value on an input vector. The [jj] field is
     recomputed with {!Cost.impl_jj}; [depth] is preserved (operand
     complements are free in depth). *)
-
-val classes : unit -> int
-(** Number of distinct canonical representatives over all 256 tables
-    (14; exposed for the test suite). *)

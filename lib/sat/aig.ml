@@ -13,8 +13,6 @@ type t = {
 let false_lit = 0
 let true_lit = 1
 let neg l = l lxor 1
-let is_complemented l = l land 1 = 1
-let node_of_lit l = l lsr 1
 
 let create ~n_inputs =
   {
@@ -25,7 +23,6 @@ let create ~n_inputs =
     strash = Hashtbl.create 64;
   }
 
-let n_inputs t = t.n_inputs
 let n_nodes t = t.first_and + Vec.length t.fanin0
 
 let input_lit t i =

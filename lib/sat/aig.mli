@@ -13,8 +13,6 @@ type t
 
 val create : n_inputs:int -> t
 
-val n_inputs : t -> int
-
 val n_nodes : t -> int
 (** Node count including the constant node and the inputs. *)
 
@@ -27,10 +25,6 @@ val input_lit : t -> int -> int
 
 val neg : int -> int
 
-val is_complemented : int -> bool
-
-val node_of_lit : int -> int
-
 val mk_and : t -> int -> int -> int
 
 val mk_or : t -> int -> int -> int
@@ -42,7 +36,7 @@ val mk_maj : t -> int -> int -> int -> int
 val add_netlist : t -> Netlist.t -> int array
 (** Convert a netlist into the AIG. The netlist's primary inputs map,
     in {!Netlist.inputs} order, onto AIG inputs [0..]; their count
-    must equal [n_inputs t]. Returns the AIG literal of every netlist
+    must equal the AIG's [n_inputs]. Returns the AIG literal of every netlist
     node ([Output], [Buf] and [Splitter] nodes are transparent).
     Raises [Failure] on a cyclic netlist (via [Netlist.topo_order])
     and [Invalid_argument] on an input-count mismatch. *)

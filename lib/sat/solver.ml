@@ -39,7 +39,6 @@ type t = {
 
 let lit_of_var v = 2 * v
 let neg_lit l = l lxor 1
-let var_of_lit l = l lsr 1
 
 let create () =
   let activity = ref [||] in
@@ -69,8 +68,6 @@ let create () =
     next_cid = 0;
     model = [||];
   }
-
-let n_vars s = s.nv
 
 let new_var s =
   let v = s.nv in

@@ -22,13 +22,9 @@ val create : unit -> t
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
-val n_vars : t -> int
-
 val lit_of_var : int -> int
 
 val neg_lit : int -> int
-
-val var_of_lit : int -> int
 
 val add_clause : t -> int list -> unit
 (** Add a problem clause (list of literals). Tautologies are dropped,

@@ -11,24 +11,6 @@ let inverter_jj = 2
 let maj_jj = 6
 let const_cell_jj = 2
 
-(* ---- evaluation ---- *)
-
-let eval_operand gate_vals inputs = function
-  | Var (k, neg) -> inputs.(k) <> neg
-  | Cst b -> b
-  | Gate (i, neg) -> gate_vals.(i) <> neg
-
-let eval_impl impl inputs =
-  let gate_vals = Array.make (Array.length impl.gates) false in
-  Array.iteri
-    (fun i g ->
-      let va = eval_operand gate_vals inputs g.a in
-      let vb = eval_operand gate_vals inputs g.b in
-      let vc = eval_operand gate_vals inputs g.c in
-      gate_vals.(i) <- (va && vb) || (va && vc) || (vb && vc))
-    impl.gates;
-  eval_operand gate_vals inputs impl.out
-
 (* ---- database construction ----
 
    Candidates are built bottom-up: literals, then one majority level,

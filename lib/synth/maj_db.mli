@@ -38,10 +38,6 @@ val lookup : Truth.t -> impl
 val cost : Truth.t -> int
 (** JJ cost of [lookup]. *)
 
-val eval_impl : impl -> bool array -> bool
-(** Evaluate an implementation on concrete inputs (used by tests to
-    validate the database against its truth tables). *)
-
 val max_gates : unit -> int
 (** Largest gate count over all 256 entries. *)
 

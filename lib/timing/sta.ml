@@ -15,24 +15,37 @@ type report = {
 let net_slack_ps p ~row_width ni =
   let tech = p.Problem.tech in
   let e = p.Problem.nets.(ni) in
-  let sc = p.Problem.cells.(e.Problem.src) in
+  let phase = p.Problem.cells.(e.Problem.src).Problem.row in
   let xs = Problem.pin_x p ni `Src in
   let xd = Problem.pin_x p ni `Dst in
   let window = Tech.phase_window_ps tech in
   let flight_ps =
     Problem.net_length p p.Problem.nets.(ni) /. tech.Tech.signal_velocity
   in
-  let base =
-    match ((sc.Problem.row mod 4) + 4) mod 4 with
-    | 0 -> xd -. xs
-    | 1 -> xd +. xs
-    | 2 -> -.xd +. xs
-    | 3 -> (2.0 *. row_width) -. xd -. xs
-    | _ -> assert false
-  in
+  let base = Clocking.skew_base ~row_width ~phase ~x_start:xs ~x_end:xd in
   let skew_ps = Float.max 0.0 base /. tech.Tech.clock_velocity in
   let slack_ps = window -. tech.Tech.gate_delay_ps -. flight_ps -. skew_ps in
   { net = ni; slack_ps; flight_ps; skew_ps }
+
+(* wns/tns/violations over all nets, then the 10 worst; sorts [timings] *)
+let summarize timings =
+  let n = Array.length timings in
+  let wns = ref infinity and tns = ref 0.0 and violations = ref 0 in
+  Array.iter
+    (fun t ->
+      if t.slack_ps < !wns then wns := t.slack_ps;
+      if t.slack_ps < 0.0 then begin
+        incr violations;
+        tns := !tns +. t.slack_ps
+      end)
+    timings;
+  Array.sort (fun a b -> Float.compare a.slack_ps b.slack_ps) timings;
+  {
+    wns_ps = (if n = 0 then 0.0 else !wns);
+    tns_ps = !tns;
+    violations = !violations;
+    worst = Array.to_list (Array.sub timings 0 (min 10 n));
+  }
 
 let analyze p =
   let row_width = Float.max 1.0 (Problem.row_width p) in
@@ -44,23 +57,7 @@ let analyze p =
     Parallel.parallel_init ~label:"sta.slack" ~chunk:512 n (fun ni ->
         net_slack_ps p ~row_width ni)
   in
-  let wns = ref infinity and tns = ref 0.0 and violations = ref 0 in
-  Array.iter
-    (fun t ->
-      if t.slack_ps < !wns then wns := t.slack_ps;
-      if t.slack_ps < 0.0 then begin
-        incr violations;
-        tns := !tns +. t.slack_ps
-      end)
-    timings;
-  Array.sort (fun a b -> Float.compare a.slack_ps b.slack_ps) timings;
-  let worst = Array.to_list (Array.sub timings 0 (min 10 n)) in
-  {
-    wns_ps = (if n = 0 then 0.0 else !wns);
-    tns_ps = !tns;
-    violations = !violations;
-    worst;
-  }
+  summarize timings
 
 let meets_timing r = r.wns_ps >= 0.0
 
@@ -138,22 +135,7 @@ let analyze_routed p (routed : Router.result) =
         let slack_ps = t.slack_ps +. t.flight_ps -. routed_flight in
         { t with flight_ps = routed_flight; slack_ps })
   in
-  let wns = ref infinity and tns = ref 0.0 and violations = ref 0 in
-  Array.iter
-    (fun t ->
-      if t.slack_ps < !wns then wns := t.slack_ps;
-      if t.slack_ps < 0.0 then begin
-        incr violations;
-        tns := !tns +. t.slack_ps
-      end)
-    timings;
-  Array.sort (fun a b -> Float.compare a.slack_ps b.slack_ps) timings;
-  {
-    wns_ps = (if n = 0 then 0.0 else !wns);
-    tns_ps = !tns;
-    violations = !violations;
-    worst = Array.to_list (Array.sub timings 0 (min 10 n));
-  }
+  summarize timings
 
 type yield = {
   samples : int;

@@ -9,12 +9,14 @@
     - the data flight time is [manhattan_length / v_signal] plus the
       gate's intrinsic switching delay;
     - the zigzag clock distribution introduces skew between the
-      launching and capturing rows; its unfavorable component is the
-      Eq. (2) base divided by the clock velocity (a connection that
-      "flows with" the serpentine clock gains time; one that fights it
-      loses time).
+      launching and capturing rows; its unfavorable component is
+      [skew = max(0, Clocking.skew_base ~row_width ~phase:r ~x_start:x_s
+      ~x_end:x_e) / v_clk], the Eq. (2) base of {!Clocking} divided by
+      the clock velocity (a connection that "flows with" the
+      serpentine clock is not penalised; one that fights it loses
+      time).
 
-    slack = window − gate_delay − flight − max(0, skew).
+    slack = window − gate_delay − flight − skew.
 
     The worst negative slack (WNS) over all nets is the Table III
     timing metric; designs with positive WNS meet the target clock. *)

@@ -88,9 +88,3 @@ let update t k =
     sift_up t k slot;
     if t.pos.(k) = slot then sift_down t k slot
   end
-
-let clear t =
-  for i = 0 to t.size - 1 do
-    t.pos.(t.heap.(i)) <- -1
-  done;
-  t.size <- 0

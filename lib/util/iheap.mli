@@ -36,5 +36,3 @@ val pop : t -> int option
 val update : t -> int -> unit
 (** Restore heap order around a key whose priority changed (no-op when
     the key is not in the heap). *)
-
-val clear : t -> unit

@@ -2,8 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make n x; len = n }
-
 let length v = v.len
 
 let check v i =

@@ -6,9 +6,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of length [n] filled with [x]. *)
-
 val length : 'a t -> int
 
 val get : 'a t -> int -> 'a

@@ -1,3 +1,10 @@
+(* DIMACS CNF reader/writer: the standalone harness that feeds
+   {!Solver} formulas from text, with no netlist involved. Variables
+   are 1-based, a negative integer is a negated literal and 0 ends a
+   clause. [parse] skips [c] comment lines, requires the [p cnf V C]
+   header and grows [n_vars] for variables beyond the declared count;
+   [solve] returns [`Sat m] with [m.(v-1)] the value of variable [v]. *)
+
 type cnf = { n_vars : int; clauses : int list list }
 
 let parse text =

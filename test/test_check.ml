@@ -44,10 +44,7 @@ let test_splitter_fanout_mismatch () =
   ignore (Netlist.add nl Netlist.Output [| b2 |]);
   let diags = Netlist.validate_diags nl in
   checki "NL-FANOUT-01 fires exactly once" 1 (count_rule "NL-FANOUT-01" diags);
-  checki "no other errors" 1 (errors diags);
-  (* legacy wrapper agrees *)
-  checkb "validate is Error" true
-    (match Netlist.validate nl with Error _ -> true | Ok _ -> false)
+  checki "no other errors" 1 (errors diags)
 
 let test_lint_clean_and_dead () =
   let nl = Netlist.create () in

@@ -15,7 +15,7 @@ let int_of_bits bits =
 
 let check_adder w trials seed =
   let nl = Circuits.kogge_stone_adder w in
-  (match Netlist.validate nl with Ok _ -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags nl = []);
   let rng = Rng.create seed in
   for _ = 1 to trials do
     let a = Rng.int rng (1 lsl w) and b = Rng.int rng (1 lsl w) in
@@ -66,7 +66,7 @@ let test_adder2_exhaustive () =
 
 let check_counter n trials seed =
   let nl = Circuits.parallel_counter n in
-  (match Netlist.validate nl with Ok _ -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags nl = []);
   let n_out = List.length (Netlist.outputs nl) in
   let rng = Rng.create seed in
   for _ = 1 to trials do
@@ -127,7 +127,7 @@ let test_multiplier_small_exhaustive () =
   List.iter
     (fun w ->
       let nl = Circuits.array_multiplier w in
-      (match Netlist.validate nl with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags nl = []);
       for a = 0 to (1 lsl w) - 1 do
         for b = 0 to (1 lsl w) - 1 do
           let inputs = Array.append (bits_of_int w a) (bits_of_int w b) in
@@ -162,7 +162,7 @@ let test_bnn_exhaustive_small () =
   List.iter
     (fun n ->
       let nl = Circuits.bnn_neuron n in
-      (match Netlist.validate nl with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags nl = []);
       for v = 0 to (1 lsl (2 * n)) - 1 do
         let xs = Array.init n (fun i -> (v lsr i) land 1 = 1) in
         let ws = Array.init n (fun i -> (v lsr (n + i)) land 1 = 1) in
@@ -214,7 +214,7 @@ let test_decoder7_spot () =
 
 let check_sorter n trials seed =
   let nl = Circuits.sorter n in
-  (match Netlist.validate nl with Ok _ -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags nl = []);
   let rng = Rng.create seed in
   for _ = 1 to trials do
     let inputs = Array.init n (fun _ -> Rng.bool rng) in
@@ -249,7 +249,7 @@ let test_iscas_profiles () =
   List.iter
     (fun (name, pi, po) ->
       let nl = Circuits.benchmark name in
-      (match Netlist.validate nl with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags nl = []);
       checki (name ^ " pi") pi (List.length (Netlist.inputs nl));
       checki (name ^ " po") po (List.length (Netlist.outputs nl)))
     [ ("c432", 36, 7); ("c499", 41, 32); ("c1355", 41, 32); ("c1908", 33, 25) ]

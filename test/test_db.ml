@@ -233,8 +233,10 @@ let test_corrupt_frames () =
 let test_save_load_files () =
   let nl = Circuits.benchmark "decoder" in
   let path = Filename.temp_file "sfdb_artifact" ".sfo" in
-  Artifact.save Artifact.netlist path nl;
-  (match Artifact.load Artifact.netlist path with
+  let codec = Artifact.netlist in
+  let load () = Result.bind (Codec.load_file path) codec.Artifact.decode in
+  Codec.save_file path (codec.Artifact.encode nl);
+  (match load () with
   | Error d -> Alcotest.fail (Diag.to_string d)
   | Ok nl' ->
       checkb "file round-trip" true
@@ -242,7 +244,7 @@ let test_save_load_files () =
            (Artifact.netlist.Artifact.encode nl)
            (Artifact.netlist.Artifact.encode nl')));
   Sys.remove path;
-  expect_rule "missing file" "DB-IO-01" (Artifact.load Artifact.netlist path)
+  expect_rule "missing file" "DB-IO-01" (load ())
 
 (* hand-built payloads, one field at a time *)
 let i64 n =

@@ -22,9 +22,7 @@ let valid_verilog =
 
 let valid_bench = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 
-let valid_tech = Tech.to_string Tech.default
-
-let valid_lef = Lef.library_lef ()
+let valid_tech = Tech_writer.to_string Tech.default
 
 let valid_def =
   let aoi = Circuits.kogge_stone_adder 2 in
@@ -70,7 +68,6 @@ let fuzz_parser name parse valid =
 let fuzz_verilog = fuzz_parser "verilog parser never raises" Verilog.parse valid_verilog
 let fuzz_bench = fuzz_parser "bench parser never raises" Bench_parser.parse valid_bench
 let fuzz_tech = fuzz_parser "tech parser never raises" Tech.of_string valid_tech
-let fuzz_lef = fuzz_parser "lef parser never raises" Lef.of_string valid_lef
 let fuzz_def = fuzz_parser "def parser never raises" Def.of_string valid_def
 
 let fuzz_gds =
@@ -89,7 +86,6 @@ let test_fixtures_valid () =
   Alcotest.(check bool) "verilog" true (ok (Verilog.parse valid_verilog));
   Alcotest.(check bool) "bench" true (ok (Bench_parser.parse valid_bench));
   Alcotest.(check bool) "tech" true (ok (Tech.of_string valid_tech));
-  Alcotest.(check bool) "lef" true (ok (Lef.of_string valid_lef));
   Alcotest.(check bool) "def" true (ok (Def.of_string valid_def));
   Alcotest.(check bool) "gds" true (ok (Gds.of_bytes (Bytes.of_string valid_gds)))
 
@@ -102,7 +98,6 @@ let () =
           to_alco fuzz_verilog;
           to_alco fuzz_bench;
           to_alco fuzz_tech;
-          to_alco fuzz_lef;
           to_alco fuzz_def;
           to_alco fuzz_gds;
         ] );

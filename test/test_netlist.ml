@@ -88,9 +88,7 @@ let test_is_balanced_detects () =
   checkb "unbalanced detected" false (Netlist.is_balanced nl2)
 
 let test_validate_ok () =
-  match Netlist.validate (sample_netlist ()) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+  checkb "no diagnostics" true (Netlist.validate_diags (sample_netlist ()) = [])
 
 let test_copy_independent () =
   let nl = sample_netlist () in
@@ -106,10 +104,6 @@ let test_set_kind_io_protected () =
        Netlist.set_kind nl input Netlist.Buf;
        false
      with Invalid_argument _ -> true)
-
-let test_to_dot_nonempty () =
-  let dot = Netlist.to_dot (sample_netlist ()) in
-  checkb "has digraph" true (String.length dot > 20)
 
 (* ---------- Truth ---------- *)
 
@@ -142,9 +136,7 @@ let test_truth_of_fun () =
 let test_truth_support () =
   let a = Truth.var 0 3 in
   checkb "depends on 0" true (Truth.depends_on 3 a 0);
-  checkb "not on 1" false (Truth.depends_on 3 a 1);
-  checki "support of maj" 3 (Truth.support_size 3 (Truth.maj a (Truth.var 1 3) (Truth.var 2 3)));
-  checki "support of const" 0 (Truth.support_size 3 (Truth.const true 3))
+  checkb "not on 1" false (Truth.depends_on 3 a 1)
 
 let test_truth_not_involution () =
   let f = Truth.of_fun 3 (fun v -> v.(0) && not v.(2)) in
@@ -563,9 +555,46 @@ let test_bench_error_line_numbers () =
   | Error e -> checkb ("cycle located: " ^ e) true (starts_with "line 4:" e)
   | Ok _ -> Alcotest.fail "cycle accepted"
 
+(* renders a pure-AOI netlist as .bench text: the round-trip oracle for
+   the parser *)
+let to_bench nl =
+  let buf = Buffer.create 1024 in
+  let node_name id =
+    match Netlist.name nl id with Some s -> s | None -> Printf.sprintf "n%d" id
+  in
+  List.iter
+    (fun id -> Buffer.add_string buf (Printf.sprintf "INPUT(%s)\n" (node_name id)))
+    (Netlist.inputs nl);
+  List.iter
+    (fun id ->
+      let driver = (Netlist.fanins nl id).(0) in
+      Buffer.add_string buf (Printf.sprintf "OUTPUT(%s)\n" (node_name driver)))
+    (Netlist.outputs nl);
+  Netlist.iter nl (fun nd ->
+      let args () =
+        String.concat ", " (Array.to_list (Array.map node_name nd.Netlist.fanins))
+      in
+      let emit op =
+        Buffer.add_string buf
+          (Printf.sprintf "%s = %s(%s)\n" (node_name nd.Netlist.id) op (args ()))
+      in
+      match nd.Netlist.kind with
+      | Netlist.Input | Netlist.Output -> ()
+      | Netlist.Not -> emit "NOT"
+      | Netlist.Buf -> emit "BUFF"
+      | Netlist.And -> emit "AND"
+      | Netlist.Or -> emit "OR"
+      | Netlist.Nand -> emit "NAND"
+      | Netlist.Nor -> emit "NOR"
+      | Netlist.Xor -> emit "XOR"
+      | Netlist.Xnor -> emit "XNOR"
+      | Netlist.Const _ | Netlist.Maj | Netlist.Splitter _ ->
+          invalid_arg "to_bench: netlist is not pure AOI");
+  Buffer.contents buf
+
 let test_bench_roundtrip () =
   let nl = sample_netlist () in
-  let text = Bench_parser.to_bench nl in
+  let text = to_bench nl in
   match Bench_parser.parse text with
   | Error e -> Alcotest.fail e
   | Ok nl2 -> checkb "roundtrip equivalent" true (Sim.equivalent nl nl2)
@@ -585,7 +614,6 @@ let () =
           Alcotest.test_case "validate" `Quick test_validate_ok;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "set_kind io protected" `Quick test_set_kind_io_protected;
-          Alcotest.test_case "to_dot" `Quick test_to_dot_nonempty;
         ] );
       ( "truth",
         [

@@ -15,6 +15,10 @@ let medium_problem () =
   let aqfp = Synth_flow.run_quiet aoi in
   Problem.of_netlist Tech.default aqfp
 
+(* the objective detailed placement and the row DP minimise *)
+let place_cost p ~lambda_t ~lambda_wmax ~lambda_slack =
+  Place_cost.total p { Place_cost.lambda_t; lambda_wmax; lambda_slack }
+
 (* ---------- Problem ---------- *)
 
 let test_problem_structure () =
@@ -176,12 +180,12 @@ let test_detailed_improves_and_stays_legal () =
   Legalize.run p;
   let opts = Detailed.default_options in
   let before =
-    Detailed.cost p ~lambda_t:opts.Detailed.lambda_t
+    place_cost p ~lambda_t:opts.Detailed.lambda_t
       ~lambda_wmax:opts.Detailed.lambda_wmax ~lambda_slack:opts.Detailed.lambda_slack
   in
   let moves = Detailed.run p in
   let after =
-    Detailed.cost p ~lambda_t:opts.Detailed.lambda_t
+    place_cost p ~lambda_t:opts.Detailed.lambda_t
       ~lambda_wmax:opts.Detailed.lambda_wmax ~lambda_slack:opts.Detailed.lambda_slack
   in
   checkb "made moves" true (moves > 0);
@@ -197,7 +201,7 @@ let test_detailed_mixed_beats_matched () =
     Legalize.run p;
     ignore
       (Detailed.run ~options:{ Detailed.default_options with mixed_size = mixed } p);
-    Detailed.cost p ~lambda_t:0.3 ~lambda_wmax:5.0 ~lambda_slack:20.0
+    place_cost p ~lambda_t:0.3 ~lambda_wmax:5.0 ~lambda_slack:20.0
   in
   checkb "mixed <= matched" true (run true <= run false +. 1e-6)
 
@@ -209,7 +213,7 @@ let test_row_dp_never_worsens () =
   Legalize.run p;
   let opts = Row_dp.default_options in
   let cost () =
-    Detailed.cost p ~lambda_t:opts.Row_dp.lambda_t
+    place_cost p ~lambda_t:opts.Row_dp.lambda_t
       ~lambda_wmax:opts.Row_dp.lambda_wmax ~lambda_slack:opts.Row_dp.lambda_slack
   in
   let before = cost () in
@@ -228,7 +232,7 @@ let test_row_dp_single_row_optimal_vs_shifts () =
   ignore (Row_dp.run p);
   let opts = Row_dp.default_options in
   let cost () =
-    Detailed.cost p ~lambda_t:opts.Row_dp.lambda_t
+    place_cost p ~lambda_t:opts.Row_dp.lambda_t
       ~lambda_wmax:opts.Row_dp.lambda_wmax ~lambda_slack:opts.Row_dp.lambda_slack
   in
   let after_dp = cost () in
@@ -339,18 +343,23 @@ module Reference_dp = struct
         })
       nets_of.(ci)
 
-  let net_cost tech (opts : Row_dp.options) ~row_width v x =
+  let pins v x =
     let pin = x +. v.own_offset in
-    let xs, xd = if v.moving_is_src then (pin, v.partner) else (v.partner, pin) in
+    if v.moving_is_src then (pin, v.partner) else (v.partner, pin)
+
+  (* Eq. (2)'s base, written out independently of [Clocking] *)
+  let skew_base ~row_width ~phase xs xd =
+    match ((phase mod 4) + 4) mod 4 with
+    | 0 -> xd -. xs
+    | 1 -> xd +. xs
+    | 2 -> -.xd +. xs
+    | 3 -> (2.0 *. row_width) -. xd -. xs
+    | _ -> assert false
+
+  let net_cost tech (opts : Row_dp.options) ~row_width v x =
+    let xs, xd = pins v x in
     let len = Float.abs (xd -. xs) +. v.dy in
-    let base =
-      match ((v.phase mod 4) + 4) mod 4 with
-      | 0 -> xd -. xs
-      | 1 -> xd +. xs
-      | 2 -> -.xd +. xs
-      | 3 -> (2.0 *. row_width) -. xd -. xs
-      | _ -> assert false
-    in
+    let base = skew_base ~row_width ~phase:v.phase xs xd in
     let timing = Float.max 0.0 base ** 2.0 in
     let excess = Float.max 0.0 (len -. tech.Tech.w_max) in
     let violation =
@@ -495,7 +504,9 @@ let test_row_dp_banded_matches_full () =
 
 (* One net's cost from the kernel against the formula it replaced, on
    random doubles: [**] and [*.] disagree on some non-integers, so the
-   kernel must fall back to [**] on exactly those. *)
+   kernel must fall back to [**] on exactly those. The formula's Eq. (2)
+   base must also be [Clocking.skew_base], bit for bit, which ties the
+   kernel's inlined copy to the one definition. *)
 let test_kernel_matches_formula () =
   let rng = Random.State.make [| 2 |] in
   let tech = Tech.default in
@@ -514,6 +525,12 @@ let test_kernel_matches_formula () =
           }
         in
         let want = Reference_dp.net_cost tech options ~row_width v x in
+        let xs, xd = Reference_dp.pins v x in
+        let phase = v.Reference_dp.phase in
+        let base = Reference_dp.skew_base ~row_width ~phase xs xd in
+        let defined = Clocking.skew_base ~row_width ~phase ~x_start:xs ~x_end:xd in
+        if Int64.bits_of_float base <> Int64.bits_of_float defined then
+          Alcotest.failf "Clocking.skew_base %h, formula %h" defined base;
         let m =
           Place_cost.model tech
             {

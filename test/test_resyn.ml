@@ -131,7 +131,11 @@ let test_cache_warm_reproves_nothing () =
 (* ---------- NPN canonicalization ---------- *)
 
 let test_npn_classes () =
-  checki "3-input NPN classes" 14 (Npn.classes ())
+  let seen = Hashtbl.create 32 in
+  for f = 0 to 255 do
+    Hashtbl.replace seen (fst (Npn.canon f)) ()
+  done;
+  checki "3-input NPN classes" 14 (Hashtbl.length seen)
 
 (* NPN canonicalization as it stood before the table built at module
    initialisation: [apply] tabulates through [Truth.of_fun] and
@@ -202,7 +206,7 @@ let test_npn_uncanon_semantics () =
       let x = [| v land 1 = 1; v land 2 <> 0; v land 4 <> 0 |] in
       checkb
         (Printf.sprintf "tt %d vector %d" f v)
-        (Truth.eval f x) (Maj_db.eval_impl impl' x)
+        (Truth.eval f x) (Maj_eval.eval_impl impl' x)
     done
   done
 

@@ -15,7 +15,7 @@ let test_db_implementations_correct () =
     let impl = Maj_db.lookup tt in
     for idx = 0 to 7 do
       let inputs = Array.init 3 (fun k -> (idx lsr k) land 1 = 1) in
-      let got = Maj_db.eval_impl impl inputs in
+      let got = Maj_eval.eval_impl impl inputs in
       let expect = (tt lsr idx) land 1 = 1 in
       checkb (Printf.sprintf "tt=%d idx=%d" tt idx) expect got
     done
@@ -151,7 +151,7 @@ let prop_opt_idempotent =
 
 let equivalent_after_convert nl =
   let maj = Aoi_to_maj.convert nl in
-  (match Netlist.validate maj with Ok _ -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags maj = []);
   Sim.equivalent nl maj
 
 let test_convert_preserves_function_small () =
@@ -214,7 +214,7 @@ let test_naive_mapping_equivalent () =
     (fun name ->
       let nl = Circuits.benchmark name in
       let naive = Aoi_to_maj.convert_naive nl in
-      (match Netlist.validate naive with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags naive = []);
       checkb (name ^ " naive equivalent") true (Sim.equivalent nl naive))
     [ "adder8"; "apc32" ]
 
@@ -251,7 +251,7 @@ let test_insertion_invariants () =
       let aoi = Circuits.benchmark name in
       let maj = Aoi_to_maj.convert aoi in
       let aqfp = Insertion.insert maj in
-      (match Netlist.validate aqfp with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags aqfp = []);
       checkb (name ^ " fanout legal") true (fanout_legal aqfp);
       checkb (name ^ " balanced") true (Netlist.is_balanced aqfp);
       checkb (name ^ " equivalent") true (Sim.equivalent aoi aqfp))
@@ -320,7 +320,7 @@ let test_ladder_insertion_invariants () =
       let aoi = Circuits.benchmark name in
       let maj = Aoi_to_maj.convert aoi in
       let aqfp, stats = Insertion.insert_ladder_with_stats maj in
-      (match Netlist.validate aqfp with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "valid netlist" true (Netlist.validate_diags aqfp = []);
       checkb (name ^ " fanout legal") true (fanout_legal aqfp);
       checkb (name ^ " balanced") true (Netlist.is_balanced aqfp);
       checkb (name ^ " equivalent") true (Sim.equivalent aoi aqfp);

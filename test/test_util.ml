@@ -234,9 +234,7 @@ let test_geom_overlap () =
   let b = Geom.rect 10.0 0.0 20.0 10.0 in
   checkb "abutting do not overlap" false (Geom.overlaps a b);
   let c = Geom.rect 9.0 9.0 11.0 11.0 in
-  checkb "overlap" true (Geom.overlaps a c);
-  checkf "dist abutting" 0.0 (Geom.dist_rect a b);
-  checkf "dist separated" 5.0 (Geom.dist_rect a (Geom.translate b 5.0 0.0))
+  checkb "overlap" true (Geom.overlaps a c)
 
 let test_geom_ops () =
   let r = Geom.rect_of_size ~x:10.0 ~y:20.0 ~w:30.0 ~h:40.0 in
@@ -249,25 +247,11 @@ let test_geom_ops () =
   checkb "contains center" true (Geom.contains r c);
   let u = Geom.union_rect r (Geom.rect 0.0 0.0 5.0 5.0) in
   checkf "union lx" 0.0 u.Geom.lx;
-  checkf "union hx" 40.0 u.Geom.hx;
-  (match Geom.intersection r (Geom.rect 20.0 30.0 100.0 100.0) with
-  | Some i ->
-      checkf "ix" 20.0 i.Geom.lx;
-      checkf "iy" 30.0 i.Geom.ly
-  | None -> Alcotest.fail "expected intersection");
-  check Alcotest.(option reject) "disjoint intersection"
-    None
-    (Option.map (fun _ -> ()) (Geom.intersection r (Geom.rect 100.0 100.0 110.0 110.0)))
+  checkf "union hx" 40.0 u.Geom.hx
 
 let test_geom_invalid () =
   Alcotest.check_raises "negative extent" (Invalid_argument "Geom.rect: negative extent")
     (fun () -> ignore (Geom.rect 10.0 0.0 0.0 10.0))
-
-let test_geom_spacing () =
-  let a = Geom.rect 0.0 0.0 10.0 10.0 in
-  let b = Geom.rect 25.0 0.0 30.0 10.0 in
-  checkf "spacing_x" 15.0 (Geom.spacing_x a b);
-  checkf "spacing_x symmetric" 15.0 (Geom.spacing_x b a)
 
 (* ---------- Stats ---------- *)
 
@@ -411,7 +395,6 @@ let () =
           Alcotest.test_case "overlap" `Quick test_geom_overlap;
           Alcotest.test_case "ops" `Quick test_geom_ops;
           Alcotest.test_case "invalid" `Quick test_geom_invalid;
-          Alcotest.test_case "spacing" `Quick test_geom_spacing;
         ] );
       ("stats", [ Alcotest.test_case "summaries" `Quick test_stats ]);
       ( "table",

@@ -1,3 +1,11 @@
+(* Structural-Verilog writer: the round-trip oracle for {!Verilog.parse}.
+   AOI gates are written as the standard gate primitives
+   ([and]/[or]/[not]/...), which the parser reads back; AQFP cells
+   (majority, splitters, constants) are written as named cell instances
+   ([maj3 u7 (a, b, c, y);]), which the primitive-only parser does not
+   read. Signal names use the node names where present and [n<id>]
+   otherwise. *)
+
 (* Verilog identifiers: letters, digits, _, $ and must not start with a
    digit. Node names from generators use brackets (bus bits), which we
    rewrite to underscores. *)
