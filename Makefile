@@ -18,7 +18,7 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# QoR guard: routing, DRC and resynthesis counts on fixed cases must
+# QoR guard: synthesis, routing, DRC and resynthesis counts on fixed cases must
 # equal bench/qor_baselines.txt line for line, and the warm-cache,
 # route-validity and equivalence invariants must hold. Exits 1 on any
 # difference or failed check. CI runs this as a merge gate.

@@ -70,6 +70,7 @@ let tables () =
 
    Each case prints one line of deterministic counts on stdout,
 
+     synth <circuit> jj=.. nets=.. delay=.. maj_gates=.. netlist=<md5>
      route <circuit> <algorithm> wirelength=.. vias=.. space_expansions=..
      drc <circuit> <deck> tiles=.. violations=..
      resyn <circuit> jj_before=.. jj_after=.. depth_before=.. depth_after=..
@@ -141,6 +142,16 @@ let drc_cases name layout =
       case "%s tiles=%d violations=%d" id cold.Drc.stats.Drc.tiles_total
         (List.length cold.Drc.diags))
     decks
+
+(* synthesis alone: its counts and the MD5 of the synthesized
+   netlist's artifact encoding, so any byte of the AQFP netlist that
+   moves shows here even when the counts do not *)
+let synth_case name =
+  let id = "synth " ^ name in
+  let aqfp, r = timed id (fun () -> Synth_flow.run (Circuits.benchmark name)) in
+  case "%s jj=%d nets=%d delay=%d maj_gates=%d netlist=%s" id r.Synth_flow.jjs
+    r.Synth_flow.nets r.Synth_flow.delay r.Synth_flow.maj_stats.Aoi_to_maj.maj_gates
+    (Digest.to_hex (Digest.string (Artifact.netlist.Artifact.encode aqfp)))
 
 (* both routers, each on a fresh placement (space expansion grows the
    row gaps it routes in); the DRC cases check the sequential layout *)
@@ -236,9 +247,10 @@ let compare_baseline baseline measured =
   !problems
 
 let check () =
+  let synth = List.map synth_case Circuits.benchmark_names in
   let routed = List.concat_map route_cases [ "adder8"; "apc32" ] in
   let resyn = List.map resyn_case Circuits.benchmark_names in
-  let measured = routed @ resyn in
+  let measured = synth @ routed @ resyn in
   let problems = compare_baseline (load_baseline ()) measured in
   if !failures + problems > 0 then begin
     Printf.eprintf "qor: %d failed check(s), %d line(s) differ from %s\n"
