@@ -89,6 +89,14 @@ val topo_order : t -> int array
 (** Topological order (fan-ins before fan-outs). Raises [Failure] on a
     combinational cycle. *)
 
+val levels : t -> int array array
+(** Node ids grouped by depth, each group ascending: inputs and
+    constants at depth 0, every other node (outputs included) one
+    deeper than its deepest fan-in. A node's fan-ins all sit in
+    strictly shallower groups, so each group can be processed in
+    parallel once the previous ones are done. Does not touch
+    [phase]. Raises [Failure] on a combinational cycle. *)
+
 val levelize : t -> int
 (** Assign [phase] = longest distance from any primary input (inputs
     and constants get phase 0) and return the maximum phase. This is

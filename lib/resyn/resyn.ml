@@ -76,16 +76,6 @@ let strip aqfp =
           (Array.map (fun f -> map.(resolve f)) nd.Netlist.fanins));
   out
 
-let reinsert maj =
-  let aqfp_edge, stats_edge = Insertion.insert_with_stats maj in
-  match Insertion.insert_ladder_with_stats maj with
-  | aqfp_ladder, stats_ladder
-    when (stats_ladder.Insertion.jj, stats_ladder.Insertion.delay)
-         < (stats_edge.Insertion.jj, stats_edge.Insertion.delay) ->
-      (aqfp_ladder, stats_ladder)
-  | _ -> (aqfp_edge, stats_edge)
-  | exception Failure _ -> (aqfp_edge, stats_edge)
-
 let aqfp_metrics aqfp =
   let jj = Cell.netlist_jj_count aqfp in
   let depth = Netlist.fold aqfp (fun acc nd -> max acc nd.Netlist.phase) 0 in
@@ -219,22 +209,6 @@ let pass_rewrite guard diags nl =
      the pool deterministically *)
   let af = Array.make n 0.0 in
   let choice = Array.make n `Keep in
-  let level = Array.make n 0 in
-  let max_level = ref 0 in
-  Array.iter
-    (fun id ->
-      (match Netlist.kind nl id with
-      | Netlist.Input | Netlist.Const _ -> ()
-      | _ ->
-          level.(id) <-
-            1
-            + Array.fold_left (fun acc f -> max acc level.(f)) 0 (Netlist.fanins nl id));
-      if level.(id) > !max_level then max_level := level.(id))
-    (Netlist.topo_order nl);
-  let buckets = Array.make (!max_level + 1) [] in
-  for id = n - 1 downto 0 do
-    buckets.(level.(id)) <- id :: buckets.(level.(id))
-  done;
   let is_gate = function
     | Netlist.Input | Netlist.Output | Netlist.Const _ | Netlist.Buf
     | Netlist.Splitter _ ->
@@ -246,37 +220,41 @@ let pass_rewrite guard diags nl =
       (fun acc leaf -> acc +. (af.(leaf) /. float_of_int (max 1 fanout.(leaf))))
       0.0 leaves
   in
-  for l = 1 to !max_level do
-    let ids =
-      Array.of_list (List.filter (fun id -> is_gate (Netlist.kind nl id)) buckets.(l))
-    in
-    let results =
-      Parallel.parallel_map ~label:"resyn.match"
-        (fun id ->
-          let keep =
-            ( float_of_int (Cell.jj_of_kind (Netlist.kind nl id))
-              +. leaf_flow (Netlist.fanins nl id),
-              `Keep )
-          in
-          List.fold_left
-            (fun ((best_cost, _) as best) c ->
-              if Cuts.is_trivial id c then best
-              else
-                let impl = best_impl (Cuts.tt3 c) (care_of c.Cuts.leaves) in
-                let cost =
-                  float_of_int (Cost.impl_jj impl) +. leaf_flow c.Cuts.leaves
-                in
-                if cost < best_cost then (cost, `Rw (c, impl)) else best)
-            keep cuts.(id))
-        ids
-    in
-    Array.iteri
-      (fun i id ->
-        let cost, ch = results.(i) in
-        af.(id) <- cost;
-        choice.(id) <- ch)
-      ids
-  done;
+  (* the fixed chunk keeps levels of up to 64 gates off the pool *)
+  Array.iter
+    (fun level ->
+      let ids =
+        Array.to_list level
+        |> List.filter (fun id -> is_gate (Netlist.kind nl id))
+        |> Array.of_list
+      in
+      let results =
+        Parallel.parallel_map ~label:"resyn.match" ~chunk:64
+          (fun id ->
+            let keep =
+              ( float_of_int (Cell.jj_of_kind (Netlist.kind nl id))
+                +. leaf_flow (Netlist.fanins nl id),
+                `Keep )
+            in
+            List.fold_left
+              (fun ((best_cost, _) as best) c ->
+                if Cuts.is_trivial id c then best
+                else
+                  let impl = best_impl (Cuts.tt3 c) (care_of c.Cuts.leaves) in
+                  let cost =
+                    float_of_int (Cost.impl_jj impl) +. leaf_flow c.Cuts.leaves
+                  in
+                  if cost < best_cost then (cost, `Rw (c, impl)) else best)
+              keep cuts.(id))
+          ids
+      in
+      Array.iteri
+        (fun i id ->
+          let cost, ch = results.(i) in
+          af.(id) <- cost;
+          choice.(id) <- ch)
+        ids)
+    (Netlist.levels nl);
   (* realization: serial, each chosen rewrite proved before it is kept *)
   let tried = ref 0 and survived = ref 0 in
   let custom b realize nd =
@@ -501,7 +479,7 @@ let run ?(effort = Off) ?cache aqfp0 =
           let differs = Netlist.struct_hash cand <> Netlist.struct_hash cur.maj in
           tried := !tried + (match p with Rewriting -> w_tried | Plain _ -> if differs then 1 else 0);
           if differs then begin
-            let aqfp', st = reinsert cand in
+            let aqfp', st = Insertion.run cand in
             let jj' = st.Insertion.jj and depth' = st.Insertion.delay in
             if
               jj' <= cur.jj && depth' <= cur.depth

@@ -90,10 +90,6 @@ val strip : Netlist.t -> Netlist.t
     surviving nodes keep their relative order and names, phases
     reset to 0. Inverse of insertion up to the fabric. *)
 
-val reinsert : Netlist.t -> Netlist.t * Insertion.stats
-(** {!Synth_flow}'s insertion selection: cheaper of per-edge and
-    ladder by (JJ, delay), with the ladder's failure fallback. *)
-
 val run :
   ?effort:effort -> ?cache:string Memo.t -> Netlist.t -> Netlist.t * report
 (** [run aqfp0] — the full stage on a post-insertion netlist.

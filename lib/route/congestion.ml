@@ -33,17 +33,15 @@ let tracks_of_gap p r =
   let grid = p.Problem.tech.Tech.grid in
   max 0 (int_of_float (p.Problem.row_gaps.(r) /. grid) - 1)
 
-let preexpand ?(slack_tracks = 0) ?(demand_factor = 0.85) p =
+let preexpand p =
   let tech = p.Problem.tech in
   let widened = ref 0 in
   Array.iteri
     (fun r density ->
       (* channel density is a worst-case bound; most nets share tracks
-         over disjoint x-ranges, so provision a fraction of it and let
-         the router's reactive expansion absorb the remainder *)
-      let need =
-        int_of_float (ceil (demand_factor *. float_of_int density)) + slack_tracks
-      in
+         over disjoint x-ranges, so provision 85% of it and let the
+         router's reactive expansion absorb the remainder *)
+      let need = int_of_float (ceil (0.85 *. float_of_int density)) in
       let have = tracks_of_gap p r in
       if need > have then begin
         p.Problem.row_gaps.(r) <-
@@ -53,25 +51,3 @@ let preexpand ?(slack_tracks = 0) ?(demand_factor = 0.85) p =
       end)
     (densities p);
   !widened
-
-let report p =
-  let t = Table.create ~headers:[ "gap"; "nets"; "density"; "tracks"; "status" ] in
-  let counts = Array.make (max 1 (p.Problem.n_rows - 1)) 0 in
-  Array.iter
-    (fun e ->
-      let r = p.Problem.cells.(e.Problem.src).Problem.row in
-      if r < Array.length counts then counts.(r) <- counts.(r) + 1)
-    p.Problem.nets;
-  Array.iteri
-    (fun r density ->
-      let tracks = tracks_of_gap p r in
-      Table.add_row t
-        [
-          string_of_int r;
-          string_of_int counts.(r);
-          string_of_int density;
-          string_of_int tracks;
-          (if tracks >= density then "ok" else "tight");
-        ])
-    (densities p);
-  Table.render t

@@ -21,14 +21,10 @@ val channel_density : Problem.t -> int -> int
 val densities : Problem.t -> int array
 (** Per-gap channel densities (length [n_rows - 1]). *)
 
-val preexpand : ?slack_tracks:int -> ?demand_factor:float -> Problem.t -> int
-(** Widen each row gap so it offers at least
-    [demand_factor * density + slack_tracks] horizontal tracks
-    (defaults 0.85 and 0: density is a worst-case bound, and most nets
+val preexpand : Problem.t -> int
+(** Widen each row gap so it offers at least [ceil (0.85 * density)]
+    horizontal tracks: density is a worst-case bound, and most nets
     share tracks over disjoint spans, so provisioning a fraction and
     letting reactive expansion absorb the rest gives the best
-    wirelength/runtime balance). Returns the number of gaps widened;
+    wirelength/runtime balance. Returns the number of gaps widened;
     gaps never shrink. *)
-
-val report : Problem.t -> string
-(** ASCII per-gap demand/capacity table (CLI and debugging aid). *)

@@ -1,135 +1,114 @@
-let cuts_per_node = 8
+(* ---- realizer ----
 
-type cut = { leaves : int array; tt : int }
+   A fresh netlist with structural hashing (commutative fan-ins in
+   sorted order, double negations collapsed), into which database
+   implementations are instantiated over concrete leaf signals. Both
+   mappings below build through it. Unlike Builder, it keeps constant
+   operands symbolic and does not fold complements; routing it through
+   Builder changes the mapped netlists. *)
 
-(* Re-express [tt] (over [old_leaves]) in terms of [new_leaves]
-   (a superset, both sorted, |new| <= 3). *)
-let expand old_leaves tt new_leaves =
-  let n_new = Array.length new_leaves in
-  let pos_of leaf =
-    let rec find i = if new_leaves.(i) = leaf then i else find (i + 1) in
-    find 0
-  in
-  let map = Array.map pos_of old_leaves in
-  let tt' = ref 0 in
-  for idx = 0 to (1 lsl n_new) - 1 do
-    let old_idx = ref 0 in
-    Array.iteri
-      (fun old_var new_var ->
-        if (idx lsr new_var) land 1 = 1 then old_idx := !old_idx lor (1 lsl old_var))
-      map;
-    if (tt lsr !old_idx) land 1 = 1 then tt' := !tt' lor (1 lsl idx)
-  done;
-  !tt'
-
-let merge_leaves a b =
-  let seen = Array.to_list a @ Array.to_list b in
-  let uniq = List.sort_uniq Int.compare seen in
-  if List.length uniq <= 3 then Some (Array.of_list uniq) else None
-
-let apply2 op ta tb = match op with
-  | Netlist.And -> ta land tb
-  | Netlist.Or -> ta lor tb
-  | Netlist.Nand -> lnot (ta land tb) land 255
-  | Netlist.Nor -> lnot (ta lor tb) land 255
-  | Netlist.Xor -> (ta lxor tb) land 255
-  | Netlist.Xnor -> lnot (ta lxor tb) land 255
-  | _ -> invalid_arg "apply2"
-
-(* Enumerate up to [cuts_per_node] 3-feasible cuts per node. The
-   trivial cut {node} is always kept first so parents can build on it. *)
-let enumerate_cuts nl =
-  let n = Netlist.size nl in
-  let cuts = Array.make n [] in
-  let trivial id = { leaves = [| id |]; tt = expand [| 0 |] 0b10 [| 0 |] } in
-  (* tt of identity over one var: f(v0) = v0 -> bits 0b10 *)
-  let add_cut acc c =
-    let key = c.leaves in
-    if List.exists (fun c' -> c'.leaves = key && c'.tt = c.tt) acc then acc
-    else acc @ [ c ]
-  in
-  let order = Netlist.topo_order nl in
-  Array.iter
-    (fun id ->
-      let base = [ trivial id ] in
-      let merged =
-        match Netlist.kind nl id with
-        | Netlist.Input | Netlist.Const _ -> []
-        | Netlist.Output -> []
-        | Netlist.Not | Netlist.Buf ->
-            let f = (Netlist.fanins nl id).(0) in
-            List.filter_map
-              (fun c ->
-                let nvars = Array.length c.leaves in
-                let tt =
-                  match Netlist.kind nl id with
-                  | Netlist.Not -> lnot c.tt land ((1 lsl (1 lsl nvars)) - 1)
-                  | _ -> c.tt
-                in
-                Some { c with tt })
-              cuts.(f)
-        | Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor | Netlist.Xor
-        | Netlist.Xnor ->
-            let f1 = (Netlist.fanins nl id).(0) and f2 = (Netlist.fanins nl id).(1) in
-            let op = Netlist.kind nl id in
-            List.concat_map
-              (fun c1 ->
-                List.filter_map
-                  (fun c2 ->
-                    match merge_leaves c1.leaves c2.leaves with
-                    | None -> None
-                    | Some leaves ->
-                        let t1 = expand c1.leaves c1.tt leaves in
-                        let t2 = expand c2.leaves c2.tt leaves in
-                        let mask = (1 lsl (1 lsl Array.length leaves)) - 1 in
-                        Some { leaves; tt = apply2 op t1 t2 land mask })
-                  cuts.(f2))
-              cuts.(f1)
-        | Netlist.Maj | Netlist.Splitter _ ->
-            invalid_arg "Aoi_to_maj: input must be an AOI netlist"
-      in
-      let all = List.fold_left add_cut base merged in
-      let truncated =
-        if List.length all <= cuts_per_node then all
-        else
-          (* keep the trivial cut plus the widest (most collapsing) cuts *)
-          let rest =
-            List.tl all
-            |> List.stable_sort (fun a b ->
-                   Int.compare (Array.length b.leaves) (Array.length a.leaves))
-          in
-          List.hd all :: List.filteri (fun i _ -> i < cuts_per_node - 1) rest
-      in
-      cuts.(id) <- truncated)
-    order;
-  cuts
-
-(* Pad a cut's truth table to 3 variables so Maj_db can be queried.
-   Variables beyond the leaf count are don't-cares; we replicate. *)
-let tt3_of_cut c =
-  let nvars = Array.length c.leaves in
-  let tt = ref 0 in
-  for idx = 0 to 7 do
-    let small = idx land ((1 lsl nvars) - 1) in
-    if (c.tt lsr small) land 1 = 1 then tt := !tt lor (1 lsl idx)
-  done;
-  !tt
-
-type stats = {
-  aoi_gates : int;
-  maj_gates : int;
-  jj_before : int;
-  jj_after : int;
+type realizer = {
+  out : Netlist.t;
+  hash : (Netlist.kind * int list, int) Hashtbl.t;
+  memo : int array;  (** source node -> result node, [-1] until built *)
 }
 
-let convert_with_stats nl =
-  let cuts = enumerate_cuts nl in
+(* all primary inputs exist in the result, in the original order,
+   even if the mapped logic no longer reads some of them *)
+let realizer nl =
+  let r =
+    {
+      out = Netlist.create ();
+      hash = Hashtbl.create 256;
+      memo = Array.make (Netlist.size nl) (-1);
+    }
+  in
+  List.iter
+    (fun iid ->
+      r.memo.(iid) <- Netlist.add r.out ?name:(Netlist.name nl iid) Netlist.Input [||])
+    (Netlist.inputs nl);
+  r
+
+(* one output marker per source output, in order, each driven by
+   [driver] of the source driver *)
+let finish r nl driver =
+  List.iter
+    (fun oid ->
+      let d = driver (Netlist.fanins nl oid).(0) in
+      ignore (Netlist.add r.out ?name:(Netlist.name nl oid) Netlist.Output [| d |]))
+    (Netlist.outputs nl);
+  r.out
+
+let hashed r kind fanins =
+  let key_fanins =
+    if Netlist.commutative kind then List.sort Int.compare fanins else fanins
+  in
+  match Hashtbl.find_opt r.hash (kind, key_fanins) with
+  | Some id -> id
+  | None ->
+      let id = Netlist.add r.out kind (Array.of_list fanins) in
+      Hashtbl.replace r.hash (kind, key_fanins) id;
+      id
+
+let hashed_not r id =
+  if Netlist.kind r.out id = Netlist.Not then (Netlist.fanins r.out id).(0)
+  else hashed r Netlist.Not [ id ]
+
+let hashed_const r b = hashed r (Netlist.Const b) []
+
+(* Operands resolve to a concrete signal or a symbolic constant, so a
+   majority with constant operands degenerates to [And]/[Or], a wire or
+   a constant without ever materializing the constant it reads. *)
+let instantiate r impl leaf_ids =
+  let n_leaves = Array.length leaf_ids in
+  let gate_ids = Array.make (Array.length impl.Maj_db.gates) (-1) in
+  let resolve = function
+    | Maj_db.Cst b -> `Cst b
+    | Maj_db.Var (k, neg) ->
+        if k >= n_leaves then `Cst neg (* don't-care input: feed a constant *)
+        else if neg then `Sig (hashed_not r leaf_ids.(k))
+        else `Sig leaf_ids.(k)
+    | Maj_db.Gate (i, neg) ->
+        let g = gate_ids.(i) in
+        if neg then `Sig (hashed_not r g) else `Sig g
+  in
+  let build_maj ra rb rc =
+    let consts = List.filter_map (function `Cst b -> Some b | `Sig _ -> None) [ ra; rb; rc ] in
+    let sigs = List.filter_map (function `Sig s -> Some s | `Cst _ -> None) [ ra; rb; rc ] in
+    match (consts, sigs) with
+    | [], [ a; b; c ] ->
+        if a = b then a
+        else if a = c then a
+        else if b = c then b
+        else hashed r Netlist.Maj [ a; b; c ]
+    | [ k ], [ a; b ] ->
+        if a = b then a
+        else if k then hashed r Netlist.Or [ a; b ]
+        else hashed r Netlist.And [ a; b ]
+    | [ k1; k2 ], [ a ] -> if k1 = k2 then hashed_const r k1 else a
+    | [ k1; k2; k3 ], [] ->
+        let majority = (k1 && k2) || (k1 && k3) || (k2 && k3) in
+        hashed_const r majority
+    | _ -> assert false
+  in
+  Array.iteri
+    (fun i g ->
+      gate_ids.(i) <-
+        build_maj (resolve g.Maj_db.a) (resolve g.Maj_db.b) (resolve g.Maj_db.c))
+    impl.Maj_db.gates;
+  match resolve impl.Maj_db.out with
+  | `Sig s -> s
+  | `Cst b -> hashed_const r b
+
+(* ---- cut cover ---- *)
+
+let convert_cover nl =
+  let cuts = Cuts.enumerate nl in
   let n = Netlist.size nl in
   let fanout = Netlist.fanout_counts nl in
   (* Area-flow mapping: cheapest cover estimate per node. *)
   let af = Array.make n infinity in
   let best_cut = Array.make n None in
-  let order = Netlist.topo_order nl in
   Array.iter
     (fun id ->
       match Netlist.kind nl id with
@@ -138,13 +117,13 @@ let convert_with_stats nl =
       | _ ->
           List.iter
             (fun c ->
-              if not (Array.length c.leaves = 1 && c.leaves.(0) = id) then begin
-                let gate_cost = float_of_int (Maj_db.cost (tt3_of_cut c)) in
+              if not (Cuts.is_trivial id c) then begin
+                let gate_cost = float_of_int (Maj_db.cost (Cuts.tt3 c)) in
                 let leaf_cost =
                   Array.fold_left
                     (fun acc leaf ->
                       acc +. (af.(leaf) /. float_of_int (max 1 fanout.(leaf))))
-                    0.0 c.leaves
+                    0.0 c.Cuts.leaves
                 in
                 let total = gate_cost +. leaf_cost in
                 if total < af.(id) then begin
@@ -153,152 +132,31 @@ let convert_with_stats nl =
                 end
               end)
             cuts.(id))
-    order;
-  (* Realization with structural hashing. *)
-  let out = Netlist.create () in
-  let memo = Array.make n (-1) in
-  (* all primary inputs exist in the result, in the original order,
-     even if the mapped logic no longer reads some of them *)
-  List.iter
-    (fun iid ->
-      memo.(iid) <- Netlist.add out ?name:(Netlist.name nl iid) Netlist.Input [||])
-    (Netlist.inputs nl);
-  let hash : (Netlist.kind * int list, int) Hashtbl.t = Hashtbl.create 256 in
-  let hashed kind fanins =
-    let key_fanins =
-      match kind with
-      | Netlist.And | Netlist.Or | Netlist.Maj -> List.sort Int.compare fanins
-      | _ -> fanins
-    in
-    match Hashtbl.find_opt hash (kind, key_fanins) with
-    | Some id -> id
-    | None ->
-        let id = Netlist.add out kind (Array.of_list fanins) in
-        Hashtbl.replace hash (kind, key_fanins) id;
-        id
-  in
-  let hashed_not id =
-    (* collapse double negation *)
-    if Netlist.kind out id = Netlist.Not then (Netlist.fanins out id).(0)
-    else hashed Netlist.Not [ id ]
-  in
-  let hashed_const b = hashed (Netlist.Const b) [] in
+    (Netlist.topo_order nl);
+  (* realization, from the outputs down: only logic the cover reaches
+     is built *)
+  let r = realizer nl in
   let rec realize id =
-    if memo.(id) >= 0 then memo.(id)
+    if r.memo.(id) >= 0 then r.memo.(id)
     else begin
       let result =
         match Netlist.kind nl id with
-        | Netlist.Input ->
-            Netlist.add out ?name:(Netlist.name nl id) Netlist.Input [||]
-        | Netlist.Const b -> hashed_const b
-        | Netlist.Output -> assert false
+        | Netlist.Const b -> hashed_const r b
+        | Netlist.Input | Netlist.Output -> assert false
         | _ ->
             let c = Option.get best_cut.(id) in
-            let leaf_ids = Array.map realize c.leaves in
-            instantiate (Maj_db.lookup (tt3_of_cut c)) leaf_ids
+            instantiate r (Maj_db.lookup (Cuts.tt3 c)) (Array.map realize c.Cuts.leaves)
       in
-      memo.(id) <- result;
+      r.memo.(id) <- result;
       result
     end
-  and instantiate impl leaf_ids =
-    let n_leaves = Array.length leaf_ids in
-    let gate_ids = Array.make (Array.length impl.Maj_db.gates) (-1) in
-    (* Resolve an operand to either a concrete signal or a constant. *)
-    let resolve op =
-      match op with
-      | Maj_db.Cst b -> `Cst b
-      | Maj_db.Var (k, neg) ->
-          if k >= n_leaves then `Cst neg (* don't-care input: feed a constant *)
-          else if neg then `Sig (hashed_not leaf_ids.(k))
-          else `Sig leaf_ids.(k)
-      | Maj_db.Gate (i, neg) ->
-          let g = gate_ids.(i) in
-          if neg then `Sig (hashed_not g) else `Sig g
-    in
-    let build_maj ra rb rc =
-      let consts = List.filter_map (function `Cst b -> Some b | `Sig _ -> None) [ ra; rb; rc ] in
-      let sigs = List.filter_map (function `Sig s -> Some s | `Cst _ -> None) [ ra; rb; rc ] in
-      match (consts, sigs) with
-      | [], [ a; b; c ] ->
-          if a = b then a
-          else if a = c then a
-          else if b = c then b
-          else hashed Netlist.Maj [ a; b; c ]
-      | [ k ], [ a; b ] ->
-          if a = b then a
-          else if k then hashed Netlist.Or [ a; b ]
-          else hashed Netlist.And [ a; b ]
-      | [ k1; k2 ], [ a ] -> if k1 = k2 then hashed_const k1 else a
-      | [ k1; k2; k3 ], [] ->
-          let majority = (k1 && k2) || (k1 && k3) || (k2 && k3) in
-          hashed_const majority
-      | _ -> assert false
-    in
-    Array.iteri
-      (fun i g ->
-        gate_ids.(i) <-
-          build_maj (resolve g.Maj_db.a) (resolve g.Maj_db.b) (resolve g.Maj_db.c))
-      impl.Maj_db.gates;
-    match resolve impl.Maj_db.out with
-    | `Sig s -> s
-    | `Cst b -> hashed_const b
   in
-  List.iter
-    (fun oid ->
-      let driver = realize (Netlist.fanins nl oid).(0) in
-      ignore (Netlist.add out ?name:(Netlist.name nl oid) Netlist.Output [| driver |]))
-    (Netlist.outputs nl);
-  let is_gate = function
-    | Netlist.Input | Netlist.Output | Netlist.Const _ -> false
-    | _ -> true
-  in
-  (* jj_before: cost of mapping every AOI gate individually. *)
-  let jj_before =
-    Netlist.fold nl
-      (fun acc nd ->
-        match nd.Netlist.kind with
-        | Netlist.And | Netlist.Or -> acc + 6
-        | Netlist.Nand | Netlist.Nor -> acc + 8
-        | Netlist.Xor | Netlist.Xnor ->
-            acc + Maj_db.cost (tt3_of_cut { leaves = [| 0; 1 |]; tt = 0b0110 })
-        | Netlist.Not | Netlist.Buf -> acc + 2
-        | _ -> acc)
-      0
-  in
-  let jj_after = Cell.netlist_jj_count out in
-  let stats =
-    {
-      aoi_gates = Netlist.count_kind nl is_gate;
-      maj_gates = Netlist.count_kind out is_gate;
-      jj_before;
-      jj_after;
-    }
-  in
-  (out, stats)
+  finish r nl realize
 
 (* Per-gate mapping: realize each AOI gate from the database entry of
    its own 2-input function — no cut enumeration, no collapsing. *)
 let convert_naive nl =
-  let out = Netlist.create () in
-  let memo = Array.make (Netlist.size nl) (-1) in
-  let hash : (Netlist.kind * int list, int) Hashtbl.t = Hashtbl.create 256 in
-  let hashed kind fanins =
-    let key =
-      match kind with
-      | Netlist.And | Netlist.Or | Netlist.Maj -> (kind, List.sort Int.compare fanins)
-      | _ -> (kind, fanins)
-    in
-    match Hashtbl.find_opt hash key with
-    | Some id -> id
-    | None ->
-        let id = Netlist.add out kind (Array.of_list fanins) in
-        Hashtbl.replace hash key id;
-        id
-  in
-  let hashed_not id =
-    if Netlist.kind out id = Netlist.Not then (Netlist.fanins out id).(0)
-    else hashed Netlist.Not [ id ]
-  in
+  let r = realizer nl in
   let gate_tt = function
     | Netlist.And -> 0b1000
     | Netlist.Or -> 0b1110
@@ -308,89 +166,71 @@ let convert_naive nl =
     | Netlist.Xnor -> 0b1001
     | _ -> invalid_arg "gate_tt"
   in
-  List.iter
-    (fun iid ->
-      memo.(iid) <- Netlist.add out ?name:(Netlist.name nl iid) Netlist.Input [||])
-    (Netlist.inputs nl);
-  let order = Netlist.topo_order nl in
   Array.iter
     (fun id ->
-      if memo.(id) < 0 then
-        let f k = memo.((Netlist.fanins nl id).(k)) in
-        let result =
-          match Netlist.kind nl id with
-          | Netlist.Input -> memo.(id)
+      if r.memo.(id) < 0 then
+        let f k = r.memo.((Netlist.fanins nl id).(k)) in
+        r.memo.(id) <-
+          (match Netlist.kind nl id with
+          | Netlist.Input -> r.memo.(id)
           | Netlist.Output -> -1
-          | Netlist.Const b -> hashed (Netlist.Const b) []
+          | Netlist.Const b -> hashed_const r b
           | Netlist.Buf -> f 0
-          | Netlist.Not -> hashed_not (f 0)
+          | Netlist.Not -> hashed_not r (f 0)
           | (Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor | Netlist.Xor
             | Netlist.Xnor) as k ->
               (* 2-var function padded to the 3-var database *)
               let tt2 = gate_tt k in
-              let tt3 = tt2 lor (tt2 lsl 4) in
-              let impl = Maj_db.lookup tt3 in
-              let leaf_ids = [| f 0; f 1 |] in
-              let gate_ids = Array.make (Array.length impl.Maj_db.gates) (-1) in
-              let resolve = function
-                | Maj_db.Cst b -> `Cst b
-                | Maj_db.Var (k, neg) ->
-                    if k >= 2 then `Cst neg
-                    else if neg then `Sig (hashed_not leaf_ids.(k))
-                    else `Sig leaf_ids.(k)
-                | Maj_db.Gate (i, neg) ->
-                    if neg then `Sig (hashed_not gate_ids.(i)) else `Sig gate_ids.(i)
-              in
-              let build ra rb rc =
-                let consts =
-                  List.filter_map (function `Cst b -> Some b | `Sig _ -> None)
-                    [ ra; rb; rc ]
-                in
-                let sigs =
-                  List.filter_map (function `Sig s -> Some s | `Cst _ -> None)
-                    [ ra; rb; rc ]
-                in
-                match (consts, sigs) with
-                | [], [ a; b; c ] ->
-                    if a = b then a
-                    else if a = c then a
-                    else if b = c then b
-                    else hashed Netlist.Maj [ a; b; c ]
-                | [ kb ], [ a; b ] ->
-                    if a = b then a
-                    else if kb then hashed Netlist.Or [ a; b ]
-                    else hashed Netlist.And [ a; b ]
-                | [ k1; k2 ], [ a ] -> if k1 = k2 then hashed (Netlist.Const k1) [] else a
-                | [ k1; k2; k3 ], [] ->
-                    hashed (Netlist.Const ((k1 && k2) || (k1 && k3) || (k2 && k3))) []
-                | _ -> assert false
-              in
-              Array.iteri
-                (fun i g ->
-                  gate_ids.(i) <-
-                    build (resolve g.Maj_db.a) (resolve g.Maj_db.b) (resolve g.Maj_db.c))
-                impl.Maj_db.gates;
-              (match resolve impl.Maj_db.out with
-              | `Sig s -> s
-              | `Cst b -> hashed (Netlist.Const b) [])
+              instantiate r (Maj_db.lookup (tt2 lor (tt2 lsl 4))) [| f 0; f 1 |]
           | Netlist.Maj | Netlist.Splitter _ ->
-              invalid_arg "Aoi_to_maj.convert_naive: input must be AOI"
-        in
-        memo.(id) <- result)
-    order;
-  List.iter
-    (fun oid ->
-      let driver = memo.((Netlist.fanins nl oid).(0)) in
-      ignore (Netlist.add out ?name:(Netlist.name nl oid) Netlist.Output [| driver |]))
-    (Netlist.outputs nl);
-  out
+              invalid_arg "Aoi_to_maj.convert_naive: input must be AOI"))
+    (Netlist.topo_order nl);
+  finish r nl (fun f -> r.memo.(f))
+
+(* ---- selection ---- *)
+
+type stats = {
+  aoi_gates : int;
+  maj_gates : int;
+  jj_before : int;
+  jj_after : int;
+}
+
+let is_gate = function
+  | Netlist.Input | Netlist.Output | Netlist.Const _ -> false
+  | _ -> true
 
 (* Cut collapsing can occasionally lose to per-gate mapping on heavily
    shared logic (a collapsed cut re-synthesizes internal nodes that
    other cuts also need). Keeping the cheaper of the two per design
    makes the "most resource-efficient mapping" selection global. *)
-let convert nl =
-  let smart, _ = convert_with_stats nl in
+let convert_with_stats nl =
+  let cover = convert_cover nl in
   let naive = convert_naive nl in
-  if Cell.netlist_jj_count naive < Cell.netlist_jj_count smart then naive
-  else smart
+  let out =
+    if Cell.netlist_jj_count naive < Cell.netlist_jj_count cover then naive else cover
+  in
+  (* jj_before: cost of mapping every AOI gate individually. *)
+  let jj_before =
+    Netlist.fold nl
+      (fun acc nd ->
+        match nd.Netlist.kind with
+        | Netlist.And | Netlist.Or -> acc + 6
+        | Netlist.Nand | Netlist.Nor -> acc + 8
+        | Netlist.Xor | Netlist.Xnor ->
+            acc + Maj_db.cost (Cuts.tt3 { Cuts.leaves = [| 0; 1 |]; tt = 0b0110 })
+        | Netlist.Not | Netlist.Buf -> acc + 2
+        | _ -> acc)
+      0
+  in
+  let stats =
+    {
+      aoi_gates = Netlist.count_kind nl is_gate;
+      maj_gates = Netlist.count_kind cover is_gate;
+      jj_before;
+      jj_after = Cell.netlist_jj_count out;
+    }
+  in
+  (out, stats)
+
+let convert nl = fst (convert_with_stats nl)

@@ -36,20 +36,35 @@ let complements t a b =
   (Netlist.kind t.out a = Netlist.Not && (Netlist.fanins t.out a).(0) = b)
   || (Netlist.kind t.out b = Netlist.Not && (Netlist.fanins t.out b).(0) = a)
 
+(* the node for [x -> g x] over the signal [s] *)
+let unary t g s =
+  match (g false, g true) with
+  | false, true -> s
+  | true, false -> not_ t s
+  | k, _ -> const t k
+
+(* all six kinds are commutative, so one rule folds them: a constant
+   operand [k] leaves [f(k, .)], equal operands [f(x, x)], and
+   complementary ones the constant [f(0, 1)] *)
 let gate2 t kind a b =
-  match kind with
-  | Netlist.And | Netlist.Or -> (
-      let absorbing = kind = Netlist.Or in
-      match (is_const t a, is_const t b) with
-      | Some ka, Some kb ->
-          const t (if kind = Netlist.And then ka && kb else ka || kb)
-      | Some k, None -> if k = absorbing then const t k else b
-      | None, Some k -> if k = absorbing then const t k else a
-      | None, None ->
-          if a = b then a
-          else if complements t a b then const t absorbing
-          else hashed t kind [ a; b ])
-  | _ -> hashed t kind [ a; b ]
+  let f =
+    match kind with
+    | Netlist.And -> ( && )
+    | Netlist.Or -> ( || )
+    | Netlist.Nand -> fun x y -> not (x && y)
+    | Netlist.Nor -> fun x y -> not (x || y)
+    | Netlist.Xor -> fun x y -> not (Bool.equal x y)
+    | Netlist.Xnor -> Bool.equal
+    | k -> invalid_arg ("Builder.gate2: " ^ Netlist.kind_name k)
+  in
+  match (is_const t a, is_const t b) with
+  | Some ka, Some kb -> const t (f ka kb)
+  | Some k, None -> unary t (f k) b
+  | None, Some k -> unary t (f k) a
+  | None, None ->
+      if a = b then unary t (fun x -> f x x) a
+      else if complements t a b then const t (f false true)
+      else hashed t kind [ a; b ]
 
 let maj t a b c =
   (* duplicate / complementary operand collapses first *)

@@ -104,17 +104,16 @@ let node_cuts nl cuts id =
   in
   (* dedupe preserving first occurrence, then cap at [cuts_per_node]
      keeping the trivial cut plus the widest merges *)
-  let seen = Hashtbl.create 16 in
+  let same a b =
+    a.tt = b.tt
+    && Array.length a.leaves = Array.length b.leaves
+    && Array.for_all2 Int.equal a.leaves b.leaves
+  in
   let all =
-    List.filter
-      (fun c ->
-        let key = (Array.to_list c.leaves, c.tt) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (base @ merged)
+    List.rev
+      (List.fold_left
+         (fun acc c -> if List.exists (same c) acc then acc else c :: acc)
+         [] (base @ merged))
   in
   if List.length all <= cuts_per_node then all
   else
@@ -126,30 +125,16 @@ let node_cuts nl cuts id =
     List.hd all :: List.filteri (fun i _ -> i < cuts_per_node - 1) rest
 
 let enumerate nl =
-  let n = Netlist.size nl in
-  let cuts = Array.make n [] in
-  let level = Array.make n 0 in
-  let max_level = ref 0 in
-  Array.iter
-    (fun id ->
-      (match Netlist.kind nl id with
-      | Netlist.Input | Netlist.Const _ -> ()
-      | _ ->
-          level.(id) <-
-            1 + Array.fold_left (fun acc f -> max acc level.(f)) 0 (Netlist.fanins nl id));
-      if level.(id) > !max_level then max_level := level.(id))
-    (Netlist.topo_order nl);
-  let buckets = Array.make (!max_level + 1) [] in
-  for id = n - 1 downto 0 do
-    buckets.(level.(id)) <- id :: buckets.(level.(id))
-  done;
+  let cuts = Array.make (Netlist.size nl) [] in
   (* level-synchronous: a node's cuts read only strictly shallower
-     nodes, so each level shards over the pool with ordered combine *)
-  for l = 0 to !max_level do
-    let ids = Array.of_list buckets.(l) in
-    let results =
-      Parallel.parallel_map ~label:"resyn.cuts" (fun id -> node_cuts nl cuts id) ids
-    in
-    Array.iteri (fun i id -> cuts.(id) <- results.(i)) ids
-  done;
+     nodes, so each level shards over the pool with ordered combine;
+     the fixed chunk keeps levels of up to 64 nodes (every level of a
+     small AOI netlist) off the pool *)
+  Array.iter
+    (fun ids ->
+      let results =
+        Parallel.parallel_map ~label:"cuts" ~chunk:64 (fun id -> node_cuts nl cuts id) ids
+      in
+      Array.iteri (fun i id -> cuts.(id) <- results.(i)) ids)
+    (Netlist.levels nl);
   cuts

@@ -1,5 +1,6 @@
-(** Deterministic k-feasible cut enumeration (k = 3) over a mapped
-    majority netlist.
+(** Deterministic k-feasible cut enumeration (k = 3), shared by
+    synthesis ({!Aoi_to_maj}, over the AOI netlist) and resynthesis
+    ([Resyn], over the mapped majority netlist).
 
     A cut of node [v] is a set of at most 3 leaves such that every
     path from a primary input to [v] crosses a leaf; the cut carries
@@ -10,9 +11,11 @@
     node (trivial plus the widest merges, the most collapsible ones).
 
     Determinism and parallelism: cuts depend only on strictly
-    shallower nodes, so nodes are processed level-synchronously —
-    each level shards over {!Parallel.parallel_map} (ordered
-    combine), making the result bit-identical at any [--jobs].
+    shallower nodes, so nodes are processed level-synchronously over
+    {!Netlist.levels} — each level shards over
+    {!Parallel.parallel_map} (label [cuts], ordered combine) in fixed
+    chunks of 64 nodes, making the result bit-identical at any
+    [--jobs] and keeping levels of up to 64 nodes off the pool.
 
     Known limitation (the cause of today's [RS-CEC-01] refusals): the
     table is computed as if the leaves were independent, but a cut may
@@ -34,7 +37,7 @@ type cut = {
 }
 
 val cuts_per_node : int
-(** 8 — the per-node cap, matching {!Aoi_to_maj}. *)
+(** 8 — the per-node cap. *)
 
 val tt3 : cut -> Truth.t
 (** The cut function padded to the 3-variable space of {!Maj_db}
@@ -46,6 +49,7 @@ val trivial : int -> cut
 val is_trivial : int -> cut -> bool
 
 val enumerate : Netlist.t -> cut list array
-(** Per-node cut lists, trivial first. Gates ([Maj]/[And]/[Or]/
-    [Not]; [Buf]/[Splitter] pass through), inputs, constants and
-    outputs get only the trivial cut. The netlist must be acyclic. *)
+(** Per-node cut lists, trivial first. Gates ([Maj], the six 2-input
+    kinds and [Not]; [Buf]/[Splitter] pass through) also get the
+    merges of their fan-ins' cuts; inputs, constants and outputs get
+    only the trivial cut. The netlist must be acyclic. *)

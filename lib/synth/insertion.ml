@@ -388,3 +388,13 @@ let insert_ladder_with_stats input =
     }
   in
   (nl, stats)
+
+(* per-edge chains vs shared ladders: keep the cheaper result (JJ
+   count, then pipeline depth); the ladder's fixpoints may give up,
+   and then the per-edge result stands *)
+let run maj =
+  let ((_, e) as edge) = insert_with_stats maj in
+  match insert_ladder_with_stats maj with
+  | (_, l) as ladder when (l.jj, l.delay) < (e.jj, e.delay) -> ladder
+  | _ -> edge
+  | exception Failure _ -> edge

@@ -40,5 +40,12 @@ val insert_ladder_with_stats : Netlist.t -> Netlist.t * stats
     cells, which costs markedly fewer buffers than {!insert}. Same
     post-conditions. *)
 
+val run : Netlist.t -> Netlist.t * stats
+(** The one insertion choice, shared by synthesis and resynthesis:
+    {!insert_ladder_with_stats} when its [(jj, delay)] is
+    lexicographically smaller than {!insert_with_stats}'s, the
+    per-edge result otherwise — ties and a ladder that raises
+    [Failure] (a fixpoint that does not converge) included. *)
+
 val count_nets : Netlist.t -> int
 (** Point-to-point connections: the sum of fan-in arities. *)

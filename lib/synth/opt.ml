@@ -1,96 +1,14 @@
 type stats = { nodes_before : int; nodes_after : int; iterations : int }
 
-(* One rewriting pass: rebuild the netlist bottom-up with folding,
-   identities and structural hashing; only output-reachable logic is
-   emitted (the rebuild starts from the outputs). *)
+(* One rewriting pass: rebuild the netlist bottom-up through the
+   hashing builder, which folds constants and identities and shares
+   structurally identical gates. *)
 let pass nl =
-  let out = Netlist.create () in
+  let b = Builder.create () in
   let memo = Array.make (Netlist.size nl) (-1) in
-  let hash : (Netlist.kind * int list, int) Hashtbl.t = Hashtbl.create 256 in
-  (* the two constants get at most one node each *)
-  let hashed kind fanins =
-    let key =
-      match kind with
-      | Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor | Netlist.Xor
-      | Netlist.Xnor ->
-          (kind, List.sort Int.compare fanins)
-      | _ -> (kind, fanins)
-    in
-    match Hashtbl.find_opt hash key with
-    | Some id -> id
-    | None ->
-        let id = Netlist.add out kind (Array.of_list fanins) in
-        Hashtbl.replace hash key id;
-        id
-  in
-  let const b = hashed (Netlist.Const b) [] in
-  let is_const id =
-    match Netlist.kind out id with Netlist.Const b -> Some b | _ -> None
-  in
-  let mk_not a =
-    match is_const a with
-    | Some b -> const (not b)
-    | None ->
-        if Netlist.kind out a = Netlist.Not then (Netlist.fanins out a).(0)
-        else hashed Netlist.Not [ a ]
-  in
-  (* are [a] and [b] complements of each other (structurally)? *)
-  let complements a b =
-    (Netlist.kind out a = Netlist.Not && (Netlist.fanins out a).(0) = b)
-    || (Netlist.kind out b = Netlist.Not && (Netlist.fanins out b).(0) = a)
-  in
-  let mk2 kind a b =
-    match (kind, is_const a, is_const b) with
-    (* full constant folding *)
-    | Netlist.And, Some x, Some y -> const (x && y)
-    | Netlist.Or, Some x, Some y -> const (x || y)
-    | Netlist.Nand, Some x, Some y -> const (not (x && y))
-    | Netlist.Nor, Some x, Some y -> const (not (x || y))
-    | Netlist.Xor, Some x, Some y -> const (x <> y)
-    | Netlist.Xnor, Some x, Some y -> const (x = y)
-    (* one constant operand *)
-    | Netlist.And, Some false, _ | Netlist.And, _, Some false -> const false
-    | Netlist.And, Some true, _ -> b
-    | Netlist.And, _, Some true -> a
-    | Netlist.Or, Some true, _ | Netlist.Or, _, Some true -> const true
-    | Netlist.Or, Some false, _ -> b
-    | Netlist.Or, _, Some false -> a
-    | Netlist.Nand, Some false, _ | Netlist.Nand, _, Some false -> const true
-    | Netlist.Nand, Some true, _ -> mk_not b
-    | Netlist.Nand, _, Some true -> mk_not a
-    | Netlist.Nor, Some true, _ | Netlist.Nor, _, Some true -> const false
-    | Netlist.Nor, Some false, _ -> mk_not b
-    | Netlist.Nor, _, Some false -> mk_not a
-    | Netlist.Xor, Some false, _ -> b
-    | Netlist.Xor, _, Some false -> a
-    | Netlist.Xor, Some true, _ -> mk_not b
-    | Netlist.Xor, _, Some true -> mk_not a
-    | Netlist.Xnor, Some true, _ -> b
-    | Netlist.Xnor, _, Some true -> a
-    | Netlist.Xnor, Some false, _ -> mk_not b
-    | Netlist.Xnor, _, Some false -> mk_not a
-    (* no constants: identities *)
-    | _ ->
-        if a = b then
-          match kind with
-          | Netlist.And | Netlist.Or -> a
-          | Netlist.Nand | Netlist.Nor -> mk_not a
-          | Netlist.Xor -> const false
-          | Netlist.Xnor -> const true
-          | _ -> hashed kind [ a; b ]
-        else if complements a b then
-          match kind with
-          | Netlist.And | Netlist.Nor -> const false
-          | Netlist.Or | Netlist.Nand -> const true
-          | Netlist.Xor -> const true
-          | Netlist.Xnor -> const false
-          | _ -> hashed kind [ a; b ]
-        else hashed kind [ a; b ]
-  in
   (* inputs first, preserving order *)
   List.iter
-    (fun iid ->
-      memo.(iid) <- Netlist.add out ?name:(Netlist.name nl iid) Netlist.Input [||])
+    (fun iid -> memo.(iid) <- Builder.input b ?name:(Netlist.name nl iid) ())
     (Netlist.inputs nl);
   let order = Netlist.topo_order nl in
   Array.iter
@@ -101,12 +19,12 @@ let pass nl =
           match Netlist.kind nl id with
           | Netlist.Input -> memo.(id) (* already built *)
           | Netlist.Output -> -1 (* handled after the loop *)
-          | Netlist.Const b -> const b
+          | Netlist.Const v -> Builder.const b v
           | Netlist.Buf -> f 0
-          | Netlist.Not -> mk_not (f 0)
+          | Netlist.Not -> Builder.not_ b (f 0)
           | (Netlist.And | Netlist.Or | Netlist.Nand | Netlist.Nor | Netlist.Xor
             | Netlist.Xnor) as k ->
-              mk2 k (f 0) (f 1)
+              Builder.gate2 b k (f 0) (f 1)
           | (Netlist.Maj | Netlist.Splitter _) as k ->
               invalid_arg
                 (Printf.sprintf
@@ -119,11 +37,9 @@ let pass nl =
         memo.(id) <- result)
     order;
   List.iter
-    (fun oid ->
-      let driver = memo.((Netlist.fanins nl oid).(0)) in
-      ignore (Netlist.add out ?name:(Netlist.name nl oid) Netlist.Output [| driver |]))
+    (fun oid -> Builder.output b ?name:(Netlist.name nl oid) memo.((Netlist.fanins nl oid).(0)))
     (Netlist.outputs nl);
-  out
+  Builder.netlist b
 
 (* copy only logic reachable from the primary outputs *)
 let sweep nl =

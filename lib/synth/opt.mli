@@ -1,7 +1,8 @@
 (** AOI netlist optimization, run before majority conversion.
 
-    A single bottom-up rewriting pass with structural hashing,
-    iterated to a fixpoint:
+    A single bottom-up rewriting pass through {!Builder} (the
+    structurally hashed constructor resynthesis also uses), iterated
+    to a fixpoint:
 
     - {e constant folding}: gates with constant operands collapse
       ([and(x,0) = 0], [or(x,1) = 1], [xor(x,0) = x], ...);

@@ -10,29 +10,8 @@ type report = {
 
 let run ?(check = false) ?(engine = `Auto) ?cache aoi =
   let aoi, opt_stats = Opt.optimize_with_stats aoi in
-  let maj_smart, maj_stats = Aoi_to_maj.convert_with_stats aoi in
-  let maj_naive = Aoi_to_maj.convert_naive aoi in
-  (* global resource-efficiency selection (see Aoi_to_maj.convert) *)
-  let maj =
-    if Cell.netlist_jj_count maj_naive < Cell.netlist_jj_count maj_smart then
-      maj_naive
-    else maj_smart
-  in
-  let maj_stats =
-    { maj_stats with Aoi_to_maj.jj_after = Cell.netlist_jj_count maj }
-  in
-  (* insertion: per-edge chains vs shared ladders — keep the cheaper
-     result (JJ count, then pipeline depth) *)
-  let aqfp_edge, stats_edge = Insertion.insert_with_stats maj in
-  let aqfp, ins_stats =
-    match Insertion.insert_ladder_with_stats maj with
-    | aqfp_ladder, stats_ladder
-      when (stats_ladder.Insertion.jj, stats_ladder.Insertion.delay)
-           < (stats_edge.Insertion.jj, stats_edge.Insertion.delay) ->
-        (aqfp_ladder, stats_ladder)
-    | _ -> (aqfp_edge, stats_edge)
-    | exception Failure _ -> (aqfp_edge, stats_edge)
-  in
+  let maj, maj_stats = Aoi_to_maj.convert_with_stats aoi in
+  let aqfp, ins_stats = Insertion.run maj in
   (* equivalence guards at the two semantics-preserving handoffs *)
   let guard_diags =
     if not check then []

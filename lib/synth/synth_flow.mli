@@ -27,8 +27,9 @@ val run :
   Netlist.t ->
   Netlist.t * report
 (** Synthesize an AOI netlist into a placement-ready AQFP netlist:
-    AOI optimization ({!Opt}), majority conversion (cut-collapsing vs
-    per-gate, cheaper wins), splitter/buffer insertion (per-edge
+    AOI optimization ({!Opt}), majority conversion
+    ({!Aoi_to_maj.convert_with_stats}: cut cover vs per-gate, cheaper
+    wins), splitter/buffer insertion ({!Insertion.run}: per-edge
     chains vs shared ladders, cheaper wins). [check] (default false)
     runs the per-output equivalence guards at each handoff with the
     given {!Equiv.engine} (default [`Auto]); [cache] memoizes proven

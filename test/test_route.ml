@@ -177,11 +177,6 @@ let test_congestion_preexpand_reduces_expansions () =
   checkb "preexpansion saves router work" true
     (route_with_preexpand true <= route_with_preexpand false)
 
-let test_congestion_report_renders () =
-  let p = placed_problem "adder8" Placer.Superflow in
-  let text = Congestion.report p in
-  checkb "has rows" true (String.length text > 100)
-
 let prop_routes_edge_disjoint =
   (* check_routes validates edge-disjointness; also verify net ids and
      via counts are consistent across random placement seeds *)
@@ -341,7 +336,6 @@ let () =
           Alcotest.test_case "negotiated expansions" `Slow test_negotiated_not_worse;
           Alcotest.test_case "congestion density" `Quick test_congestion_density_manual;
           Alcotest.test_case "preexpand" `Slow test_congestion_preexpand_reduces_expansions;
-          Alcotest.test_case "congestion report" `Quick test_congestion_report_renders;
           QCheck_alcotest.to_alcotest prop_routes_edge_disjoint;
           Alcotest.test_case "known answer (sequential)" `Quick
             test_known_answer_sequential;

@@ -147,6 +147,61 @@ let prop_opt_idempotent =
       let twice = Opt.optimize once in
       Netlist.size twice = Netlist.size once)
 
+(* ---------- Builder ---------- *)
+
+(* Every 2-input kind against every operand shape: the result must
+   simulate to the kind's function, and every shape but two free
+   signals must fold away without a 2-input gate. *)
+let test_builder_gate2_folds () =
+  let kinds =
+    [
+      (Netlist.And, ( && ));
+      (Netlist.Or, ( || ));
+      (Netlist.Nand, fun x y -> not (x && y));
+      (Netlist.Nor, fun x y -> not (x || y));
+      (Netlist.Xor, fun x y -> x <> y);
+      (Netlist.Xnor, ( = ));
+    ]
+  in
+  (* a shape builds both operands over the free inputs [x], [y] and
+     gives their values under one input assignment *)
+  let const k =
+    (Printf.sprintf "%b" k, ((fun b _ _ -> Builder.const b k), fun _ _ -> k))
+  in
+  let x = ("x", ((fun _ x _ -> x), fun vx _ -> vx)) in
+  let y = ("y", ((fun _ _ y -> y), fun _ vy -> vy)) in
+  let not_x = ("~x", ((fun b x _ -> Builder.not_ b x), fun vx _ -> not vx)) in
+  let shapes =
+    List.concat_map
+      (fun ka -> List.map (fun kb -> (const ka, const kb)) [ false; true ])
+      [ false; true ]
+    @ List.concat_map (fun k -> [ (const k, x); (x, const k) ]) [ false; true ]
+    @ [ (x, x); (x, not_x); (not_x, x); (x, y) ]
+  in
+  let two_input nl = Netlist.count_kind nl (fun k -> Netlist.arity k = 2) in
+  List.iter
+    (fun (kind, f) ->
+      List.iter
+        (fun ((na, (build_a, val_a)), (nb, (build_b, val_b))) ->
+          let id = Printf.sprintf "%s(%s,%s)" (Netlist.kind_name kind) na nb in
+          let b = Builder.create () in
+          let xi = Builder.input b () and yi = Builder.input b () in
+          let a = build_a b xi yi and c = build_b b xi yi in
+          let before = two_input (Builder.netlist b) in
+          Builder.output b (Builder.gate2 b kind a c);
+          let nl = Builder.netlist b in
+          let added = two_input nl - before in
+          checki (id ^ " gates added") (if na = "x" && nb = "y" then 1 else 0) added;
+          List.iter
+            (fun (vx, vy) ->
+              checkb
+                (Printf.sprintf "%s at x=%b y=%b" id vx vy)
+                (f (val_a vx vy) (val_b vx vy))
+                (Sim.eval nl [| vx; vy |]).(0))
+            [ (false, false); (false, true); (true, false); (true, true) ])
+        shapes)
+    kinds
+
 (* ---------- Aoi_to_maj ---------- *)
 
 let equivalent_after_convert nl =
@@ -411,6 +466,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_opt_equivalence;
           QCheck_alcotest.to_alcotest prop_opt_idempotent;
         ] );
+      ("builder", [ Alcotest.test_case "gate2 folds" `Quick test_builder_gate2_folds ]);
       ( "aoi_to_maj",
         [
           Alcotest.test_case "small" `Quick test_convert_preserves_function_small;
