@@ -31,7 +31,7 @@ val gate2 : t -> Netlist.kind -> int -> int -> int
     operand [k] (either side) gives [f(k,.)] — a constant, the other
     signal [s] or [not s]; equal operands give [f(x,x)] the same way;
     complementary operands give the constant [f(0,1)]; two constants
-    give [f(ka,kb)]. Anything else hashes structurally. Raises
+    give [f(ka,kb)]. Operands no rule folds hash structurally. Raises
     [Invalid_argument] on any other kind. *)
 
 val maj : t -> int -> int -> int -> int
