@@ -653,7 +653,7 @@ let check_out_arg =
 
 let engine_arg =
   Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Equivalence-proof engine: auto (BDD first, SAT on blow-up), \
+         ~doc:"Equivalence-proof engine: auto (SAT first, BDD for budget-outs), \
                bdd, or sat. Part of the synth stage's cache key. Giving \
                $(b,sat) or $(b,auto) explicitly also selects the $(b,full) \
                check tier (AIG/SAT-backed lints); the default runs the fast \

@@ -69,6 +69,11 @@ type verdict =
    bug, not a design difference. *)
 let replays ca cb cex = Sim.eval ca cex <> Sim.eval cb cex
 
+(* The verdict of an output no engine proved: simulation samples its
+   two cones. *)
+let sampled (ca, cb) why =
+  if Sim.equivalent ca cb then Sampled_equal why else Sampled_diff why
+
 (* A CEC verdict for one output, settled against that output's two
    cones (only forced when needed): a counterexample must replay, a
    budget-out is sampled. *)
@@ -77,23 +82,15 @@ let of_cec cones = function
   | Cec.Diff cex ->
       let ca, cb = Lazy.force cones in
       if replays ca cb cex then Proven_diff cex else Cex_invalid cex
-  | Cec.Unknown budget ->
-      let ca, cb = Lazy.force cones in
-      if Sim.equivalent ca cb then Sampled_equal (Sat_budget budget)
-      else Sampled_diff (Sat_budget budget)
+  | Cec.Unknown budget -> sampled (Lazy.force cones) (Sat_budget budget)
 
-(* The BDD engine on one cone pair; [None] hands the output to SAT. *)
-let bdd_verdict engine ~max_nodes (ca, cb) =
+(* The BDD engine on one cone pair; [None] when it blows the node
+   budget. *)
+let bdd_verdict ~max_nodes (ca, cb) =
   match Bdd.check_equivalence ~max_nodes ca cb with
   | Bdd.Equivalent -> Some Proven_equal
   | Bdd.Different cex -> Some (Proven_diff cex)
-  | Bdd.Too_large -> (
-      match engine with
-      | `Auto -> None
-      | `Bdd ->
-          Some
-            (if Sim.equivalent ca cb then Sampled_equal Bdd_budget
-             else Sampled_diff Bdd_budget))
+  | Bdd.Too_large -> None
 
 let bits v =
   String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list v))
@@ -164,32 +161,46 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
                   let ca, cb = Lazy.force cones.(i) in
                   decode_verdict ca cb s))
     in
-    (* one BDD lane per primary output, verdicts combined in output
-       order; [None] is left for the joint SAT proof *)
-    let verdicts =
-      match engine with
-      | `Sat -> Array.copy cached
-      | (`Bdd | `Auto) as e ->
-          let pairs = Array.map Lazy.force cones in
-          Parallel.parallel_init ~label:"check.equiv.outputs" ~chunk:1 n
-            (fun i ->
-              match cached.(i) with
-              | Some v -> Some v
-              | None -> bdd_verdict e ~max_nodes pairs.(i))
-    in
-    (* every output still open is proven jointly: one AIG, one
-       simulation and one SAT sweep over the folded sub-netlists that
-       feed those outputs, instead of one per cone *)
+    let verdicts = Array.copy cached in
     let open_ =
       List.filter (fun i -> Option.is_none verdicts.(i)) (List.init n Fun.id)
     in
-    if open_ <> [] then begin
-      let sub nl outs = folded (restrict nl (List.map (fun i -> outs.(i)) open_)) in
-      let joint =
-        Cec.check_outputs ~conflict_budget (sub before outs_b) (sub after outs_a)
+    (* one BDD lane per output of [outs], verdicts stored in output
+       order; an output whose BDD blows the node budget is sampled and
+       blamed on [why] *)
+    let bdd_lanes outs why =
+      let outs = Array.of_list outs in
+      let pairs = Array.map (fun i -> Lazy.force cones.(i)) outs in
+      let vs =
+        Parallel.parallel_init ~label:"check.equiv.outputs" ~chunk:1
+          (Array.length outs) (fun k ->
+            match bdd_verdict ~max_nodes pairs.(k) with
+            | Some v -> v
+            | None -> sampled pairs.(k) why)
       in
-      List.iteri (fun k i -> verdicts.(i) <- Some (of_cec cones.(i) joint.(k))) open_
-    end;
+      Array.iteri (fun k i -> verdicts.(i) <- Some vs.(k)) outs
+    in
+    (match engine with
+    | `Bdd -> bdd_lanes open_ Bdd_budget
+    | (`Sat | `Auto) as e ->
+        (* every open output is proven jointly: one AIG, one
+           simulation and one SAT sweep over the folded sub-netlists
+           that feed those outputs, instead of one per cone. [`Auto]
+           hands only the outputs whose budget ran out to the BDD. *)
+        if open_ <> [] then begin
+          let sub nl outs = folded (restrict nl (List.map (fun i -> outs.(i)) open_)) in
+          let joint =
+            Cec.check_outputs ~conflict_budget (sub before outs_b) (sub after outs_a)
+          in
+          let budget_outs = ref [] in
+          List.iteri
+            (fun k i ->
+              match joint.(k) with
+              | Cec.Unknown _ when e = `Auto -> budget_outs := i :: !budget_outs
+              | r -> verdicts.(i) <- Some (of_cec cones.(i) r))
+            open_;
+          bdd_lanes (List.rev !budget_outs) (Sat_budget conflict_budget)
+        end);
     let verdicts = Array.map Option.get verdicts in
     (match cache with
     | None -> ()

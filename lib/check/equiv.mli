@@ -15,11 +15,13 @@
       ({!Cec.check_outputs}) over the two whole netlists, complete up
       to the conflict budget: logic the output cones share is
       simulated and swept once, not once per cone;
-    - [`Auto] (default) — the BDD lanes first, then one joint SAT
-      proof of exactly the outputs whose BDD hit [Too_large], so deep
-      cones are proven rather than sampled.
+    - [`Auto] (default) — SAT first, BDD for budget-outs: the joint
+      SAT proof of [`Sat], then one BDD lane per output whose conflict
+      budget ran out ([Cec.Unknown]). An output both engines give up
+      on reports [EQ-TIMEOUT-01], so no verdict is weaker than
+      [`Sat]'s.
 
-    The SAT proof runs on the calling domain, after the BDD lanes.
+    The SAT proof runs on the calling domain, before any BDD lane.
     Every SAT counterexample is replayed through {!Sim.eval} on that
     output's cones before being reported; a cex that does not actually
     distinguish the two cones is a solver bug and surfaces as an
@@ -50,10 +52,12 @@
       carries the counterexample input vector);
     - [EQ-DIFF-02] (error) — an output differs under the simulation
       fallback;
-    - [EQ-FALLBACK-01] (warning) — BDD budget exceeded and no
-      complete engine ran; equivalence only sampled, not proven;
+    - [EQ-FALLBACK-01] (warning) — BDD budget exceeded under [`Bdd],
+      where no complete engine runs; equivalence only sampled, not
+      proven;
     - [EQ-TIMEOUT-01] (warning) — SAT conflict budget exhausted for
-      an output; equivalence only sampled, not proven;
+      an output (under [`Auto], its BDD blew the node budget too);
+      equivalence only sampled, not proven;
     - [EQ-CEX-01] (error) — internal: a SAT counterexample failed to
       replay through simulation. *)
 

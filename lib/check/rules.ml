@@ -152,8 +152,9 @@ let all =
       "The BDD node budget was exceeded and no complete engine took over; \
        equivalence was only sampled, not proven.";
     e "EQ-TIMEOUT-01" Diag.Warning "equiv"
-      "The SAT conflict budget was exhausted for an output; equivalence was \
-       only sampled, not proven.";
+      "The SAT conflict budget was exhausted for an output (under auto, its \
+       BDD also exceeded the node budget); equivalence was only sampled, not \
+       proven.";
     e "LVS-FLOAT-01" Diag.Warning "lvs" "Drawn metal touches no pin of any net.";
     e "LVS-OPEN-01" Diag.Error "lvs"
       "No drawn path connects a net's driver pin to its sink pin.";

@@ -67,7 +67,7 @@ type config = {
 
 val default : config
 (** [Tech.default], [Placer.Superflow], [Router.Sequential], seed 1,
-    engine [`Auto] (BDD first, SAT on blow-up), [Check.Fast] (the
+    engine [`Auto] (SAT first, BDD for budget-outs), [Check.Fast] (the
     [sf_absint] dataflow tier; [Full] adds the AIG/SAT-backed lints),
     [Resyn.Off] (identity resynthesis). *)
 

@@ -49,8 +49,10 @@ let adam_refine p ~seed =
   let weights = ref (calibrate p (Wa_model.default_weights p.Problem.tech) xs) in
   let m = Array.make n 0.0 and v = Array.make n 0.0 in
   let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
+  (* each row's x order, carried from one step to the next *)
+  let orders = Array.map Array.copy p.Problem.row_cells in
   for it = 1 to iterations do
-    let _, grad = Wa_model.cost_and_grad p !weights xs in
+    let _, grad = Wa_model.cost_and_grad ~orders p !weights xs in
     let b1t = 1.0 -. (beta1 ** float_of_int it) in
     let b2t = 1.0 -. (beta2 ** float_of_int it) in
     for i = 0 to n - 1 do
@@ -111,15 +113,18 @@ let desired_one p nets_of ~timing_bias ~row_width ci =
       let nudge = Float.max (-50.0) (Float.min 50.0 nudge) in
       Float.max 0.0 (bary -. nudge)
 
-let sweep_cost p ~timing_weight =
+(* [dys] is {!Problem.net_dys}: the sweeps move no row *)
+let sweep_cost p ~dys ~timing_weight =
   let tc = Problem.timing_cost p () in
   let rw = Float.max 1.0 (Problem.row_width p) in
   let w_max = p.Problem.tech.Tech.w_max in
-  let excess =
-    Array.fold_left
-      (fun acc e -> acc +. Float.max 0.0 (Problem.net_length p e -. w_max))
-      0.0 p.Problem.nets
-  in
+  let excess = ref 0.0 in
+  Array.iteri
+    (fun i e ->
+      let len = Float.abs (Problem.net_dx p e) +. dys.(i) in
+      excess := !excess +. Float.max 0.0 (len -. w_max))
+    p.Problem.nets;
+  let excess = !excess in
   Problem.hpwl p +. (timing_weight *. tc /. rw) +. (5.0 *. excess)
 
 (* Iterated barycenter ordering + Abacus legalization, row by row in
@@ -129,21 +134,26 @@ let sweep_cost p ~timing_weight =
    legal state encountered wins. *)
 let barycenter_sweeps ?(sweeps = 40) ?(timing_bias = 0.0) ?(timing_weight = 0.0) p =
   let nets_of = Problem.cell_nets p in
+  let dys = Problem.net_dys p in
   let best_cost = ref infinity in
   let best = ref (Problem.copy_positions p) in
+  (* the row width is the max of the row extents, each refreshed once
+     its row has moved *)
+  let extents = Problem.row_extents p in
   (* only the row being relaxed reads targets; they come from the
      positions and row width at that moment, all taken before any of
      the row's cells moves *)
   let relax_row damping r =
     let row = p.Problem.row_cells.(r) in
-    let row_width = Float.max 1.0 (Problem.row_width p) in
+    let row_width = Float.max 1.0 (Array.fold_left Float.max 0.0 extents) in
     let desired = Array.map (desired_one p nets_of ~timing_bias ~row_width) row in
     Array.iteri
       (fun i ci ->
         let c = p.Problem.cells.(ci) in
         c.Problem.x <- (damping *. c.Problem.x) +. ((1.0 -. damping) *. desired.(i)))
       row;
-    Legalize.legalize_row p r
+    Legalize.legalize_row p r;
+    extents.(r) <- Problem.row_extent p r
   in
   for sweep = 1 to sweeps do
     let damping = if sweep <= 2 then 0.0 else 0.3 in
@@ -157,7 +167,7 @@ let barycenter_sweeps ?(sweeps = 40) ?(timing_bias = 0.0) ?(timing_weight = 0.0)
       for r = p.Problem.n_rows - 1 downto 0 do
         relax_row damping r
       done;
-    let cost = sweep_cost p ~timing_weight in
+    let cost = sweep_cost p ~dys ~timing_weight in
     if cost < !best_cost then begin
       best_cost := cost;
       best := Problem.copy_positions p

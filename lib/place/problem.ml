@@ -118,10 +118,14 @@ let row_top t r =
   done;
   !y
 
-let row_width t =
-  Array.fold_left
-    (fun acc c -> Float.max acc (c.x +. c.lib.Cell.width))
-    0.0 t.cells
+let right_edge acc c = Float.max acc (c.x +. c.lib.Cell.width)
+
+let row_width t = Array.fold_left right_edge 0.0 t.cells
+
+let row_extent t r =
+  Array.fold_left (fun acc ci -> right_edge acc t.cells.(ci)) 0.0 t.row_cells.(r)
+
+let row_extents t = Array.init t.n_rows (row_extent t)
 
 let pin_x t ni side =
   let e = t.nets.(ni) in

@@ -52,6 +52,14 @@ val row_top : t -> int -> float
 val row_width : t -> float
 (** Current chip width: max over rows of occupied extent (µm). *)
 
+val row_extent : t -> int -> float
+(** Right edge of row [r]'s rightmost cell (0 for an empty row), µm. *)
+
+val row_extents : t -> float array
+(** {!row_extent} of every row. Their max with 0 is {!row_width}, the
+    same float, so a loop that moves one row at a time can refresh
+    that row's entry instead of rescanning every cell. *)
+
 val pin_x : t -> int -> [ `Src | `Dst ] -> float
 (** Absolute x of a net's driver or sink pin. *)
 

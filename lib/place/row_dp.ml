@@ -22,7 +22,7 @@ type net_view = {
   dy : float;
 }
 
-let net_views p nets_of ci =
+let net_views p nets_of ~dys ci =
   let c = p.Problem.cells.(ci) in
   List.map
     (fun ni ->
@@ -42,12 +42,13 @@ let net_views p nets_of ci =
         partner;
         moving_is_src;
         phase = p.Problem.cells.(e.Problem.src).Problem.row;
-        dy = Problem.net_dy p e;
+        dy = dys.(ni);
       })
     nets_of.(ci)
 
-let views p nets_of order =
-  Array.map (fun ci -> Array.of_list (net_views p nets_of ci)) order
+(* [dys] is {!Problem.net_dys}: row DP moves no row *)
+let views p nets_of ~dys order =
+  Array.map (fun ci -> Array.of_list (net_views p nets_of ~dys ci)) order
 
 (* The DP over a row of [n] cells in a fixed order. Cell i's left edge
    is at least lo_i (the widths before it, abutted) and at most hi_i
@@ -56,12 +57,13 @@ let views p nets_of order =
    band lo_i..hi_i has the same width, so the state is (cell, offset
    into its band). Abutting keeps the offset and a gap of at least
    s_min lowers it by s_min or more: both transitions stay inside the
-   bands, and the optimum is the full-domain DP's, bit for bit. *)
-let solve options p views order =
+   bands, and the optimum is the full-domain DP's, bit for bit.
+   [width] is {!Problem.row_width}. *)
+let solve options p ~width views order =
   let tech = p.Problem.tech in
   let grid = tech.Tech.grid in
   let n = Array.length order in
-  let row_width = Float.max 1.0 (Problem.row_width p) in
+  let row_width = Float.max 1.0 width in
   let positions = int_of_float ((row_width +. options.margin) /. grid) + 1 in
   let smin_g = int_of_float (tech.Tech.s_min /. grid +. 0.5) in
   let width_g ci =
@@ -139,19 +141,21 @@ let row_order p r =
 let solve_row ?(options = default_options) p r =
   let order = row_order p r in
   if Array.length order = 0 then None
-  else solve options p (views p (Problem.cell_nets p) order) order
+  else
+    let views = views p (Problem.cell_nets p) ~dys:(Problem.net_dys p) order in
+    solve options p ~width:(Problem.row_width p) views order
 
-let optimize_row_with ?(options = default_options) p nets_of r =
+let optimize_row_with ~options p nets_of ~dys ~width r =
   let order = row_order p r in
   let n = Array.length order in
   if n = 0 then false
   else begin
-    let views = views p nets_of order in
+    let views = views p nets_of ~dys order in
     (* current total, for the improvement decision *)
     let old_total =
       let m =
         Place_cost.model p.Problem.tech (weights options)
-          ~row_width:(Float.max 1.0 (Problem.row_width p))
+          ~row_width:(Float.max 1.0 width)
       in
       let acc = ref 0.0 in
       Array.iteri
@@ -171,7 +175,7 @@ let optimize_row_with ?(options = default_options) p nets_of r =
         order;
       !acc
     in
-    match solve options p views order with
+    match solve options p ~width views order with
     | Some (new_total, xs) when new_total < old_total -. 1e-6 ->
         let grid = p.Problem.tech.Tech.grid in
         Array.iteri
@@ -181,16 +185,20 @@ let optimize_row_with ?(options = default_options) p nets_of r =
     | _ -> false
   end
 
-let optimize_row ?options p r =
-  optimize_row_with ?options p (Problem.cell_nets p) r
+let optimize_row ?(options = default_options) p r =
+  optimize_row_with ~options p (Problem.cell_nets p) ~dys:(Problem.net_dys p)
+    ~width:(Problem.row_width p) r
 
 (* Within one run only row r's own solve moves row r's cells, so a row
    whose last solve found nothing sees the same inputs again until a
    net partner moves or the row width changes; the deterministic DP
    would find nothing again. [settled.(r)] holds the row width at that
-   last empty solve (nan: none since the last partner move). *)
+   last empty solve (nan: none since the last partner move). The width
+   is the max of the row extents, each refreshed once its row moved. *)
 let run ?(options = default_options) p =
   let nets_of = Problem.cell_nets p in
+  let dys = Problem.net_dys p in
+  let extents = Problem.row_extents p in
   let settled = Array.make p.Problem.n_rows Float.nan in
   let unsettle_partners r =
     Array.iter
@@ -205,10 +213,11 @@ let run ?(options = default_options) p =
   in
   let improved = ref 0 in
   let solve r =
-    let width = Problem.row_width p in
+    let width = Array.fold_left Float.max 0.0 extents in
     if not (Float.equal settled.(r) width) then
-      if optimize_row_with ~options p nets_of r then begin
+      if optimize_row_with ~options p nets_of ~dys ~width r then begin
         incr improved;
+        extents.(r) <- Problem.row_extent p r;
         unsettle_partners r
       end
       else settled.(r) <- width

@@ -57,7 +57,33 @@ let timing_base phase ~row_width ~xs_pin ~xd_pin =
   | 3 -> ((2.0 *. row_width) -. xd_pin -. xs_pin, -1.0, -1.0)
   | _ -> assert false
 
-let cost_and_grad p w xs =
+(* Repair [order], a permutation of [row], to ascending [xs] in place:
+   the order [Array.sort] gives over [row]. Adam moves few cells past a
+   neighbour per step, so insertion sort from the previous step's
+   order is near-linear. With distinct keys the sorted order is
+   unique; only the order of equal keys depends on the algorithm, so a
+   repaired order with a tie is rebuilt by [Array.sort] over [row]. *)
+let repair_order xs row order =
+  let by_x a b = Float.compare xs.(a) xs.(b) in
+  for i = 1 to Array.length order - 1 do
+    let ci = order.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && by_x order.(!j) ci > 0 do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- ci
+  done;
+  let tie = ref false in
+  for i = 0 to Array.length order - 2 do
+    if by_x order.(i) order.(i + 1) = 0 then tie := true
+  done;
+  if !tie then begin
+    Array.blit row 0 order 0 (Array.length row);
+    Array.sort by_x order
+  end
+
+let cost_and_grad ?orders p w xs =
   let n = Array.length xs in
   let grad = Array.make n 0.0 in
   let cost = ref 0.0 in
@@ -117,10 +143,18 @@ let cost_and_grad p w xs =
     parts;
   (* row-density: quadratic penalty on pairwise overlap of row
      neighbors (by current order in xs) *)
-  Array.iter
-    (fun row ->
-      let order = Array.copy row in
-      Array.sort (fun a b -> Float.compare xs.(a) xs.(b)) order;
+  Array.iteri
+    (fun r row ->
+      let order =
+        match orders with
+        | Some orders ->
+            repair_order xs row orders.(r);
+            orders.(r)
+        | None ->
+            let order = Array.copy row in
+            Array.sort (fun a b -> Float.compare xs.(a) xs.(b)) order;
+            order
+      in
       for i = 0 to Array.length order - 2 do
         let a = order.(i) and b = order.(i + 1) in
         let wa_ = p.Problem.cells.(a).Problem.lib.Cell.width in

@@ -19,11 +19,20 @@ type weights = {
 
 val default_weights : Tech.t -> weights
 
-val cost_and_grad : Problem.t -> weights -> float array -> float * float array
+val cost_and_grad :
+  ?orders:int array array -> Problem.t -> weights -> float array -> float * float array
 (** [cost_and_grad p w xs] evaluates the full objective at cell
     positions [xs] (indexed like [p.cells]) and returns the cost and
     its gradient. [xs] is not modified; the problem's stored positions
-    are ignored. *)
+    are ignored, except that the Eq. (2) fold-back width is their
+    {!Problem.row_width}.
+
+    [orders], indexed like [p.row_cells], holds one permutation of each
+    row's cells, typically the order an earlier call left there (start
+    it as a copy of [p.row_cells]). The density term needs each row in
+    [xs] order; [orders] is repaired to that order in place instead of
+    sorting every row from scratch. Cost and gradient are bit-identical
+    with and without it. *)
 
 val wa_wirelength : Problem.t -> gamma:float -> float array -> float
 (** The WA wirelength term alone (for tests: must upper-bound HPWL and

@@ -226,7 +226,7 @@ let convert_with_stats nl =
   let stats =
     {
       aoi_gates = Netlist.count_kind nl is_gate;
-      maj_gates = Netlist.count_kind cover is_gate;
+      maj_gates = Netlist.count_kind out is_gate;
       jj_before;
       jj_after = Cell.netlist_jj_count out;
     }

@@ -25,7 +25,7 @@ val convert : Netlist.t -> Netlist.t
 
 type stats = {
   aoi_gates : int;  (** logic gates in the input *)
-  maj_gates : int;  (** logic gates in the cut cover *)
+  maj_gates : int;  (** logic gates in the returned netlist *)
   jj_before : int;  (** JJ cost if the AOI netlist were built directly *)
   jj_after : int;  (** JJ cost of the returned netlist *)
 }
@@ -34,10 +34,9 @@ val convert_with_stats : Netlist.t -> Netlist.t * stats
 (** The one mapping selection: the cut cover, unless the per-gate
     mapping has strictly fewer JJs (on rare share-heavy structures a
     collapsed cut re-synthesizes internal nodes other cuts also need,
-    and the per-gate map wins). [jj_after] is the JJ count of the
-    mapping returned; [maj_gates] always counts the cut cover's
-    gates. Raises [Invalid_argument] if the input contains [Maj] or
-    [Splitter] nodes. *)
+    and the per-gate map wins). [jj_after] and [maj_gates] count the
+    mapping returned. Raises [Invalid_argument] if the input contains
+    [Maj] or [Splitter] nodes. *)
 
 val convert_naive : Netlist.t -> Netlist.t
 (** Per-gate mapping baseline: every AOI gate is replaced by its own

@@ -226,6 +226,29 @@ let test_equiv_engines () =
   checki "EQ-DIFF-01 once under sat" 1 (count_rule "EQ-DIFF-01" d);
   checki "no EQ-CEX-01" 0 (count_rule "EQ-CEX-01" d)
 
+(* [`Auto] proves with SAT first and hands only the outputs whose
+   conflict budget ran out to the per-output BDD *)
+let test_equiv_auto_sat_first () =
+  let l, r = xor3_pair () in
+  checki "the BDD rescues the budget-out" 0
+    (List.length (Equiv.check_pair ~engine:`Auto ~conflict_budget:0 ~stage:"t" l r));
+  checki "sat alone still times out" 1
+    (count_rule "EQ-TIMEOUT-01"
+       (Equiv.check_pair ~engine:`Sat ~conflict_budget:0 ~stage:"t" l r));
+  let d =
+    Equiv.check_pair ~engine:`Auto ~conflict_budget:0 ~max_nodes:1 ~stage:"t" l r
+  in
+  checki "both budgets starved: one EQ-TIMEOUT-01" 1 (count_rule "EQ-TIMEOUT-01" d);
+  checki "and no EQ-FALLBACK-01" 0 (count_rule "EQ-FALLBACK-01" d);
+  List.iter
+    (fun name ->
+      let guards engine =
+        let _, report = Synth_flow.run ~check:true ~engine (Circuits.benchmark name) in
+        report.Synth_flow.guard_diags
+      in
+      checkb (name ^ ": auto guards equal sat guards") true (guards `Auto = guards `Sat))
+    [ "adder8"; "c432"; "apc32" ]
+
 let test_equiv_proof_cache () =
   let mem : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let hits = ref 0 and stores = ref 0 in
@@ -333,23 +356,34 @@ let test_equiv_cache_compat () =
         (List.length (Equiv.check_pair ~engine ~cache:trusted ~stage:"t" l r)))
     [ `Sat; `Auto ]
 
-(* The joint SAT proof runs outside the per-output BDD lanes; with a
-   one-node BDD budget every c432 output falls back to it, and the
-   report must not depend on the pool size. *)
+(* The joint SAT proof runs on the calling domain and the BDD lanes
+   it hands budget-outs to run on the pool: with a one-node BDD budget
+   SAT proves every c432 output, with a zero conflict budget the BDD
+   lanes do, and neither report may depend on the pool size. *)
 let test_equiv_joint_determinism () =
   let aoi = Circuits.benchmark "c432" in
   let aqfp = Synth_flow.run_quiet aoi in
-  let render () =
+  let render ?max_nodes ?conflict_budget () =
     List.map Diag.to_string
-      (Equiv.check_pair ~engine:`Auto ~max_nodes:1 ~stage:"t" aoi aqfp)
+      (Equiv.check_pair ~engine:`Auto ?max_nodes ?conflict_budget ~stage:"t" aoi aqfp)
   in
-  Parallel.set_jobs 1;
-  let r1 = render () in
-  Parallel.set_jobs 4;
-  let r4 = render () in
-  Parallel.set_jobs 1;
-  checkb "c432 proven clean" true (r1 = []);
-  checkb "c432 reports identical at jobs 1 vs 4" true (r1 = r4);
+  List.iter
+    (fun (what, render) ->
+      Parallel.set_jobs 1;
+      let r1 = render () in
+      Parallel.set_jobs 4;
+      let r4 = render () in
+      Parallel.set_jobs 1;
+      checkb (what ^ ": c432 proven clean") true (r1 = []);
+      checkb (what ^ ": c432 reports identical at jobs 1 vs 4") true (r1 = r4))
+    [
+      ("sat", fun () -> render ~max_nodes:1 ());
+      ("bdd lanes", fun () -> render ~conflict_budget:0 ());
+    ];
+  checkb "a zero conflict budget leaves c432 outputs to the BDD lanes" true
+    (count_rule "EQ-TIMEOUT-01"
+       (Equiv.check_pair ~engine:`Sat ~conflict_budget:0 ~stage:"t" aoi aqfp)
+    > 0);
   (* a pinned gate in apc32: the messages carry the same
      counterexamples as proving each output cone on its own *)
   let aqfp = Synth_flow.run_quiet (Circuits.benchmark "apc32") in
@@ -595,6 +629,8 @@ let () =
           Alcotest.test_case "guards (EQ-DIFF-01)" `Quick test_equiv_guard;
           Alcotest.test_case "engines (bdd/sat/auto, timeout, fallback)"
             `Quick test_equiv_engines;
+          Alcotest.test_case "auto: sat first, bdd for budget-outs" `Quick
+            test_equiv_auto_sat_first;
           Alcotest.test_case "proof cache" `Quick test_equiv_proof_cache;
           Alcotest.test_case "proof cache keys and partial hits" `Quick
             test_equiv_cache_compat;

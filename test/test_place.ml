@@ -133,6 +133,39 @@ let test_net_dys_tracks_row_gaps () =
   same "after a gap grows";
   checkb "a fresh call sees the new gap" true (before <> Problem.net_dys p)
 
+(* The density term's row orders carried between calls: repairing any
+   earlier order gives the cost and gradient of sorting every row from
+   scratch, bit for bit, also where cells tie. *)
+let test_density_order_repair () =
+  let p = medium_problem () in
+  let w = Wa_model.default_weights Tech.default in
+  let rng = Rng.create 5 in
+  let bits (c, g) = (Int64.bits_of_float c, Array.map Int64.bits_of_float g) in
+  let same what orders xs =
+    checkb what true
+      (bits (Wa_model.cost_and_grad ~orders p w xs) = bits (Wa_model.cost_and_grad p w xs))
+  in
+  let scrambled () =
+    Array.map
+      (fun row ->
+        let o = Array.copy row in
+        Rng.shuffle rng o;
+        o)
+      p.Problem.row_cells
+  in
+  (* overlapping rows, distinct positions *)
+  let xs = Array.map (fun _ -> Rng.float rng 300.0) p.Problem.cells in
+  let orders = scrambled () in
+  same "from a scrambled order" orders xs;
+  (* an Adam-sized step from the order the last call left *)
+  let moved = Array.map (fun x -> x +. Rng.float rng 20.0 -. 10.0) xs in
+  same "from the previous order" orders moved;
+  (* ties: every third cell clipped to x = 0, as Adam clips *)
+  let clipped = Array.mapi (fun i x -> if i mod 3 = 0 then 0.0 else x) moved in
+  same "ties, from the previous order" orders clipped;
+  same "ties, from a scrambled order" (scrambled ()) clipped;
+  same "ties, from the original order" (Array.map Array.copy p.Problem.row_cells) clipped
+
 (* ---------- Legalize ---------- *)
 
 let scramble p seed =
@@ -719,6 +752,7 @@ let () =
         [
           Alcotest.test_case "wa bounds hpwl" `Quick test_wa_upper_bounds_hpwl;
           Alcotest.test_case "gradient" `Quick test_gradient_matches_finite_difference;
+          Alcotest.test_case "density order repair" `Quick test_density_order_repair;
         ] );
       ( "legalize",
         [

@@ -250,6 +250,20 @@ let test_convert_saves_resources () =
     (stats.Aoi_to_maj.jj_after <= stats.Aoi_to_maj.jj_before);
   checkb "gate count sane" true (stats.Aoi_to_maj.maj_gates > 0)
 
+(* the report's gate count is the returned netlist's, also where the
+   per-gate mapping wins (decoder) *)
+let test_convert_stats_count_result () =
+  List.iter
+    (fun name ->
+      let out, stats = Aoi_to_maj.convert_with_stats (Circuits.benchmark name) in
+      let gates =
+        Netlist.count_kind out (function
+          | Netlist.Input | Netlist.Output | Netlist.Const _ -> false
+          | _ -> true)
+      in
+      checki (name ^ ": maj_gates") gates stats.Aoi_to_maj.maj_gates)
+    Circuits.benchmark_names
+
 let test_convert_idempotent_inputs () =
   (* inputs/outputs survive with names and order *)
   let nl = Circuits.benchmark "adder8" in
@@ -474,6 +488,8 @@ let () =
           Alcotest.test_case "kinds" `Quick test_convert_only_maj_kinds;
           Alcotest.test_case "majority appears" `Quick test_convert_produces_majority_gates;
           Alcotest.test_case "saves resources" `Quick test_convert_saves_resources;
+          Alcotest.test_case "maj_gates counts the result" `Quick
+            test_convert_stats_count_result;
           Alcotest.test_case "io preserved" `Quick test_convert_idempotent_inputs;
           QCheck_alcotest.to_alcotest prop_convert_random_dags;
         ] );
