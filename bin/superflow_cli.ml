@@ -435,10 +435,13 @@ let cmd_prove input_a input_b engine_opt budget json =
         exit 1)
       else if unproven > 0 then (
         if not json then
-          Format.printf
-            "UNPROVEN — %d output(s) fell back to simulation (raise the \
-             budget or try --engine sat)@."
-            unproven;
+          (* --budget bounds only the SAT proof, which [auto] and [sat]
+             both run; a BDD node-limit blow-up is what SAT can rescue *)
+          Format.printf "UNPROVEN — %d output(s) fell back to simulation (%s)@."
+            unproven
+            (match engine with
+            | `Bdd -> "try --engine sat"
+            | `Sat | `Auto -> "raise --budget");
         exit 2)
       else if not json then
         Format.printf "EQUIVALENT (formally proven per output, engine %s)@."

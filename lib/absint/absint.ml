@@ -8,15 +8,6 @@
    writing only its own slots — results are identical at any pool
    size. *)
 
-module type LATTICE = sig
-  type fact
-
-  val name : string
-  val bot : fact
-  val equal : fact -> fact -> bool
-  val join : fact -> fact -> fact
-end
-
 (* Group ids by dependency depth. [deps] gives, for each node, the
    ids whose facts the node's transfer reads; depth = 1 + max depth
    of deps. [order] must list deps before dependants. *)
@@ -61,23 +52,22 @@ let solve ~n ~levels ~deps ~bot ~transfer =
     levels;
   facts
 
-module Solver (L : LATTICE) = struct
-  let forward nl ~transfer =
-    let n = Netlist.size nl in
-    let order = Netlist.topo_order nl in
-    let deps i = Array.to_list (Netlist.fanins nl i) in
-    let levels = levels_of ~n ~order ~deps in
-    solve ~n ~levels ~deps ~bot:L.bot ~transfer
+let forward nl ~bot ~transfer =
+  let deps i = Array.to_list (Netlist.fanins nl i) in
+  solve ~n:(Netlist.size nl) ~levels:(Netlist.levels nl) ~deps ~bot ~transfer
 
-  let backward nl ~fanouts ~transfer =
-    let n = Netlist.size nl in
-    let order = Netlist.topo_order nl in
-    let rev = Array.make n 0 in
-    Array.iteri (fun k id -> rev.(n - 1 - k) <- id) order;
-    let deps i = fanouts.(i) in
-    let levels = levels_of ~n ~order:rev ~deps in
-    solve ~n ~levels ~deps ~bot:L.bot ~transfer
-end
+type fanouts = { consumers : int list array; levels : int array array }
+
+let fanouts nl =
+  let n = Netlist.size nl in
+  let consumers = Netlist.fanouts nl in
+  let order = Netlist.topo_order nl in
+  let rev = Array.init n (fun k -> order.(n - 1 - k)) in
+  { consumers; levels = levels_of ~n ~order:rev ~deps:(Array.get consumers) }
+
+let backward nl ~fanouts ~bot ~transfer =
+  solve ~n:(Netlist.size nl) ~levels:fanouts.levels
+    ~deps:(Array.get fanouts.consumers) ~bot ~transfer
 
 let describe nl i =
   let base = Printf.sprintf "n%d:%s" i (Netlist.kind_name (Netlist.kind nl i)) in

@@ -1,13 +1,13 @@
-(** Generic monotone dataflow framework over the netlist DAG
-    ([sf_absint]).
+(** Monotone dataflow over the netlist DAG ([sf_absint]).
 
     SuperFlow's AQFP legality rests on global dataflow invariants —
     fan-ins arriving in the same clock phase, splitter trees bounding
     fan-out, no constant or unobservable logic left by synthesis.
     This library proves such invariants in one linear-ish pass: a
-    domain supplies a {!LATTICE} (bottom element, join, equality) and
-    a transfer function; the {!Solver} schedules one transfer per
-    node over the DAG and returns the fixpoint fact array.
+    domain supplies the bottom fact and a transfer function, and
+    {!forward} or {!backward} schedules one transfer per node over the
+    DAG and returns the fixpoint fact array. Merging the facts of
+    several predecessors is the transfer's own business.
 
     {b Determinism.} The worklist is organised as topological levels
     (every node enters the worklist exactly once, at its dependency
@@ -24,46 +24,42 @@
     {!Load_dom} (fanout-capacity intervals through splitter trees,
     [AI-LOAD-01]), {!Obs_dom} (backward observability, consumed by
     the [NL-DEAD-01]/[NL-INPUT-01] lints and [AI-OBS-01]) and
-    {!Polar_dom} (inversion parity, [AI-POLAR-01]). Every diagnostic
-    they emit carries a witness — the fan-in cone path that forces
-    the fact — rendered through {!Diag.t}'s witness channel. *)
+    {!Polar_dom} (inversion parity, [AI-POLAR-01]). {!Facts} solves
+    each of them at most once per netlist and shares the results
+    between the check passes. Every diagnostic they emit carries a
+    witness — the fan-in cone path that forces the fact — rendered
+    through {!Diag.t}'s witness channel. *)
 
-module type LATTICE = sig
-  type fact
+val forward :
+  Netlist.t -> bot:'a -> transfer:(int -> 'a array -> 'a) -> 'a array
+(** [forward nl ~bot ~transfer] — facts flow with the signal
+    direction, scheduled by {!Netlist.levels}: [transfer id facts]
+    may read [facts.(f)] for every fan-in [f] of [id] (they are final
+    when [id] is scheduled). Every slot starts at [bot]. Returns the
+    fact array indexed by node id. Raises [Failure] on a
+    combinational cycle. *)
 
-  val name : string
-  (** Stable domain name (used for cache keys and reports). *)
+type fanouts = private {
+  consumers : int list array;  (** {!Netlist.fanouts} *)
+  levels : int array array;
+      (** the backward schedule: ids grouped by depth from the
+          sinks, each group ascending *)
+}
+(** The reverse adjacency and the backward schedule of one netlist,
+    built once and shared by every backward solve over it. *)
 
-  val bot : fact
-  (** The least element; every node starts here. *)
+val fanouts : Netlist.t -> fanouts
+(** Raises [Failure] on a combinational cycle. *)
 
-  val equal : fact -> fact -> bool
-
-  val join : fact -> fact -> fact
-  (** Least upper bound. The solver visits each DAG node once, so
-      [join] is exercised inside transfer functions (merging
-      predecessor facts), not by re-visits. *)
-end
-
-module Solver (L : LATTICE) : sig
-  val forward :
-    Netlist.t -> transfer:(int -> L.fact array -> L.fact) -> L.fact array
-  (** [forward nl ~transfer] — facts flow with the signal direction:
-      [transfer id facts] may read [facts.(f)] for every fan-in [f]
-      of [id] (they are final when [id] is scheduled). Returns the
-      fact array indexed by node id. Raises [Failure] on a
-      combinational cycle (via {!Netlist.topo_order}). *)
-
-  val backward :
-    Netlist.t ->
-    fanouts:int list array ->
-    transfer:(int -> L.fact array -> L.fact) ->
-    L.fact array
-  (** [backward nl ~fanouts ~transfer] — facts flow against the
-      signal direction: [transfer id facts] may read the facts of
-      every consumer of [id] (pass {!Netlist.fanouts} so callers can
-      share the reverse adjacency). *)
-end
+val backward :
+  Netlist.t ->
+  fanouts:fanouts ->
+  bot:'a ->
+  transfer:(int -> 'a array -> 'a) ->
+  'a array
+(** [backward nl ~fanouts ~bot ~transfer] — facts flow against the
+    signal direction: [transfer id facts] may read the facts of every
+    consumer of [id]. [fanouts] must be built over [nl]. *)
 
 (** {1 Witness rendering}
 

@@ -4,18 +4,6 @@ type value = Zero | One | Unknown
 
 let value_name = function Zero -> "0" | One -> "1" | Unknown -> "X"
 
-module L = struct
-  type fact = value
-
-  let name = "const"
-  let bot = Unknown
-  let equal = ( = )
-
-  let join a b = if a = b then a else Unknown
-end
-
-module S = Absint.Solver (L)
-
 let known b = if b then One else Zero
 
 let neg = function Zero -> One | One -> Zero | Unknown -> Unknown
@@ -55,7 +43,8 @@ let transfer nl id facts =
       let a = v 0 and b = v 1 and c = v 2 in
       or3 (or3 (and3 a b) (and3 a c)) (and3 b c)
 
-let solve nl = S.forward nl ~transfer:(fun id facts -> transfer nl id facts)
+let solve nl =
+  Absint.forward nl ~bot:Unknown ~transfer:(fun id facts -> transfer nl id facts)
 
 (* The fan-in responsible for a known fact: the leftmost fan-in that
    forces (or participates in) the constant. Chasing it terminates at
@@ -86,8 +75,7 @@ let witness nl facts id =
   in
   Absint.path_witness nl (List.rev chain)
 
-let check nl =
-  let facts = solve nl in
+let check nl facts =
   let diags = ref [] in
   let push d = diags := d :: !diags in
   Netlist.iter nl (fun nd ->

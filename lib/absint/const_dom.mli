@@ -26,8 +26,9 @@ val solve : Netlist.t -> value array
 (** Fixpoint facts, indexed by node id. Requires an acyclic netlist
     ([Failure] on a cycle, as {!Netlist.topo_order}). *)
 
-val check : Netlist.t -> Diag.t list
-(** The [AI-CONST-01] findings, in node-id order. *)
+val check : Netlist.t -> value array -> Diag.t list
+(** [check nl facts] — the [AI-CONST-01] findings over [facts =
+    solve nl], in node-id order. *)
 
 type fold_stats = {
   folded : int;  (** nodes rewritten to [Const] cells *)

@@ -1,36 +1,22 @@
 (* Splitter-tree capacity intervals: [lo] observable sinks of [hi]
    structural sinks delivered by each subtree. *)
 
-module L = struct
-  type fact = int * int
-
-  let name = "load"
-  let bot = (0, 0)
-  let equal = ( = )
-  let join (a, b) (c, d) = (a + c, b + d)  (* tree branches sum *)
-end
-
-module S = Absint.Solver (L)
-
 let is_splitter nl i =
   match Netlist.kind nl i with Netlist.Splitter _ -> true | _ -> false
 
-let solve nl =
-  let obs = Obs_dom.solve nl in
-  let fanouts = Netlist.fanouts nl in
+let solve nl ~fanouts ~obs =
+  let sink c = ((if obs.(c) = Obs_dom.Observable then 1 else 0), 1) in
   let transfer id facts =
     if is_splitter nl id then
+      (* tree branches sum *)
       List.fold_left
-        (fun acc c ->
-          let contrib =
-            if is_splitter nl c then facts.(c)
-            else ((if obs.(c) = Obs_dom.Observable then 1 else 0), 1)
-          in
-          L.join acc contrib)
-        L.bot fanouts.(id)
-    else ((if obs.(id) = Obs_dom.Observable then 1 else 0), 1)
+        (fun (lo, hi) c ->
+          let clo, chi = if is_splitter nl c then facts.(c) else sink c in
+          (lo + clo, hi + chi))
+        (0, 0) fanouts.Absint.consumers.(id)
+    else sink id
   in
-  S.backward nl ~fanouts ~transfer
+  Absint.backward nl ~fanouts ~bot:(0, 0) ~transfer
 
 (* Walk the tree from a wasted root down to one wasted sink. *)
 let wasted_path nl facts fanouts root =
@@ -41,14 +27,12 @@ let wasted_path nl facts fanouts root =
       let r = ref None in
       List.iter
         (fun c -> if !r = None && not (obs_sink c) then r := Some c)
-        fanouts.(i);
+        fanouts.Absint.consumers.(i);
       !r
   in
   Absint.chase ~limit:(Netlist.size nl) root next
 
-let check nl =
-  let facts = solve nl in
-  let fanouts = Netlist.fanouts nl in
+let check nl ~fanouts facts =
   let diags = ref [] in
   Netlist.iter nl (fun nd ->
       let i = nd.Netlist.id in

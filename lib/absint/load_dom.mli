@@ -18,9 +18,13 @@
     [NL-FANOUT-01] arity check. The witness walks the tree down to a
     wasted sink. *)
 
-val solve : Netlist.t -> (int * int) array
-(** Delivered-sink interval [(lo, hi)] per node id ([(0, 1)] or
-    [(1, 1)] for non-splitter nodes: themselves as a sink). *)
+val solve :
+  Netlist.t -> fanouts:Absint.fanouts -> obs:Obs_dom.fact array -> (int * int) array
+(** [solve nl ~fanouts ~obs] — delivered-sink interval [(lo, hi)] per
+    node id ([(0, 1)] or [(1, 1)] for non-splitter nodes: themselves
+    as a sink), counting as useful the sinks [obs] proves
+    {!Obs_dom.Observable}. *)
 
-val check : Netlist.t -> Diag.t list
-(** The [AI-LOAD-01] findings, in node-id order. *)
+val check : Netlist.t -> fanouts:Absint.fanouts -> (int * int) array -> Diag.t list
+(** [check nl ~fanouts facts] — the [AI-LOAD-01] findings over [facts
+    = solve nl ~fanouts ~obs], in node-id order. *)

@@ -7,32 +7,20 @@ type fact =
 
 let rank = function Dead _ -> 0 | Blocked _ -> 1 | Observable -> 2
 
-module L = struct
-  type nonrec fact = fact
+let join a b =
+  if rank a > rank b then a
+  else if rank b > rank a then b
+  else
+    match (a, b) with
+    | Blocked x, Blocked y ->
+        (* deterministic tie-break: nearest (smallest) blocker, then
+           smallest first hop *)
+        if (x.blocker, x.via) <= (y.blocker, y.via) then a else b
+    | Dead (Some x), Dead (Some y) -> Dead (Some (min x y))
+    | Dead None, d | d, Dead None -> d
+    | _ -> a
 
-  let name = "obs"
-  let bot = Dead None
-  let equal = ( = )
-
-  let join a b =
-    if rank a > rank b then a
-    else if rank b > rank a then b
-    else
-      match (a, b) with
-      | Blocked x, Blocked y ->
-          (* deterministic tie-break: nearest (smallest) blocker, then
-             smallest first hop *)
-          if (x.blocker, x.via) <= (y.blocker, y.via) then a else b
-      | Dead (Some x), Dead (Some y) -> Dead (Some (min x y))
-      | Dead None, d | d, Dead None -> d
-      | _ -> a
-end
-
-module S = Absint.Solver (L)
-
-let solve nl =
-  let consts = Const_dom.solve nl in
-  let fanouts = Netlist.fanouts nl in
+let solve nl ~fanouts ~consts =
   let transfer id facts =
     match Netlist.kind nl id with
     | Netlist.Output -> Observable
@@ -50,10 +38,10 @@ let solve nl =
                 | Blocked { blocker; _ } -> Blocked { blocker; via = c }
                 | Dead _ -> Dead (Some c)
             in
-            L.join acc edge)
-          L.bot fanouts.(id)
+            join acc edge)
+          (Dead None) fanouts.Absint.consumers.(id)
   in
-  S.backward nl ~fanouts ~transfer
+  Absint.backward nl ~fanouts ~bot:(Dead None) ~transfer
 
 let witness nl facts i =
   let limit = Netlist.size nl in
@@ -71,9 +59,7 @@ let witness nl facts i =
   | Observable -> []
   | _ -> Absint.path_witness nl (go [] i 0)
 
-let check nl =
-  let facts = solve nl in
-  let consts = Const_dom.solve nl in
+let check nl ~consts facts =
   let diags = ref [] in
   Netlist.iter nl (fun nd ->
       let i = nd.Netlist.id in

@@ -28,16 +28,19 @@ type fact =
   | Blocked of { blocker : int; via : int }
   | Observable
 
-val solve : Netlist.t -> fact array
-(** Requires an acyclic netlist. The constant facts are recomputed
-    internally ({!Const_dom.solve}). *)
+val solve :
+  Netlist.t -> fanouts:Absint.fanouts -> consts:Const_dom.value array -> fact array
+(** [solve nl ~fanouts ~consts] refines reachability by [consts =
+    Const_dom.solve nl]. Requires an acyclic netlist; [fanouts] must
+    be built over [nl]. *)
 
 val witness : Netlist.t -> fact array -> int -> string list
 (** The chain from a non-observable node forward to its dead end or
     blocking gate (node first), for [Diag] witnesses. Empty for
     [Observable] nodes. *)
 
-val check : Netlist.t -> Diag.t list
-(** The [AI-OBS-01] findings ([Blocked] gates, excluding nodes that
-    are themselves provably constant — those are [AI-CONST-01]'s),
-    in node-id order. *)
+val check : Netlist.t -> consts:Const_dom.value array -> fact array -> Diag.t list
+(** [check nl ~consts facts] — the [AI-OBS-01] findings over [facts
+    = solve nl ~fanouts ~consts] ([Blocked] gates, excluding nodes
+    that are themselves provably constant — those are
+    [AI-CONST-01]'s), in node-id order. *)

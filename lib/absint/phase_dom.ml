@@ -1,17 +1,6 @@
 (* Phase-arrival intervals: structural path-balance proof. *)
 
-module L = struct
-  type fact = int * int
-
-  let name = "phase"
-
-  (* bot is never observed by a transfer (sources have no fan-ins) *)
-  let bot = (max_int, min_int)
-  let equal = ( = )
-  let join (lo1, hi1) (lo2, hi2) = (min lo1 lo2, max hi1 hi2)
-end
-
-module S = Absint.Solver (L)
+let hull (lo1, hi1) (lo2, hi2) = (min lo1 lo2, max hi1 hi2)
 
 let transfer nl id facts =
   let f = Netlist.fanins nl id in
@@ -19,12 +8,15 @@ let transfer nl id facts =
   | Netlist.Input | Netlist.Const _ -> (0, 0)
   | Netlist.Output -> facts.(f.(0))  (* marker, not a gate *)
   | _ ->
-      let hull = ref facts.(f.(0)) in
-      Array.iter (fun fi -> hull := L.join !hull facts.(fi)) f;
-      let lo, hi = !hull in
+      let lo, hi =
+        Array.fold_left (fun h fi -> hull h facts.(fi)) facts.(f.(0)) f
+      in
       (lo + 1, hi + 1)
 
-let solve nl = S.forward nl ~transfer:(fun id facts -> transfer nl id facts)
+(* bot is never observed by a transfer (sources have no fan-ins) *)
+let solve nl =
+  Absint.forward nl ~bot:(max_int, min_int) ~transfer:(fun id facts ->
+      transfer nl id facts)
 
 (* Longest arrival chain from a primary input/constant down to [id]:
    at each step, the leftmost fan-in on a critical (hi-preserving)
@@ -51,8 +43,7 @@ let longest_chain nl facts id =
   in
   List.rev (Absint.chase ~limit:(Netlist.size nl) id next)
 
-let check nl =
-  let facts = solve nl in
+let check nl facts =
   let diags = ref [] in
   Netlist.iter nl (fun nd ->
       let i = nd.Netlist.id in

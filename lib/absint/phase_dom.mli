@@ -22,7 +22,8 @@
 val solve : Netlist.t -> (int * int) array
 (** Arrival interval [(lo, hi)] per node id. *)
 
-val check : Netlist.t -> Diag.t list
-(** The [AI-PHASE-01] findings (earliest unbalanced reconvergences),
+val check : Netlist.t -> (int * int) array -> Diag.t list
+(** [check nl facts] — the [AI-PHASE-01] findings over [facts =
+    solve nl] (earliest unbalanced reconvergences),
     in node-id order. Empty iff the netlist is provably
     path-balanced. *)

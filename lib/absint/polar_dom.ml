@@ -2,21 +2,6 @@
 
 type fact = { root : int; inverted : bool; invs : int }
 
-module L = struct
-  type nonrec fact = fact
-
-  let name = "polar"
-  let bot = { root = -1; inverted = false; invs = 0 }
-  let equal = ( = )
-
-  (* chains have single fan-ins; a genuine merge resets to the node
-     itself, which transfer expresses directly — join only breaks
-     hypothetical ties deterministically *)
-  let join a b = if a <= b then a else b
-end
-
-module S = Absint.Solver (L)
-
 let solve nl =
   let transfer id facts =
     let f = Netlist.fanins nl id in
@@ -27,7 +12,7 @@ let solve nl =
         { p with inverted = not p.inverted; invs = p.invs + 1 }
     | _ -> { root = id; inverted = false; invs = 0 }
   in
-  S.forward nl ~transfer
+  Absint.forward nl ~bot:{ root = -1; inverted = false; invs = 0 } ~transfer
 
 (* The chain from a node back to its root, rendered root-first. *)
 let chain_to_root nl id =
@@ -39,8 +24,7 @@ let chain_to_root nl id =
   in
   List.rev (Absint.chase ~limit:(Netlist.size nl) id next)
 
-let check nl =
-  let facts = solve nl in
+let check nl facts =
   let diags = ref [] in
   Netlist.iter nl (fun nd ->
       let i = nd.Netlist.id in

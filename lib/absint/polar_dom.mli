@@ -23,5 +23,6 @@ type fact = {
 
 val solve : Netlist.t -> fact array
 
-val check : Netlist.t -> Diag.t list
-(** The [AI-POLAR-01] findings, in node-id order. *)
+val check : Netlist.t -> fact array -> Diag.t list
+(** [check nl facts] — the [AI-POLAR-01] findings over [facts =
+    solve nl], in node-id order. *)

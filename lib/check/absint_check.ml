@@ -1,36 +1,35 @@
-(* The sf_absint dataflow analyses as Check passes, with optional
-   memoization keyed by the netlist's structural hash. *)
+(* The sf_absint dataflow analyses as Check passes over one shared
+   fact table, with optional memoization keyed by the netlist's
+   structural hash. *)
 
-let domains = [ "const"; "phase"; "obs"; "load"; "polar" ]
+let domains =
+  [
+    ("const", fun nl f -> Const_dom.check nl (Facts.const f));
+    ("phase", fun nl f -> Phase_dom.check nl (Facts.phase f));
+    ("obs", fun nl f -> Obs_dom.check nl ~consts:(Facts.const f) (Facts.obs f));
+    ("load", fun nl f -> Load_dom.check nl ~fanouts:(Facts.fanouts f) (Facts.load f));
+    ("polar", fun nl f -> Polar_dom.check nl (Facts.polar f));
+  ]
 
-let cache_key ~domain nl =
-  "absint1:" ^ domain ^ ":" ^ Netlist.struct_hash nl
-
-let checker = function
-  | "const" -> Const_dom.check
-  | "phase" -> Phase_dom.check
-  | "obs" -> Obs_dom.check
-  | "load" -> Load_dom.check
-  | "polar" -> Polar_dom.check
-  | d -> invalid_arg ("Absint_check.checker: unknown domain " ^ d)
-
-let passes ?cache nl =
-  (* all five domains need in-range fan-ins, correct arities and an
-     acyclic graph; the structural lints own reporting that *)
-  let sound = lazy (Netlist.validate_diags nl = []) in
+let passes ?cache ?facts nl =
+  let facts = Facts.for_netlist ?facts nl in
+  let hash = lazy (Netlist.struct_hash nl) in
   List.map
-    (fun domain ->
+    (fun (domain, check) ->
       Check.pass ("absint-" ^ domain) (fun () ->
-          if not (Lazy.force sound) then []
+          (* all five domains need in-range fan-ins, correct arities
+             and an acyclic graph; the structural lints own reporting
+             that *)
+          if Facts.structural facts <> [] then []
           else
             match cache with
-            | None -> checker domain nl
+            | None -> check nl facts
             | Some c -> (
-                let key = cache_key ~domain nl in
+                let key = "absint1:" ^ domain ^ ":" ^ Lazy.force hash in
                 match c.Memo.find key with
                 | Some ds -> ds
                 | None ->
-                    let ds = checker domain nl in
+                    let ds = check nl facts in
                     c.Memo.store key ds;
                     ds)))
     domains

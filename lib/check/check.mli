@@ -58,10 +58,6 @@ val run : ?header:(string * string) list -> pass list -> report
     than aborting the pipeline. [header] (default empty) is carried
     into the report verbatim. *)
 
-val errors : report -> int
-val warnings : report -> int
-val infos : report -> int
-
 val ok : report -> bool
 (** True iff no error-severity diagnostic was produced. *)
 

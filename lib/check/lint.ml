@@ -23,8 +23,9 @@ let fanout_counts_parallel nl =
     parts;
   total
 
-let check ?(tier = Check.Full) nl =
-  let structural = Netlist.validate_diags nl in
+let check ?(tier = Check.Full) ?facts nl =
+  let facts = Facts.for_netlist ?facts nl in
+  let structural = Facts.structural facts in
   let diags = ref [] in
   let push d = diags := d :: !diags in
   (* duplicate names *)
@@ -88,10 +89,10 @@ let check ?(tier = Check.Full) nl =
      any primary output" and ships the chain to the dead end as a
      witness. Broken structure falls back to the plain fan-out scan. *)
   if structural = [] then begin
-    let facts = Obs_dom.solve nl in
+    let obs = Facts.obs facts in
     Netlist.iter nl (fun nd ->
         let i = nd.Netlist.id in
-        match (nd.Netlist.kind, facts.(i)) with
+        match (nd.Netlist.kind, obs.(i)) with
         | Netlist.Output, _ -> ()
         | Netlist.Input, Obs_dom.Dead None ->
             push
@@ -104,7 +105,7 @@ let check ?(tier = Check.Full) nl =
         | k, Obs_dom.Dead via ->
             push
               (Diag.warning
-                 ~witness:(Obs_dom.witness nl facts i)
+                 ~witness:(Obs_dom.witness nl obs i)
                  ~rule:"NL-DEAD-01" (Diag.Node i)
                  "dead logic: %s node provably does not affect any output%s"
                  (Netlist.kind_name k)

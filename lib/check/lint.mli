@@ -33,6 +33,9 @@
     deterministic combine, so large netlists lint at full core
     count with byte-identical reports. *)
 
-val check : ?tier:Check.tier -> Netlist.t -> Diag.t list
-(** [check ?tier nl] — default tier is [Full] (the standalone-lint
-    behaviour); the flow gate passes its own tier through. *)
+val check : ?tier:Check.tier -> ?facts:Facts.t -> Netlist.t -> Diag.t list
+(** [check ?tier ?facts nl] — default tier is [Full] (the
+    standalone-lint behaviour); the flow gate passes its own tier
+    through. [facts] (default: a fresh table) must be built over
+    [nl]; the liveness rules read its observability facts, so a table
+    shared with {!Absint_check.passes} solves them once. *)

@@ -46,10 +46,9 @@ let default =
   }
 
 let check_passes ?(tier = Check.Fast) ?absint_cache r =
-  [
-    Check.pass "lint" (fun () -> Lint.check ~tier r.aqfp_netlist);
-  ]
-  @ Absint_check.passes ?cache:absint_cache r.aqfp_netlist
+  let facts = Facts.create r.aqfp_netlist in
+  [ Check.pass "lint" (fun () -> Lint.check ~tier ~facts r.aqfp_netlist) ]
+  @ Absint_check.passes ?cache:absint_cache ~facts r.aqfp_netlist
   @ [
       Check.pass "aqfp" (fun () -> Aqfp_check.check r.aqfp_netlist);
       Check.of_diags "equiv"

@@ -86,10 +86,12 @@ val check_passes :
     what [run ~check:true] and [superflow check] execute: [lint],
     the five [absint-*] dataflow passes, [aqfp], [equiv] (from the
     synthesis guards), [place], [route], [drc], [lvs], in that
-    order. [tier] (default [Check.Fast]) gates the AIG/SAT-backed
-    lints; [absint_cache] memoizes the dataflow findings (the flow
-    wires it to the database's proof store). Exposed so callers can
-    re-run or extend the gate. *)
+    order. [lint] and the [absint-*] passes share one {!Facts} table,
+    so each dataflow domain is solved at most once. [tier] (default
+    [Check.Fast]) gates the AIG/SAT-backed lints; [absint_cache]
+    memoizes the dataflow findings (the flow wires it to the
+    database's proof store). Exposed so callers can re-run or extend
+    the gate. *)
 
 (** {1 The stage graph}
 

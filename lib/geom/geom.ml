@@ -13,12 +13,6 @@ let width r = r.hx -. r.lx
 let height r = r.hy -. r.ly
 let area r = width r *. height r
 
-let center r = { x = (r.lx +. r.hx) /. 2.0; y = (r.ly +. r.hy) /. 2.0 }
-
-let overlaps a b = a.lx < b.hx && b.lx < a.hx && a.ly < b.hy && b.ly < a.hy
-
-let contains r p = p.x >= r.lx && p.x < r.hx && p.y >= r.ly && p.y < r.hy
-
 let union_rect a b =
   { lx = Float.min a.lx b.lx;
     ly = Float.min a.ly b.ly;

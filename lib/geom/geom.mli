@@ -23,13 +23,6 @@ val height : rect -> float
 
 val area : rect -> float
 
-val center : rect -> point
-
-val overlaps : rect -> rect -> bool
-(** Strict interior intersection: abutting rectangles don't overlap. *)
-
-val contains : rect -> point -> bool
-
 val union_rect : rect -> rect -> rect
 (** Bounding box of the two. *)
 

@@ -23,10 +23,6 @@ let inter_area a b =
   let h = min a.hy b.hy - max a.ly b.ly in
   if w > 0 && h > 0 then w * h else 0
 
-let contains outer inner =
-  outer.lx <= inner.lx && outer.ly <= inner.ly && inner.hx <= outer.hx
-  && inner.hy <= outer.hy
-
 let gap_1d al ah bl bh = if bh < al then al - bh else if ah < bl then bl - ah else 0
 
 let gap_x a b = gap_1d a.lx a.hx b.lx b.hx

@@ -39,9 +39,6 @@ val touches : irect -> irect -> bool
 val inter_area : irect -> irect -> int
 (** Area of the intersection, 0 when disjoint or merely touching. *)
 
-val contains : irect -> irect -> bool
-(** [contains outer inner]: closed containment. *)
-
 val gap_x : irect -> irect -> int
 (** Separation of the x-projections; 0 when they overlap or touch. *)
 

@@ -55,32 +55,6 @@ let build intervals =
   in
   make all
 
-let rec stab t x f =
-  match t with
-  | Leaf -> ()
-  | Node n ->
-      if x < n.center then begin
-        let k = Array.length n.by_lo in
-        let i = ref 0 in
-        while !i < k && (let lo, _, _ = n.by_lo.(!i) in lo <= x) do
-          let _, _, idx = n.by_lo.(!i) in
-          f idx;
-          incr i
-        done;
-        stab n.left x f
-      end
-      else if x > n.center then begin
-        let k = Array.length n.by_hi in
-        let i = ref 0 in
-        while !i < k && (let hi, _, _ = n.by_hi.(!i) in hi >= x) do
-          let _, _, idx = n.by_hi.(!i) in
-          f idx;
-          incr i
-        done;
-        stab n.right x f
-      end
-      else Array.iter (fun (_, _, idx) -> f idx) n.by_lo
-
 let rec query t lo hi f =
   match t with
   | Leaf -> ()

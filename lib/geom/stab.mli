@@ -9,9 +9,5 @@ val build : (int * int) array -> t
 (** Intervals are closed [(lo, hi)]; reversed endpoints are swapped.
     Reported values are indices into the build array. *)
 
-val stab : t -> int -> (int -> unit) -> unit
-(** Every interval containing the point, each exactly once,
-    deterministic order. *)
-
 val query : t -> int -> int -> (int -> unit) -> unit
 (** Every interval intersecting the closed range [lo, hi]. *)

@@ -37,7 +37,7 @@ let idish s =
   | _ -> false
 
 let parallel_fns =
-  [ "map_chunks"; "parallel_init"; "parallel_map"; "parallel_iter"; "parallel_reduce" ]
+  [ "map_chunks"; "parallel_init"; "parallel_map"; "parallel_reduce" ]
 
 let stdout_printers =
   [ "print_string"; "print_endline"; "print_newline"; "print_char";

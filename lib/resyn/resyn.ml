@@ -400,7 +400,7 @@ let pass_split nl =
    constant; the whole-netlist CEC acceptance proof makes the
    abstract fact unconditional. *)
 let pass_obs nl =
-  let facts = Obs_dom.solve nl in
+  let facts = Facts.obs (Facts.create nl) in
   let custom b _realize nd =
     match facts.(nd.Netlist.id) with
     | Obs_dom.Blocked _ -> Some (Builder.const b false)

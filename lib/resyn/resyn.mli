@@ -1,5 +1,5 @@
 (** [sf_resyn] — cut-based majority resynthesis between mapping and
-    placement (ROADMAP item 1; the flow's [resyn] stage).
+    placement (the flow's [resyn] stage).
 
     The engine consumes the post-insertion AQFP netlist from
     {!Synth_flow}, strips the buffer/splitter fabric back to the bare

@@ -9,8 +9,6 @@ type t = {
 
 let create ~better = { better; heap = Array.make 16 0; pos = [||]; size = 0 }
 
-let length t = t.size
-let is_empty t = t.size = 0
 let mem t k = k < Array.length t.pos && t.pos.(k) >= 0
 
 let ensure_pos t k =

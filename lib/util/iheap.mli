@@ -20,10 +20,6 @@ val create : better:(int -> int -> bool) -> t
     mutable state (e.g. an activity array) as long as {!update} is
     called when that state changes. *)
 
-val length : t -> int
-
-val is_empty : t -> bool
-
 val mem : t -> int -> bool
 
 val insert : t -> int -> unit

@@ -283,13 +283,6 @@ let parallel_init ?label ?chunk n f =
 let parallel_map ?label ?chunk f a =
   parallel_init ?label ?chunk (Array.length a) (fun i -> f a.(i))
 
-let parallel_iter ?label ?chunk f a =
-  ignore
-    (map_chunks ?label ?chunk ~n:(Array.length a) (fun lo hi ->
-         for i = lo to hi - 1 do
-           f a.(i)
-         done))
-
 let parallel_reduce ?(label = "unlabeled") ?chunk ~map ~combine ~init a =
   let n = Array.length a in
   if n = 0 then init

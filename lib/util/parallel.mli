@@ -71,12 +71,6 @@ val parallel_map :
   ?label:string -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Deterministic parallel [Array.map]: same result, any pool size. *)
 
-val parallel_iter :
-  ?label:string -> ?chunk:int -> ('a -> unit) -> 'a array -> unit
-(** Parallel [Array.iter]. [f] must only write to locations owned by
-    its own element (disjoint writes), otherwise determinism — and
-    memory safety of the result — is forfeit. *)
-
 val parallel_reduce :
   ?label:string ->
   ?chunk:int ->

@@ -39,5 +39,3 @@ let gaussian t =
   let u1 = max 1e-12 (float t 1.0) in
   let u2 = float t 1.0 in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
-let split t = { state = bits64 t }

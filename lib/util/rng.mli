@@ -28,6 +28,3 @@ val pick : t -> 'a array -> 'a
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)
-
-val split : t -> t
-(** Derive an independent generator (for parallel-safe sub-streams). *)

@@ -10,9 +10,6 @@ let geomean a =
     exp (!acc /. float_of_int (Array.length a))
   end
 
-let minimum a = Array.fold_left Float.min infinity a
-let maximum a = Array.fold_left Float.max neg_infinity a
-
 let stddev a =
   let n = Array.length a in
   if n = 0 then 0.0
@@ -22,23 +19,3 @@ let stddev a =
     Array.iter (fun x -> acc := !acc +. ((x -. m) *. (x -. m))) a;
     sqrt (!acc /. float_of_int n)
   end
-
-let ratio_geomean num den =
-  if Array.length num <> Array.length den then
-    invalid_arg "Stats.ratio_geomean: length mismatch";
-  let ratios = ref [] in
-  Array.iteri
-    (fun i n -> if den.(i) <> 0.0 then ratios := (n /. den.(i)) :: !ratios)
-    num;
-  geomean (Array.of_list !ratios)
-
-let percentile a p =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Stats.percentile: empty";
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  let pos = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor pos) in
-  let hi = min (n - 1) (lo + 1) in
-  let frac = pos -. float_of_int lo in
-  (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)

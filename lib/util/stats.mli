@@ -6,19 +6,7 @@ val mean : float array -> float
 val geomean : float array -> float
 (** Geometric mean of positive values; 0 for an empty array. *)
 
-val minimum : float array -> float
-
-val maximum : float array -> float
-
 val sum : float array -> float
 
 val stddev : float array -> float
 (** Population standard deviation. *)
-
-val ratio_geomean : float array -> float array -> float
-(** [ratio_geomean num den] — geometric mean of pairwise ratios
-    [num.(i) /. den.(i)]; pairs where the denominator is zero are
-    skipped. Used for the "Average" normalization row of Table III. *)
-
-val percentile : float array -> float -> float
-(** [percentile a p] with [p] in [0,100], linear interpolation. *)

@@ -1,7 +1,7 @@
-type t = { parent : int array; rank : int array; mutable sets : int }
+type t = { parent : int array; rank : int array }
 
 let create n =
-  { parent = Array.init n (fun i -> i); rank = Array.make n 0; sets = n }
+  { parent = Array.init n (fun i -> i); rank = Array.make n 0 }
 
 let rec find t x =
   let p = t.parent.(x) in
@@ -15,7 +15,6 @@ let rec find t x =
 let union t a b =
   let ra = find t a and rb = find t b in
   if ra <> rb then begin
-    t.sets <- t.sets - 1;
     if t.rank.(ra) < t.rank.(rb) then t.parent.(ra) <- rb
     else if t.rank.(ra) > t.rank.(rb) then t.parent.(rb) <- ra
     else begin
@@ -23,7 +22,3 @@ let union t a b =
       t.rank.(ra) <- t.rank.(ra) + 1
     end
   end
-
-let same t a b = find t a = find t b
-
-let count t = t.sets

@@ -12,9 +12,3 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> unit
 (** Merge the two sets. No-op if already merged. *)
-
-val same : t -> int -> int -> bool
-(** [same t a b] iff [a] and [b] are in the same set. *)
-
-val count : t -> int
-(** Number of distinct sets remaining. *)

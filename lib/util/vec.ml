@@ -40,11 +40,6 @@ let iter f v =
     f v.data.(i)
   done
 
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
-  done
-
 let fold f acc v =
   let acc = ref acc in
   for i = 0 to v.len - 1 do
@@ -53,17 +48,5 @@ let fold f acc v =
   !acc
 
 let to_array v = Array.sub v.data 0 v.len
-
-let map f v = { data = Array.map f (to_array v); len = v.len }
-
-let exists p v =
-  let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
-  loop 0
-
-let to_list v = Array.to_list (to_array v)
-
-let of_list l =
-  let data = Array.of_list l in
-  { data; len = Array.length data }
 
 let clear v = v.len <- 0

@@ -21,18 +21,8 @@ val pop : 'a t -> 'a option
 
 val iter : ('a -> unit) -> 'a t -> unit
 
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val exists : ('a -> bool) -> 'a t -> bool
-
 val to_array : 'a t -> 'a array
-
-val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t
 
 val clear : 'a t -> unit

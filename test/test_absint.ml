@@ -107,7 +107,7 @@ let test_const_check_and_fold () =
   let c0 = Netlist.add nl (Netlist.Const false) [||] in
   let g = Netlist.add nl Netlist.And [| x; c0 |] in
   ignore (Netlist.add nl ~name:"y" Netlist.Output [| g |]);
-  let diags = Const_dom.check nl in
+  let diags = Const_dom.check nl (Const_dom.solve nl) in
   checki "AI-CONST-01 fires" 2 (count_rule "AI-CONST-01" diags);
   List.iter
     (fun d ->
@@ -139,7 +139,7 @@ let test_phase_accepts_bundled () =
     (fun name ->
       let aqfp = Synth_flow.run_quiet (Circuits.benchmark name) in
       checki (name ^ " balanced post-insertion") 0
-        (List.length (Phase_dom.check aqfp)))
+        (List.length (Phase_dom.check aqfp (Phase_dom.solve aqfp))))
     [ "adder8"; "decoder"; "c432" ]
 
 let test_phase_rejects_unbalance () =
@@ -151,7 +151,7 @@ let test_phase_rejects_unbalance () =
   let b = Netlist.add nl Netlist.Buf [| s |] in
   let g = Netlist.add nl Netlist.And [| b; s |] in
   ignore (Netlist.add nl ~name:"y" Netlist.Output [| g |]);
-  let diags = Phase_dom.check nl in
+  let diags = Phase_dom.check nl (Phase_dom.solve nl) in
   checki "AI-PHASE-01 fires exactly once" 1 (count_rule "AI-PHASE-01" diags);
   let d = List.hd diags in
   checkb "error severity" true (d.Diag.severity = Diag.Error);
@@ -169,7 +169,8 @@ let test_load_wasted_sink () =
   let b2 = Netlist.add nl Netlist.Buf [| s |] in
   ignore b2 (* no consumer: provably wasted *);
   ignore (Netlist.add nl ~name:"y" Netlist.Output [| b1 |]);
-  let diags = Load_dom.check nl in
+  let f = Facts.create nl in
+  let diags = Load_dom.check nl ~fanouts:(Facts.fanouts f) (Facts.load f) in
   checki "AI-LOAD-01 fires exactly once" 1 (count_rule "AI-LOAD-01" diags);
   checkb "witness non-empty" true ((List.hd diags).Diag.witness <> [])
 
@@ -181,7 +182,7 @@ let test_polar_cancelling_pair () =
   let n1 = Netlist.add nl Netlist.Not [| a |] in
   let n2 = Netlist.add nl Netlist.Not [| n1 |] in
   ignore (Netlist.add nl ~name:"y" Netlist.Output [| n2 |]);
-  let diags = Polar_dom.check nl in
+  let diags = Polar_dom.check nl (Polar_dom.solve nl) in
   checki "AI-POLAR-01 fires exactly once" 1 (count_rule "AI-POLAR-01" diags);
   let d = List.hd diags in
   checkb "flags the second inverter" true (d.Diag.loc = Diag.Node n2);
@@ -191,7 +192,8 @@ let test_polar_cancelling_pair () =
   let a = Netlist.add nl1 Netlist.Input [||] in
   let n = Netlist.add nl1 Netlist.Not [| a |] in
   ignore (Netlist.add nl1 Netlist.Output [| n |]);
-  checki "single Not clean" 0 (List.length (Polar_dom.check nl1))
+  checki "single Not clean" 0
+    (List.length (Polar_dom.check nl1 (Polar_dom.solve nl1)))
 
 (* ---------- observability domain + the lint upgrade ---------- *)
 
@@ -204,7 +206,8 @@ let test_obs_blocked_by_constant () =
   let x = Netlist.add nl Netlist.Or [| a; b |] in
   let g = Netlist.add nl Netlist.And [| x; c0 |] in
   ignore (Netlist.add nl ~name:"y" Netlist.Output [| g |]);
-  let diags = Obs_dom.check nl in
+  let f = Facts.create nl in
+  let diags = Obs_dom.check nl ~consts:(Facts.const f) (Facts.obs f) in
   checki "AI-OBS-01 fires exactly once" 1 (count_rule "AI-OBS-01" diags);
   let d = List.hd diags in
   checkb "flags the blocked gate" true (d.Diag.loc = Diag.Node x);
@@ -280,33 +283,112 @@ let test_jobs_byte_identical () =
     checks (Printf.sprintf "random %d byte-identical" seed) r1 r4
   done
 
+(* ---------- one shared fact table ---------- *)
+
+(* Every AI-* rule and both liveness lints fire on this netlist: x
+   only feeds And(x, 0) (AI-CONST-01, AI-OBS-01), the splitter's
+   second buffer dead-ends (AI-LOAD-01, NL-DEAD-01), two inverters
+   cancel (AI-POLAR-01) and arrive four phases after [b]
+   (AI-PHASE-01), and input [c] is unused (NL-INPUT-01). *)
+let seeded_defects () =
+  let nl = Netlist.create () in
+  let a = Netlist.add nl ~name:"a" Netlist.Input [||] in
+  let b = Netlist.add nl ~name:"b" Netlist.Input [||] in
+  ignore (Netlist.add nl ~name:"c" Netlist.Input [||]);
+  let c0 = Netlist.add nl (Netlist.Const false) [||] in
+  let x = Netlist.add nl Netlist.Or [| a; b |] in
+  let g = Netlist.add nl Netlist.And [| x; c0 |] in
+  let s = Netlist.add nl (Netlist.Splitter 2) [| a |] in
+  let b1 = Netlist.add nl Netlist.Buf [| s |] in
+  ignore (Netlist.add nl Netlist.Buf [| s |]);
+  let n1 = Netlist.add nl Netlist.Not [| b1 |] in
+  let n2 = Netlist.add nl Netlist.Not [| n1 |] in
+  let h = Netlist.add nl Netlist.And [| n2; b |] in
+  ignore (Netlist.add nl ~name:"y1" Netlist.Output [| g |]);
+  ignore (Netlist.add nl ~name:"y2" Netlist.Output [| h |]);
+  nl
+
+(* The report the shared table renders, against each domain's [check]
+   on facts solved here, one solve per pass. *)
+let shared_report ?cache nl =
+  let facts = Facts.create nl in
+  Check.render_text
+    (Check.run
+       (Check.pass "lint" (fun () -> Lint.check ~tier:Check.Fast ~facts nl)
+       :: Absint_check.passes ?cache ~facts nl))
+
+let solo_report nl =
+  let consts () = Const_dom.solve nl in
+  let obs () = Obs_dom.solve nl ~fanouts:(Absint.fanouts nl) ~consts:(consts ()) in
+  Check.render_text
+    (Check.run
+       [
+         Check.pass "lint" (fun () -> Lint.check ~tier:Check.Fast nl);
+         Check.pass "absint-const" (fun () -> Const_dom.check nl (consts ()));
+         Check.pass "absint-phase" (fun () ->
+             Phase_dom.check nl (Phase_dom.solve nl));
+         Check.pass "absint-obs" (fun () ->
+             Obs_dom.check nl ~consts:(consts ()) (obs ()));
+         Check.pass "absint-load" (fun () ->
+             let fanouts = Absint.fanouts nl in
+             Load_dom.check nl ~fanouts (Load_dom.solve nl ~fanouts ~obs:(obs ())));
+         Check.pass "absint-polar" (fun () ->
+             Polar_dom.check nl (Polar_dom.solve nl));
+       ])
+
+let test_shared_table_matches_solo () =
+  let defects = seeded_defects () in
+  let rep = shared_report defects in
+  List.iter
+    (fun rule -> checkb (rule ^ " seeded") true (contains rep rule))
+    [ "AI-CONST-01"; "AI-PHASE-01"; "AI-OBS-01"; "AI-LOAD-01"; "AI-POLAR-01";
+      "NL-DEAD-01"; "NL-INPUT-01" ];
+  checks "seeded defects" (solo_report defects) rep;
+  List.iter
+    (fun name ->
+      let aqfp = Synth_flow.run_quiet (Circuits.benchmark name) in
+      checks name (solo_report aqfp) (shared_report aqfp))
+    Circuits.benchmark_names
+
 (* ---------- memo cache transparency ---------- *)
 
+(* Cold, warm and partial (one domain's key evicted) runs render the
+   same bytes, and each consults the memo once per domain. *)
 let test_absint_cache_transparent () =
-  let aqfp = Synth_flow.run_quiet (Circuits.benchmark "adder8") in
-  let store : (string, Diag.t list) Hashtbl.t = Hashtbl.create 8 in
-  let hits = ref 0 and misses = ref 0 in
-  let cache =
-    {
-      Memo.find =
-        (fun k ->
-          match Hashtbl.find_opt store k with
-          | Some _ as r ->
-              incr hits;
-              r
-          | None ->
-              incr misses;
-              None);
-      store = (fun k ds -> Hashtbl.replace store k ds);
-    }
-  in
-  let cold = Check.run (Absint_check.passes ~cache aqfp) in
-  checki "cold run misses every domain" 5 !misses;
-  checki "cold run hits nothing" 0 !hits;
-  let warm = Check.run (Absint_check.passes ~cache aqfp) in
-  checki "warm run hits every domain" 5 !hits;
-  checks "warm report byte-identical"
-    (Check.render_text cold) (Check.render_text warm)
+  List.iter
+    (fun (name, nl) ->
+      let store : (string, Diag.t list) Hashtbl.t = Hashtbl.create 8 in
+      let hits = ref 0 and misses = ref [] in
+      let cache =
+        {
+          Memo.find =
+            (fun k ->
+              let r = Hashtbl.find_opt store k in
+              if r = None then misses := k :: !misses else incr hits;
+              r);
+          store = Hashtbl.replace store;
+        }
+      in
+      let run () =
+        hits := 0;
+        misses := [];
+        shared_report ~cache nl
+      in
+      let cold = run () in
+      checki (name ^ ": cold run misses every domain") 5 (List.length !misses);
+      checki (name ^ ": cold run hits nothing") 0 !hits;
+      checks (name ^ ": warm report byte-identical") cold (run ());
+      checki (name ^ ": warm run hits every domain") 5 !hits;
+      let obs_key = "absint1:obs:" ^ Netlist.struct_hash nl in
+      Hashtbl.remove store obs_key;
+      checks (name ^ ": partial hit byte-identical") cold (run ());
+      checkb (name ^ ": only the evicted domain missed") true
+        (!misses = [ obs_key ] && !hits = 4))
+    [
+      ("adder8", Synth_flow.run_quiet (Circuits.benchmark "adder8"));
+      ("c499", Synth_flow.run_quiet (Circuits.benchmark "c499"));
+      ("seeded defects", seeded_defects ());
+    ]
 
 (* ---------- rule registry ---------- *)
 
@@ -364,6 +446,11 @@ let () =
           Alcotest.test_case "jobs 1 vs 4" `Quick test_jobs_byte_identical;
           Alcotest.test_case "memo cache transparent" `Quick
             test_absint_cache_transparent;
+        ] );
+      ( "facts",
+        [
+          Alcotest.test_case "shared table matches per-domain solves" `Quick
+            test_shared_table_matches_solo;
         ] );
       ( "registry",
         [ Alcotest.test_case "health + explain" `Quick test_registry_health ]

