@@ -72,6 +72,7 @@ let tables () =
 
      synth <circuit> jj=.. nets=.. delay=.. maj_gates=.. netlist=<md5>
      route <circuit> <algorithm> wirelength=.. vias=.. space_expansions=..
+       node_expansions=..
      drc <circuit> <deck> tiles=.. violations=..
      resyn <circuit> jj_before=.. jj_after=.. depth_before=.. depth_after=..
        windows=.. proved=.. refused=..
@@ -167,8 +168,9 @@ let route_cases name =
       | Ok () -> ()
       | Error e -> fail "%s: invalid routing: %s" id e);
       let line =
-        case "%s wirelength=%.0f vias=%d space_expansions=%d" id
-          r.Router.wirelength r.Router.total_vias r.Router.expansions
+        case "%s wirelength=%.0f vias=%d space_expansions=%d node_expansions=%d"
+          id r.Router.wirelength r.Router.total_vias r.Router.expansions
+          r.Router.node_expansions
       in
       match alg with
       | Router.Sequential -> line :: drc_cases name (Layout.build p r)

@@ -106,6 +106,16 @@ let stage_rank = function
   | Layout -> 4
   | Check -> 5
 
+(* What a stage computes, as a version in its cache key: bumped when a
+   stage's code changes its output for the same inputs and config, so a
+   database filled before the change misses instead of serving the old
+   result. Through the input hashes, the stages downstream recompute
+   only if the bumped stage's output bytes really moved. Route 2: the
+   turn-aware search bound. *)
+let stage_version = function
+  | Route -> "2"
+  | Synth | Resyn | Place | Layout | Check -> "1"
+
 (* Every config-derived component of a stage's cache key, in key
    order; the key is the stage's input-artifact hashes followed by
    these. [--jobs] is deliberately absent: stage results are
@@ -151,6 +161,12 @@ type staged = {
 (* engine format tag: part of every cache key, so changing the stage
    graph (not just one codec) invalidates the whole cache *)
 let graph_version = "sf-flow-graph-5"
+
+(* graph format, stage, its version, the input-artifact hashes, then
+   the config-derived parts *)
+let key_parts ~guard c stage ~inputs =
+  (graph_version :: stage_name stage :: stage_version stage :: inputs)
+  @ key_params ~guard c stage
 
 exception Stage_failed of Diag.t
 
@@ -296,8 +312,9 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
     let note stage o = outcomes := (stage, o) :: !outcomes in
     let included stage = stage_rank stage <= stage_rank to_stage in
     (* One stage: cache lookup (when a database is attached), else
-       compute and persist. The cache key is the stage's input
-       artifact hashes ([inputs]) followed by its [key_params].
+       compute and persist. The cache key is [key_parts]: the
+       stage's version, its input artifact hashes ([inputs]) and its
+       [key_params].
        Corrupt cache entries degrade to a miss with a warning and are
        overwritten. *)
     let exec ~stage ~inputs ~slots ~compute =
@@ -310,9 +327,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
           (v, [])
       | Some dbh -> (
           let key =
-            Db.stage_key
-              ((graph_version :: name :: inputs ())
-              @ key_params ~guard config stage)
+            Db.stage_key (key_parts ~guard config stage ~inputs:(inputs ()))
           in
           let cached =
             match Db.get_stage dbh ~stage:name ~key with

@@ -98,7 +98,8 @@ val check_passes :
     The flow is an explicit six-stage graph — [synth → resyn → place
     → route → layout → check] — and each stage is independently
     cacheable in a {!Db.t} design database. A stage's cache key is the
-    hash of its input-artifact hashes followed by {!key_params}. *)
+    hash of {!key_parts}: its {!stage_version}, its input-artifact
+    hashes and {!key_params}. *)
 
 type stage = Synth | Resyn | Place | Route | Layout | Check
 
@@ -109,10 +110,22 @@ val stage_name : stage -> string
 val stage_of_string : string -> (stage, string) Stdlib.result
 val stage_rank : stage -> int
 
+val stage_version : stage -> string
+(** What the stage computes: bumped when its code changes its output
+    for unchanged inputs and config, so that a database filled before
+    the change misses that stage once instead of serving the old
+    result. *)
+
 val key_params : guard:bool -> config -> stage -> string list
 (** Every config-derived component of [stage]'s cache key, in key
     order. [guard] is whether the equivalence guards run, i.e.
     whether the flow ends at the [check] stage. *)
+
+val key_parts :
+  guard:bool -> config -> stage -> inputs:string list -> string list
+(** Everything [stage]'s cache key hashes, in order: the graph format
+    tag, the stage name, {!stage_version}, the input-artifact hashes
+    [inputs], then {!key_params}. *)
 
 type outcome =
   | Cached of float  (** loaded from the database, in [s] seconds *)

@@ -298,7 +298,12 @@ let route_pair p r ~nets ~algorithm ~margin =
   let rerouted = ref 0 in
   (* a net that failed sequential claiming is promoted to the front of
      the next attempt: often it just needs first pick of the tracks,
-     which is much cheaper than growing the channel *)
+     which is much cheaper than growing the channel. Past the first
+     three promotions, a net is still promoted when it fails again
+     right after an expansion it caused: the channel grows at the
+     bottom, so a net walled in just below its source pin by nets
+     routed before it (seen on c1355 after full resynthesis) would
+     otherwise fail at every gap *)
   let promoted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let order_nets () =
     List.sort
@@ -312,7 +317,7 @@ let route_pair p r ~nets ~algorithm ~margin =
         | c -> c)
       nets
   in
-  let rec attempt ~promotions tries =
+  let rec attempt ~promotions ~expanded_for tries =
     let nets = order_nets () in
     let g = make_grid p r ~margin ~gap:!gap in
     let via_q = quantize g via_cost in
@@ -399,21 +404,23 @@ let route_pair p r ~nets ~algorithm ~margin =
            a promoted rerun would fail again, bit for bit *)
         let promote =
           match algorithm with
-          | Sequential -> promotions < 3 && not (Hashtbl.mem promoted ni)
+          | Sequential ->
+              (promotions < 3 || expanded_for = ni)
+              && not (Hashtbl.mem promoted ni)
           | Negotiated -> false
         in
         if promote then begin
           Hashtbl.replace promoted ni ();
-          attempt ~promotions:(promotions + 1) tries
+          attempt ~promotions:(promotions + 1) ~expanded_for tries
         end
         else begin
           if tries >= max_expansions then raise (Unroutable ni);
           incr expansions;
           gap := !gap +. tech.Tech.s_min;
-          attempt ~promotions (tries + 1)
+          attempt ~promotions ~expanded_for:ni (tries + 1)
         end
   in
-  attempt ~promotions:0 0
+  attempt ~promotions:0 ~expanded_for:(-1) 0
 
 let route_all ?(algorithm = Sequential) p =
   let t0 = Wallclock.now_s () in

@@ -54,7 +54,9 @@ exception Unroutable of int
 type algorithm =
   | Sequential
       (** first-come first-served track claiming, short nets first,
-          failed nets promoted to the front before expanding *)
+          failed nets promoted to the front before expanding (the
+          first three, and any net that fails again right after the
+          expansion it caused) *)
   | Negotiated
       (** PathFinder-style negotiated congestion: every iteration
           routes all of a pair's nets with shared resources allowed
@@ -71,9 +73,11 @@ val route_all : ?algorithm:algorithm -> Problem.t -> result
 
     Both algorithms run the shared arena search core ({!Search}):
     epoch-stamped dist/parent arrays reused across nets, a bucketed
-    dial queue over quantized integer costs, bounding-box pruning
-    with full-grid fallback, and (under [Negotiated]) dirty-net-only
-    rip-up and reroute. *)
+    dial queue over quantized integer costs, a consistent A* lower
+    bound that also counts the vias a state still owes (each search
+    still returns an optimal-cost path; the bound cuts
+    [node_expansions]), bounding-box pruning with full-grid fallback,
+    and (under [Negotiated]) dirty-net-only rip-up and reroute. *)
 
 val check_routes : Problem.t -> result -> (unit, string) Stdlib.result
 (** Validate a routing result: every route connects its net's pins,

@@ -36,6 +36,21 @@
      paths whose optimal detour leaves the window can differ, and
      then by at most the detour the window still admits.
 
+   The A* lower bound counts the vias a state still owes, not just
+   its Manhattan distance: h(ix,iy,dir) = qscale*(|ix-gx| + |iy-gy|)
+   + via_q*t. The goal must be entered vertically at column gx, so a
+   horizontal state must turn at least once more (t = 1), a vertical
+   state off that column at least twice (t = 2), and a vertical state
+   on it not at all (t = 0). The bound is consistent: a move shifts
+   the Manhattan term by at most the one grid step it pays for, and t
+   moves (by exactly one) only across a turn, which pays via_q — a
+   vertical move keeps the column, a horizontal one stays horizontal.
+   Soft prices are never negative, so this holds for sequential and
+   negotiated costs alike. The first pop of the goal therefore carries
+   the optimal cost, as with the plain Manhattan bound; the bound only
+   prunes (about two thirds of the pops on congested row pairs) and
+   decides which of several equal-cost paths wins.
+
    Determinism: the search is a pure function of the grid, the cost
    record and the endpoints. Ties between equal-cost paths resolve
    by the dial queue's documented FIFO order, which depends only on
@@ -184,7 +199,14 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
   Dqueue.clear queue;
   let dist = a.dist and parent = a.parent and stamp = a.stamp in
   let net = costs.net and neg = costs.neg in
-  let[@inline] heuristic ix iy = qscale * (abs (ix - gx) + abs (iy - gy)) in
+  (* Manhattan distance plus the vias the state still owes (see the
+     header): one for a horizontal state, two for a vertical one off
+     the goal column *)
+  let two_vias = 2 * via_q in
+  let[@inline] heuristic ix iy dir =
+    (qscale * (abs (ix - gx) + abs (iy - gy)))
+    + if dir = dir_h then via_q else if ix = gx then 0 else two_vias
+  in
   (* forced first move down out of the source pin; the seed move is
      never priced *)
   let seeded =
@@ -259,7 +281,7 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
           dist.(ns) <- nd;
           parent.(ns) <- s;
           stamp.(ns) <- epoch;
-          Dqueue.push queue (nd + heuristic nix niy) ns
+          Dqueue.push queue (nd + heuristic nix niy ndir) ns
         end
       end
     end
@@ -277,7 +299,7 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
     dist.(s0) <- qscale;
     parent.(s0) <- -2;
     stamp.(s0) <- epoch;
-    Dqueue.push queue (qscale + heuristic sx (sy + 1)) s0;
+    Dqueue.push queue (qscale + heuristic sx (sy + 1) dir_v) s0;
     let goal_state = ref (-1) in
     while !goal_state < 0 && not (Dqueue.is_empty queue) do
       let s = Dqueue.pop queue in
@@ -299,7 +321,7 @@ let run a g ~costs ~via_q ~sx ~sy ~gx ~gy ~lo_x ~hi_x =
          improvements strictly lower f, so stale entries compare greater
          and are skipped exactly *)
       let d = dist.(s) in
-      if queue.Dqueue.popped_key = d + heuristic ix iy then begin
+      if queue.Dqueue.popped_key = d + heuristic ix iy dir then begin
         a.expansions <- a.expansions + 1;
         if ix = gx && iy = gy && dir = dir_v then goal_state := s
         else begin

@@ -177,11 +177,11 @@ let test_codec_bytes_pinned () =
     [
       ("netlist", "2ac2f635682b4716fef388bcd6b32b59");
       ("tech", "a02a6ea892a7a3eefa35c6b2e5ebba95");
-      ("problem", "25d0d1259eb0d4760b25fd10dcab2f56");
+      ("problem", "4a8b2b38f8f093f98153aea62d328417");
       ("placement", "af124cacfffe1703a608f24b9f6ee825");
-      ("routing", "6099b94a95348230bac1695bfbd441ea");
-      ("layout", "42ae343ed69ecf79eda89e5adca3120b");
-      ("sta", "baf8bb8e1d4fce8841faccac9e709531");
+      ("routing", "383384b31a15464ec1a3e1963b607d2c");
+      ("layout", "dbfa66bc082bc6634ca20cf842bb8937");
+      ("sta", "f440db1b9926600f59ef44a5e096f6a8");
       ("energy", "df5fedbdb09625ae875012ed2ea5c60f");
       ("synth-report", "fe85a659a1886976625a9d6a88040b4f");
       ("resyn-report", "38e577dfdf5c48d33d054f708c99d2f7");
@@ -486,7 +486,8 @@ let test_corrupt_cache_self_heals () =
       checki "store healed: warm again" 0 (Db.misses db))
 
 (* The stage-key table, as code: perturbing one config field away from
-   [Flow.default] must change [key_params] for exactly these stages. *)
+   [Flow.default] must change [key_params] for exactly these stages,
+   and every stage's key must carry its version. *)
 let test_key_participation () =
   let d = Flow.default in
   (* names every field, so a new one fails to compile until it is
@@ -539,7 +540,26 @@ let test_key_participation () =
             (List.map Flow.stage_name expect)
             (List.map Flow.stage_name changed))
         [ (true, guarded); (false, unguarded) ])
-    table
+    table;
+  (* each stage's key carries its version right after its name, ahead
+     of the inputs and the config parts *)
+  Alcotest.(check (list string))
+    "stage versions" [ "1"; "1"; "1"; "2"; "1"; "1" ]
+    (List.map Flow.stage_version Flow.stages);
+  List.iter
+    (fun st ->
+      List.iter
+        (fun guard ->
+          match Flow.key_parts ~guard d st ~inputs:[ "in" ] with
+          | _graph :: name :: version :: rest ->
+              Alcotest.(check (list string))
+                (Flow.stage_name st ^ " key parts")
+                ([ Flow.stage_name st; Flow.stage_version st; "in" ]
+                @ Flow.key_params ~guard d st)
+                (name :: version :: rest)
+          | _ -> Alcotest.fail "key too short")
+        [ true; false ])
+    Flow.stages
 
 (* The check report's header names the engine, so a warm rerun under
    another engine must recompute the check stage, not replay the old
