@@ -1,73 +1,31 @@
 (* Monotone dataflow over the netlist DAG.
 
-   The worklist is scheduled as topological levels: on a DAG every
-   node's inputs are final before the node itself is visited, so one
-   transfer per node reaches the fixpoint. Levels are a pure function
-   of the netlist; inside a level the transfers are independent and
-   shard over Parallel with static chunk boundaries, each lane
-   writing only its own slots — results are identical at any pool
-   size. *)
+   On a DAG, one transfer per node reaches the fixpoint when every
+   node is visited after the nodes whose facts it reads: forward
+   solves walk [Netlist.topo_order], backward solves its reverse. A
+   transfer reads only its fan-ins' (or consumers') facts, so the
+   result does not depend on which topological order is walked. *)
 
-(* Group ids by dependency depth. [deps] gives, for each node, the
-   ids whose facts the node's transfer reads; depth = 1 + max depth
-   of deps. [order] must list deps before dependants. *)
-let levels_of ~n ~order ~deps =
-  let depth = Array.make n 0 in
-  let max_depth = ref 0 in
-  Array.iter
-    (fun i ->
-      let d = ref 0 in
-      List.iter (fun f -> if depth.(f) >= !d then d := depth.(f) + 1) (deps i);
-      depth.(i) <- !d;
-      if !d > !max_depth then max_depth := !d)
-    order;
-  let buckets = Array.make (!max_depth + 1) [] in
-  (* fill in reverse id order so each bucket ends up id-ascending *)
-  for i = n - 1 downto 0 do
-    buckets.(depth.(i)) <- i :: buckets.(depth.(i))
-  done;
-  Array.map Array.of_list buckets
-
-let solve ~n ~levels ~deps ~bot ~transfer =
+let solve ~n ~order ~bot ~transfer =
   let facts = Array.make n bot in
-  (* distinct slots per lane: data-race free, order-independent. Under
-     the sanitizer, writes and the declared dep reads of each transfer
-     go through a footprint-tracked view — a dep scheduled into the
-     same level as its reader shows up as a same-batch RW overlap,
-     which is exactly a broken level invariant. *)
-  let facts_v = Dsan.wrap ~label:"absint.facts" ~mode:Dsan.Footprint facts in
-  Array.iter
-    (fun level ->
-      let m = Array.length level in
-      ignore
-        (Parallel.map_chunks ~label:"absint.level" ~chunk:1024 ~n:m (fun lo hi ->
-             for k = lo to hi - 1 do
-               let id = level.(k) in
-               if Dsan.on () then begin
-                 List.iter (fun f -> ignore (Dsan.get facts_v f)) (deps id);
-                 Dsan.set facts_v id (transfer id facts)
-               end
-               else facts.(id) <- transfer id facts
-             done)))
-    levels;
+  Array.iter (fun id -> facts.(id) <- transfer id facts) order;
   facts
 
 let forward nl ~bot ~transfer =
-  let deps i = Array.to_list (Netlist.fanins nl i) in
-  solve ~n:(Netlist.size nl) ~levels:(Netlist.levels nl) ~deps ~bot ~transfer
+  solve ~n:(Netlist.size nl) ~order:(Netlist.topo_order nl) ~bot ~transfer
 
-type fanouts = { consumers : int list array; levels : int array array }
+type fanouts = { consumers : int list array; order : int array }
 
 let fanouts nl =
   let n = Netlist.size nl in
-  let consumers = Netlist.fanouts nl in
-  let order = Netlist.topo_order nl in
-  let rev = Array.init n (fun k -> order.(n - 1 - k)) in
-  { consumers; levels = levels_of ~n ~order:rev ~deps:(Array.get consumers) }
+  let topo = Netlist.topo_order nl in
+  {
+    consumers = Netlist.fanouts nl;
+    order = Array.init n (fun k -> topo.(n - 1 - k));
+  }
 
 let backward nl ~fanouts ~bot ~transfer =
-  solve ~n:(Netlist.size nl) ~levels:fanouts.levels
-    ~deps:(Array.get fanouts.consumers) ~bot ~transfer
+  solve ~n:(Netlist.size nl) ~order:fanouts.order ~bot ~transfer
 
 let describe nl i =
   let base = Printf.sprintf "n%d:%s" i (Netlist.kind_name (Netlist.kind nl i)) in

@@ -9,15 +9,11 @@
     DAG and returns the fixpoint fact array. Merging the facts of
     several predecessors is the transfer's own business.
 
-    {b Determinism.} The worklist is organised as topological levels
-    (every node enters the worklist exactly once, at its dependency
-    depth — the DAG makes chaotic iteration unnecessary). Levels run
-    in order; inside a level the nodes are independent, so their
-    transfers shard over {!Parallel.map_chunks} with static chunk
-    boundaries, each lane writing only its own slots of the fact
-    array. A node's fact is therefore a pure function of the netlist,
-    never of the pool size: results are byte-identical at any
-    [--jobs] value.
+    {b Schedule.} On a DAG, one transfer per node reaches the
+    fixpoint: {!forward} visits the nodes in {!Netlist.topo_order},
+    {!backward} in its reverse, so every fact a transfer reads is
+    final when it runs. The facts are a pure function of the
+    netlist.
 
     Shipped domains: {!Const_dom} (ternary constants, [AI-CONST-01]),
     {!Phase_dom} (phase-interval path balance, [AI-PHASE-01]),
@@ -33,17 +29,16 @@
 val forward :
   Netlist.t -> bot:'a -> transfer:(int -> 'a array -> 'a) -> 'a array
 (** [forward nl ~bot ~transfer] — facts flow with the signal
-    direction, scheduled by {!Netlist.levels}: [transfer id facts]
-    may read [facts.(f)] for every fan-in [f] of [id] (they are final
-    when [id] is scheduled). Every slot starts at [bot]. Returns the
+    direction, in {!Netlist.topo_order}: [transfer id facts] may read
+    [facts.(f)] for every fan-in [f] of [id] (they are final when
+    [id] is visited). Every slot starts at [bot]. Returns the
     fact array indexed by node id. Raises [Failure] on a
     combinational cycle. *)
 
 type fanouts = private {
   consumers : int list array;  (** {!Netlist.fanouts} *)
-  levels : int array array;
-      (** the backward schedule: ids grouped by depth from the
-          sinks, each group ascending *)
+  order : int array;
+      (** the backward schedule: {!Netlist.topo_order} reversed *)
 }
 (** The reverse adjacency and the backward schedule of one netlist,
     built once and shared by every backward solve over it. *)

@@ -1,6 +1,4 @@
-(* AQFP legality. The per-node scans are sharded over Parallel chunks
-   and the per-chunk diagnostic lists concatenated left-to-right, so
-   the report is identical at any pool size. *)
+(* AQFP legality: one scan over the nodes in id order. *)
 
 let check nl =
   let n = Netlist.size nl in
@@ -25,61 +23,57 @@ let check nl =
           else max acc nd.Netlist.phase)
         0
     in
-    let chunks =
-      Parallel.map_chunks ~label:"check.aqfp.nodes" ~chunk:4096 ~n (fun lo hi ->
-          let diags = ref [] in
-          let push d = diags := d :: !diags in
-          for i = lo to hi - 1 do
-            let nd = Netlist.node nl i in
-            (match nd.Netlist.kind with
-            | Netlist.Input | Netlist.Const _ | Netlist.Output -> ()
-            | k ->
-                (match k with
-                | Netlist.Nand | Netlist.Nor | Netlist.Xor | Netlist.Xnor ->
-                    push
-                      (Diag.error ~rule:"AQFP-KIND-01" (Diag.Node i)
-                         "non-majority gate %s survived synthesis"
-                         (Netlist.kind_name k))
-                | _ -> ());
-                Array.iter
-                  (fun f ->
-                    let pf = Netlist.phase nl f in
-                    if pf <> nd.Netlist.phase - 1 then
-                      push
-                        (Diag.error ~rule:"AQFP-PHASE-01" (Diag.Node i)
-                           "fanin %d at phase %d, expected %d (gate phase %d)"
-                           f pf (nd.Netlist.phase - 1) nd.Netlist.phase)
-                  )
-                  nd.Netlist.fanins);
-            (match nd.Netlist.kind with
-            | Netlist.Splitter k when k < 2 || k > 4 ->
+    let diags = ref [] in
+    let push d = diags := d :: !diags in
+    for i = 0 to n - 1 do
+      let nd = Netlist.node nl i in
+      (match nd.Netlist.kind with
+      | Netlist.Input | Netlist.Const _ | Netlist.Output -> ()
+      | k ->
+          (match k with
+          | Netlist.Nand | Netlist.Nor | Netlist.Xor | Netlist.Xnor ->
+              push
+                (Diag.error ~rule:"AQFP-KIND-01" (Diag.Node i)
+                   "non-majority gate %s survived synthesis"
+                   (Netlist.kind_name k))
+          | _ -> ());
+          Array.iter
+            (fun f ->
+              let pf = Netlist.phase nl f in
+              if pf <> nd.Netlist.phase - 1 then
                 push
-                  (Diag.error ~rule:"AQFP-SPLIT-01" (Diag.Node i)
-                     "splitter arity %d outside the library's 2..4" k)
-            | _ -> ());
-            (match nd.Netlist.kind with
-            | Netlist.Splitter _ | Netlist.Output -> ()
-            | _ ->
-                if counts.(i) > 1 then
-                  push
-                    (Diag.error ~rule:"AQFP-FANOUT-01" (Diag.Node i)
-                       "%s drives %d consumers (AQFP fan-out is 1; insert a \
-                        splitter)"
-                       (Netlist.kind_name nd.Netlist.kind)
-                       counts.(i)));
-            (match nd.Netlist.kind with
-            | Netlist.Output ->
-                let driver = nd.Netlist.fanins.(0) in
-                let pd = Netlist.phase nl driver in
-                if pd <> max_phase then
-                  push
-                    (Diag.error ~rule:"AQFP-PHASE-02" (Diag.Node i)
-                       "primary output retires at phase %d, design finishes \
-                        at %d (unbalanced output)"
-                       pd max_phase)
-            | _ -> ())
-          done;
-          List.rev !diags)
-    in
-    Array.fold_left (fun acc ds -> acc @ ds) [] chunks
+                  (Diag.error ~rule:"AQFP-PHASE-01" (Diag.Node i)
+                     "fanin %d at phase %d, expected %d (gate phase %d)"
+                     f pf (nd.Netlist.phase - 1) nd.Netlist.phase)
+            )
+            nd.Netlist.fanins);
+      (match nd.Netlist.kind with
+      | Netlist.Splitter k when k < 2 || k > 4 ->
+          push
+            (Diag.error ~rule:"AQFP-SPLIT-01" (Diag.Node i)
+               "splitter arity %d outside the library's 2..4" k)
+      | _ -> ());
+      (match nd.Netlist.kind with
+      | Netlist.Splitter _ | Netlist.Output -> ()
+      | _ ->
+          if counts.(i) > 1 then
+            push
+              (Diag.error ~rule:"AQFP-FANOUT-01" (Diag.Node i)
+                 "%s drives %d consumers (AQFP fan-out is 1; insert a \
+                  splitter)"
+                 (Netlist.kind_name nd.Netlist.kind)
+                 counts.(i)));
+      (match nd.Netlist.kind with
+      | Netlist.Output ->
+          let driver = nd.Netlist.fanins.(0) in
+          let pd = Netlist.phase nl driver in
+          if pd <> max_phase then
+            push
+              (Diag.error ~rule:"AQFP-PHASE-02" (Diag.Node i)
+                 "primary output retires at phase %d, design finishes \
+                  at %d (unbalanced output)"
+                 pd max_phase)
+      | _ -> ())
+    done;
+    List.rev !diags
   end

@@ -2,11 +2,12 @@
 
     A {e pass} is a named analysis producing {!Diag.t} diagnostics;
     a {e report} is the ordered result of running a pass pipeline.
-    Pass order is fixed by the caller, diagnostics keep their
-    generation order within a pass, and every pass family shards its
-    heavy inner loops over {!Parallel} with the left-to-right combine
-    discipline — so a report renders byte-identically at any
-    [--jobs] value.
+    Pass order is fixed by the caller and diagnostics keep their
+    generation order within a pass. Two loops shard over {!Parallel}
+    and combine in input order — {!Equiv}'s BDD lanes (one per
+    output) and {!Place_audit}'s row scans — and the rest run
+    serially, so a report renders byte-identically at any [--jobs]
+    value.
 
     Pass families shipped by this library:
     - {!Lint} — structural netlist lints ([NL-*]);

@@ -2,27 +2,6 @@
    cycles, splitter fanout) come from [Netlist.validate_diags]; this
    pass adds the style/liveness findings on top. *)
 
-let fanout_counts_parallel nl =
-  let n = Netlist.size nl in
-  (* per-chunk count buffers, summed left-to-right: identical to the
-     serial count at any pool size *)
-  let parts =
-    Parallel.map_chunks ~label:"check.lint.fanout" ~chunk:4096 ~n (fun lo hi ->
-        let counts = Array.make n 0 in
-        for i = lo to hi - 1 do
-          Array.iter
-            (fun f ->
-              if f >= 0 && f < n then counts.(f) <- counts.(f) + 1)
-            (Netlist.fanins nl i)
-        done;
-        counts)
-  in
-  let total = Array.make n 0 in
-  Array.iter
-    (fun part -> Array.iteri (fun i c -> total.(i) <- total.(i) + c) part)
-    parts;
-  total
-
 let check ?(tier = Check.Full) ?facts nl =
   let facts = Facts.for_netlist ?facts nl in
   let structural = Facts.structural facts in
@@ -117,7 +96,8 @@ let check ?(tier = Check.Full) ?facts nl =
   else if
     not (List.exists (fun d -> d.Diag.rule = "NL-DANGLE-01") structural)
   then begin
-    let counts = fanout_counts_parallel nl in
+    (* no NL-DANGLE-01 fired, so every fan-in id is in range *)
+    let counts = Netlist.fanout_counts nl in
     Netlist.iter nl (fun nd ->
         if counts.(nd.Netlist.id) = 0 then
           match nd.Netlist.kind with

@@ -27,11 +27,7 @@
     sound (no [NL-ARITY-01]/[NL-DANGLE-01]/[NL-CYCLE-01]) {e and} the
     tier is {!Check.Full} — the [Fast] tier leans on the [sf_absint]
     constant pass ([AI-CONST-01]) instead, which finds the same
-    degenerate logic without building the AIG.
-
-    Fanout counting is sharded over {!Parallel} chunks with a
-    deterministic combine, so large netlists lint at full core
-    count with byte-identical reports. *)
+    degenerate logic without building the AIG. *)
 
 val check : ?tier:Check.tier -> ?facts:Facts.t -> Netlist.t -> Diag.t list
 (** [check ?tier ?facts nl] — default tier is [Full] (the

@@ -74,8 +74,7 @@ let check p layout =
   Array.iter (fun (a, b) -> Union_find.union uf a b) via_keys;
   Array.iter (fun (a, b) -> Union_find.union uf a b) src_keys;
   Array.iter (fun (a, b) -> Union_find.union uf a b) dst_keys;
-  (* pass 3: component summaries (serial; Union_find.find compresses
-     paths, so all finds happen before the parallel stage) *)
+  (* pass 3: component summaries *)
   let comp : (int, pinset) Hashtbl.t = Hashtbl.create 256 in
   let pins_of root =
     match Hashtbl.find_opt comp root with
@@ -95,8 +94,7 @@ let check p layout =
       ps.dsts <- List.rev ps.dsts)
     comp;
   (* per-component pin count and lowest involved net (for single-shot
-     short reporting), materialized as arrays so the parallel lanes
-     never touch the hashtable or the union-find *)
+     short reporting) *)
   let npins = Array.make !next 0 in
   let minnet = Array.make !next max_int in
   Hashtbl.iter
@@ -117,45 +115,43 @@ let check p layout =
     let ci = match side with `Src -> e.Problem.src | `Dst -> e.Problem.dst in
     p.Problem.cells.(ci).Problem.node
   in
-  (* pass 4: per-edge classification, sharded in net-index chunks *)
-  let chunks =
-    Parallel.map_chunks ~label:"check.lvs.nets" ~chunk:2048 ~n:n_nets (fun lo hi ->
-        let ds = ref [] in
-        let push d = ds := d :: !ds in
-        for ni = lo to hi - 1 do
-          let rs = src_root.(ni) and rd = dst_root.(ni) in
-          (* short components report once, at their lowest net index *)
-          let report_short root =
-            if npins.(root) > 2 && minnet.(root) = ni then
-              push
-                (Diag.error ~rule:"LVS-SHORT-01" (Diag.Net ni)
-                   "drawn geometry shorts %d pins together (nets %s)"
-                   npins.(root)
-                   (String.concat ", "
-                      (List.map string_of_int comp_all.(root))))
-          in
-          report_short rs;
-          if rd <> rs then report_short rd;
-          (* open/swap classification, suppressed on shorted nets to
-             avoid cascading reports *)
-          if npins.(rs) <= 2 && npins.(rd) <= 2 && rs <> rd then begin
-            match List.filter (fun nj -> nj <> ni) comp_dsts.(rs) with
-            | nj :: _ ->
-                push
-                  (Diag.error ~rule:"LVS-SWAP-01" (Diag.Net ni)
-                     "driver of node %d is wired to the sink of net %d \
-                      (node %d) instead of node %d"
-                     (node_of ni `Src) nj (node_of nj `Dst) (node_of ni `Dst))
-            | [] ->
-                push
-                  (Diag.error ~rule:"LVS-OPEN-01" (Diag.Net ni)
-                     "no drawn connection from driver node %d to sink node %d"
-                     (node_of ni `Src) (node_of ni `Dst))
-          end
-        done;
-        List.rev !ds)
+  (* pass 4: per-edge classification, in net-index order *)
+  let edge_diags =
+    let ds = ref [] in
+    let push d = ds := d :: !ds in
+    for ni = 0 to n_nets - 1 do
+      let rs = src_root.(ni) and rd = dst_root.(ni) in
+      (* short components report once, at their lowest net index *)
+      let report_short root =
+        if npins.(root) > 2 && minnet.(root) = ni then
+          push
+            (Diag.error ~rule:"LVS-SHORT-01" (Diag.Net ni)
+               "drawn geometry shorts %d pins together (nets %s)"
+               npins.(root)
+               (String.concat ", "
+                  (List.map string_of_int comp_all.(root))))
+      in
+      report_short rs;
+      if rd <> rs then report_short rd;
+      (* open/swap classification, suppressed on shorted nets to
+         avoid cascading reports *)
+      if npins.(rs) <= 2 && npins.(rd) <= 2 && rs <> rd then begin
+        match List.filter (fun nj -> nj <> ni) comp_dsts.(rs) with
+        | nj :: _ ->
+            push
+              (Diag.error ~rule:"LVS-SWAP-01" (Diag.Net ni)
+                 "driver of node %d is wired to the sink of net %d \
+                  (node %d) instead of node %d"
+                 (node_of ni `Src) nj (node_of nj `Dst) (node_of ni `Dst))
+        | [] ->
+            push
+              (Diag.error ~rule:"LVS-OPEN-01" (Diag.Net ni)
+                 "no drawn connection from driver node %d to sink node %d"
+                 (node_of ni `Src) (node_of ni `Dst))
+      end
+    done;
+    List.rev !ds
   in
-  let edge_diags = Array.fold_left (fun acc ds -> acc @ ds) [] chunks in
   (* floating geometry: components with wires but no pins *)
   let wire_root = Array.map (fun (a, _) -> Union_find.find uf a) wire_keys in
   let seen = Hashtbl.create 64 in

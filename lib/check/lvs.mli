@@ -18,9 +18,8 @@
       sink pin (the classic crossed-pair LVS finding);
     - [LVS-FLOAT-01] (warning) — drawn wires touching no pin at all.
 
-    Extraction is a serial union-find sweep (linear in the geometry);
-    the per-edge classification that follows is sharded over
-    {!Parallel} in net-index chunks with a left-to-right combine, so
-    the report is identical at any pool size. *)
+    Extraction is a union-find sweep (linear in the geometry); the
+    per-edge classification that follows reports in net-index
+    order. *)
 
 val check : Problem.t -> Layout.t -> Diag.t list

@@ -120,10 +120,6 @@ let all =
       "A chunk wrote a tracked array outside its ownership discipline — \
        beyond its static [lo, hi) slice, or to a read-only shared input. \
        Witness: call-site label, chunk id and index.";
-    e "DSAN-REDUCE-01" Diag.Error "dsan"
-      "A parallel_reduce chunk partial differed from its serial replay over \
-       the same elements in the same order: map/combine reads or writes \
-       state that another chunk can touch.";
     e "DSAN-RW-01" Diag.Error "dsan"
       "One chunk read a tracked array index that another chunk of the same \
        batch wrote: the read's value depends on the schedule. Witness: \
@@ -185,6 +181,12 @@ let all =
     e "PL-GRID-01" Diag.Error "place" "A placed cell's x position is off the placement grid.";
     e "PL-INDEX-01" Diag.Error "place"
       "A cell's row index disagrees with the row that contains it.";
+    e "PL-LEGAL-01" Diag.Error "flow"
+      "The placer's result fails the legality check (overlapping cells, \
+       spacing below s_min, an x off the grid or below zero), so the flow \
+       stops at the place stage. The message names the first violation and \
+       counts the rest; the usual cause is a technology whose s_min or cell \
+       sizes the rows cannot honour.";
     e "PL-NEG-01" Diag.Error "place" "A placed cell has a negative x position.";
     e "PL-OVERLAP-01" Diag.Error "place" "Two placed cells in one row overlap.";
     e "PL-ROW-01" Diag.Error "place"
@@ -196,6 +198,9 @@ let all =
       "A resynthesis rewrite's window equivalence proof failed or timed out; \
        the rewrite was refused and the original cone kept.";
     e "RT-CONN-01" Diag.Error "route" "A routed net does not connect its pins.";
+    e "RT-UNROUTE-01" Diag.Error "flow"
+      "A net found no route after the router widened its row gap as many \
+       times as its budget allows, so the flow stops at the route stage.";
     e "SL-CATCH-01" Diag.Error "mlint"
       "A catch-all exception handler (with _ ->) swallows the exception; \
        failures must surface as diagnostics or re-raise, not vanish.";

@@ -450,7 +450,14 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                ~slots:place_slots
                ~compute:(fun () ->
                  let p0 = Problem.of_netlist tech aqfp1 in
-                 let placement = Placer.place ~seed algorithm p0 in
+                 let placement =
+                   try Placer.place ~seed algorithm p0
+                   with Placer.Illegal msg ->
+                     raise
+                       (Stage_failed
+                          (Diag.error ~rule:"PL-LEGAL-01" Diag.Global
+                             "placement is illegal: %s" msg))
+                 in
                  let aqfp, p, buffer_lines = Bufferline.insert aqfp1 p0 in
                  (* newly inserted buffer rows start at crude midpoints;
                     one light detailed pass settles them *)
@@ -487,7 +494,17 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                    ~slots:route_slots
                    ~compute:(fun () ->
                      let drc_cache = Option.map diag_memo db in
-                     let routing0 = Router.route_all ~algorithm:router p in
+                     let route p =
+                       try Router.route_all ~algorithm:router p
+                       with Router.Unroutable ni ->
+                         raise
+                           (Stage_failed
+                              (Diag.error ~rule:"RT-UNROUTE-01" (Diag.Net ni)
+                                 "net %d found no route within the router's \
+                                  channel-expansion budget"
+                                 ni))
+                     in
+                     let routing0 = route p in
                      let rec fix_loop routing rounds =
                        let layout = Layout.build p routing in
                        let violations =
@@ -513,10 +530,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                                  p.Problem.row_gaps.(g) <-
                                    p.Problem.row_gaps.(g) +. tech.Tech.s_min)
                              gaps;
-                           let routing' =
-                             Router.route_all ~algorithm:router p
-                           in
-                           fix_loop routing' (rounds + 1)
+                           fix_loop (route p) (rounds + 1)
                          end
                        end
                      in

@@ -12,8 +12,7 @@
    - write-set race detection: {!Tracked_array} views attribute every
      access to the chunk that made it and report ownership violations
      and cross-chunk write-write / read-write overlaps with witnesses;
-   - a combine/grouping audit for [parallel_reduce] (serial replay,
-     wired in Parallel itself) plus nested-call and stale-epoch checks.
+   - nested-call and stale-epoch checks.
 
    Everything is gated on one atomic flag, so with the sanitizer off a
    tracked access costs a single load-and-branch. *)
@@ -339,23 +338,6 @@ let hooks_of s =
                 "parallel call %S made from inside a chunk of %S runs \
                  inline on one lane; hoist it or fuse the loops"
                 label outer;
-          });
-    h_reduce_mismatch =
-      (fun ~label ~chunk ->
-        push_finding_once s
-          {
-            f_rule = "DSAN-REDUCE-01";
-            f_site = label;
-            f_array = "-";
-            f_chunk_a = chunk;
-            f_chunk_b = -1;
-            f_index = -1;
-            f_detail =
-              Printf.sprintf
-                "reduce chunk %d produced a different partial when \
-                 replayed serially: map/combine reads state another \
-                 chunk can write"
-                chunk;
           });
   }
 

@@ -15,10 +15,8 @@
       violations ([DSAN-OWN-01]) and cross-chunk write-write /
       read-write overlaps ([DSAN-WW-01] / [DSAN-RW-01]) with witnesses
       (call-site label, chunk ids, index);
-    - a combine/grouping audit for [parallel_reduce]
-      ([DSAN-REDUCE-01], serial replay comparison, wired inside
-      [Parallel]), nested-call detection ([DSAN-NEST-01]) and
-      stale-arena-epoch checks ([DSAN-EPOCH-01], via {!record}).
+    - nested-call detection ([DSAN-NEST-01]) and stale-arena-epoch
+      checks ([DSAN-EPOCH-01], via {!record}).
 
     All checks are gated on one atomic flag ({!on}); with the
     sanitizer off a tracked access costs a single load-and-branch and

@@ -184,7 +184,7 @@ let eval_site src ~known_ids ~known_prefixes ~sorted_items (s : Sl_scan.site) =
           (f ~rule:"SL-RULEID-01"
              "diagnostic id %S has no entry in the Rules registry" id)
       else None
-  | Sl_scan.Sort_call -> None
+  | Sl_scan.Parallel_label _ | Sl_scan.Sort_call -> None
 
 let check_source ~known_ids (src : Sl_source.t) =
   let known_prefixes =

@@ -9,6 +9,7 @@ type fact =
   | Global_mut of string * string
   | Catch_all
   | Unlabeled_parallel of string
+  | Parallel_label of string
   | Print_call of string
   | Exit_call
   | Rule_string of string
@@ -36,8 +37,7 @@ let idish s =
            rest
   | _ -> false
 
-let parallel_fns =
-  [ "map_chunks"; "parallel_init"; "parallel_map"; "parallel_reduce" ]
+let parallel_fns = [ "map_chunks"; "parallel_init" ]
 
 let stdout_printers =
   [ "print_string"; "print_endline"; "print_newline"; "print_char";
@@ -95,13 +95,12 @@ let scan (str : structure) : site list =
     | Pexp_apply
         ( { pexp_desc = Pexp_ident { txt = Longident.Ldot (Longident.Lident "Parallel", fn); _ }; _ },
           args )
-      when List.mem fn parallel_fns ->
-        if
-          not
-            (List.exists
-               (fun (l, _) -> l = Asttypes.Labelled "label")
-               args)
-        then add (Unlabeled_parallel fn) e.pexp_loc
+      when List.mem fn parallel_fns -> (
+        match List.assoc_opt (Asttypes.Labelled "label") args with
+        | None -> add (Unlabeled_parallel fn) e.pexp_loc
+        | Some { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); pexp_loc; _ } ->
+            add (Parallel_label s) pexp_loc
+        | Some _ -> ())
     | Pexp_try (_, cases) ->
         List.iter
           (fun c -> if is_any c.pc_lhs then add Catch_all c.pc_lhs.ppat_loc)

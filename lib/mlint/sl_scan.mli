@@ -21,6 +21,9 @@ type fact =
   | Catch_all  (** [with _ ->] (or [exception _] match case) *)
   | Unlabeled_parallel of string
       (** a [Parallel.<fn>] application with no [~label] argument *)
+  | Parallel_label of string
+      (** the string literal passed as [~label] to a [Parallel.<fn>]
+          application: the site's name in the call-site inventory *)
   | Print_call of string  (** stdout printer mention *)
   | Exit_call  (** [exit] mention *)
   | Rule_string of string

@@ -131,24 +131,6 @@ let topo_order t =
   if !k <> n then failwith "Netlist.topo_order: combinational cycle";
   order
 
-let levels t =
-  let n = size t in
-  let level = Array.make n 0 in
-  let max_level = ref 0 in
-  Array.iter
-    (fun i ->
-      let nd = node t i in
-      (match nd.kind with
-      | Input | Const _ -> ()
-      | _ -> level.(i) <- 1 + Array.fold_left (fun acc f -> max acc level.(f)) 0 nd.fanins);
-      if level.(i) > !max_level then max_level := level.(i))
-    (topo_order t);
-  let buckets = Array.make (!max_level + 1) [] in
-  for i = n - 1 downto 0 do
-    buckets.(level.(i)) <- i :: buckets.(level.(i))
-  done;
-  Array.map Array.of_list buckets
-
 let levelize t =
   let order = topo_order t in
   let maxp = ref 0 in

@@ -60,6 +60,8 @@ let superflow_pipeline ~seed p =
   | None -> ());
   !moves
 
+exception Illegal of string
+
 let place ?(seed = 1) algorithm p =
   let t0 = Wallclock.now_s () in
   let moves =
@@ -75,7 +77,7 @@ let place ?(seed = 1) algorithm p =
   in
   (match Problem.check_legal p with
   | Ok () -> ()
-  | Error msg -> failwith ("Placer: illegal result: " ^ msg));
+  | Error msg -> raise (Illegal msg));
   {
     algorithm;
     hpwl = Problem.hpwl p;

@@ -13,10 +13,14 @@ type result = {
   moves : int;  (** detailed-placement moves accepted (SuperFlow only) *)
 }
 
+exception Illegal of string
+(** The pipeline's result failed {!Problem.check_legal}; carries its
+    message (the first violation and a count). *)
+
 val place : ?seed:int -> algorithm -> Problem.t -> result
 (** Run one placement pipeline on the problem (mutates positions;
-    result is legalized — checked). SuperFlow = timing-aware
-    analytical global placement + Tetris legalization + mixed-size
-    detailed placement. *)
+    result is legalized — checked, raising {!Illegal} otherwise).
+    SuperFlow = timing-aware analytical global placement + Tetris
+    legalization + mixed-size detailed placement. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -231,7 +231,11 @@ let check_legal t =
           if c.x < -1e-6 then push "cell %d negative x" c.node)
         row)
     t.row_cells;
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+  match List.rev !problems with
+  | [] -> Ok ()
+  | [ p ] -> Error p
+  | first :: rest ->
+      Error (Printf.sprintf "%s (and %d more)" first (List.length rest))
 
 let cell_nets t =
   let m = Array.make (Array.length t.cells) [] in

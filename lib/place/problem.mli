@@ -91,7 +91,10 @@ val net_length : t -> net -> float
 
 val timing_cost : t -> ?alpha:float -> unit -> float
 (** The paper's Eq. (2) four-phase timing cost summed over all nets
-    (α defaults to 2). *)
+    (α defaults to 2): nets in index order in blocks of 2048, the
+    block totals added left to right, at any pool size. The grouping
+    is part of the placement's bits: global placement keeps the best
+    of its sweeps by this value. *)
 
 val buffer_lines : t -> int
 (** Rows of max-wirelength buffers that would have to be inserted:
@@ -104,7 +107,8 @@ val max_net_length : t -> float
 val check_legal : t -> (unit, string) result
 (** Verify spacing/overlap/grid constraints of the current positions:
     no two cells in a row overlap, horizontal neighbors either abut or
-    keep [s_min], and every x is on the manufacturing grid. *)
+    keep [s_min], and every x is on the manufacturing grid. The error
+    names the first violation (rows in order) and counts the rest. *)
 
 val copy_positions : t -> float array
 

@@ -161,11 +161,6 @@ let pass_rewrite guard diags nl =
   let const_leaf = const_facts nl in
   let cuts = Cuts.enumerate nl in
   let fanout = Netlist.fanout_counts nl in
-  (* database table, built serially before the parallel section: the
-     first force of [Maj_db]'s lazy table must not happen in two
-     domains at once (a warm synth stage leaves it unforced). [Npn]'s
-     table is built at module initialisation. *)
-  let db = Array.init 256 Maj_db.lookup in
   let best_impl tt3 care =
     let best = ref None in
     let consider impl =
@@ -177,9 +172,9 @@ let pass_rewrite guard diags nl =
     let base = tt3 land care in
     for t' = 0 to 255 do
       if t' land care = base then begin
-        consider db.(t');
+        consider (Maj_db.lookup t');
         let rep, tr = Npn.canon t' in
-        consider (Npn.uncanon tr db.(rep))
+        consider (Npn.uncanon tr (Maj_db.lookup rep))
       end
     done;
     match !best with Some (_, i) -> i | None -> assert false
@@ -205,8 +200,8 @@ let pass_rewrite guard diags nl =
     done;
     !care
   in
-  (* area-flow covering, level-synchronous so matching shards over
-     the pool deterministically *)
+  (* area-flow covering in topological order: a gate's flow reads only
+     the flows of its fan-ins and cut leaves, all upstream of it *)
   let af = Array.make n 0.0 in
   let choice = Array.make n `Keep in
   let is_gate = function
@@ -220,41 +215,30 @@ let pass_rewrite guard diags nl =
       (fun acc leaf -> acc +. (af.(leaf) /. float_of_int (max 1 fanout.(leaf))))
       0.0 leaves
   in
-  (* the fixed chunk keeps levels of up to 64 gates off the pool *)
   Array.iter
-    (fun level ->
-      let ids =
-        Array.to_list level
-        |> List.filter (fun id -> is_gate (Netlist.kind nl id))
-        |> Array.of_list
-      in
-      let results =
-        Parallel.parallel_map ~label:"resyn.match" ~chunk:64
-          (fun id ->
-            let keep =
-              ( float_of_int (Cell.jj_of_kind (Netlist.kind nl id))
-                +. leaf_flow (Netlist.fanins nl id),
-                `Keep )
-            in
-            List.fold_left
-              (fun ((best_cost, _) as best) c ->
-                if Cuts.is_trivial id c then best
-                else
-                  let impl = best_impl (Cuts.tt3 c) (care_of c.Cuts.leaves) in
-                  let cost =
-                    float_of_int (Cost.impl_jj impl) +. leaf_flow c.Cuts.leaves
-                  in
-                  if cost < best_cost then (cost, `Rw (c, impl)) else best)
-              keep cuts.(id))
-          ids
-      in
-      Array.iteri
-        (fun i id ->
-          let cost, ch = results.(i) in
-          af.(id) <- cost;
-          choice.(id) <- ch)
-        ids)
-    (Netlist.levels nl);
+    (fun id ->
+      if is_gate (Netlist.kind nl id) then begin
+        let keep =
+          ( float_of_int (Cell.jj_of_kind (Netlist.kind nl id))
+            +. leaf_flow (Netlist.fanins nl id),
+            `Keep )
+        in
+        let cost, ch =
+          List.fold_left
+            (fun ((best_cost, _) as best) c ->
+              if Cuts.is_trivial id c then best
+              else
+                let impl = best_impl (Cuts.tt3 c) (care_of c.Cuts.leaves) in
+                let cost =
+                  float_of_int (Cost.impl_jj impl) +. leaf_flow c.Cuts.leaves
+                in
+                if cost < best_cost then (cost, `Rw (c, impl)) else best)
+            keep cuts.(id)
+        in
+        af.(id) <- cost;
+        choice.(id) <- ch
+      end)
+    (Netlist.topo_order nl);
   (* realization: serial, each chosen rewrite proved before it is kept *)
   let tried = ref 0 and survived = ref 0 in
   let custom b realize nd =

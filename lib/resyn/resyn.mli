@@ -36,10 +36,9 @@
     shrinks [jj + depth], the fixpoint terminates and a second run
     accepts zero rewrites on the result.
 
-    Determinism: cut enumeration and matching shard level-
-    synchronously over {!Parallel} with ordered combine; realization
-    and proof traffic are serial — the output netlist is
-    byte-identical at any [--jobs]. *)
+    Determinism: cut enumeration and matching visit the nodes in
+    topological order, and realization and proof traffic follow node
+    order, so the output netlist is a pure function of the input. *)
 
 type effort = Off | Fast | Full
 

@@ -126,15 +126,7 @@ let node_cuts nl cuts id =
 
 let enumerate nl =
   let cuts = Array.make (Netlist.size nl) [] in
-  (* level-synchronous: a node's cuts read only strictly shallower
-     nodes, so each level shards over the pool with ordered combine;
-     the fixed chunk keeps levels of up to 64 nodes (every level of a
-     small AOI netlist) off the pool *)
-  Array.iter
-    (fun ids ->
-      let results =
-        Parallel.parallel_map ~label:"cuts" ~chunk:64 (fun id -> node_cuts nl cuts id) ids
-      in
-      Array.iteri (fun i id -> cuts.(id) <- results.(i)) ids)
-    (Netlist.levels nl);
+  (* a node's cuts read only its fan-ins' cuts, so any topological
+     order gives the same lists *)
+  Array.iter (fun id -> cuts.(id) <- node_cuts nl cuts id) (Netlist.topo_order nl);
   cuts

@@ -10,12 +10,9 @@
     [{v}] always kept first and at most {!cuts_per_node} cuts per
     node (trivial plus the widest merges, the most collapsible ones).
 
-    Determinism and parallelism: cuts depend only on strictly
-    shallower nodes, so nodes are processed level-synchronously over
-    {!Netlist.levels} — each level shards over
-    {!Parallel.parallel_map} (label [cuts], ordered combine) in fixed
-    chunks of 64 nodes, making the result bit-identical at any
-    [--jobs] and keeping levels of up to 64 nodes off the pool.
+    Nodes are visited in {!Netlist.topo_order}: a node's cuts read
+    only its fan-ins' cuts, so the lists are a pure function of the
+    netlist.
 
     Known limitation (the cause of today's [RS-CEC-01] refusals): the
     table is computed as if the leaves were independent, but a cut may

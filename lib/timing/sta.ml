@@ -50,14 +50,7 @@ let summarize timings =
 let analyze p =
   let row_width = Float.max 1.0 (Problem.row_width p) in
   let n = Array.length p.Problem.nets in
-  (* per-sink slack is independent per net: fan out over the domain
-     pool (fixed chunking keeps the array — and therefore wns/tns and
-     the sorted worst list — identical at every jobs count) *)
-  let timings =
-    Parallel.parallel_init ~label:"sta.slack" ~chunk:512 n (fun ni ->
-        net_slack_ps p ~row_width ni)
-  in
-  summarize timings
+  summarize (Array.init n (fun ni -> net_slack_ps p ~row_width ni))
 
 let meets_timing r = r.wns_ps >= 0.0
 
@@ -126,7 +119,7 @@ let analyze_routed p (routed : Router.result) =
   let row_width = Float.max 1.0 (Problem.row_width p) in
   let n = Array.length p.Problem.nets in
   let timings =
-    Parallel.parallel_init ~label:"sta.routed" ~chunk:512 n (fun ni ->
+    Array.init n (fun ni ->
         let t = net_slack_ps p ~row_width ni in
         (* replace the Manhattan flight with the routed length *)
         let routed_flight =

@@ -73,7 +73,6 @@ type hooks = {
       (* may shuffle the chunk *execution* order in place *)
   h_batch_end : label:string -> unit;
   h_nested : label:string -> outer:string -> unit;
-  h_reduce_mismatch : label:string -> chunk:int -> unit;
 }
 
 (* dsan instrumentation hooks, installed once at sanitizer arm time.
@@ -279,39 +278,3 @@ let parallel_init ?label ?chunk n f =
         Array.init (hi - lo) (fun k -> f (lo + k)))
   in
   Array.concat (Array.to_list parts)
-
-let parallel_map ?label ?chunk f a =
-  parallel_init ?label ?chunk (Array.length a) (fun i -> f a.(i))
-
-let parallel_reduce ?(label = "unlabeled") ?chunk ~map ~combine ~init a =
-  let n = Array.length a in
-  if n = 0 then init
-  else begin
-    let chunk_part lo hi =
-      let acc = ref (map a.(lo)) in
-      for i = lo + 1 to hi - 1 do
-        acc := combine !acc (map a.(i))
-      done;
-      !acc
-    in
-    let parts = map_chunks ~label ?chunk ~n chunk_part in
-    (* combine/grouping audit: replay every chunk serially (same
-       grouping, same element order) and compare partials. A mismatch
-       proves [map]/[combine] touched state the schedule can reorder. *)
-    (match !hooks with
-    | Some h when current_chunk () = None ->
-        let c = resolve_chunk chunk n in
-        let n_chunks = (n + c - 1) / c in
-        for ci = 0 to n_chunks - 1 do
-          let replay = chunk_part (ci * c) (min n ((ci * c) + c)) in
-          let same =
-            (* replay check on arbitrary 'acc values; a functional value
-               raises Invalid_argument and is simply uncheckable here.
-               sl-ignore: SL-CATCH-01 uncheckable values must not fail the run *)
-            try Stdlib.compare parts.(ci) replay = 0 with _ -> true
-          in
-          if not same then h.h_reduce_mismatch ~label ~chunk:ci
-        done
-    | _ -> ());
-    Array.fold_left combine init parts
-  end

@@ -51,9 +51,8 @@ val map_chunks :
 (** [map_chunks ~label ~chunk ~n f] applies [f lo hi] to each static
     chunk [\[lo, hi)] of [0 .. n-1] ([hi - lo <= chunk]) and returns
     the per-chunk results in chunk order. [chunk] defaults to [n/64]
-    (rounded up). This is the primitive the other combinators are
-    built on; use it directly for map-reduce with per-chunk
-    accumulator buffers. If a chunk raises, the leftmost failing
+    (rounded up). {!parallel_init} is built on it; use it directly
+    for map-reduce with per-chunk accumulator buffers. If a chunk raises, the leftmost failing
     chunk's exception is re-raised (deterministically).
 
     [label] names the call site ("drc.tiles", "route.pairs", …) in
@@ -66,32 +65,6 @@ val map_chunks :
 
 val parallel_init : ?label:string -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** Deterministic parallel [Array.init]. *)
-
-val parallel_map :
-  ?label:string -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Deterministic parallel [Array.map]: same result, any pool size. *)
-
-val parallel_reduce :
-  ?label:string ->
-  ?chunk:int ->
-  map:('a -> 'b) ->
-  combine:('b -> 'b -> 'b) ->
-  init:'b ->
-  'a array ->
-  'b
-(** [parallel_reduce ~map ~combine ~init a] folds [combine] over
-    [map a.(i)] with a fixed left-to-right combine order: chunk
-    partials are folded in chunk order, seeded with [init]. For an
-    associative [combine] this equals the serial
-    [Array.fold_left (fun acc x -> combine acc (map x)) init a]; for
-    merely deterministic [combine] (e.g. float addition) the result is
-    still identical across pool sizes because the grouping is fixed by
-    the chunking, not by the schedule.
-
-    Under sanitizer hooks each chunk partial is additionally replayed
-    serially and compared ([h_reduce_mismatch] fires on divergence),
-    which catches [map]/[combine] functions that read or write state
-    another chunk can touch. *)
 
 (** {1 Sanitizer interface}
 
@@ -114,9 +87,6 @@ type hooks = {
   h_nested : label:string -> outer:string -> unit;
       (** a parallel call was made from inside chunk [outer]; it runs
           inline and is not tracked as a batch of its own *)
-  h_reduce_mismatch : label:string -> chunk:int -> unit;
-      (** a [parallel_reduce] chunk partial differed from its serial
-          replay *)
 }
 
 val set_hooks : hooks option -> unit

@@ -105,36 +105,6 @@ let test_read_write_overlap_caught () =
       checki "witness index" 2 f.Dsan.f_index
   | fs -> Alcotest.failf "expected exactly one DSAN-RW-01, got %d" (List.length fs)
 
-(* ---- planted combine/grouping corruption ---- *)
-
-let test_impure_reduce_caught () =
-  let hidden = ref 0 in
-  let _, findings =
-    Dsan.with_sanitizer ~fuzz:false (fun () ->
-        with_jobs 1 (fun () ->
-            ignore
-              (Parallel.parallel_reduce ~label:"t.reduce" ~chunk:4
-                 ~map:(fun x ->
-                   incr hidden;
-                   x + !hidden)
-                 ~combine:( + ) ~init:0
-                 (Array.init 16 Fun.id))))
-  in
-  checkb "impure reduce detected" true
-    (find_rule "DSAN-REDUCE-01" findings <> [])
-
-let test_pure_reduce_clean () =
-  let _, findings =
-    Dsan.with_sanitizer ~fuzz:true (fun () ->
-        with_jobs 2 (fun () ->
-            ignore
-              (Parallel.parallel_reduce ~label:"t.reduce.ok" ~chunk:4
-                 ~map:(fun x -> (2 * x) + 1)
-                 ~combine:( + ) ~init:0
-                 (Array.init 100 Fun.id))))
-  in
-  checki "pure reduce is clean" 0 (List.length findings)
-
 (* ---- schedule fuzzing ---- *)
 
 let test_order_dependent_batch_caught () =
@@ -271,7 +241,7 @@ let test_rules_registered () =
       checkb (rule ^ " registered") true (Rules.find rule <> None))
     [
       "DSAN-DIVERGE-01"; "DSAN-EPOCH-01"; "DSAN-NEST-01"; "DSAN-OWN-01";
-      "DSAN-REDUCE-01"; "DSAN-RW-01"; "DSAN-SCHED-01"; "DSAN-WW-01";
+      "DSAN-RW-01"; "DSAN-SCHED-01"; "DSAN-WW-01";
     ]
 
 (* ---- divergence localization plumbing ---- *)
@@ -314,14 +284,12 @@ let () =
             test_write_write_overlap_caught;
           Alcotest.test_case "read-write overlap" `Quick
             test_read_write_overlap_caught;
-          Alcotest.test_case "impure reduce" `Quick test_impure_reduce_caught;
           Alcotest.test_case "order-dependent batch" `Quick
             test_order_dependent_batch_caught;
           Alcotest.test_case "nested parallel call" `Quick test_nested_call_flagged;
         ] );
       ( "clean code stays clean",
         [
-          Alcotest.test_case "pure reduce" `Quick test_pure_reduce_clean;
           Alcotest.test_case "order-independent batch" `Quick
             test_order_independent_batch_clean;
           Alcotest.test_case "disjoint slices" `Quick test_disjoint_slices_clean;

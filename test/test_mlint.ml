@@ -94,13 +94,13 @@ let test_catch () =
 
 let test_label () =
   check_fixture ~rule:"SL-LABEL-01" ~path:"lib/fix/f.ml" ~line:1
-    "let f xs = Parallel.parallel_map (fun x -> x) xs\n"
+    "let f xs = Parallel.parallel_init (Array.length xs) (fun i -> xs.(i))\n"
 
 let test_label_ok () =
   let fs, _ =
     Mlint.check_source ~known_ids
       (Sl_source.of_string ~path:"lib/fix/f.ml"
-         "let f xs = Parallel.parallel_map ~label:\"fix\" (fun x -> x) xs\n")
+         "let f xs = Parallel.parallel_init ~label:\"fix\" (Array.length xs) (fun i -> xs.(i))\n")
   in
   checki "labeled Parallel call is clean" 0 (List.length fs)
 
@@ -264,6 +264,70 @@ let test_self_run () =
           checki "repo lints clean: no warnings" 0 rep.Mlint.warnings;
           checkb "scanned a real tree" true (rep.Mlint.files > 50))
 
+(* ---------- the call-site inventory cannot go stale ---------- *)
+
+let rec ml_files root rel =
+  Sys.readdir (Filename.concat root rel)
+  |> Array.to_list
+  |> List.sort String.compare
+  |> List.concat_map (fun e ->
+         let r = rel ^ "/" ^ e in
+         if Sys.is_directory (Filename.concat root r) then ml_files root r
+         else if Filename.check_suffix e ".ml" then [ r ]
+         else [])
+
+(* every string literal passed as [~label] to [Parallel] in lib/ *)
+let parallel_labels root =
+  ml_files root "lib"
+  |> List.concat_map (fun rel ->
+         let text =
+           In_channel.with_open_bin (Filename.concat root rel) In_channel.input_all
+         in
+         Sl_scan.scan (Parse.implementation (Lexing.from_string text))
+         |> List.filter_map (fun s ->
+                match s.Sl_scan.fact with
+                | Sl_scan.Parallel_label l -> Some l
+                | _ -> None))
+  |> List.sort_uniq String.compare
+
+(* the backquoted label column of the first table under the
+   "Call-site inventory" heading *)
+let inventory_labels root =
+  let lines =
+    In_channel.with_open_bin
+      (Filename.concat root "docs/ARCHITECTURE.md")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let rec after_heading = function
+    | [] -> []
+    | l :: rest -> if l = "### Call-site inventory" then rest else after_heading rest
+  in
+  let rec table started = function
+    | l :: rest when String.length l > 0 && l.[0] = '|' -> l :: table true rest
+    | _ :: rest when not started -> table false rest
+    | _ -> []
+  in
+  table false (after_heading lines)
+  |> List.filter_map (fun row ->
+         match String.split_on_char '|' row with
+         | _ :: _ :: cell :: _ ->
+             let cell = String.trim cell in
+             let n = String.length cell in
+             if n > 2 && cell.[0] = '`' && cell.[n - 1] = '`' then
+               Some (String.sub cell 1 (n - 2))
+             else None
+         | _ -> None)
+  |> List.sort String.compare
+
+let test_inventory () =
+  match find_repo_root () with
+  | None -> Alcotest.fail "cannot locate the repo root from the test sandbox"
+  | Some root ->
+      Alcotest.(check (list string))
+        "Parallel labels in lib/ = ARCHITECTURE call-site table"
+        (parallel_labels root) (inventory_labels root)
+
 let () =
   Alcotest.run "sf_mlint"
     [
@@ -302,5 +366,10 @@ let () =
       ( "registry",
         [ Alcotest.test_case "lock-step with Rules" `Quick test_registry_sync ] );
       ("rendering", [ Alcotest.test_case "text and json" `Quick test_render ]);
-      ("self-run", [ Alcotest.test_case "repo lints clean" `Quick test_self_run ]);
+      ( "self-run",
+        [
+          Alcotest.test_case "repo lints clean" `Quick test_self_run;
+          Alcotest.test_case "call-site inventory matches docs" `Quick
+            test_inventory;
+        ] );
     ]

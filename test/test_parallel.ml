@@ -26,7 +26,9 @@ let test_map_matches_serial () =
       let serial = Array.map f a in
       List.iter
         (fun jobs ->
-          let par = with_jobs jobs (fun () -> Parallel.parallel_map ~chunk:7 f a) in
+          let par =
+            with_jobs jobs (fun () -> Parallel.parallel_init ~chunk:7 n (fun i -> f a.(i)))
+          in
           checki (Printf.sprintf "n=%d jobs=%d length" n jobs)
             (Array.length serial) (Array.length par);
           Array.iteri
@@ -44,34 +46,14 @@ let test_init_matches_serial () =
       Array.iteri (fun i x -> check_bits (Printf.sprintf "init[%d]" i) x par.(i)) serial)
     [ 0; 1; 13; 14; 500 ]
 
-let test_reduce_matches_serial () =
-  let rng = Rng.create 23 in
-  let a = Array.init 777 (fun _ -> Rng.float rng 2.0 -. 1.0) in
-  let map x = x *. x in
-  let combine = ( +. ) in
-  (* the reference is the same chunked left-to-right grouping at
-     jobs=1; determinism means every pool size reproduces it *)
-  let reference =
-    with_jobs 1 (fun () -> Parallel.parallel_reduce ~chunk:64 ~map ~combine ~init:0.0 a)
-  in
-  List.iter
-    (fun jobs ->
-      let v =
-        with_jobs jobs (fun () ->
-            Parallel.parallel_reduce ~chunk:64 ~map ~combine ~init:0.0 a)
-      in
-      check_bits (Printf.sprintf "reduce jobs=%d" jobs) reference v)
-    [ 2; 3; 4; 8 ]
-
 let test_exception_is_leftmost () =
   let exception Boom of int in
   let raised =
     try
       with_jobs 4 (fun () ->
           ignore
-            (Parallel.parallel_map ~chunk:10
-               (fun i -> if i mod 31 = 30 then raise (Boom i) else i)
-               (Array.init 500 (fun i -> i))));
+            (Parallel.parallel_init ~chunk:10 500 (fun i ->
+                 if i mod 31 = 30 then raise (Boom i) else i)));
       None
     with Boom i -> Some i
   in
@@ -120,20 +102,6 @@ let test_chunk_validation () =
   checki "n=0 default chunk" 0
     (Array.length (Parallel.map_chunks ~n:0 (fun _ _ -> ())))
 
-(* grouping stability: with an associative combine, the reduce result
-   is the same whatever chunk size sliced the array *)
-let reduce_grouping_stable =
-  QCheck.Test.make ~count:100 ~name:"reduce grouping-stable across chunk sizes"
-    QCheck.(pair (list small_int) (int_range 1 50))
-    (fun (l, chunk) ->
-      let a = Array.of_list l in
-      let serial = Array.fold_left ( + ) 0 a in
-      let v =
-        with_jobs 4 (fun () ->
-            Parallel.parallel_reduce ~chunk ~map:Fun.id ~combine:( + ) ~init:0 a)
-      in
-      v = serial)
-
 (* ---- whole flow: jobs=1 vs jobs=4, byte-identical GDS ---- *)
 
 let read_bytes path = In_channel.with_open_bin path In_channel.input_all
@@ -171,8 +139,6 @@ let () =
         [
           Alcotest.test_case "map = serial map" `Quick test_map_matches_serial;
           Alcotest.test_case "init = serial init" `Quick test_init_matches_serial;
-          Alcotest.test_case "reduce identical across pool sizes" `Quick
-            test_reduce_matches_serial;
           Alcotest.test_case "leftmost exception wins" `Quick
             test_exception_is_leftmost;
           Alcotest.test_case "jobs resolution and clamping" `Quick
@@ -181,7 +147,6 @@ let () =
             test_invalid_sf_jobs_falls_back;
           Alcotest.test_case "chunk validation and n=0" `Quick
             test_chunk_validation;
-          QCheck_alcotest.to_alcotest reduce_grouping_stable;
         ] );
       ( "full flow",
         [

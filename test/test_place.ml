@@ -87,6 +87,47 @@ let test_check_legal_detects () =
   | Ok () -> Alcotest.fail "spacing not detected"
   | Error _ -> ())
 
+(* [Global.sweep_cost] picks the best sweep by [Problem.timing_cost],
+   so its float grouping is part of the placement's bits: nets summed
+   in blocks of 2048, block totals added left to right. c499's placed
+   problem has 2,779 nets, so its sum spans two blocks; the golden
+   designs fit in one. On grid positions each per-net cost is an
+   exactly representable square and every grouping sums exactly, so
+   the cells move to random off-grid positions first. *)
+let test_timing_cost_grouping () =
+  let p =
+    match Flow.run_staged ~to_stage:Flow.Place (Circuits.benchmark "c499") with
+    | Ok { Flow.placed = Some (_, p, _, _); _ } -> p
+    | _ -> Alcotest.fail "c499 did not place"
+  in
+  let n = Array.length p.Problem.nets in
+  checki "c499 placed nets" 2779 n;
+  let die = Problem.row_width p in
+  let cost w (e : Problem.net) =
+    let sc = p.Problem.cells.(e.Problem.src) and dc = p.Problem.cells.(e.Problem.dst) in
+    let pins = dc.Problem.lib.Cell.in_pins in
+    Clocking.timing_cost ~row_width:w ~phase:sc.Problem.row
+      ~x_start:(sc.Problem.x +. sc.Problem.lib.Cell.out_pins.(e.Problem.src_pin))
+      ~x_end:(dc.Problem.x +. pins.(e.Problem.dst_pin mod Array.length pins))
+      ~alpha:2.0
+  in
+  (* a single running sum can round to the same bits by chance, so
+     several layouts are compared *)
+  for seed = 1 to 4 do
+    let rng = Random.State.make [| seed |] in
+    Array.iter (fun c -> c.Problem.x <- Random.State.float rng die) p.Problem.cells;
+    let costs = Array.map (cost (Problem.row_width p)) p.Problem.nets in
+    let block b = Array.sub costs (b * 2048) (min 2048 (n - (b * 2048))) in
+    let reference =
+      List.init ((n + 2047) / 2048) (fun b -> Array.fold_left ( +. ) 0.0 (block b))
+      |> List.fold_left ( +. ) 0.0
+    in
+    Alcotest.(check int64)
+      (Printf.sprintf "timing_cost bits, layout %d" seed)
+      (Int64.bits_of_float reference)
+      (Int64.bits_of_float (Problem.timing_cost p ()))
+  done
+
 (* ---------- WA model ---------- *)
 
 let test_wa_upper_bounds_hpwl () =
@@ -746,6 +787,8 @@ let () =
           Alcotest.test_case "hpwl" `Quick test_hpwl_positive_and_consistent;
           Alcotest.test_case "buffer lines" `Quick test_buffer_lines_counting;
           Alcotest.test_case "check_legal" `Quick test_check_legal_detects;
+          Alcotest.test_case "timing_cost grouping pinned" `Slow
+            test_timing_cost_grouping;
           Alcotest.test_case "net_dys tracks row gaps" `Quick test_net_dys_tracks_row_gaps;
         ] );
       ( "wa_model",
