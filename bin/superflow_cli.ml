@@ -902,7 +902,7 @@ let mlint_cmd =
 
 let explain_id_arg =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"RULE-ID"
-         ~doc:"A diagnostic rule id, e.g. AI-PHASE-01 or NL-DEAD-01.")
+         ~doc:"A diagnostic rule id, e.g. AQFP-PHASE-01 or NL-DEAD-01.")
 
 let explain_all_arg =
   Arg.(value & flag & info [ "all" ]

@@ -1,8 +1,9 @@
 (** Monotone dataflow over the netlist DAG ([sf_absint]).
 
-    SuperFlow's AQFP legality rests on global dataflow invariants —
-    fan-ins arriving in the same clock phase, splitter trees bounding
-    fan-out, no constant or unobservable logic left by synthesis.
+    SuperFlow's AQFP netlists should keep global dataflow invariants —
+    splitter trees bounding fan-out, no constant or unobservable logic
+    left by synthesis. (Path balance needs no dataflow: it is the
+    local rule {!Netlist.imbalances}, checked as [AQFP-PHASE-01].)
     This library proves such invariants in one linear-ish pass: a
     domain supplies the bottom fact and a transfer function, and
     {!forward} or {!backward} schedules one transfer per node over the
@@ -16,7 +17,6 @@
     netlist.
 
     Shipped domains: {!Const_dom} (ternary constants, [AI-CONST-01]),
-    {!Phase_dom} (phase-interval path balance, [AI-PHASE-01]),
     {!Load_dom} (fanout-capacity intervals through splitter trees,
     [AI-LOAD-01]), {!Obs_dom} (backward observability, consumed by
     the [NL-DEAD-01]/[NL-INPUT-01] lints and [AI-OBS-01]) and

@@ -5,7 +5,6 @@ type t = {
   structural : Diag.t list Lazy.t;
   fanouts : Absint.fanouts Lazy.t;
   const : Const_dom.value array Lazy.t;
-  phase : (int * int) array Lazy.t;
   obs : Obs_dom.fact array Lazy.t;
   load : (int * int) array Lazy.t;
   polar : Polar_dom.fact array Lazy.t;
@@ -23,7 +22,6 @@ let create nl =
     structural = lazy (Netlist.validate_diags nl);
     fanouts;
     const;
-    phase = lazy (Phase_dom.solve nl);
     obs;
     load =
       lazy (Load_dom.solve nl ~fanouts:(Lazy.force fanouts) ~obs:(Lazy.force obs));
@@ -39,7 +37,6 @@ let for_netlist ?facts nl =
 let structural t = Lazy.force t.structural
 let fanouts t = Lazy.force t.fanouts
 let const t = Lazy.force t.const
-let phase t = Lazy.force t.phase
 let obs t = Lazy.force t.obs
 let load t = Lazy.force t.load
 let polar t = Lazy.force t.polar

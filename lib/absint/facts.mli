@@ -22,7 +22,6 @@ val structural : t -> Diag.t list
 
 val fanouts : t -> Absint.fanouts
 val const : t -> Const_dom.value array
-val phase : t -> (int * int) array
 val obs : t -> Obs_dom.fact array
 val load : t -> (int * int) array
 val polar : t -> Polar_dom.fact array

@@ -5,7 +5,6 @@
 let domains =
   [
     ("const", fun nl f -> Const_dom.check nl (Facts.const f));
-    ("phase", fun nl f -> Phase_dom.check nl (Facts.phase f));
     ("obs", fun nl f -> Obs_dom.check nl ~consts:(Facts.const f) (Facts.obs f));
     ("load", fun nl f -> Load_dom.check nl ~fanouts:(Facts.fanouts f) (Facts.load f));
     ("polar", fun nl f -> Polar_dom.check nl (Facts.polar f));
@@ -17,7 +16,7 @@ let passes ?cache ?facts nl =
   List.map
     (fun (domain, check) ->
       Check.pass ("absint-" ^ domain) (fun () ->
-          (* all five domains need in-range fan-ins, correct arities
+          (* all four domains need in-range fan-ins, correct arities
              and an acyclic graph; the structural lints own reporting
              that *)
           if Facts.structural facts <> [] then []

@@ -1,8 +1,7 @@
 (** The [sf_absint] dataflow analyses packaged as {!Check} passes.
 
-    Five passes, in fixed order:
+    Four passes, in fixed order:
     - [absint-const] — ternary constant propagation ([AI-CONST-01]);
-    - [absint-phase] — phase-interval balance ([AI-PHASE-01]);
     - [absint-obs] — backward observability ([AI-OBS-01]);
     - [absint-load] — splitter-tree capacity ([AI-LOAD-01]);
     - [absint-polar] — inversion parity ([AI-POLAR-01]).
@@ -20,7 +19,7 @@
 
 val passes :
   ?cache:Diag.t list Memo.t -> ?facts:Facts.t -> Netlist.t -> Check.pass list
-(** The five passes over [nl], each consulting (and filling) the
+(** The four passes over [nl], each consulting (and filling) the
     cache when one is given and solving only on a miss. [facts]
     (default: a fresh table) must be built over [nl]; pass the table
     {!Lint.check} reads so the two share their solves. *)

@@ -28,25 +28,25 @@ let check nl =
     for i = 0 to n - 1 do
       let nd = Netlist.node nl i in
       (match nd.Netlist.kind with
-      | Netlist.Input | Netlist.Const _ | Netlist.Output -> ()
-      | k ->
-          (match k with
-          | Netlist.Nand | Netlist.Nor | Netlist.Xor | Netlist.Xnor ->
+      | Netlist.Nand | Netlist.Nor | Netlist.Xor | Netlist.Xnor ->
+          push
+            (Diag.error ~rule:"AQFP-KIND-01" (Diag.Node i)
+               "non-majority gate %s survived synthesis"
+               (Netlist.kind_name nd.Netlist.kind))
+      | _ -> ());
+      List.iter
+        (function
+          | Netlist.Source ->
               push
-                (Diag.error ~rule:"AQFP-KIND-01" (Diag.Node i)
-                   "non-majority gate %s survived synthesis"
-                   (Netlist.kind_name k))
-          | _ -> ());
-          Array.iter
-            (fun f ->
-              let pf = Netlist.phase nl f in
-              if pf <> nd.Netlist.phase - 1 then
-                push
-                  (Diag.error ~rule:"AQFP-PHASE-01" (Diag.Node i)
-                     "fanin %d at phase %d, expected %d (gate phase %d)"
-                     f pf (nd.Netlist.phase - 1) nd.Netlist.phase)
-            )
-            nd.Netlist.fanins);
+                (Diag.error ~rule:"AQFP-PHASE-01" (Diag.Node i)
+                   "source at phase %d, expected 0" nd.Netlist.phase)
+          | Netlist.Fanin f ->
+              push
+                (Diag.error ~rule:"AQFP-PHASE-01" (Diag.Node i)
+                   "fanin %d at phase %d, expected %d (gate phase %d)" f
+                   (Netlist.phase nl f) (nd.Netlist.phase - 1)
+                   nd.Netlist.phase))
+        (Netlist.imbalances nl i);
       (match nd.Netlist.kind with
       | Netlist.Splitter k when k < 2 || k > 4 ->
           push

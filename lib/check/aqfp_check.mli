@@ -5,9 +5,12 @@
     - [AQFP-PHASE-00] (error) — a node's clock phase is unset
       (levelization never ran); the remaining phase rules are
       skipped when this fires;
-    - [AQFP-PHASE-01] (error) — a gate has a fan-in that does not
-      sit exactly one clock phase above it (the gate-level
-      pipelining invariant);
+    - [AQFP-PHASE-01] (error) — a violation of the path-balance
+      rule {!Netlist.imbalances}: a gate has a fan-in that does not
+      sit exactly one clock phase above it, or an input or constant
+      sits off phase 0. One diagnostic per violation, naming the
+      fan-in and both phases; with sources pinned to 0 this implies
+      every path into a gate has the same length;
     - [AQFP-PHASE-02] (error) — a primary output retires early: its
       driver's phase is not the design's final phase (output
       balancing, so the whole design retires in lock-step);

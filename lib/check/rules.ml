@@ -1,6 +1,8 @@
 (* The rule registry. Keep sorted by id; the CI meta-lint greps every
    rule-id-shaped string out of lib/ and fails when one is missing
-   here, and [self_check] fails on duplicates / unsorted entries. *)
+   here, CI fails on an entry whose id no other lib/ or bin/ source
+   file spells out, and [self_check] fails on duplicates / unsorted
+   entries. *)
 
 type entry = {
   id : string;
@@ -26,10 +28,6 @@ let all =
       "Backward observability proves a gate cannot affect any primary \
        output: every path runs through a constant-valued (blocking) gate. \
        Witness: the path to the nearest blocking gate.";
-    e "AI-PHASE-01" Diag.Error "absint-phase"
-      "Phase-interval analysis found the earliest unbalanced reconvergence: \
-       two fan-in cones of one gate arrive at different clock phases. \
-       Witness: the longest arrival chain from a primary input.";
     e "AI-POLAR-01" Diag.Warning "absint-polar"
       "Inversion-parity tracking found a cancelling inverter pair along one \
        buffer chain — AQFP inversion is free, so the pair is pure area and \
@@ -42,8 +40,10 @@ let all =
     e "AQFP-PHASE-00" Diag.Error "aqfp"
       "A node's clock phase is unset — levelize never ran on this netlist.";
     e "AQFP-PHASE-01" Diag.Error "aqfp"
-      "A gate's fan-in does not sit exactly one clock phase above it \
-       (gate-level-pipelining violation after buffer insertion).";
+      "Path balance is violated after buffer insertion: a gate's fan-in \
+       does not sit exactly one clock phase above it, or a primary input \
+       or constant sits off phase 0. With sources at phase 0, this rule \
+       alone makes every path into a gate equally long.";
     e "AQFP-PHASE-02" Diag.Error "aqfp"
       "A primary output retires before the design's last clock phase \
        (unbalanced output).";

@@ -16,9 +16,9 @@
     nit. *)
 
 type entry = {
-  id : string;  (** stable rule id, e.g. ["AI-PHASE-01"] *)
+  id : string;  (** stable rule id, e.g. ["AQFP-PHASE-01"] *)
   severity : Diag.severity;  (** default severity when it fires *)
-  pass : string;  (** owning pass / subsystem, e.g. ["absint-phase"] *)
+  pass : string;  (** owning pass / subsystem, e.g. ["aqfp"] *)
   doc : string;  (** one-line explanation *)
 }
 

@@ -111,10 +111,10 @@ let stage_rank = function
    database filled before the change misses instead of serving the old
    result. Through the input hashes, the stages downstream recompute
    only if the bumped stage's output bytes really moved. Route 2: the
-   turn-aware search bound. *)
+   turn-aware search bound. Check 2: the report lost a pass. *)
 let stage_version = function
-  | Route -> "2"
-  | Synth | Resyn | Place | Layout | Check -> "1"
+  | Route | Check -> "2"
+  | Synth | Resyn | Place | Layout -> "1"
 
 (* Every config-derived component of a stage's cache key, in key
    order; the key is the stage's input-artifact hashes followed by

@@ -84,7 +84,7 @@ val check_passes :
   Check.pass list
 (** The standard verification pipeline over a finished flow result —
     what [run ~check:true] and [superflow check] execute: [lint],
-    the five [absint-*] dataflow passes, [aqfp], [equiv] (from the
+    the four [absint-*] dataflow passes, [aqfp], [equiv] (from the
     synthesis guards), [place], [route], [drc], [lvs], in that
     order. [lint] and the [absint-*] passes share one {!Facts} table,
     so each dataflow domain is solved at most once. [tier] (default

@@ -151,16 +151,21 @@ let levelize t =
     order;
   !maxp
 
+type imbalance = Source | Fanin of int
+
+let imbalances t i =
+  let nd = node t i in
+  match nd.kind with
+  | Output -> []
+  | Input | Const _ -> if nd.phase = 0 then [] else [ Source ]
+  | _ ->
+      Array.fold_right
+        (fun f acc -> if phase t f = nd.phase - 1 then acc else Fanin f :: acc)
+        nd.fanins []
+
 let is_balanced t =
-  let ok = ref true in
-  iter t (fun nd ->
-      match nd.kind with
-      | Input | Const _ | Output -> ()
-      | _ ->
-          Array.iter
-            (fun f -> if phase t f <> nd.phase - 1 then ok := false)
-            nd.fanins);
-  !ok
+  let rec go i = i >= size t || (imbalances t i = [] && go (i + 1)) in
+  go 0
 
 let count_kind t p =
   fold t (fun acc nd -> if p nd.kind then acc + 1 else acc) 0

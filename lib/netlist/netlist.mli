@@ -94,11 +94,26 @@ val levelize : t -> int
     and constants get phase 0) and return the maximum phase. This is
     the clock-phase count of the design {e before} path balancing. *)
 
+(** {2 Path balance}
+
+    The AQFP gate-level pipelining invariant, the one definition every
+    check reads: every [Input] and [Const] sits at phase 0, and every
+    fan-in of a gate sits at exactly the gate's phase − 1. [Output]
+    nodes are exempt (they are markers, not gates). With sources
+    pinned to 0 the rule implies, by induction, that each node's phase
+    is the length of every path reaching it. *)
+
+type imbalance =
+  | Source  (** an [Input] or [Const] off phase 0 *)
+  | Fanin of int  (** this fan-in is not at the gate's phase − 1 *)
+
+val imbalances : t -> int -> imbalance list
+(** [imbalances nl i] — the rule's violations at node [i], fan-ins
+    in fan-in order; [[]] when [i] obeys it. Reads the [phase] fields
+    as they stand (a prior {!levelize}, or later edits). *)
+
 val is_balanced : t -> bool
-(** True iff every gate with fan-ins has all fan-ins at exactly
-    [phase - 1] (the AQFP gate-level-pipelining invariant). Requires a
-    prior [levelize]. [Output] nodes are exempt (they are markers, not
-    gates). *)
+(** No node has an {!imbalances} violation. *)
 
 val count_kind : t -> (kind -> bool) -> int
 

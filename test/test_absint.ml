@@ -1,9 +1,9 @@
 (* Tests for the sf_absint abstract-interpretation engine: the ternary
    constant domain must agree with concrete simulation on randomized
-   netlists, the phase domain must accept every bundled post-insertion
-   design and reject seeded unbalance, every AI-* diagnostic must
-   carry a witness and resolve in the rule registry, and the whole
-   pass family must render byte-identically at any worker count. *)
+   netlists, each domain must flag its seeded defect, every AI-*
+   diagnostic must carry a witness and resolve in the rule registry,
+   and the whole pass family must render byte-identically at any
+   worker count. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -131,32 +131,6 @@ let test_fold_preserves_benchmarks () =
       checkb (name ^ " fold preserves function") true
         (Sim.equivalent aoi folded))
     [ "adder8"; "decoder"; "c432" ]
-
-(* ---------- phase domain ---------- *)
-
-let test_phase_accepts_bundled () =
-  List.iter
-    (fun name ->
-      let aqfp = Synth_flow.run_quiet (Circuits.benchmark name) in
-      checki (name ^ " balanced post-insertion") 0
-        (List.length (Phase_dom.check aqfp (Phase_dom.solve aqfp))))
-    [ "adder8"; "decoder"; "c432" ]
-
-let test_phase_rejects_unbalance () =
-  (* a -> splitter -> {buf -> g, g}: the two fan-ins of g arrive at
-     phases 2 and 1 — the earliest unbalanced reconvergence *)
-  let nl = Netlist.create () in
-  let a = Netlist.add nl ~name:"a" Netlist.Input [||] in
-  let s = Netlist.add nl (Netlist.Splitter 2) [| a |] in
-  let b = Netlist.add nl Netlist.Buf [| s |] in
-  let g = Netlist.add nl Netlist.And [| b; s |] in
-  ignore (Netlist.add nl ~name:"y" Netlist.Output [| g |]);
-  let diags = Phase_dom.check nl (Phase_dom.solve nl) in
-  checki "AI-PHASE-01 fires exactly once" 1 (count_rule "AI-PHASE-01" diags);
-  let d = List.hd diags in
-  checkb "error severity" true (d.Diag.severity = Diag.Error);
-  checkb "witness non-empty" true (d.Diag.witness <> []);
-  checkb "located at the reconvergence" true (d.Diag.loc = Diag.Node g)
 
 (* ---------- load domain ---------- *)
 
@@ -288,8 +262,7 @@ let test_jobs_byte_identical () =
 (* Every AI-* rule and both liveness lints fire on this netlist: x
    only feeds And(x, 0) (AI-CONST-01, AI-OBS-01), the splitter's
    second buffer dead-ends (AI-LOAD-01, NL-DEAD-01), two inverters
-   cancel (AI-POLAR-01) and arrive four phases after [b]
-   (AI-PHASE-01), and input [c] is unused (NL-INPUT-01). *)
+   cancel (AI-POLAR-01), and input [c] is unused (NL-INPUT-01). *)
 let seeded_defects () =
   let nl = Netlist.create () in
   let a = Netlist.add nl ~name:"a" Netlist.Input [||] in
@@ -325,8 +298,6 @@ let solo_report nl =
        [
          Check.pass "lint" (fun () -> Lint.check ~tier:Check.Fast nl);
          Check.pass "absint-const" (fun () -> Const_dom.check nl (consts ()));
-         Check.pass "absint-phase" (fun () ->
-             Phase_dom.check nl (Phase_dom.solve nl));
          Check.pass "absint-obs" (fun () ->
              Obs_dom.check nl ~consts:(consts ()) (obs ()));
          Check.pass "absint-load" (fun () ->
@@ -341,8 +312,8 @@ let test_shared_table_matches_solo () =
   let rep = shared_report defects in
   List.iter
     (fun rule -> checkb (rule ^ " seeded") true (contains rep rule))
-    [ "AI-CONST-01"; "AI-PHASE-01"; "AI-OBS-01"; "AI-LOAD-01"; "AI-POLAR-01";
-      "NL-DEAD-01"; "NL-INPUT-01" ];
+    [ "AI-CONST-01"; "AI-OBS-01"; "AI-LOAD-01"; "AI-POLAR-01"; "NL-DEAD-01";
+      "NL-INPUT-01" ];
   checks "seeded defects" (solo_report defects) rep;
   List.iter
     (fun name ->
@@ -375,15 +346,15 @@ let test_absint_cache_transparent () =
         shared_report ~cache nl
       in
       let cold = run () in
-      checki (name ^ ": cold run misses every domain") 5 (List.length !misses);
+      checki (name ^ ": cold run misses every domain") 4 (List.length !misses);
       checki (name ^ ": cold run hits nothing") 0 !hits;
       checks (name ^ ": warm report byte-identical") cold (run ());
-      checki (name ^ ": warm run hits every domain") 5 !hits;
+      checki (name ^ ": warm run hits every domain") 4 !hits;
       let obs_key = "absint1:obs:" ^ Netlist.struct_hash nl in
       Hashtbl.remove store obs_key;
       checks (name ^ ": partial hit byte-identical") cold (run ());
       checkb (name ^ ": only the evicted domain missed") true
-        (!misses = [ obs_key ] && !hits = 4))
+        (!misses = [ obs_key ] && !hits = 3))
     [
       ("adder8", Synth_flow.run_quiet (Circuits.benchmark "adder8"));
       ("c499", Synth_flow.run_quiet (Circuits.benchmark "c499"));
@@ -394,14 +365,15 @@ let test_absint_cache_transparent () =
 
 let test_registry_health () =
   checkb "self_check clean" true (Rules.self_check () = []);
-  (* every emitted AI-* rule resolves, and explain formats it *)
+  (* every emitted AI-* rule, and a few others, resolve, and explain
+     formats them *)
   List.iter
     (fun id ->
       checkb (id ^ " registered") true (Rules.find id <> None);
       match Rules.explain id with
       | Ok s -> checkb (id ^ " explained") true (contains s id)
       | Error e -> Alcotest.fail e)
-    [ "AI-CONST-01"; "AI-PHASE-01"; "AI-OBS-01"; "AI-LOAD-01"; "AI-POLAR-01";
+    [ "AI-CONST-01"; "AI-OBS-01"; "AI-LOAD-01"; "AI-POLAR-01"; "AQFP-PHASE-01";
       "NL-DEAD-01"; "NL-CONST-01"; "EQ-DIFF-01"; "DB-VERSION-01" ];
   checkb "unknown id rejected" true
     (match Rules.explain "ZZ-NOPE-99" with Error _ -> true | Ok _ -> false);
@@ -421,13 +393,6 @@ let () =
           Alcotest.test_case "check + fold" `Quick test_const_check_and_fold;
           Alcotest.test_case "fold preserves benchmarks" `Quick
             test_fold_preserves_benchmarks;
-        ] );
-      ( "phase",
-        [
-          Alcotest.test_case "accepts bundled designs" `Quick
-            test_phase_accepts_bundled;
-          Alcotest.test_case "rejects seeded unbalance" `Quick
-            test_phase_rejects_unbalance;
         ] );
       ( "load", [ Alcotest.test_case "wasted sink" `Quick test_load_wasted_sink ] );
       ( "polar",

@@ -150,6 +150,66 @@ let test_aqfp_output_balancing () =
     (count_rule "AQFP-PHASE-02" diags);
   checki "nothing else fires" 1 (List.length diags)
 
+(* ---------- path balance (AQFP-PHASE-01) ---------- *)
+
+let test_phase_accepts_bundled () =
+  List.iter
+    (fun name ->
+      let aqfp = Synth_flow.run_quiet (Circuits.benchmark name) in
+      checki (name ^ " balanced post-insertion") 0
+        (count_rule "AQFP-PHASE-01" (Aqfp_check.check aqfp)))
+    [ "adder8"; "decoder"; "c432" ]
+
+let test_phase_rejects_unbalance () =
+  (* a -> splitter -> {buf -> g, g}: g's fan-ins sit at phases 2 and
+     1, so the splitter is one hop short *)
+  let nl = Netlist.create () in
+  let a = Netlist.add nl ~name:"a" Netlist.Input [||] in
+  let s = Netlist.add nl (Netlist.Splitter 2) [| a |] in
+  let b = Netlist.add nl Netlist.Buf [| s |] in
+  let g = Netlist.add nl Netlist.And [| b; s |] in
+  ignore (Netlist.add nl ~name:"y" Netlist.Output [| g |]);
+  ignore (Netlist.levelize nl);
+  match Aqfp_check.check nl with
+  | [ d ] ->
+      checks "rule" "AQFP-PHASE-01" d.Diag.rule;
+      checkb "located at the gate" true (d.Diag.loc = Diag.Node g);
+      checks "names the fan-in and both phases"
+        (Printf.sprintf "fanin %d at phase 1, expected 2 (gate phase 3)" s)
+        d.Diag.message
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+(* A source off phase 0 is caught even when every fan-in edge is one
+   phase deep: a whole chain shifted down by one, and a constant tied
+   in at its consumer's phase - 1 without re-levelizing. *)
+let test_phase_sources_at_zero () =
+  let only_source nl src =
+    match Aqfp_check.check nl with
+    | [ d ] ->
+        checks "rule" "AQFP-PHASE-01" d.Diag.rule;
+        checkb "located at the source" true (d.Diag.loc = Diag.Node src);
+        checks "message" "source at phase 1, expected 0" d.Diag.message
+    | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+  in
+  let nl, _ = balanced_chain () in
+  let a = List.hd (Netlist.inputs nl) in
+  Netlist.iter nl (fun nd ->
+      Netlist.set_phase nl nd.Netlist.id (nd.Netlist.phase + 1));
+  only_source nl a;
+  let nl = Netlist.create () in
+  let a = Netlist.add nl ~name:"a" Netlist.Input [||] in
+  let b = Netlist.add nl ~name:"b" Netlist.Input [||] in
+  let ba = Netlist.add nl Netlist.Buf [| a |] in
+  let bb = Netlist.add nl Netlist.Buf [| b |] in
+  let g = Netlist.add nl Netlist.And [| ba; bb |] in
+  ignore (Netlist.add nl ~name:"y" Netlist.Output [| g |]);
+  ignore (Netlist.levelize nl);
+  checki "clean before the tie" 0 (List.length (Aqfp_check.check nl));
+  let c = Netlist.add nl (Netlist.Const true) [||] in
+  Netlist.set_phase nl c 1;
+  Netlist.set_fanins nl g [| c; bb |];
+  only_source nl c
+
 (* ---------- equivalence guards ---------- *)
 
 let two_gate_pair kind_a kind_b =
@@ -623,6 +683,15 @@ let () =
             test_aqfp_fanout_violation;
           Alcotest.test_case "output balancing (AQFP-PHASE-02)" `Quick
             test_aqfp_output_balancing;
+        ] );
+      ( "phase",
+        [
+          Alcotest.test_case "accepts bundled designs" `Quick
+            test_phase_accepts_bundled;
+          Alcotest.test_case "rejects seeded unbalance" `Quick
+            test_phase_rejects_unbalance;
+          Alcotest.test_case "sources at phase 0 (AQFP-PHASE-01)" `Quick
+            test_phase_sources_at_zero;
         ] );
       ( "equivalence",
         [

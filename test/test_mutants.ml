@@ -2,9 +2,11 @@
    apc32. Six structural mutant classes are planted, each checked with
    the phases the mutation leaves and again after re-levelizing,
    through the netlist passes of the check stage: lint at the Full
-   tier, the five absint passes and aqfp. The pinned table says which
-   rules catch which class, so a change that merges or drops a rule
-   shows here as the mutants that stop being caught. *)
+   tier, the four absint passes and aqfp. The pinned table says which
+   rules catch which class and which rule is the only one to catch a
+   mutant, so a change that merges or drops a rule shows here as the
+   mutants that stop being caught, and a rule can go only where its
+   sole count is zero. *)
 
 let designs = [ "adder8"; "c432"; "apc32" ]
 
@@ -154,16 +156,24 @@ let classes =
     };
   ]
 
+(* per rule, a count in a table, rendered sorted by rule as
+   [rule<sep>count] items *)
+let bump tbl r =
+  Hashtbl.replace tbl r (1 + Option.value ~default:0 (Hashtbl.find_opt tbl r))
+
+let render ~sep ~between tbl =
+  Hashtbl.fold (fun r n acc -> (r, n) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (r, n) -> Printf.sprintf "%s%s%d" r sep n)
+  |> String.concat between
+
 (* One row of the table: the mutant count, then per rule the number
    of mutants on which it reported something the pristine netlist
-   does not, then the mutants no rule caught and those on which
-   AI-PHASE-01 fired but neither AQFP-PHASE rule did. *)
+   does not, then the mutants no rule caught and, per rule, those it
+   alone caught. *)
 let campaign cls ~relevel =
-  let fired = Hashtbl.create 16 in
-  let bump r =
-    Hashtbl.replace fired r (1 + Option.value ~default:0 (Hashtbl.find_opt fired r))
-  in
-  let mutants = ref 0 and uncaught = ref 0 and phase_only = ref 0 in
+  let fired = Hashtbl.create 16 and sole = Hashtbl.create 16 in
+  let mutants = ref 0 and uncaught = ref 0 in
   List.iter
     (fun name ->
       let base = Synth_flow.run_quiet (Circuits.benchmark name) in
@@ -178,53 +188,47 @@ let campaign cls ~relevel =
             |> List.sort_uniq String.compare
           in
           incr mutants;
-          List.iter bump rules;
-          if rules = [] then incr uncaught;
-          if
-            List.mem "AI-PHASE-01" rules
-            && not (List.mem "AQFP-PHASE-01" rules || List.mem "AQFP-PHASE-02" rules)
-          then incr phase_only)
+          List.iter (bump fired) rules;
+          match rules with
+          | [] -> incr uncaught
+          | [ r ] -> bump sole r
+          | _ -> ())
         (spread per_design (cls.sites base)))
     designs;
-  let rules =
-    Hashtbl.fold (fun r n acc -> (r, n) :: acc) fired []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Printf.sprintf "%s%s %d: %s | uncaught=%d ai-phase-only=%d" cls.name
+  Printf.sprintf "%s%s %d: %s | uncaught=%d sole=%s" cls.name
     (if relevel then " +relevel" else "")
     !mutants
-    (String.concat " " (List.map (fun (r, n) -> Printf.sprintf "%s=%d" r n) rules))
-    !uncaught !phase_only
+    (render ~sep:"=" ~between:" " fired)
+    !uncaught
+    (if Hashtbl.length sole = 0 then "-" else render ~sep:":" ~between:"," sole)
 
-(* Every mutant is caught. AI-PHASE-01 and the AQFP-PHASE rules agree
-   except on a constant tied in at its consumer's phase - 1 and not
-   re-levelized: Aqfp_check does not require sources at phase 0, so
-   only AI-PHASE-01 sees those (ai-phase-only); re-levelizing moves
-   the constant to phase 0, where AQFP-PHASE-01 catches all 18 and
-   AI-PHASE-01 still only the 11 whose gate sits deeper than phase 1. *)
+(* Every mutant is caught. AQFP-PHASE-01 alone catches every dropped
+   buffer and every swap left un-levelized; re-levelized, 13 swaps
+   also move an output off the last phase, so AQFP-PHASE-02 shares
+   those. NL-FANOUT-01 alone catches a splitter whose new arity stays
+   in 2..4. A tied constant off phase 0 is an AQFP-PHASE-01 source
+   violation, levelized or not. *)
 let expected =
   [
-    "drop-buffer 18: AI-PHASE-01=18 AQFP-PHASE-01=18 | uncaught=0 ai-phase-only=0";
-    "drop-buffer +relevel 18: AI-PHASE-01=18 AQFP-PHASE-01=18 | uncaught=0 ai-phase-only=0";
-    "swap-fanins 18: AI-PHASE-01=18 AQFP-PHASE-01=18 | uncaught=0 ai-phase-only=0";
-    "swap-fanins +relevel 18: AI-PHASE-01=18 AQFP-PHASE-01=18 AQFP-PHASE-02=13 \
-     | uncaught=0 ai-phase-only=0";
+    "drop-buffer 18: AQFP-PHASE-01=18 | uncaught=0 sole=AQFP-PHASE-01:18";
+    "drop-buffer +relevel 18: AQFP-PHASE-01=18 | uncaught=0 sole=AQFP-PHASE-01:18";
+    "swap-fanins 18: AQFP-PHASE-01=18 | uncaught=0 sole=AQFP-PHASE-01:18";
+    "swap-fanins +relevel 18: AQFP-PHASE-01=18 AQFP-PHASE-02=13 | uncaught=0 \
+     sole=AQFP-PHASE-01:5";
     "second-consumer 18: AI-LOAD-01=16 AQFP-FANOUT-01=18 NL-DEAD-01=16 NL-FANOUT-01=2 \
-     | uncaught=0 ai-phase-only=0";
+     | uncaught=0 sole=-";
     "second-consumer +relevel 18: AI-LOAD-01=16 AQFP-FANOUT-01=18 NL-DEAD-01=16 \
-     NL-FANOUT-01=2 | uncaught=0 ai-phase-only=0";
-    "splitter-arity 18: AQFP-SPLIT-01=4 NL-FANOUT-01=18 | uncaught=0 ai-phase-only=0";
+     NL-FANOUT-01=2 | uncaught=0 sole=-";
+    "splitter-arity 18: AQFP-SPLIT-01=4 NL-FANOUT-01=18 | uncaught=0 sole=NL-FANOUT-01:14";
     "splitter-arity +relevel 18: AQFP-SPLIT-01=4 NL-FANOUT-01=18 | uncaught=0 \
-     ai-phase-only=0";
-    "inverter-pair 18: AI-PHASE-01=18 AI-POLAR-01=18 AQFP-PHASE-01=18 NL-DUP-01=2 \
-     | uncaught=0 ai-phase-only=0";
-    "inverter-pair +relevel 18: AI-PHASE-01=18 AI-POLAR-01=18 AQFP-PHASE-01=18 \
-     AQFP-PHASE-02=13 NL-DUP-01=2 | uncaught=0 ai-phase-only=0";
-    "tie-constant 18: AI-CONST-01=3 AI-LOAD-01=11 AI-OBS-01=3 AI-PHASE-01=11 \
-     NL-CONST-01=2 NL-DEAD-01=11 NL-FANOUT-01=7 | uncaught=0 ai-phase-only=11";
-    "tie-constant +relevel 18: AI-CONST-01=3 AI-LOAD-01=11 AI-OBS-01=3 \
-     AI-PHASE-01=11 AQFP-PHASE-01=18 NL-CONST-01=2 NL-DEAD-01=11 NL-FANOUT-01=7 \
-     | uncaught=0 ai-phase-only=0";
+     sole=NL-FANOUT-01:14";
+    "inverter-pair 18: AI-POLAR-01=18 AQFP-PHASE-01=18 NL-DUP-01=2 | uncaught=0 sole=-";
+    "inverter-pair +relevel 18: AI-POLAR-01=18 AQFP-PHASE-01=18 AQFP-PHASE-02=13 \
+     NL-DUP-01=2 | uncaught=0 sole=-";
+    "tie-constant 18: AI-CONST-01=3 AI-LOAD-01=11 AI-OBS-01=3 AQFP-PHASE-01=18 \
+     NL-CONST-01=2 NL-DEAD-01=11 NL-FANOUT-01=7 | uncaught=0 sole=-";
+    "tie-constant +relevel 18: AI-CONST-01=3 AI-LOAD-01=11 AI-OBS-01=3 AQFP-PHASE-01=18 \
+     NL-CONST-01=2 NL-DEAD-01=11 NL-FANOUT-01=7 | uncaught=0 sole=-";
   ]
 
 let test_table () =

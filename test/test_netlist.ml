@@ -87,6 +87,35 @@ let test_is_balanced_detects () =
   ignore (Netlist.levelize nl2);
   checkb "unbalanced detected" false (Netlist.is_balanced nl2)
 
+(* The rule pins sources to phase 0: an input at phase 1 under a chain
+   shifted down with it, and a constant tied in at its consumer's
+   phase - 1, leave every fan-in edge one phase deep and are still
+   unbalanced. *)
+let test_is_balanced_sources () =
+  let nl = sample_netlist () in
+  ignore (Netlist.levelize nl);
+  Netlist.iter nl (fun nd ->
+      Netlist.set_phase nl nd.Netlist.id (nd.Netlist.phase + 1));
+  checkb "shifted input unbalanced" false (Netlist.is_balanced nl);
+  let a = List.hd (Netlist.inputs nl) in
+  checkb "the input is the violation" true
+    (Netlist.imbalances nl a = [ Netlist.Source ]);
+  let nl = Netlist.create () in
+  let a = Netlist.add nl Netlist.Input [||] in
+  let b = Netlist.add nl Netlist.Buf [| a |] in
+  let g = Netlist.add nl Netlist.Buf [| b |] in
+  ignore (Netlist.add nl Netlist.Output [| g |]);
+  ignore (Netlist.levelize nl);
+  checkb "chain balanced" true (Netlist.is_balanced nl);
+  let c = Netlist.add nl (Netlist.Const false) [||] in
+  Netlist.set_phase nl c 1;
+  Netlist.set_fanins nl g [| c |];
+  checkb "tied constant unbalanced" false (Netlist.is_balanced nl);
+  checkb "only the constant" true
+    (List.for_all
+       (fun i -> (Netlist.imbalances nl i = []) = (i <> c))
+       (List.init (Netlist.size nl) Fun.id))
+
 let test_validate_ok () =
   checkb "no diagnostics" true (Netlist.validate_diags (sample_netlist ()) = [])
 
@@ -611,6 +640,8 @@ let () =
           Alcotest.test_case "topo order" `Quick test_topo_order;
           Alcotest.test_case "levelize" `Quick test_levelize;
           Alcotest.test_case "is_balanced" `Quick test_is_balanced_detects;
+          Alcotest.test_case "is_balanced pins sources" `Quick
+            test_is_balanced_sources;
           Alcotest.test_case "validate" `Quick test_validate_ok;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "set_kind io protected" `Quick test_set_kind_io_protected;
