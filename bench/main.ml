@@ -76,6 +76,8 @@ let tables () =
      drc <circuit> <deck> tiles=.. violations=..
      resyn <circuit> jj_before=.. jj_after=.. depth_before=.. depth_after=..
        windows=.. proved=.. refused=..
+     cec <circuit> outputs=.. sweep_sat=.. sweep_unsat=.. sweep_unknown=..
+       merged_strash=.. merged_proof=.. final_solves=..
 
    and the set of printed lines must equal the non-comment lines of
    bench/qor_baselines.txt exactly: every baseline line measured, every
@@ -84,9 +86,10 @@ let tables () =
    and are never compared. Independently of the baseline, a case fails
    on an invalid routing; a warm DRC run that recomputes a tile or
    reports differently from the cold one; a warm resyn rerun that
-   re-proves a window or builds a different netlist; and a resyn
-   result that is worse than its input in JJs or depth, or not proven
-   equivalent to it. Any failure exits 1. *)
+   re-proves a window or builds a different netlist; a resyn result
+   that is worse than its input in JJs or depth, or not proven
+   equivalent to it; and an aoi->maj proof with an output not proven
+   equal. Any failure exits 1. *)
 
 let baseline_path = "bench/qor_baselines.txt"
 
@@ -208,6 +211,21 @@ let resyn_case name =
     id r.Resyn.jj_before r.Resyn.jj_after r.Resyn.depth_before r.Resyn.depth_after
     cec.Resyn.windows cec.Resyn.proved cec.Resyn.failed
 
+(* the SAT proof of the aoi->maj synthesis guard, cold: what the
+   fraig sweep asked and merged *)
+let cec_case name =
+  let id = "cec " ^ name in
+  let aoi = Opt.optimize (Circuits.benchmark name) in
+  let a, b = Equiv.sat_pair aoi (Aoi_to_maj.convert aoi) in
+  let verdicts, s = timed id (fun () -> Cec.check_outputs_stats a b) in
+  if Array.exists (fun v -> v <> Cec.Equal) verdicts then
+    fail "%s: aoi->maj not proven equal" id;
+  case
+    "%s outputs=%d sweep_sat=%d sweep_unsat=%d sweep_unknown=%d merged_strash=%d \
+     merged_proof=%d final_solves=%d"
+    id (Array.length verdicts) s.Cec.sweep_sat s.Cec.sweep_unsat s.Cec.sweep_unknown
+    s.Cec.merged_strash s.Cec.merged_proof s.Cec.final_solves
+
 let load_baseline () =
   In_channel.with_open_text baseline_path In_channel.input_all
   |> String.split_on_char '\n'
@@ -252,7 +270,8 @@ let check () =
   let synth = List.map synth_case Circuits.benchmark_names in
   let routed = List.concat_map route_cases [ "adder8"; "apc32" ] in
   let resyn = List.map resyn_case Circuits.benchmark_names in
-  let measured = synth @ routed @ resyn in
+  let cec = List.map cec_case Circuits.benchmark_names in
+  let measured = synth @ routed @ resyn @ cec in
   let problems = compare_baseline (load_baseline ()) measured in
   if !failures + problems > 0 then begin
     Printf.eprintf "qor: %d failed check(s), %d line(s) differ from %s\n"

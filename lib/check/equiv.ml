@@ -45,6 +45,17 @@ let cone nl oid =
            (Netlist.kind_name k)));
   restrict nl [ oid ]
 
+(* The netlist a proof sees: constant-folded with the absint ternary
+   facts, which preserves every output's function. *)
+let folded nl = fst (Const_dom.fold nl)
+
+(* The sub-netlist feeding output markers [oids], folded: one side of
+   the joint SAT proof. *)
+let joint_side nl oids = folded (restrict nl oids)
+
+let sat_pair before after =
+  (joint_side before (Netlist.outputs before), joint_side after (Netlist.outputs after))
+
 type engine = [ `Auto | `Bdd | `Sat ]
 
 let engine_name = function `Auto -> "auto" | `Bdd -> "bdd" | `Sat -> "sat"
@@ -141,7 +152,6 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
        and it shrinks both the proof and the cache key's sensitivity
        to dead constant cones. A cone is only extracted when a BDD
        lane, a cache key or a non-equal SAT verdict needs it. *)
-    let folded c = fst (Const_dom.fold c) in
     let cones =
       Array.init n (fun i ->
           lazy (folded (cone before outs_b.(i)), folded (cone after outs_a.(i))))
@@ -188,7 +198,7 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
            that feed those outputs, instead of one per cone. [`Auto]
            hands only the outputs whose budget ran out to the BDD. *)
         if open_ <> [] then begin
-          let sub nl outs = folded (restrict nl (List.map (fun i -> outs.(i)) open_)) in
+          let sub nl outs = joint_side nl (List.map (fun i -> outs.(i)) open_) in
           let joint =
             Cec.check_outputs ~conflict_budget (sub before outs_b) (sub after outs_a)
           in

@@ -75,6 +75,11 @@ val cone : Netlist.t -> int -> Netlist.t
     transitive fan-in of [oid] and the marker itself. Raises
     [Invalid_argument] if [oid] is not an [Output] node. *)
 
+val sat_pair : Netlist.t -> Netlist.t -> Netlist.t * Netlist.t
+(** [sat_pair before after] — the two netlists {!check_pair}'s joint
+    SAT proof takes when no output is cached: each side's sub-netlist
+    feeding all of its outputs, constant-folded. *)
+
 val check_pair :
   ?engine:engine ->
   ?max_nodes:int ->

@@ -161,7 +161,10 @@ let pass_rewrite guard diags nl =
   let const_leaf = const_facts nl in
   let cuts = Cuts.enumerate nl in
   let fanout = Netlist.fanout_counts nl in
-  let best_impl tt3 care =
+  (* the best implementation depends only on the cared-for rows and
+     their values, and many cuts share them: each pair is matched once *)
+  let matched = Hashtbl.create 64 in
+  let match_impl base care =
     let best = ref None in
     let consider impl =
       let c = (Cost.impl_jj impl, impl.Maj_db.depth) in
@@ -169,7 +172,6 @@ let pass_rewrite guard diags nl =
       | Some (bc, _) when bc <= c -> ()
       | _ -> best := Some (c, impl)
     in
-    let base = tt3 land care in
     for t' = 0 to 255 do
       if t' land care = base then begin
         consider (Maj_db.lookup t');
@@ -178,6 +180,16 @@ let pass_rewrite guard diags nl =
       end
     done;
     match !best with Some (_, i) -> i | None -> assert false
+  in
+  let best_impl tt3 care =
+    let base = tt3 land care in
+    let key = (base lsl 8) lor care in
+    match Hashtbl.find_opt matched key with
+    | Some impl -> impl
+    | None ->
+        let impl = match_impl base care in
+        Hashtbl.add matched key impl;
+        impl
   in
   (* care set of a cut: assignments consistent with padding unused
      variables to 0 and with the Const_dom facts on known leaves *)

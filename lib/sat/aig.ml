@@ -94,23 +94,23 @@ let sim t words =
   done;
   vals
 
-let to_solver t solver =
-  let n = n_nodes t in
-  let vars = Array.init n (fun _ -> Solver.new_var solver) in
-  let slit l =
-    let v = vars.(l lsr 1) in
-    Solver.lit_of_var v lor (l land 1)
-  in
-  (* node 0 is constant false *)
-  Solver.add_clause solver [ Solver.neg_lit (Solver.lit_of_var vars.(0)) ];
-  for k = 0 to Vec.length t.fanin0 - 1 do
-    let nlit = Solver.lit_of_var vars.(t.first_and + k) in
-    let a = slit (Vec.get t.fanin0 k) in
-    let b = slit (Vec.get t.fanin1 k) in
-    Solver.add_clause solver [ Solver.neg_lit nlit; a ];
-    Solver.add_clause solver [ Solver.neg_lit nlit; b ];
-    Solver.add_clause solver [ nlit; Solver.neg_lit a; Solver.neg_lit b ]
-  done;
-  vars
+let fanins t id =
+  let k = id - t.first_and in
+  if k < 0 || k >= Vec.length t.fanin0 then invalid_arg "Aig.fanins";
+  (Vec.get t.fanin0 k, Vec.get t.fanin1 k)
 
-let solver_lit vars l = Solver.lit_of_var vars.(l lsr 1) lor (l land 1)
+(* Solver variable [v] is node [v], so an AIG literal is its own solver
+   literal; nodes below [Solver.n_vars] are already encoded. *)
+let encode t solver =
+  for id = Solver.n_vars solver to n_nodes t - 1 do
+    let v = Solver.new_var solver in
+    assert (v = id);
+    let n = Solver.lit_of_var v in
+    if id = 0 then Solver.add_clause solver [ neg n ]
+    else if id >= t.first_and then begin
+      let a, b = fanins t id in
+      Solver.add_clause solver [ neg n; a ];
+      Solver.add_clause solver [ neg n; b ];
+      Solver.add_clause solver [ n; neg a; neg b ]
+    end
+  done

@@ -6,8 +6,10 @@
     [1..n_inputs] are the primary inputs. {!mk_and} normalizes operand
     order, propagates constants and hashes structurally, so two
     functionally-identical subgraphs built gate-by-gate collapse to
-    the same literal — the basis of both the CEC sweeper and the
-    [NL-DUP-01]/[NL-CONST-01] lint rules. *)
+    the same literal. This is the basis of the CEC sweeper, which
+    rebuilds its miter into a fresh AIG so that every proven
+    equivalence re-hashes the fan-out onto shared structure, and of
+    the [NL-DUP-01]/[NL-CONST-01] lint rules. *)
 
 type t
 
@@ -48,12 +50,13 @@ val sim : t -> int64 array -> int64 array
 
 val lit_word : int64 array -> int -> int64
 
-val to_solver : t -> Solver.t -> int array
-(** Tseitin-encode every node into the solver (3 clauses per AND, a
-    unit clause pinning the constant node). Returns the solver
-    variable of each AIG node; use {!solver_lit} to translate
-    literals. *)
+val fanins : t -> int -> int * int
+(** [fanins t id] — the two operand literals of AND node [id]
+    ([Invalid_argument] for the constant, an input or no node). *)
 
-val solver_lit : int array -> int -> int
-(** [solver_lit vars l] — the solver literal for AIG literal [l]
-    given the variable map returned by {!to_solver}. *)
+val encode : t -> Solver.t -> unit
+(** Tseitin-encode every node the solver does not hold yet: node [v]
+    becomes solver variable [v] (a unit clause pins the constant node,
+    3 clauses define each AND), so an AIG literal is its own solver
+    literal. The solver must hold no other variables. Calling it after
+    each {!mk_and} encodes a growing AIG node by node, each node once. *)

@@ -1,4 +1,27 @@
+(* Fraig-style combinational equivalence checking (Mishchenko,
+   Chatterjee, Brayton, Eén, ICCAD 2006). Both netlists share one
+   strashed AIG with an XOR miter per output pair; 8 rounds of
+   simulation settle the outputs they can and give every node a
+   signature. For the rest, the miter is rebuilt node by node into a
+   fresh AIG whose nodes are Tseitin-encoded, as they are created,
+   into one incremental solver. A node whose rebuilt literal differs
+   from its signature bucket's representative is proven against it
+   with two solves decided only over the two nodes' cones; once both
+   answer [Unsat], the node maps to the representative, and its
+   fan-out re-hashes onto shared structure without a query of its own.
+   An output whose rebuilt XOR is constant false is proven; each other
+   open output gets one solve decided over its cone. *)
+
 type verdict = Equal | Diff of bool array | Unknown of int
+
+type stats = {
+  sweep_sat : int;
+  sweep_unsat : int;
+  sweep_unknown : int;
+  merged_strash : int;
+  merged_proof : int;
+  final_solves : int;
+}
 
 let default_budget = 200_000
 let sim_rounds = 8
@@ -12,7 +35,7 @@ let lowest_set_bit w =
   let rec go i = if Int64.logand (Int64.shift_right_logical w i) 1L = 1L then i else go (i + 1) in
   go 0
 
-let check_outputs ?(conflict_budget = default_budget) a b =
+let check_outputs_stats ?(conflict_budget = default_budget) a b =
   let n_in = List.length (Netlist.inputs a) in
   if List.length (Netlist.inputs b) <> n_in then
     invalid_arg "Cec.check_outputs: input count mismatch";
@@ -36,6 +59,8 @@ let check_outputs ?(conflict_budget = default_budget) a b =
         else None)
       xors
   in
+  let sat = ref 0 and unsat = ref 0 and unknown = ref 0 in
+  let by_strash = ref 0 and by_proof = ref 0 and finals = ref 0 in
   let is_open o = Option.is_none verdicts.(o) in
   let open_outputs () = List.filter is_open (List.init (Array.length xors) Fun.id) in
   if open_outputs () <> [] then begin
@@ -63,14 +88,52 @@ let check_outputs ?(conflict_budget = default_budget) a b =
     match open_outputs () with
     | [] -> ()
     | pending ->
+      (* The fraig [f]: [map.(v)] is the literal of [f] equal to miter
+         node [v]. Inputs and the constant keep their ids, and solver
+         variable [i] is node [i] of [f] ({!Aig.encode}), so an [f]
+         literal is also a solver literal. [fwd.(n)] is the literal an
+         [f] node was proven equal to (-1: none), so that a later
+         node hashing onto it maps straight to the representative. *)
       let solver = Solver.create () in
-      let vars = Aig.to_solver aig solver in
-      let slit l = Aig.solver_lit vars l in
+      let f = Aig.create ~n_inputs:n_in in
+      Aig.encode f solver;
+      let map = Array.init n_nodes (fun v -> if v <= n_in then 2 * v else Aig.false_lit) in
+      let fwd = Array.make n_nodes (-1) in
+      let map_lit l = map.(l lsr 1) lxor (l land 1) in
+      let build v =
+        if v > n_in then begin
+          let a, b = Aig.fanins aig v in
+          let l = Aig.mk_and f (map_lit a) (map_lit b) in
+          Aig.encode f solver;
+          let r = fwd.(l lsr 1) in
+          map.(v) <- (if r < 0 then l else r lxor (l land 1))
+        end
+      in
+      (* the nodes of [f] feeding [lits], as solver variables *)
+      let mark = Array.make n_nodes 0 and stamp = ref 0 in
+      let cone lits =
+        incr stamp;
+        let acc = ref [] in
+        let rec visit n =
+          if mark.(n) <> !stamp then begin
+            mark.(n) <- !stamp;
+            acc := n :: !acc;
+            if n > n_in then begin
+              let a, b = Aig.fanins f n in
+              visit (a lsr 1);
+              visit (b lsr 1)
+            end
+          end
+        in
+        List.iter (fun l -> visit (l lsr 1)) lits;
+        !acc
+      in
       (* SAT sweeping: bucket nodes by canonical (phase-normalized)
-         signature, prove each candidate against its bucket
-         representative in node-id order, merge proven pairs with
-         equality clauses. The sweep may spend at most half the
-         conflict budget; each output's solve gets what it left. *)
+         signature and prove each candidate against its bucket
+         representative in node-id order. The sweep may spend at most
+         half the conflict budget; each output's solve gets what it
+         left. Once the sweep budget is spent, the rest of the miter
+         is still rebuilt, merging by hashing alone. *)
       let budget_left = ref conflict_budget in
       let sweep_left = ref (conflict_budget / 2) in
       let buckets = Hashtbl.create 64 in
@@ -78,18 +141,19 @@ let check_outputs ?(conflict_budget = default_budget) a b =
         let ph = Int64.logand sigs.(v).(0) 1L = 1L in
         ((if ph then Array.map Int64.lognot sigs.(v) else sigs.(v)), ph)
       in
-      let run_query assumptions =
+      let run_query scope assumptions =
         let before = Solver.conflicts solver in
         let cap = min !sweep_left 2000 in
-        let r = Solver.solve ~assumptions ~conflict_budget:cap solver in
+        let r = Solver.solve ~assumptions ~scope ~conflict_budget:cap solver in
         let used = Solver.conflicts solver - before in
         sweep_left := !sweep_left - used;
         budget_left := !budget_left - used;
+        incr (match r with Solver.Sat -> sat | Solver.Unsat -> unsat | Solver.Unknown -> unknown);
         r
       in
       (* Counterexample reuse: the model of every sweep query that
          answers [Sat] becomes bit [k] of a pattern word per input (k =
-         the k-th such model), and the AIG is re-simulated on it. A
+         the k-th such model), and the miter is re-simulated on it. A
          later pair that some stored pattern already separates is not
          asked: the solver would answer [Sat], so the pair is handled
          as such an answer is (neither merged nor made a
@@ -110,7 +174,7 @@ let check_outputs ?(conflict_budget = default_budget) a b =
       let store_model () =
         let bit = Int64.shift_left 1L !cur_bits in
         for i = 0 to n_in - 1 do
-          if Solver.model_value solver (slit (Aig.input_lit aig i)) then
+          if Solver.model_value solver (Aig.input_lit f i) then
             cur.(i) <- Int64.logor cur.(i) bit
         done;
         incr cur_bits;
@@ -122,49 +186,69 @@ let check_outputs ?(conflict_budget = default_budget) a b =
         end
         else cur_vals := vals
       in
-      let v = ref 0 in
-      while !v < n_nodes && !sweep_left > 0 do
-        let key, ph = canon !v in
-        (match Hashtbl.find_opt buckets key with
-        | None -> Hashtbl.add buckets key (!v, ph)
-        | Some (r, phr) ->
-          let lv = (2 * !v) lor (if ph then 1 else 0) in
-          let lr = (2 * r) lor (if phr then 1 else 0) in
-          if not (separated lv lr) then begin
-            let q1 = run_query [ slit lv; Solver.neg_lit (slit lr) ] in
-            if q1 = Solver.Sat then store_model ()
-            else if q1 = Solver.Unsat && !sweep_left > 0 then begin
-              let q2 = run_query [ Solver.neg_lit (slit lv); slit lr ] in
-              if q2 = Solver.Sat then store_model ()
-              else if q2 = Solver.Unsat then begin
-                (* proven: merge so later queries see the equivalence *)
-                Solver.add_clause solver
-                  [ Solver.neg_lit (slit lv); slit lr ];
-                Solver.add_clause solver
-                  [ slit lv; Solver.neg_lit (slit lr) ]
+      for v = 0 to n_nodes - 1 do
+        build v;
+        if !sweep_left > 0 then begin
+          let key, ph = canon v in
+          match Hashtbl.find_opt buckets key with
+          | None -> Hashtbl.add buckets key (v, ph)
+          | Some (r, phr) ->
+            let lv = (2 * v) lor Bool.to_int ph in
+            let lr = (2 * r) lor Bool.to_int phr in
+            let fv = map_lit lv and fr = map_lit lr in
+            if fv = fr then incr by_strash
+            else if not (separated lv lr) then begin
+              let scope = cone [ fv; fr ] in
+              let q1 = run_query scope [ fv; Aig.neg fr ] in
+              if q1 = Solver.Sat then store_model ()
+              else if q1 = Solver.Unsat && !sweep_left > 0 then begin
+                let q2 = run_query scope [ Aig.neg fv; fr ] in
+                if q2 = Solver.Sat then store_model ()
+                else if q2 = Solver.Unsat then begin
+                  (* proven: [v] becomes the representative, and so
+                     does whatever hashes onto [v]'s node later *)
+                  incr by_proof;
+                  map.(v) <- fr lxor Bool.to_int ph;
+                  fwd.(fv lsr 1) <- fr lxor (fv land 1)
+                end
               end
             end
-          end);
-        incr v
+        end
       done;
       let final_budget = max 1 !budget_left in
       List.iter
         (fun o ->
+          let x = map_lit xors.(o) in
           verdicts.(o) <-
             Some
-              (match
-                 Solver.solve ~assumptions:[ slit xors.(o) ]
-                   ~conflict_budget:final_budget solver
-               with
-              | Solver.Unsat -> Equal
-              | Solver.Sat ->
-                Diff
-                  (Array.init n_in (fun i ->
-                       Solver.model_value solver (slit (Aig.input_lit aig i))))
-              | Solver.Unknown -> Unknown conflict_budget))
+              (if x = Aig.false_lit then Equal
+               else begin
+                 incr finals;
+                 match
+                   Solver.solve ~assumptions:[ x ] ~scope:(cone [ x ])
+                     ~conflict_budget:final_budget solver
+                 with
+                 | Solver.Unsat -> Equal
+                 | Solver.Sat ->
+                   Diff
+                     (Array.init n_in (fun i ->
+                          Solver.model_value solver (Aig.input_lit f i)))
+                 | Solver.Unknown -> Unknown conflict_budget
+               end))
         pending
   end;
-  Array.map Option.get verdicts
+  ( Array.map Option.get verdicts,
+    {
+      sweep_sat = !sat;
+      sweep_unsat = !unsat;
+      sweep_unknown = !unknown;
+      merged_strash = !by_strash;
+      merged_proof = !by_proof;
+      final_solves = !finals;
+    } )
+
+let check_outputs ?conflict_budget a b =
+  fst (check_outputs_stats ?conflict_budget a b)
 
 let check ?conflict_budget a b =
   (* a difference outranks an exhausted budget, which outranks a proof *)

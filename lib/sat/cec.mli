@@ -8,29 +8,41 @@
       fixed {!Rng} seed) settles every output whose XOR word is
       non-zero, with the lowest set bit of its first such round as the
       counterexample;
-    + if any output is still open, one SAT-sweeping pass over the
-      whole AIG buckets candidate-equivalent nodes by their simulation
-      signatures, proves them with incremental assumption solves on a
-      single {!Solver}, and merges each proven pair with equality
-      clauses. The sweep spends at most half the conflict budget;
-    + each open output's XOR is then decided by one assumption solve,
-      which gets whatever budget the sweep left.
+    + if any output is still open, the miter is {e fraiged}: rebuilt,
+      in node order, into a fresh AIG whose new nodes get their
+      Tseitin clauses in a single incremental {!Solver} as they are
+      created. Nodes are bucketed by their simulation signatures; a
+      node whose rebuilt literal is already its bucket
+      representative's is merged by hashing, for free; otherwise it is
+      proven against the representative with two assumption solves
+      whose decisions are limited to the two nodes' cones. When both
+      answer [Unsat], the node's literal becomes the representative's,
+      so its fan-out re-hashes onto shared structure and is merged
+      without a query of its own. The sweep spends at most half the
+      conflict budget; after that the rest of the miter is still
+      rebuilt, merging by hashing alone;
+    + an output whose rebuilt XOR is constant false is proven [Equal];
+      each other open output is decided by one assumption solve,
+      scoped to its cone, which gets whatever budget the sweep left.
+
+    A scoped [Sat] leaves the inputs outside the cone unassigned; they
+    read [false], which still makes a real input assignment under which
+    the cone takes the model's values.
 
     The sweep reuses its own counterexamples. The model of every
     sweep query that answers [Sat] is packed into 64-bit pattern words
     (bit [k] of input [i]'s word = input [i] in the [k]-th model) and
-    the AIG is re-simulated on them. A later candidate pair that a
+    the miter is re-simulated on them. A later candidate pair that a
     stored pattern already separates is skipped: it is not asked, not
     merged and not made a representative, exactly as a [Sat] answer
     is handled. A pattern is a real input assignment and merges only
     add equivalences that hold, so the skipped query would have
-    answered [Sat]; bucketing, node order and representative choice
-    are unchanged, and the queries asked are a subsequence of those
-    asked without reuse. When no query exhausts its budget the same
-    pairs are merged and every verdict class is the same; only the
-    solver's learned clauses differ, so a counterexample found by a
-    final solve may be another model. When a budget does run out,
-    the conflicts the skipped queries no longer spend go to later
+    answered [Sat]. When no budget runs out, every node equivalent to
+    its bucket representative is merged and every verdict class is
+    that of an exhaustive check. Which model a [Sat] answer returns
+    depends on the solver's history, so a counterexample found by a
+    final solve is one of possibly several. When a budget does run
+    out, the conflicts the skipped queries no longer spend go to later
     queries.
 
     Because the two netlists share one AIG and one sweep, logic that
@@ -47,6 +59,23 @@ type verdict =
   | Unknown of int  (** conflict budget (the argument) exhausted *)
 
 val default_budget : int
+
+type stats = {
+  sweep_sat : int;  (** sweep queries answered [Sat] *)
+  sweep_unsat : int;  (** sweep queries answered [Unsat] *)
+  sweep_unknown : int;  (** sweep queries that ran out of budget *)
+  merged_strash : int;
+      (** nodes whose rebuilt literal was already their
+          representative's: merged without a query *)
+  merged_proof : int;  (** nodes merged after two [Unsat] queries *)
+  final_solves : int;  (** per-output solves after the sweep *)
+}
+(** What one check did. Every count is deterministic. *)
+
+val check_outputs_stats :
+  ?conflict_budget:int -> Netlist.t -> Netlist.t -> verdict array * stats
+(** {!check_outputs} with the counts of its sweep and final solves
+    (all zero when strashing and simulation decide every output). *)
 
 val check_outputs :
   ?conflict_budget:int -> Netlist.t -> Netlist.t -> verdict array

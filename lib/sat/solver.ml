@@ -35,6 +35,13 @@ type t = {
   mutable n_conflicts : int;
   mutable next_cid : int;
   mutable model : int array;
+  (* decision scope of the running [solve]: a variable is in it iff its
+     mark equals [scope_id] (-1, matched by no mark, when unscoped);
+     [scope_open] counts its unassigned variables *)
+  mutable scope_mark : int array;
+  mutable scope_id : int;
+  mutable scopes : int;
+  mutable scope_open : int;
 }
 
 let lit_of_var v = 2 * v
@@ -67,6 +74,10 @@ let create () =
     n_conflicts = 0;
     next_cid = 0;
     model = [||];
+    scope_mark = [||];
+    scope_id = -1;
+    scopes = 0;
+    scope_open = 0;
   }
 
 let new_var s =
@@ -86,6 +97,7 @@ let new_var s =
     s.activity := grow !(s.activity) 0.0;
     s.polarity <- grow s.polarity 0;
     s.seen <- grow s.seen false;
+    s.scope_mark <- grow s.scope_mark 0;
     let old_w = s.watches in
     s.watches <-
       Array.init (2 * ncap) (fun i ->
@@ -106,6 +118,7 @@ let enqueue s p reason =
   s.assigns.(v) <- (p land 1) lxor 1;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
+  if s.scope_mark.(v) = s.scope_id then s.scope_open <- s.scope_open - 1;
   ignore (Vec.push s.trail p)
 
 let propagate s =
@@ -178,6 +191,7 @@ let cancel_until s lvl =
         s.polarity.(v) <- s.assigns.(v);
         s.assigns.(v) <- 2;
         s.reason.(v) <- None;
+        if s.scope_mark.(v) = s.scope_id then s.scope_open <- s.scope_open + 1;
         Iheap.insert s.order v
     done;
     while decision_level s > lvl do
@@ -366,10 +380,31 @@ let luby x =
 
 let restart_unit = 32
 
-let solve ?(assumptions = []) ?conflict_budget s =
+(* Mark the variables of [scope] for this call and count the
+   unassigned ones. *)
+let open_scope s = function
+  | None -> s.scope_id <- -1
+  | Some vars ->
+    s.scopes <- s.scopes + 1;
+    s.scope_id <- s.scopes;
+    s.scope_open <- 0;
+    List.iter
+      (fun v ->
+        if s.scope_mark.(v) <> s.scope_id then begin
+          s.scope_mark.(v) <- s.scope_id;
+          if s.assigns.(v) >= 2 then s.scope_open <- s.scope_open + 1
+        end)
+      vars
+
+let solve ?(assumptions = []) ?scope ?conflict_budget s =
   if not s.ok then Unsat
   else begin
     cancel_until s 0;
+    open_scope s scope;
+    let scoped = s.scope_id >= 0 in
+    (* unassigned out-of-scope variables popped while picking a
+       decision; they go back into the heap after the call *)
+    let skipped = ref [] in
     let assumps = Array.of_list assumptions in
     let budget_left =
       ref (match conflict_budget with None -> max_int | Some b -> b)
@@ -426,11 +461,19 @@ let solve ?(assumptions = []) ?conflict_budget s =
             let rec pick () =
               match Iheap.pop s.order with
               | None -> None
-              | Some v -> if s.assigns.(v) >= 2 then Some v else pick ()
+              | Some v ->
+                if s.assigns.(v) >= 2 then
+                  if scoped && s.scope_mark.(v) <> s.scope_id then begin
+                    skipped := v :: !skipped;
+                    pick ()
+                  end
+                  else Some v
+                else pick ()
             in
-            match pick () with
+            match if scoped && s.scope_open = 0 then None else pick () with
             | None ->
-              s.model <- Array.sub s.assigns 0 s.nv;
+              (* an unassigned (out-of-scope) variable reads false *)
+              s.model <- Array.init s.nv (fun v -> s.assigns.(v) land 1);
               result := Some Sat
             | Some v ->
               let p = (2 * v) lor (s.polarity.(v) lxor 1) in
@@ -440,6 +483,8 @@ let solve ?(assumptions = []) ?conflict_budget s =
         end
     done;
     cancel_until s 0;
+    List.iter (Iheap.insert s.order) !skipped;
+    s.scope_id <- -1;
     match !result with Some r -> r | None -> assert false
   end
 
@@ -448,5 +493,6 @@ let model_value s l =
   let a = if v < Array.length s.model then s.model.(v) else 0 in
   a lxor (l land 1) = 1
 
+let n_vars s = s.nv
 let conflicts s = s.n_conflicts
 let okay s = s.ok

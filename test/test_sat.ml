@@ -3,7 +3,9 @@
    round-trip, and the CEC sweeper must prove unmutated benchmark
    pairs equal while producing replayable counterexamples for seeded
    mutations, and the joint per-output check must agree with proving
-   every output cone on its own. *)
+   every output cone on its own. A solve scoped to a cone must answer
+   as the unscoped one does, and a proven node's fan-out must merge
+   without queries of its own. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -506,6 +508,172 @@ let test_sweep_reuse_exact () =
   (* the property is only tested if differences reach the sweep *)
   checkb "some differences escape simulation" true (!past_sim > 0)
 
+(* ---------- scoped solves ---------- *)
+
+(* A random AIG over [n] inputs: each new AND picks two earlier
+   literals with random polarities. *)
+let random_aig rng =
+  let n = 2 + Rng.int rng 6 in
+  let g = Aig.create ~n_inputs:n in
+  let lits = ref (List.init n (Aig.input_lit g)) in
+  for _ = 1 to 5 + Rng.int rng 25 do
+    let pick () =
+      let l = List.nth !lits (Rng.int rng (List.length !lits)) in
+      if Rng.bool rng then Aig.neg l else l
+    in
+    let l = Aig.mk_and g (pick ()) (pick ()) in
+    if l > Aig.true_lit then lits := l :: !lits
+  done;
+  (n, g, Array.of_list !lits)
+
+(* the nodes feeding [lits], which are the solver variables of their
+   cone under [Aig.encode] *)
+let aig_cone g n lits =
+  let seen = Hashtbl.create 16 in
+  let rec visit v =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.replace seen v ();
+      if v > n then begin
+        let a, b = Aig.fanins g v in
+        visit (a lsr 1);
+        visit (b lsr 1)
+      end
+    end
+  in
+  List.iter (fun l -> visit (l lsr 1)) lits;
+  Hashtbl.fold (fun v () acc -> v :: acc) seen [] |> List.sort compare
+
+(* The input assignment a model gives: variables [1..n] are the
+   inputs, and one the solver left unassigned reads false. *)
+let model_inputs s n = Array.init n (fun i -> Solver.model_value s (2 * (i + 1)))
+
+let holds g lits inputs =
+  let vals = Aig.sim g (Array.map (fun b -> if b then (-1L) else 0L) inputs) in
+  List.for_all (fun l -> Int64.logand (Aig.lit_word vals l) 1L = 1L) lits
+
+(* [solve ~scope:cone] on random miter queries gives the answer of the
+   unscoped call and of exhaustive enumeration, and each scoped model,
+   inputs outside the cone read as false, satisfies the assumptions
+   under simulation. The queries run back to back on two incremental
+   solvers, so the decision order a scoped call leaves behind is what
+   the next call starts from. *)
+let test_scoped_solve () =
+  let rng = Rng.create 0x5c0e in
+  let sats = ref 0 and unsats = ref 0 in
+  for _ = 1 to 150 do
+    let n, g, lits = random_aig rng in
+    let scoped = Solver.create () and whole = Solver.create () in
+    Aig.encode g scoped;
+    Aig.encode g whole;
+    for _ = 1 to 6 do
+      let pick () =
+        let l = lits.(Rng.int rng (Array.length lits)) in
+        if Rng.bool rng then Aig.neg l else l
+      in
+      let assumptions = [ pick (); pick () ] in
+      let expect =
+        List.exists
+          (fun v -> holds g assumptions (Array.init n (fun k -> (v lsr k) land 1 = 1)))
+          (List.init (1 lsl n) Fun.id)
+      in
+      let r =
+        Solver.solve ~assumptions ~scope:(aig_cone g n assumptions) scoped
+      in
+      let r' = Solver.solve ~assumptions whole in
+      checkb "scoped matches unscoped" true (r = r');
+      checkb "scoped matches enumeration" true
+        (r = if expect then Solver.Sat else Solver.Unsat);
+      if r = Solver.Sat then begin
+        incr sats;
+        checkb "scoped model satisfies the assumptions" true
+          (holds g assumptions (model_inputs scoped n));
+        checkb "full model satisfies the assumptions" true
+          (holds g assumptions (model_inputs whole n))
+      end
+      else incr unsats
+    done;
+    (* the scoped calls left the decision order whole: an unscoped
+       call assigns every node, as simulation of its inputs does *)
+    checkb "unscoped call after scoped ones" true
+      (Solver.solve scoped = Solver.Sat);
+    let vals =
+      Aig.sim g
+        (Array.map (fun b -> if b then (-1L) else 0L) (model_inputs scoped n))
+    in
+    checkb "unscoped model after scoped calls is complete" true
+      (List.for_all
+         (fun v -> Solver.model_value scoped (2 * v) = (Int64.logand vals.(v) 1L = 1L))
+         (List.init (Aig.n_nodes g) Fun.id))
+  done;
+  checkb "both answers occur" true (!sats > 50 && !unsats > 50)
+
+(* ---------- fraig merges ---------- *)
+
+(* A copy of [nl] with one output added, [x0 AND x1] over its first
+   two inputs, and the AND node of [at] rewritten in the given form.
+   With [absorb], the added AND is in absorption form, [And (a, Or (b,
+   Not a))]. *)
+let rewrite_and nl ?at ~absorb () =
+  let m = Netlist.copy nl in
+  let not_ x = Netlist.add m Netlist.Not [| x |] in
+  let absorption a b = [| a; Netlist.add m Netlist.Or [| b; not_ a |] |] in
+  Option.iter
+    (fun (id, form) ->
+      let fi = Netlist.fanins m id in
+      match form with
+      | `De_morgan ->
+          Netlist.set_kind m id Netlist.Not;
+          Netlist.set_fanins m id
+            [| Netlist.add m Netlist.Or [| not_ fi.(0); not_ fi.(1) |] |]
+      | `Absorption -> Netlist.set_fanins m id (absorption fi.(0) fi.(1)))
+    at;
+  let ins = Array.of_list (Netlist.inputs m) in
+  let x0 = ins.(0) and x1 = ins.(1) in
+  let extra =
+    if absorb then Netlist.add m Netlist.And (absorption x0 x1)
+    else Netlist.add m Netlist.And [| x0; x1 |]
+  in
+  ignore (Netlist.add m Netlist.Output [| extra |]);
+  m
+
+let sweep_queries st = st.Cec.sweep_sat + st.Cec.sweep_unsat + st.Cec.sweep_unknown
+
+(* c432 against a copy with one internal AND rewritten. In De Morgan
+   form, [Not (Or (Not a, Not b))], the AIG is the same and hashing
+   alone decides every output. In absorption form the rewritten node is
+   new structure: one proof merges it (two sweep queries), and
+   everything it feeds re-hashes onto the original's nodes with no
+   query of its own and no final solve. c432's own AIG has nodes equal
+   to other nodes, which the sweep proves too, so the queries are
+   counted against a pair that needs the same proofs plus one merge of
+   a node that feeds nothing: the extra output, rewritten instead. *)
+let test_fraig_fanout_free () =
+  let nl = Opt.optimize (Circuits.benchmark "c432") in
+  let fanouts = Netlist.fanouts nl in
+  let internal id =
+    Netlist.kind nl id = Netlist.And
+    && List.exists (fun o -> Netlist.kind nl o <> Netlist.Output) fanouts.(id)
+  in
+  let id = List.find internal (List.init (Netlist.size nl) Fun.id) in
+  let base = rewrite_and nl ~absorb:false () in
+  let all_equal vs = Array.for_all (fun v -> v = Cec.Equal) vs in
+  let v, st =
+    Cec.check_outputs_stats base (rewrite_and nl ~at:(id, `De_morgan) ~absorb:false ())
+  in
+  checkb "De Morgan form: equal" true (all_equal v);
+  checkb "De Morgan form: no query, no solve" true
+    (sweep_queries st = 0 && st.Cec.final_solves = 0);
+  let v, st =
+    Cec.check_outputs_stats base (rewrite_and nl ~at:(id, `Absorption) ~absorb:false ())
+  in
+  let _, leaf = Cec.check_outputs_stats base (rewrite_and nl ~absorb:true ()) in
+  checkb "absorption form: equal" true (all_equal v);
+  checkb "absorption form: no more queries than a node without fan-out" true
+    (sweep_queries st <= sweep_queries leaf);
+  checkb "absorption form: the fan-out merges by hashing" true
+    (st.Cec.merged_strash > leaf.Cec.merged_strash);
+  checki "absorption form: no final solve" 0 st.Cec.final_solves
+
 let () =
   Alcotest.run "sat"
     [
@@ -519,6 +687,7 @@ let () =
             test_assumptions_incremental;
           Alcotest.test_case "budget + pigeonhole" `Quick test_budget_and_php;
           Alcotest.test_case "dimacs" `Quick test_dimacs_roundtrip;
+          Alcotest.test_case "scoped solve" `Quick test_scoped_solve;
         ] );
       ( "cec",
         [
@@ -530,5 +699,7 @@ let () =
             test_joint_matches_per_cone;
           Alcotest.test_case "sweep reuse matches exhaustive simulation" `Quick
             test_sweep_reuse_exact;
+          Alcotest.test_case "a proven node's fan-out merges for free" `Quick
+            test_fraig_fanout_free;
         ] );
     ]
