@@ -609,32 +609,26 @@ let test_scoped_solve () =
 
 (* ---------- fraig merges ---------- *)
 
-(* A copy of [nl] with one output added, [x0 AND x1] over its first
-   two inputs, and the AND node of [at] rewritten in the given form.
-   With [absorb], the added AND is in absorption form, [And (a, Or (b,
-   Not a))]. *)
-let rewrite_and nl ?at ~absorb () =
+(* A copy of [nl] with one more output, the AND of its first two
+   inputs; returns the copy and that AND's id. *)
+let with_and_output nl =
   let m = Netlist.copy nl in
-  let not_ x = Netlist.add m Netlist.Not [| x |] in
-  let absorption a b = [| a; Netlist.add m Netlist.Or [| b; not_ a |] |] in
-  Option.iter
-    (fun (id, form) ->
-      let fi = Netlist.fanins m id in
-      match form with
-      | `De_morgan ->
-          Netlist.set_kind m id Netlist.Not;
-          Netlist.set_fanins m id
-            [| Netlist.add m Netlist.Or [| not_ fi.(0); not_ fi.(1) |] |]
-      | `Absorption -> Netlist.set_fanins m id (absorption fi.(0) fi.(1)))
-    at;
   let ins = Array.of_list (Netlist.inputs m) in
-  let x0 = ins.(0) and x1 = ins.(1) in
-  let extra =
-    if absorb then Netlist.add m Netlist.And (absorption x0 x1)
-    else Netlist.add m Netlist.And [| x0; x1 |]
-  in
-  ignore (Netlist.add m Netlist.Output [| extra |]);
-  m
+  let g = Netlist.add m Netlist.And [| ins.(0); ins.(1) |] in
+  ignore (Netlist.add m Netlist.Output [| g |]);
+  (m, g)
+
+(* Rewrite AND node [id] of [m] in place, in De Morgan form [Not (Or
+   (Not a, Not b))] or in absorption form [And (a, Or (b, Not a))]. *)
+let rewrite_and m id form =
+  let fi = Netlist.fanins m id in
+  let a = fi.(0) and b = fi.(1) in
+  let not_ x = Netlist.add m Netlist.Not [| x |] in
+  match form with
+  | `De_morgan ->
+      Netlist.set_kind m id Netlist.Not;
+      Netlist.set_fanins m id [| Netlist.add m Netlist.Or [| not_ a; not_ b |] |]
+  | `Absorption -> Netlist.set_fanins m id [| a; Netlist.add m Netlist.Or [| b; not_ a |] |]
 
 let sweep_queries st = st.Cec.sweep_sat + st.Cec.sweep_unsat + st.Cec.sweep_unknown
 
@@ -655,18 +649,21 @@ let test_fraig_fanout_free () =
     && List.exists (fun o -> Netlist.kind nl o <> Netlist.Output) fanouts.(id)
   in
   let id = List.find internal (List.init (Netlist.size nl) Fun.id) in
-  let base = rewrite_and nl ~absorb:false () in
-  let all_equal vs = Array.for_all (fun v -> v = Cec.Equal) vs in
-  let v, st =
-    Cec.check_outputs_stats base (rewrite_and nl ~at:(id, `De_morgan) ~absorb:false ())
+  let base, _ = with_and_output nl in
+  (* a copy of [base] with one AND rewritten in [form]; [pick] is
+     given the added output's AND and returns the one to rewrite *)
+  let rewritten pick form =
+    let m, added = with_and_output nl in
+    rewrite_and m (pick added) form;
+    m
   in
+  let all_equal vs = Array.for_all (fun v -> v = Cec.Equal) vs in
+  let v, st = Cec.check_outputs_stats base (rewritten (fun _ -> id) `De_morgan) in
   checkb "De Morgan form: equal" true (all_equal v);
   checkb "De Morgan form: no query, no solve" true
     (sweep_queries st = 0 && st.Cec.final_solves = 0);
-  let v, st =
-    Cec.check_outputs_stats base (rewrite_and nl ~at:(id, `Absorption) ~absorb:false ())
-  in
-  let _, leaf = Cec.check_outputs_stats base (rewrite_and nl ~absorb:true ()) in
+  let v, st = Cec.check_outputs_stats base (rewritten (fun _ -> id) `Absorption) in
+  let _, leaf = Cec.check_outputs_stats base (rewritten Fun.id `Absorption) in
   checkb "absorption form: equal" true (all_equal v);
   checkb "absorption form: no more queries than a node without fan-out" true
     (sweep_queries st <= sweep_queries leaf);
