@@ -11,11 +11,11 @@
      superflow report  <input> [--html f]       — to layout: signoff report
      superflow drc     <input> [--db d]         — to layout, then full-deck DRC
      superflow flow    <input> [-o out.gds] [--check] [--to ...] [--db d]
-     superflow check   <input> [--json] [--engine ...]  — to check: the gate
+     superflow check   <input> [--json] [--tier ...]  — to check: the gate
    The rest work beside the graph:
      superflow sanitize <input>                 — determinism fuzzing
      superflow sim     <input> [--vcd f]        — random-vector simulation
-     superflow prove   <a> <b> [--engine ...]   — complete equivalence proof
+     superflow prove   <a> <b> [--budget N]     — complete equivalence proof
      superflow atpg    <input> [-o f]           — stuck-at test vectors
      superflow mlint   [root]                   — determinism lint of the sources
      superflow explain <RULE-ID>                — diagnostic rule registry
@@ -43,26 +43,6 @@ let placer_of_string = function
   | "gordian" -> Ok Placer.Gordian
   | "taas" -> Ok Placer.Taas
   | s -> Error (Printf.sprintf "unknown placer %S (superflow|gordian|taas)" s)
-
-let engine_of_string s =
-  match Equiv.engine_of_name s with
-  | Some e -> Ok e
-  | None -> Error (Printf.sprintf "unknown engine %S (auto|bdd|sat)" s)
-
-(* An explicit --engine sat|auto opts into the Full check tier (the
-   AIG/SAT-backed lints); the default and --engine bdd stay on the
-   fast dataflow tier. *)
-let engine_tier_of_opt = function
-  | None -> Ok (`Auto, Check.Fast)
-  | Some s -> (
-      match engine_of_string s with
-      | Error _ as e -> e
-      | Ok e ->
-          Ok
-            ( e,
-              match e with
-              | `Sat | `Auto -> Check.Full
-              | `Bdd -> Check.Fast ))
 
 let exit_err msg =
   Format.eprintf "error: %s@." msg;
@@ -413,15 +393,12 @@ let cmd_sim input n_vectors vcd_out =
 
 (* ---- prove ---- *)
 
-let cmd_prove input_a input_b engine_opt budget json =
-  let engine_name = Option.value engine_opt ~default:"auto" in
-  match (load_input input_a, load_input input_b, engine_of_string engine_name)
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> exit_err e
-  | Ok nl_a, Ok nl_b, Ok engine ->
+let cmd_prove input_a input_b budget json =
+  match (load_input input_a, load_input input_b) with
+  | Error e, _ | _, Error e -> exit_err e
+  | Ok nl_a, Ok nl_b ->
       let diags =
-        Equiv.check_pair ~engine ?conflict_budget:budget ~stage:"prove" nl_a
-          nl_b
+        Equiv.check_pair ?conflict_budget:budget ~stage:"prove" nl_a nl_b
       in
       List.iter
         (fun d ->
@@ -435,17 +412,12 @@ let cmd_prove input_a input_b engine_opt budget json =
         exit 1)
       else if unproven > 0 then (
         if not json then
-          (* --budget bounds only the SAT proof, which [auto] and [sat]
-             both run; a BDD node-limit blow-up is what SAT can rescue *)
-          Format.printf "UNPROVEN — %d output(s) fell back to simulation (%s)@."
-            unproven
-            (match engine with
-            | `Bdd -> "try --engine sat"
-            | `Sat | `Auto -> "raise --budget");
+          Format.printf
+            "UNPROVEN — %d output(s) fell back to simulation (raise --budget)@."
+            unproven;
         exit 2)
       else if not json then
-        Format.printf "EQUIVALENT (formally proven per output, engine %s)@."
-          (Equiv.engine_name engine)
+        Format.printf "EQUIVALENT (formally proven per output)@."
 
 (* ---- atpg ---- *)
 
@@ -654,13 +626,11 @@ let check_out_arg =
          ~doc:"Write the check stage's text report to $(docv) (needs --check \
                or --to check).")
 
-let engine_arg =
-  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Equivalence-proof engine: auto (SAT first, BDD for budget-outs), \
-               bdd, or sat. Part of the synth stage's cache key. Giving \
-               $(b,sat) or $(b,auto) explicitly also selects the $(b,full) \
-               check tier (AIG/SAT-backed lints); the default runs the fast \
-               dataflow tier with engine auto.")
+let tier_arg =
+  Arg.(value & opt string "fast" & info [ "tier" ] ~docv:"TIER"
+         ~doc:"Check tier: fast (the dataflow analyses) or full (adds the \
+               AIG/SAT-backed lints). Recorded in the check report's \
+               header; part of the check stage's cache key.")
 
 let resyn_effort_arg =
   Arg.(value & opt string "none" & info [ "resyn-effort" ] ~docv:"EFFORT"
@@ -694,11 +664,10 @@ let router_t =
 
 let tech_t = setting load_tech (fun c tech -> { c with Flow.tech }) tech_arg
 
-let engine_t =
-  setting engine_tier_of_opt
-    (fun c (equiv_engine, check_tier) ->
-      { c with Flow.equiv_engine; check_tier })
-    engine_arg
+let tier_t =
+  setting Check.tier_of_string
+    (fun c check_tier -> { c with Flow.check_tier })
+    tier_arg
 
 let resyn_t =
   setting Resyn.effort_of_string (fun c resyn_effort ->
@@ -760,7 +729,7 @@ let route_cmd =
 let flow_cmd =
   Cmd.v (Cmd.info "flow" ~doc:"Full RTL-to-GDS flow")
     Term.(const cmd_flow
-          $ design_t [ placer_t; router_t; tech_t; engine_t; resyn_t resyn_effort_arg; seed_t ]
+          $ design_t [ placer_t; router_t; tech_t; tier_t; resyn_t resyn_effort_arg; seed_t ]
           $ store_t $ gds_arg $ def_arg $ svg_arg $ jobs_arg $ check_flag_arg
           $ from_arg $ to_arg $ resume_arg $ check_out_arg)
 
@@ -775,7 +744,7 @@ let check_cmd =
              netlist lints, AQFP legality, per-output formal equivalence, \
              placement audit, route connectivity, DRC and LVS-lite. Exits 1 \
              on any error-severity diagnostic.")
-    Term.(const cmd_check $ design_t [ placer_t; router_t; tech_t; engine_t ]
+    Term.(const cmd_check $ design_t [ placer_t; router_t; tech_t; tier_t ]
           $ store_t $ jobs_arg $ json_arg)
 
 let sanitize_seed_arg =
@@ -835,8 +804,8 @@ let sim_cmd =
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N"
-         ~doc:"SAT conflict budget of the joint proof of all outputs the \
-               SAT engine decides (default 200000): its node sweep spends \
+         ~doc:"SAT conflict budget of the joint proof of all outputs \
+               (default 200000): its node sweep spends \
                at most half, and each output's final solve may use what \
                the sweep left. Exhausting it yields EQ-TIMEOUT-01 and \
                exit code 2.")
@@ -845,11 +814,11 @@ let prove_cmd =
   Cmd.v
     (Cmd.info "prove"
        ~doc:"Prove two designs equivalent, output by output, with the \
-             complete decision engines (BDD and/or CDCL SAT with AIG \
+             flow's equivalence proof (one joint CDCL SAT proof with AIG \
              sweeping). Exit 0: every output proven equal; 1: a proven \
              difference (with a replayed counterexample); 2: unproven \
-             (engine budget exhausted).")
-    Term.(const cmd_prove $ input_arg $ input_b_arg $ engine_arg $ budget_arg
+             (conflict budget exhausted).")
+    Term.(const cmd_prove $ input_arg $ input_b_arg $ budget_arg
           $ json_arg)
 
 let atpg_out_arg =

@@ -37,9 +37,9 @@ type fold_stats = {
 }
 
 val fold : Netlist.t -> Netlist.t * fold_stats
-(** Constant folding for the equivalence engines: a copy of the
+(** Constant folding for the equivalence proof: a copy of the
     netlist where every provably-constant internal node is replaced
     by a [Const] cell with no fan-ins. The function computed at every
     output is unchanged (the domain is sound), but the live cone the
-    BDD/SAT engines traverse shrinks — the constants act as cone
+    SAT proof traverses shrinks — the constants act as cone
     assumptions. IO markers and existing [Const] cells are kept. *)

@@ -2,6 +2,11 @@ type tier = Fast | Full
 
 let tier_name = function Fast -> "fast" | Full -> "full"
 
+let tier_of_string = function
+  | "fast" -> Ok Fast
+  | "full" -> Ok Full
+  | s -> Error (Printf.sprintf "unknown tier %S (fast|full)" s)
+
 type pass = { name : string; run : unit -> Diag.t list }
 
 let pass name run = { name; run }

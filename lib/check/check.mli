@@ -3,11 +3,10 @@
     A {e pass} is a named analysis producing {!Diag.t} diagnostics;
     a {e report} is the ordered result of running a pass pipeline.
     Pass order is fixed by the caller and diagnostics keep their
-    generation order within a pass. Two loops shard over {!Parallel}
-    and combine in input order — {!Equiv}'s BDD lanes (one per
-    output) and {!Place_audit}'s row scans — and the rest run
-    serially, so a report renders byte-identically at any [--jobs]
-    value.
+    generation order within a pass. One loop shards over {!Parallel}
+    and combines in input order — {!Place_audit}'s row scans — and
+    the rest run serially, so a report renders byte-identically at
+    any [--jobs] value.
 
     Pass families shipped by this library:
     - {!Lint} — structural netlist lints ([NL-*]);
@@ -24,11 +23,15 @@ type tier = Fast | Full
 (** Engine tier of a gate run. [Fast] (the default flow tier) runs
     the always-on analyses — the [sf_absint] dataflow passes included
     — and skips the AIG/SAT-backed lints; [Full] (selected by
-    [--engine sat|auto]) adds them. The tier is recorded in the
-    report {!report.header}. *)
+    [--tier full]) adds them. The tier is recorded in the report
+    {!report.header}. *)
 
 val tier_name : tier -> string
 (** ["fast"] / ["full"]. *)
+
+val tier_of_string : string -> (tier, string) result
+(** The inverse of {!tier_name}; anything else is an [Error] naming
+    the accepted values. *)
 
 type pass
 

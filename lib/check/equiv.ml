@@ -1,4 +1,4 @@
-(* Per-output equivalence guards over pluggable engines. *)
+(* Per-output equivalence guards: one joint SAT proof of the open outputs. *)
 
 (* The sub-netlist feeding the given output markers: every primary
    input (in order, used or not), their transitive fan-in and the
@@ -56,23 +56,11 @@ let joint_side nl oids = folded (restrict nl oids)
 let sat_pair before after =
   (joint_side before (Netlist.outputs before), joint_side after (Netlist.outputs after))
 
-type engine = [ `Auto | `Bdd | `Sat ]
-
-let engine_name = function `Auto -> "auto" | `Bdd -> "bdd" | `Sat -> "sat"
-
-let engine_of_name = function
-  | "auto" -> Some `Auto
-  | "bdd" -> Some `Bdd
-  | "sat" -> Some `Sat
-  | _ -> None
-
-type fallback = Bdd_budget | Sat_budget of int
-
 type verdict =
   | Proven_equal
   | Proven_diff of bool array
-  | Sampled_equal of fallback
-  | Sampled_diff of fallback
+  | Sampled_equal of int
+  | Sampled_diff
   | Cex_invalid of bool array
 
 (* A counterexample is only reported after it actually distinguishes
@@ -80,10 +68,10 @@ type verdict =
    bug, not a design difference. *)
 let replays ca cb cex = Sim.eval ca cex <> Sim.eval cb cex
 
-(* The verdict of an output no engine proved: simulation samples its
-   two cones. *)
-let sampled (ca, cb) why =
-  if Sim.equivalent ca cb then Sampled_equal why else Sampled_diff why
+(* The verdict of an output whose conflict budget ran out: simulation
+   samples its two cones. *)
+let sampled (ca, cb) budget =
+  if Sim.equivalent ca cb then Sampled_equal budget else Sampled_diff
 
 (* A CEC verdict for one output, settled against that output's two
    cones (only forced when needed): a counterexample must replay, a
@@ -93,15 +81,7 @@ let of_cec cones = function
   | Cec.Diff cex ->
       let ca, cb = Lazy.force cones in
       if replays ca cb cex then Proven_diff cex else Cex_invalid cex
-  | Cec.Unknown budget -> sampled (Lazy.force cones) (Sat_budget budget)
-
-(* The BDD engine on one cone pair; [None] when it blows the node
-   budget. *)
-let bdd_verdict ~max_nodes (ca, cb) =
-  match Bdd.check_equivalence ~max_nodes ca cb with
-  | Bdd.Equivalent -> Some Proven_equal
-  | Bdd.Different cex -> Some (Proven_diff cex)
-  | Bdd.Too_large -> None
+  | Cec.Unknown budget -> sampled (Lazy.force cones) budget
 
 let bits v =
   String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list v))
@@ -118,7 +98,7 @@ let cache_key ca cb =
 let encode_verdict = function
   | Proven_equal -> Some "equal"
   | Proven_diff cex -> Some ("diff:" ^ bits cex)
-  | Sampled_equal _ | Sampled_diff _ | Cex_invalid _ -> None
+  | Sampled_equal _ | Sampled_diff | Cex_invalid _ -> None
 
 let decode_verdict ca cb s =
   if s = "equal" then Some Proven_equal
@@ -131,7 +111,8 @@ let decode_verdict ca cb s =
   end
   else None
 
-let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
+(* [engine] has one value and selects nothing (see the interface) *)
+let check_pair ?engine:(_ : [ `Sat ] = `Sat)
     ?(conflict_budget = Cec.default_budget) ?cache ~stage before after =
   let outs_b = Array.of_list (Netlist.outputs before) in
   let outs_a = Array.of_list (Netlist.outputs after) in
@@ -145,13 +126,11 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
     ]
   else begin
     let n = Array.length outs_b in
-    (* cones are extracted (and the cache consulted) serially: the
-       netlist is mutable and the cache does I/O, neither belongs in a
-       worker lane. Each cone is constant-folded with the absint
-       ternary facts first — sound (folding preserves the function),
-       and it shrinks both the proof and the cache key's sensitivity
-       to dead constant cones. A cone is only extracted when a BDD
-       lane, a cache key or a non-equal SAT verdict needs it. *)
+    (* each cone is constant-folded with the absint ternary facts
+       first — sound (folding preserves the function), and it shrinks
+       both the proof and the cache key's sensitivity to dead constant
+       cones. A cone is only extracted when a cache key or a non-equal
+       SAT verdict needs it. *)
     let cones =
       Array.init n (fun i ->
           lazy (folded (cone before outs_b.(i)), folded (cone after outs_a.(i))))
@@ -175,42 +154,16 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
     let open_ =
       List.filter (fun i -> Option.is_none verdicts.(i)) (List.init n Fun.id)
     in
-    (* one BDD lane per output of [outs], verdicts stored in output
-       order; an output whose BDD blows the node budget is sampled and
-       blamed on [why] *)
-    let bdd_lanes outs why =
-      let outs = Array.of_list outs in
-      let pairs = Array.map (fun i -> Lazy.force cones.(i)) outs in
-      let vs =
-        Parallel.parallel_init ~label:"check.equiv.outputs" ~chunk:1
-          (Array.length outs) (fun k ->
-            match bdd_verdict ~max_nodes pairs.(k) with
-            | Some v -> v
-            | None -> sampled pairs.(k) why)
+    (* every open output is proven jointly: one AIG, one simulation
+       and one SAT sweep over the folded sub-netlists that feed those
+       outputs, instead of one per cone *)
+    if open_ <> [] then begin
+      let sub nl outs = joint_side nl (List.map (fun i -> outs.(i)) open_) in
+      let joint =
+        Cec.check_outputs ~conflict_budget (sub before outs_b) (sub after outs_a)
       in
-      Array.iteri (fun k i -> verdicts.(i) <- Some vs.(k)) outs
-    in
-    (match engine with
-    | `Bdd -> bdd_lanes open_ Bdd_budget
-    | (`Sat | `Auto) as e ->
-        (* every open output is proven jointly: one AIG, one
-           simulation and one SAT sweep over the folded sub-netlists
-           that feed those outputs, instead of one per cone. [`Auto]
-           hands only the outputs whose budget ran out to the BDD. *)
-        if open_ <> [] then begin
-          let sub nl outs = joint_side nl (List.map (fun i -> outs.(i)) open_) in
-          let joint =
-            Cec.check_outputs ~conflict_budget (sub before outs_b) (sub after outs_a)
-          in
-          let budget_outs = ref [] in
-          List.iteri
-            (fun k i ->
-              match joint.(k) with
-              | Cec.Unknown _ when e = `Auto -> budget_outs := i :: !budget_outs
-              | r -> verdicts.(i) <- Some (of_cec cones.(i) r))
-            open_;
-          bdd_lanes (List.rev !budget_outs) (Sat_budget conflict_budget)
-        end);
+      List.iteri (fun k i -> verdicts.(i) <- Some (of_cec cones.(i) joint.(k))) open_
+    end;
     let verdicts = Array.map Option.get verdicts in
     (match cache with
     | None -> ()
@@ -241,17 +194,11 @@ let check_pair ?(engine = `Auto) ?(max_nodes = 100_000)
               (Diag.error ~rule:"EQ-DIFF-01" (Diag.Node oid)
                  "%s: output %s differs (counterexample inputs %s)" stage name
                  (bits cex))
-        | Sampled_diff _ ->
+        | Sampled_diff ->
             push
               (Diag.error ~rule:"EQ-DIFF-02" (Diag.Node oid)
                  "%s: output %s differs under simulation fallback" stage name)
-        | Sampled_equal Bdd_budget ->
-            push
-              (Diag.warning ~rule:"EQ-FALLBACK-01" (Diag.Node oid)
-                 "%s: output %s exceeded the BDD budget; equivalence sampled, \
-                  not proven"
-                 stage name)
-        | Sampled_equal (Sat_budget budget) ->
+        | Sampled_equal budget ->
             push
               (Diag.warning ~rule:"EQ-TIMEOUT-01" (Diag.Node oid)
                  "%s: output %s exhausted the SAT conflict budget (%d); \

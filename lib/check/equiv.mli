@@ -4,70 +4,47 @@
     [Synth_flow.run ~check:true]) and available standalone through
     [superflow prove].
 
-    Every primary output gets its own verdict, computed with the
-    selected {!engine}:
+    Every primary output gets its own verdict. The outputs the cache
+    does not answer are proven together by one joint SAT-sweeping
+    proof ({!Cec.check_outputs}) over the sub-netlists feeding them,
+    complete up to the conflict budget: logic the output cones share
+    is simulated and swept once, not once per cone. An output whose
+    budget runs out ([Cec.Unknown]) is sampled by simulation and
+    reports [EQ-TIMEOUT-01].
 
-    - [`Bdd] — one budgeted ROBDD per output cone
-      ({!Bdd.check_equivalence}), sharded per output over {!Parallel};
-      a cone that exceeds the node budget falls back to
-      {!Sim.equivalent} and reports the downgrade;
-    - [`Sat] — one joint SAT-sweeping proof of all outputs
-      ({!Cec.check_outputs}) over the two whole netlists, complete up
-      to the conflict budget: logic the output cones share is
-      simulated and swept once, not once per cone;
-    - [`Auto] (default) — SAT first, BDD for budget-outs: the joint
-      SAT proof of [`Sat], then one BDD lane per output whose conflict
-      budget ran out ([Cec.Unknown]). An output both engines give up
-      on reports [EQ-TIMEOUT-01], so no verdict is weaker than
-      [`Sat]'s.
+    The proof runs on the calling domain. Every SAT counterexample is
+    replayed through {!Sim.eval} on that output's cones before being
+    reported; a cex that does not actually distinguish the two cones
+    is a solver bug and surfaces as an internal-error diagnostic,
+    never as a fake difference. A counterexample found by simulation
+    is the one a per-cone proof finds. Verdicts are combined in output
+    order, so the report is byte-identical at any pool size.
 
-    The SAT proof runs on the calling domain, before any BDD lane.
-    Every SAT counterexample is replayed through {!Sim.eval} on that
-    output's cones before being reported; a cex that does not actually
-    distinguish the two cones is a solver bug and surfaces as an
-    internal-error diagnostic, never as a fake difference. A
-    counterexample found by simulation is the one a per-cone proof
-    finds. Verdicts are combined in output order, so the report is
-    byte-identical at any pool size.
-
-    Before any engine runs, the netlists it sees (each output's cone
-    for the BDD and the cache key, the sub-netlist feeding the open
-    outputs for the joint SAT proof) are constant-folded with the
-    [sf_absint] ternary facts ({!Const_dom.fold}) — sound (folding
-    preserves every output's function) and strictly proof-shrinking:
-    constants cut BDD variables and SAT clauses alike, and the cache
-    key is computed over the folded cone.
+    Before the proof runs, the netlists it sees (each output's cone
+    for the cache key, the sub-netlist feeding the open outputs for
+    the joint proof) are constant-folded with the [sf_absint] ternary
+    facts ({!Const_dom.fold}) — sound (folding preserves every
+    output's function) and strictly proof-shrinking: constants cut
+    SAT clauses, and the cache key is computed over the folded cone.
 
     Proven verdicts can be memoized through a {!Memo.t} (the flow
     wires this to [sf_db]); keys are content hashes of the two folded
     cones of one output, so only the cache misses are proven and a
-    warm rerun re-proves nothing. Cache lookups and stores run outside
-    the parallel region and never affect the emitted diagnostics.
-    Output cones are only extracted where a BDD lane, a cache key or a
-    difference or budget-out of the joint SAT proof needs them.
+    warm rerun re-proves nothing. Cache lookups and stores never
+    affect the emitted diagnostics. Output cones are only extracted
+    where a cache key or a difference or budget-out of the joint
+    proof needs them.
 
     Rule catalog:
     - [EQ-ARITY-01] (error) — primary input/output counts differ;
     - [EQ-DIFF-01] (error) — an output provably differs (the message
       carries the counterexample input vector);
-    - [EQ-DIFF-02] (error) — an output differs under the simulation
-      fallback;
-    - [EQ-FALLBACK-01] (warning) — BDD budget exceeded under [`Bdd],
-      where no complete engine runs; equivalence only sampled, not
-      proven;
+    - [EQ-DIFF-02] (error) — an output whose conflict budget ran out
+      differs under simulation;
     - [EQ-TIMEOUT-01] (warning) — SAT conflict budget exhausted for
-      an output (under [`Auto], its BDD blew the node budget too);
-      equivalence only sampled, not proven;
+      an output; equivalence only sampled, not proven;
     - [EQ-CEX-01] (error) — internal: a SAT counterexample failed to
       replay through simulation. *)
-
-type engine = [ `Auto | `Bdd | `Sat ]
-
-val engine_name : engine -> string
-(** ["auto"], ["bdd"], ["sat"] — stable names for CLI flags and cache
-    key derivation. *)
-
-val engine_of_name : string -> engine option
 
 val cone : Netlist.t -> int -> Netlist.t
 (** [cone nl oid] — the sub-netlist feeding output marker [oid]: all
@@ -81,8 +58,7 @@ val sat_pair : Netlist.t -> Netlist.t -> Netlist.t * Netlist.t
     feeding all of its outputs, constant-folded. *)
 
 val check_pair :
-  ?engine:engine ->
-  ?max_nodes:int ->
+  ?engine:[ `Sat ] ->
   ?conflict_budget:int ->
   ?cache:string Memo.t ->
   stage:string ->
@@ -92,4 +68,7 @@ val check_pair :
 (** [check_pair ~stage before after] — per-output equivalence of two
     netlists; [stage] (e.g. ["aoi->maj"]) tags the messages.
     [conflict_budget] bounds the one joint SAT proof as in
-    {!Cec.check_outputs}; [cache] stores {e proven} verdicts only. *)
+    {!Cec.check_outputs}; [cache] stores {e proven} verdicts only.
+    [engine] has one value and selects nothing: it is kept only for
+    the two [~engine:`Sat] call sites in [bench/perf/perf.ml], and
+    goes when ROADMAP item 2 deletes them. *)

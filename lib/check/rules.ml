@@ -136,21 +136,17 @@ let all =
       "The two netlists being compared have different primary input/output \
        counts; no per-output proof was attempted.";
     e "EQ-CEX-01" Diag.Error "equiv"
-      "Internal error: an engine returned a counterexample that does not \
-       replay through simulation.";
+      "Internal error: the SAT proof returned a counterexample that does \
+       not replay through simulation.";
     e "EQ-DIFF-01" Diag.Error "equiv"
       "An output provably differs between the two netlists; the message \
        carries the replayed counterexample input vector.";
     e "EQ-DIFF-02" Diag.Error "equiv"
-      "An output differs under the random-simulation fallback (no complete \
-       engine finished).";
-    e "EQ-FALLBACK-01" Diag.Warning "equiv"
-      "The BDD node budget was exceeded and no complete engine took over; \
-       equivalence was only sampled, not proven.";
+      "An output differs under the random-simulation fallback (its SAT \
+       conflict budget ran out).";
     e "EQ-TIMEOUT-01" Diag.Warning "equiv"
-      "The SAT conflict budget was exhausted for an output (under auto, its \
-       BDD also exceeded the node budget); equivalence was only sampled, not \
-       proven.";
+      "The SAT conflict budget was exhausted for an output; equivalence was \
+       only sampled, not proven.";
     e "LVS-FLOAT-01" Diag.Warning "lvs" "Drawn metal touches no pin of any net.";
     e "LVS-OPEN-01" Diag.Error "lvs"
       "No drawn path connects a net's driver pin to its sink pin.";

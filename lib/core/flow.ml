@@ -29,7 +29,6 @@ type config = {
   algorithm : Placer.algorithm;
   router : Router.algorithm;
   seed : int;
-  equiv_engine : Equiv.engine;
   check_tier : Check.tier;
   resyn_effort : Resyn.effort;
 }
@@ -40,7 +39,6 @@ let default =
     algorithm = Placer.Superflow;
     router = Router.Sequential;
     seed = 1;
-    equiv_engine = `Auto;
     check_tier = Check.Fast;
     resyn_effort = Resyn.Off;
   }
@@ -121,9 +119,7 @@ let stage_version = function
    these. [--jobs] is deliberately absent: stage results are
    bit-identical at any pool size. *)
 let key_params ~guard c stage =
-  let guards =
-    if guard then "guards-" ^ Equiv.engine_name c.equiv_engine else "noguards"
-  in
+  let guards = if guard then "guards" else "noguards" in
   match stage with
   | Synth -> [ guards ]
   | Resyn -> [ "effort-" ^ Resyn.effort_name c.resyn_effort; guards ]
@@ -138,11 +134,7 @@ let key_params ~guard c stage =
       | Router.Sequential -> [ "sequential" ]
       | Router.Negotiated -> [ "negotiated" ])
   | Layout -> []
-  | Check ->
-      [
-        "tier-" ^ Check.tier_name c.check_tier;
-        "engine-" ^ Equiv.engine_name c.equiv_engine;
-      ]
+  | Check -> [ "tier-" ^ Check.tier_name c.check_tier ]
 
 type outcome = Cached of float | Computed of float
 
@@ -283,16 +275,13 @@ let diag_memo dbh =
 
 let run_staged ?(config = default) ?db ?(from_stage = Synth)
     ?(to_stage = Layout) aoi =
-  let { tech; algorithm; router; seed; equiv_engine; check_tier; resyn_effort }
-      =
-    config
-  in
+  let { tech; algorithm; router; seed; check_tier; resyn_effort } = config in
   (* running "to check" switches the synthesis equivalence guards on,
      exactly like [run ~check:true] *)
   let guard = stage_rank to_stage >= stage_rank Check in
   (* proof verdicts are memoized per cone pair in the database: a warm
-     [--check] rerun whose synth stage somehow misses (say, a changed
-     engine) still re-proves nothing that is already on disk; the
+     [--check] rerun whose synth stage misses (say, after a key change)
+     still re-proves nothing that is already on disk; the
      absint dataflow findings memoize through the same store, keyed by
      the netlist's structural hash *)
   let guard_memo memo = if guard then Option.map memo db else None in
@@ -398,8 +387,7 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
           ~inputs:(fun () -> [ Db.hash (Artifact.netlist.Artifact.encode aoi) ])
           ~slots:synth_slots
           ~compute:(fun () ->
-            Synth_flow.run ~check:guard ~engine:equiv_engine ?cache:proof_cache
-              aoi)
+            Synth_flow.run ~check:guard ?cache:proof_cache aoi)
       in
       (* 2. cut-based majority resynthesis over the mapped netlist —
          identity at the default [Off] effort (the stage still exists
@@ -423,8 +411,8 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                  let rep =
                    if guard && resyn_effort <> Resyn.Off then
                      let ds =
-                       Equiv.check_pair ~engine:equiv_engine ?cache:proof_cache
-                         ~stage:"resyn" aqfp0 nl
+                       Equiv.check_pair ?cache:proof_cache ~stage:"resyn"
+                         aqfp0 nl
                      in
                      {
                        rep with
@@ -632,7 +620,9 @@ let run_staged ?(config = default) ?db ?(from_stage = Synth)
                     ~header:
                       [
                         ("tier", Check.tier_name check_tier);
-                        ("engine", Equiv.engine_name equiv_engine);
+                        (* a fixed field: bench/perf/perf.ml replays
+                           these header bytes (ROADMAP item 2) *)
+                        ("engine", "auto");
                       ]
                     (check_passes ~tier:check_tier ?absint_cache r0))
             in

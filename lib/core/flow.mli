@@ -55,9 +55,6 @@ type config = {
   algorithm : Placer.algorithm;  (** placement algorithm *)
   router : Router.algorithm;
   seed : int;  (** placement seed *)
-  equiv_engine : Equiv.engine;
-      (** proof engine of the synthesis/resynthesis equivalence guards;
-          recorded in the check report header *)
   check_tier : Check.tier;  (** the verification gate's tier *)
   resyn_effort : Resyn.effort;  (** the resynthesis stage's effort *)
 }
@@ -67,7 +64,7 @@ type config = {
 
 val default : config
 (** [Tech.default], [Placer.Superflow], [Router.Sequential], seed 1,
-    engine [`Auto] (SAT first, BDD for budget-outs), [Check.Fast] (the
+    [Check.Fast] (the
     [sf_absint] dataflow tier; [Full] adds the AIG/SAT-backed lints),
     [Resyn.Off] (identity resynthesis). *)
 

@@ -88,8 +88,8 @@ val get_stage :
 
 val put_proof : t -> key:string -> string -> unit
 (** Memoize an equivalence-proof verdict under a caller-chosen
-    content-derived key (the equivalence engine keys on the hashes of
-    the two cones). The frame is pending until the next {!flush};
+    content-derived key ({!Equiv} keys on the hashes of the two
+    cones). The frame is pending until the next {!flush};
     lookups on this handle see it at once. A key stored twice is
     harmless: the later verdict wins. *)
 

@@ -8,7 +8,7 @@ type report = {
   guard_diags : Diag.t list;
 }
 
-let run ?(check = false) ?(engine = `Auto) ?cache aoi =
+let run ?(check = false) ?engine ?cache aoi =
   let aoi, opt_stats = Opt.optimize_with_stats aoi in
   let maj, maj_stats = Aoi_to_maj.convert_with_stats aoi in
   let aqfp, ins_stats = Insertion.run maj in
@@ -16,8 +16,8 @@ let run ?(check = false) ?(engine = `Auto) ?cache aoi =
   let guard_diags =
     if not check then []
     else
-      Equiv.check_pair ~engine ?cache ~stage:"aoi->maj" aoi maj
-      @ Equiv.check_pair ~engine ?cache ~stage:"maj->aqfp" maj aqfp
+      Equiv.check_pair ?engine ?cache ~stage:"aoi->maj" aoi maj
+      @ Equiv.check_pair ?engine ?cache ~stage:"maj->aqfp" maj aqfp
   in
   let report =
     {

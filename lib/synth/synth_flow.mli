@@ -22,7 +22,7 @@ type report = {
 
 val run :
   ?check:bool ->
-  ?engine:Equiv.engine ->
+  ?engine:[ `Sat ] ->
   ?cache:string Memo.t ->
   Netlist.t ->
   Netlist.t * report
@@ -31,10 +31,12 @@ val run :
     ({!Aoi_to_maj.convert_with_stats}: cut cover vs per-gate, cheaper
     wins), splitter/buffer insertion ({!Insertion.run}: per-edge
     chains vs shared ladders, cheaper wins). [check] (default false)
-    runs the per-output equivalence guards at each handoff with the
-    given {!Equiv.engine} (default [`Auto]); [cache] memoizes proven
-    verdicts across runs. Raises [Invalid_argument] if the input
-    contains non-AOI gates. *)
+    runs the per-output equivalence guards ({!Equiv.check_pair}) at
+    each handoff; [cache] memoizes proven verdicts across runs.
+    [engine] has one value and selects nothing: it is kept only for
+    the [~engine:`Sat] call site in [bench/perf/perf.ml], and goes
+    when ROADMAP item 2 deletes it. Raises [Invalid_argument] if the
+    input contains non-AOI gates. *)
 
 val run_quiet : Netlist.t -> Netlist.t
 (** [run] without the report. *)

@@ -259,55 +259,25 @@ let severity_of rule diags =
   | Some d -> Some d.Diag.severity
   | None -> None
 
-let test_equiv_engines () =
+let test_equiv_sat () =
   let l, r = xor3_pair () in
-  (* pure BDD with a starved budget: sampled, downgrade reported *)
-  let d = Equiv.check_pair ~engine:`Bdd ~max_nodes:1 ~stage:"t" l r in
-  checki "EQ-FALLBACK-01 once" 1 (count_rule "EQ-FALLBACK-01" d);
-  checkb "fallback escalated to warning" true
-    (severity_of "EQ-FALLBACK-01" d = Some Diag.Warning);
-  (* auto with the same starved BDD: SAT completes the proof *)
-  checki "auto proves what bdd sampled" 0
-    (List.length (Equiv.check_pair ~engine:`Auto ~max_nodes:1 ~stage:"t" l r));
-  checki "sat proves it too" 0
-    (List.length (Equiv.check_pair ~engine:`Sat ~stage:"t" l r));
-  (* starved SAT: EQ-TIMEOUT-01 warning carrying the budget *)
-  let d = Equiv.check_pair ~engine:`Sat ~conflict_budget:0 ~stage:"t" l r in
+  checki "sat proves it" 0 (List.length (Equiv.check_pair ~stage:"t" l r));
+  (* starved SAT: the output is sampled, an EQ-TIMEOUT-01 warning
+     carrying the budget *)
+  let d = Equiv.check_pair ~conflict_budget:0 ~stage:"t" l r in
   checki "EQ-TIMEOUT-01 once" 1 (count_rule "EQ-TIMEOUT-01" d);
+  checki "and nothing else" 1 (List.length d);
   checkb "timeout is a warning" true
     (severity_of "EQ-TIMEOUT-01" d = Some Diag.Warning);
   checkb "budget value in message" true
     (match List.find_opt (fun x -> x.Diag.rule = "EQ-TIMEOUT-01") d with
     | Some x -> contains x.Diag.message "(0)"
     | None -> false);
-  (* a real difference under the SAT engine is a proven, replayed cex *)
+  (* a real difference is a proven, replayed cex *)
   let diff_a, diff_b = two_gate_pair Netlist.And Netlist.Or in
-  let d = Equiv.check_pair ~engine:`Sat ~stage:"t" diff_a diff_b in
-  checki "EQ-DIFF-01 once under sat" 1 (count_rule "EQ-DIFF-01" d);
+  let d = Equiv.check_pair ~stage:"t" diff_a diff_b in
+  checki "EQ-DIFF-01 once" 1 (count_rule "EQ-DIFF-01" d);
   checki "no EQ-CEX-01" 0 (count_rule "EQ-CEX-01" d)
-
-(* [`Auto] proves with SAT first and hands only the outputs whose
-   conflict budget ran out to the per-output BDD *)
-let test_equiv_auto_sat_first () =
-  let l, r = xor3_pair () in
-  checki "the BDD rescues the budget-out" 0
-    (List.length (Equiv.check_pair ~engine:`Auto ~conflict_budget:0 ~stage:"t" l r));
-  checki "sat alone still times out" 1
-    (count_rule "EQ-TIMEOUT-01"
-       (Equiv.check_pair ~engine:`Sat ~conflict_budget:0 ~stage:"t" l r));
-  let d =
-    Equiv.check_pair ~engine:`Auto ~conflict_budget:0 ~max_nodes:1 ~stage:"t" l r
-  in
-  checki "both budgets starved: one EQ-TIMEOUT-01" 1 (count_rule "EQ-TIMEOUT-01" d);
-  checki "and no EQ-FALLBACK-01" 0 (count_rule "EQ-FALLBACK-01" d);
-  List.iter
-    (fun name ->
-      let guards engine =
-        let _, report = Synth_flow.run ~check:true ~engine (Circuits.benchmark name) in
-        report.Synth_flow.guard_diags
-      in
-      checkb (name ^ ": auto guards equal sat guards") true (guards `Auto = guards `Sat))
-    [ "adder8"; "c432"; "apc32" ]
 
 let test_equiv_proof_cache () =
   let mem : (string, string) Hashtbl.t = Hashtbl.create 8 in
@@ -381,7 +351,7 @@ let test_equiv_cache_compat () =
      a database stay valid *)
   let l, r = xor3_pair () in
   let cache, stored = recording_cache [] in
-  ignore (Equiv.check_pair ~engine:`Sat ~cache ~stage:"t" l r);
+  ignore (Equiv.check_pair ~cache ~stage:"t" l r);
   checkb "xor3 proof key pinned" true
     (!stored
     = [
@@ -389,61 +359,55 @@ let test_equiv_cache_compat () =
           "equal" );
       ]);
   let l, r = two_output_pair () in
-  List.iter
-    (fun engine ->
-      let name = Equiv.engine_name engine in
-      let uncached = Equiv.check_pair ~engine ~stage:"t" l r in
-      checki (name ^ ": output d differs") 1 (count_rule "EQ-DIFF-01" uncached);
-      let cold, stored = recording_cache [] in
-      checkb (name ^ ": cold run diagnostics") true
-        (Equiv.check_pair ~engine ~cache:cold ~stage:"t" l r = uncached);
-      let all = List.rev !stored in
-      checki (name ^ ": cold run stores both outputs") 2 (List.length all);
-      let d_entry = List.hd all and x_entry = List.nth all 1 in
-      (* one output pre-cached: only the other one is proven and stored *)
-      let partial, stored = recording_cache [ d_entry ] in
-      checkb (name ^ ": partial run diagnostics") true
-        (Equiv.check_pair ~engine ~cache:partial ~stage:"t" l r = uncached);
-      checkb (name ^ ": only the miss is stored") true (!stored = [ x_entry ]);
-      let warm, stored = recording_cache all in
-      checkb (name ^ ": warm run diagnostics") true
-        (Equiv.check_pair ~engine ~cache:warm ~stage:"t" l r = uncached);
-      checki (name ^ ": warm run stores nothing") 0 (List.length !stored);
-      (* a hit is trusted, not re-proven: a cached "equal" for d hides
-         its difference *)
-      let trusted, _ = recording_cache [ (fst d_entry, "equal") ] in
-      checki (name ^ ": the cached output is not proven again") 0
-        (List.length (Equiv.check_pair ~engine ~cache:trusted ~stage:"t" l r)))
-    [ `Sat; `Auto ]
+  let uncached = Equiv.check_pair ~stage:"t" l r in
+  checki "output d differs" 1 (count_rule "EQ-DIFF-01" uncached);
+  let cold, stored = recording_cache [] in
+  checkb "cold run diagnostics" true
+    (Equiv.check_pair ~cache:cold ~stage:"t" l r = uncached);
+  let all = List.rev !stored in
+  checki "cold run stores both outputs" 2 (List.length all);
+  let d_entry = List.hd all and x_entry = List.nth all 1 in
+  (* one output pre-cached: only the other one is proven and stored *)
+  let partial, stored = recording_cache [ d_entry ] in
+  checkb "partial run diagnostics" true
+    (Equiv.check_pair ~cache:partial ~stage:"t" l r = uncached);
+  checkb "only the miss is stored" true (!stored = [ x_entry ]);
+  let warm, stored = recording_cache all in
+  checkb "warm run diagnostics" true
+    (Equiv.check_pair ~cache:warm ~stage:"t" l r = uncached);
+  checki "warm run stores nothing" 0 (List.length !stored);
+  (* a hit is trusted, not re-proven: a cached "equal" for d hides its
+     difference *)
+  let trusted, _ = recording_cache [ (fst d_entry, "equal") ] in
+  checki "the cached output is not proven again" 0
+    (List.length (Equiv.check_pair ~cache:trusted ~stage:"t" l r))
 
-(* The joint SAT proof runs on the calling domain and the BDD lanes
-   it hands budget-outs to run on the pool: with a one-node BDD budget
-   SAT proves every c432 output, with a zero conflict budget the BDD
-   lanes do, and neither report may depend on the pool size. *)
+(* The joint SAT proof proves every c432 output; with a zero conflict
+   budget every output it leaves open is sampled as EQ-TIMEOUT-01.
+   Neither report may depend on the pool size. *)
 let test_equiv_joint_determinism () =
   let aoi = Circuits.benchmark "c432" in
   let aqfp = Synth_flow.run_quiet aoi in
-  let render ?max_nodes ?conflict_budget () =
+  let render ?conflict_budget () =
     List.map Diag.to_string
-      (Equiv.check_pair ~engine:`Auto ?max_nodes ?conflict_budget ~stage:"t" aoi aqfp)
+      (Equiv.check_pair ?conflict_budget ~stage:"t" aoi aqfp)
   in
-  List.iter
-    (fun (what, render) ->
-      Parallel.set_jobs 1;
-      let r1 = render () in
-      Parallel.set_jobs 4;
-      let r4 = render () in
-      Parallel.set_jobs 1;
-      checkb (what ^ ": c432 proven clean") true (r1 = []);
-      checkb (what ^ ": c432 reports identical at jobs 1 vs 4") true (r1 = r4))
-    [
-      ("sat", fun () -> render ~max_nodes:1 ());
-      ("bdd lanes", fun () -> render ~conflict_budget:0 ());
-    ];
-  checkb "a zero conflict budget leaves c432 outputs to the BDD lanes" true
-    (count_rule "EQ-TIMEOUT-01"
-       (Equiv.check_pair ~engine:`Sat ~conflict_budget:0 ~stage:"t" aoi aqfp)
-    > 0);
+  let at_jobs_1_and_4 render =
+    Parallel.set_jobs 1;
+    let r1 = render () in
+    Parallel.set_jobs 4;
+    let r4 = render () in
+    Parallel.set_jobs 1;
+    (r1, r4)
+  in
+  let r1, r4 = at_jobs_1_and_4 render in
+  checkb "c432 proven clean" true (r1 = []);
+  checkb "c432 reports identical at jobs 1 vs 4" true (r1 = r4);
+  let r1, r4 = at_jobs_1_and_4 (render ~conflict_budget:0) in
+  checkb "a zero conflict budget leaves c432 outputs sampled" true
+    (r1 <> []
+    && List.for_all (fun l -> contains l "EQ-TIMEOUT-01") r1);
+  checkb "budget-out reports identical at jobs 1 vs 4" true (r1 = r4);
   (* a pinned gate in apc32: the messages carry the same
      counterexamples as proving each output cone on its own *)
   let aqfp = Synth_flow.run_quiet (Circuits.benchmark "apc32") in
@@ -469,7 +433,7 @@ let test_equiv_joint_determinism () =
   in
   let got =
     List.map Diag.to_string
-      (Equiv.check_pair ~engine:`Sat ~stage:"mut" aqfp m)
+      (Equiv.check_pair ~stage:"mut" aqfp m)
   in
   Alcotest.(check (list string)) "apc32 EQ-DIFF-01 messages pinned" expected got
 
@@ -696,10 +660,8 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "guards (EQ-DIFF-01)" `Quick test_equiv_guard;
-          Alcotest.test_case "engines (bdd/sat/auto, timeout, fallback)"
-            `Quick test_equiv_engines;
-          Alcotest.test_case "auto: sat first, bdd for budget-outs" `Quick
-            test_equiv_auto_sat_first;
+          Alcotest.test_case "sat (timeout, budget-out, replayed cex)" `Quick
+            test_equiv_sat;
           Alcotest.test_case "proof cache" `Quick test_equiv_proof_cache;
           Alcotest.test_case "proof cache keys and partial hits" `Quick
             test_equiv_cache_compat;

@@ -497,7 +497,6 @@ let test_key_participation () =
     algorithm = _;
     router = _;
     seed = _;
-    equiv_engine = _;
     check_tier = _;
     resyn_effort = _;
   } =
@@ -513,10 +512,6 @@ let test_key_participation () =
          [ Place ]);
         ("router", { d with router = Router.Negotiated }, [ Route ], [ Route ]);
         ("seed", { d with seed = 7 }, [ Place ], [ Place ]);
-        ( "equiv_engine",
-          { d with equiv_engine = `Sat },
-          [ Synth; Resyn; Check ],
-          [ Check ] );
         ("check_tier", { d with check_tier = Check.Full }, [ Check ],
          [ Check ]);
         ( "resyn_effort",
@@ -561,27 +556,26 @@ let test_key_participation () =
         [ true; false ])
     Flow.stages
 
-(* The check report's header names the engine, so a warm rerun under
-   another engine must recompute the check stage, not replay the old
+(* The check report's header names the tier, so a warm rerun under
+   another tier must recompute the check stage, not replay the old
    header. *)
-let test_engine_change_recomputes_check () =
-  let run ?db equiv_engine =
-    let config =
-      { Flow.default with Flow.equiv_engine; check_tier = Check.Full }
-    in
+let test_tier_change_recomputes_check () =
+  let run ?db check_tier =
+    let config = { Flow.default with Flow.check_tier } in
     match Flow.run_staged ~config ?db ~to_stage:Flow.Check (aoi ()) with
     | Ok staged -> staged
     | Error d -> Alcotest.fail (Diag.to_string d)
   in
   let report staged = Check.render_text (Option.get staged.Flow.checked) in
   with_db (fun _dir db ->
-      ignore (run ~db `Auto);
-      let warm = run ~db `Sat in
+      ignore (run ~db Check.Fast);
+      let warm = run ~db Check.Full in
       checkb "check recomputed" true
         (List.assoc "check" (outcome_names warm) = `Miss);
-      checkb "header names sat" true
-        (List.mem "# engine: sat" (String.split_on_char '\n' (report warm)));
-      checks "report = db-free sat run" (report (run `Sat)) (report warm))
+      checkb "header names full" true
+        (List.mem "# tier: full" (String.split_on_char '\n' (report warm)));
+      checks "report = db-free full run" (report (run Check.Full))
+        (report warm))
 
 (* ---------- the proof log ---------- *)
 
@@ -762,7 +756,7 @@ let () =
           Alcotest.test_case "corrupt cache self-heals" `Quick
             test_corrupt_cache_self_heals;
           Alcotest.test_case "key participation" `Quick test_key_participation;
-          Alcotest.test_case "engine change recomputes check" `Quick
-            test_engine_change_recomputes_check;
+          Alcotest.test_case "tier change recomputes check" `Quick
+            test_tier_change_recomputes_check;
         ] );
     ]

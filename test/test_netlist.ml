@@ -266,92 +266,6 @@ let prop_sim_word_matches_scalar =
       let word = (Sim.eval_words nl words).(0) in
       (word land 1 = 1) = scalar)
 
-(* ---------- BDD ---------- *)
-
-let test_bdd_basic_ops () =
-  let m = Bdd.manager 3 in
-  let a = Bdd.var m 0 and b = Bdd.var m 1 in
-  checkb "a&b != a|b" false (Bdd.equal (Bdd.band m a b) (Bdd.bor m a b));
-  checkb "a&a = a" true (Bdd.equal (Bdd.band m a a) a);
-  checkb "a^a = 0" true (Bdd.equal (Bdd.bxor m a a) (Bdd.zero m));
-  checkb "~~a = a" true (Bdd.equal (Bdd.bnot m (Bdd.bnot m a)) a);
-  (* De Morgan *)
-  checkb "de morgan" true
-    (Bdd.equal
-       (Bdd.bnot m (Bdd.band m a b))
-       (Bdd.bor m (Bdd.bnot m a) (Bdd.bnot m b)))
-
-let test_bdd_canonical_maj () =
-  let m = Bdd.manager 3 in
-  let a = Bdd.var m 0 and b = Bdd.var m 1 and c = Bdd.var m 2 in
-  (* majority via two different formulas reaches the same node *)
-  let maj1 = Bdd.bmaj m a b c in
-  let ab = Bdd.band m a b in
-  let ac = Bdd.band m a c in
-  let bc = Bdd.band m b c in
-  let maj2 = Bdd.bor m (Bdd.bor m ab ac) bc in
-  checkb "canonical" true (Bdd.equal maj1 maj2);
-  Alcotest.(check (float 1e-9)) "4 satisfying rows" 4.0 (Bdd.sat_count m maj1)
-
-let test_bdd_eval_matches_sim () =
-  let nl = sample_netlist () in
-  let m = Bdd.manager 3 in
-  let outs = Bdd.of_netlist m nl in
-  for v = 0 to 7 do
-    let ins = Array.init 3 (fun k -> (v lsr k) land 1 = 1) in
-    checkb "bdd eval = sim" ((Sim.eval nl ins).(0)) (Bdd.eval outs.(0) ins)
-  done
-
-let test_bdd_equivalence_positive () =
-  let nl = sample_netlist () in
-  (match Bdd.check_equivalence nl (Netlist.copy nl) with
-  | Bdd.Equivalent -> ()
-  | _ -> Alcotest.fail "copy should be equivalent");
-  (* synthesis preserves function — formally this time *)
-  let aoi = Circuits.kogge_stone_adder 4 in
-  match Bdd.check_equivalence aoi (Netlist.copy aoi) with
-  | Bdd.Equivalent -> ()
-  | _ -> Alcotest.fail "adder should equal itself"
-
-let test_bdd_counterexample () =
-  let nl_a = sample_netlist () in
-  let nl_b = Netlist.create () in
-  let a = Netlist.add nl_b Netlist.Input [||] in
-  let b = Netlist.add nl_b Netlist.Input [||] in
-  let c = Netlist.add nl_b Netlist.Input [||] in
-  let ab = Netlist.add nl_b Netlist.And [| a; b |] in
-  let y = Netlist.add nl_b Netlist.Or [| ab; c |] in
-  ignore (Netlist.add nl_b Netlist.Output [| y |]);
-  match Bdd.check_equivalence nl_a nl_b with
-  | Bdd.Different cex when Array.length cex = 3 ->
-      (* the counterexample must actually distinguish them *)
-      checkb "cex distinguishes" true
-        ((Sim.eval nl_a cex).(0) <> (Sim.eval nl_b cex).(0))
-  | Bdd.Different _ -> Alcotest.fail "bad counterexample arity"
-  | Bdd.Equivalent -> Alcotest.fail "should differ"
-  | Bdd.Too_large -> Alcotest.fail "should be tiny"
-
-let test_bdd_limit () =
-  (* a 16-bit multiplier blows a tiny node budget *)
-  let nl = Circuits.array_multiplier 8 in
-  match Bdd.check_equivalence ~max_nodes:500 nl (Netlist.copy nl) with
-  | Bdd.Too_large -> ()
-  | _ -> Alcotest.fail "expected Too_large with a 500-node budget"
-
-let prop_bdd_agrees_with_sim =
-  QCheck.Test.make ~name:"bdd equivalence agrees with exhaustive simulation" ~count:25
-    QCheck.(pair (int_bound 10_000) (int_bound 10_000))
-    (fun (s1, s2) ->
-      let nl_a = Circuits.iscas_like ~seed:s1 ~pi:5 ~po:2 ~gates:15 ~depth:4 in
-      let nl_b = Circuits.iscas_like ~seed:s2 ~pi:5 ~po:2 ~gates:15 ~depth:4 in
-      let formal =
-        match Bdd.check_equivalence nl_a nl_b with
-        | Bdd.Equivalent -> true
-        | Bdd.Different _ -> false
-        | Bdd.Too_large -> QCheck.assume_fail ()
-      in
-      formal = Sim.equivalent nl_a nl_b)
-
 (* ---------- Fault simulation / test generation ---------- *)
 
 let test_fault_detects_basic () =
@@ -683,16 +597,6 @@ let () =
           Alcotest.test_case "redundant logic" `Quick test_fault_redundant_logic;
           Alcotest.test_case "compact vectors" `Quick test_fault_vectors_compact;
           Alcotest.test_case "diagnosis" `Quick test_fault_diagnosis;
-        ] );
-      ( "bdd",
-        [
-          Alcotest.test_case "basic ops" `Quick test_bdd_basic_ops;
-          Alcotest.test_case "canonical maj" `Quick test_bdd_canonical_maj;
-          Alcotest.test_case "eval matches sim" `Quick test_bdd_eval_matches_sim;
-          Alcotest.test_case "equivalence" `Quick test_bdd_equivalence_positive;
-          Alcotest.test_case "counterexample" `Quick test_bdd_counterexample;
-          Alcotest.test_case "node limit" `Quick test_bdd_limit;
-          QCheck_alcotest.to_alcotest prop_bdd_agrees_with_sim;
         ] );
       ( "bench",
         [

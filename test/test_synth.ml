@@ -429,18 +429,17 @@ let prop_insertion_preserves_function =
       Sim.equivalent nl aqfp && Netlist.is_balanced aqfp)
 
 let test_formal_equivalence_of_synthesis () =
-  (* BDD-based formal check (not just simulation) that the synthesis
-     chain preserves the function. Too_large is acceptable (ordering
-     dependent); Different is a bug. *)
+  (* formal check (not just simulation) that the synthesis chain
+     preserves the function: every output proven equal by the joint
+     SAT proof, none left to the budget *)
   List.iter
     (fun (name, aoi) ->
       let aqfp = Synth_flow.run_quiet aoi in
-      match Bdd.check_equivalence ~max_nodes:2_000_000 aoi aqfp with
-      | Bdd.Equivalent -> ()
-      | Bdd.Too_large -> () (* fall back covered by simulation tests *)
-      | Bdd.Different cex ->
-          Alcotest.failf "%s: synthesis formally differs (cex of %d bits)" name
-            (Array.length cex))
+      match Equiv.check_pair ~stage:name aoi aqfp with
+      | [] -> ()
+      | d :: _ ->
+          Alcotest.failf "%s: synthesis not proven equal: %s" name
+            (Diag.to_string d))
     [
       ("adder4", Circuits.kogge_stone_adder 4);
       ("mult3", Circuits.array_multiplier 3);
