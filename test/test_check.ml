@@ -346,6 +346,24 @@ let recording_cache entries =
     },
     stored )
 
+(* A budget-out samples only the outputs the joint proof left open:
+   on the two-output pair a zero budget still reports d's difference,
+   and the stage guards of the bundled designs are proven clean. *)
+let test_equiv_budget_outs () =
+  let l, r = two_output_pair () in
+  let d = Equiv.check_pair ~conflict_budget:0 ~stage:"t" l r in
+  checki "d's difference still reported" 1 (count_rule "EQ-DIFF-01" d);
+  checkb "x is proven or sampled, nothing else" true
+    (List.for_all
+       (fun x -> x.Diag.rule = "EQ-DIFF-01" || x.Diag.rule = "EQ-TIMEOUT-01")
+       d);
+  List.iter
+    (fun name ->
+      let _, report = Synth_flow.run ~check:true (Circuits.benchmark name) in
+      checki (name ^ ": flow guards proven clean") 0
+        (List.length report.Synth_flow.guard_diags))
+    [ "adder8"; "c432"; "apc32" ]
+
 let test_equiv_cache_compat () =
   (* proof keys hash the folded per-output cones, so proofs already in
      a database stay valid *)
@@ -662,6 +680,8 @@ let () =
           Alcotest.test_case "guards (EQ-DIFF-01)" `Quick test_equiv_guard;
           Alcotest.test_case "sat (timeout, budget-out, replayed cex)" `Quick
             test_equiv_sat;
+          Alcotest.test_case "budget-outs sampled per output" `Quick
+            test_equiv_budget_outs;
           Alcotest.test_case "proof cache" `Quick test_equiv_proof_cache;
           Alcotest.test_case "proof cache keys and partial hits" `Quick
             test_equiv_cache_compat;
