@@ -643,10 +643,10 @@ let resyn_effort_arg =
 let dsan_flag_arg =
   Arg.(value & flag & info [ "dsan" ]
          ~doc:"Arm the determinism sanitizer for this run: chunk execution \
-               orders are fuzzed, tracked shared arrays check their \
-               ownership discipline, and every DSAN-* finding is printed to \
-               stderr (exit 1 on any). Incompatible with --db: sanitized \
-               runs are never cached.")
+               orders are fuzzed, nested parallel calls and stale router \
+               arena reads are flagged, and every DSAN-* finding is \
+               printed to stderr (exit 1 on any). Incompatible with --db: \
+               sanitized runs are never cached.")
 
 (* ---- the design and its Flow.config, shared by the flow subcommands ---- *)
 
@@ -762,12 +762,12 @@ let sanitize_cmd =
        ~doc:"Hunt determinism bugs in the parallel substrate: run the flow \
              at jobs=1 (baseline), then under --schedules seeded \
              chunk-order permutations at jobs=1 and at --jobs, with the \
-             race detector armed throughout. Artifact fingerprints \
-             (volatile wall-clock fields zeroed) are compared against the \
-             baseline and any divergence is binary-searched to its first \
-             differing stage/slot (DSAN-SCHED-01 / DSAN-DIVERGE-01); \
-             tracked shared arrays report ownership and overlap violations \
-             (DSAN-OWN/WW/RW-01). Exits 1 on any finding.")
+             sanitizer armed throughout. Artifact fingerprints (volatile \
+             wall-clock fields zeroed) are compared against the baseline \
+             and any divergence is traced to its first differing \
+             stage/slot (DSAN-SCHED-01 / DSAN-DIVERGE-01); nested calls and \
+             stale arena reads report as DSAN-NEST-01 / DSAN-EPOCH-01. \
+             Exits 1 on any finding.")
     Term.(const cmd_sanitize $ design_t [ placer_t; router_t; tech_t ]
           $ sanitize_seed_arg $ schedules_arg $ jobs_arg)
 

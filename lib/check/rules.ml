@@ -116,22 +116,10 @@ let all =
       "A Parallel call was made from inside another call's chunk; it runs \
        inline on one lane, so the inner loop gets no speedup and its chunk \
        structure silently changes.";
-    e "DSAN-OWN-01" Diag.Error "dsan"
-      "A chunk wrote a tracked array outside its ownership discipline — \
-       beyond its static [lo, hi) slice, or to a read-only shared input. \
-       Witness: call-site label, chunk id and index.";
-    e "DSAN-RW-01" Diag.Error "dsan"
-      "One chunk read a tracked array index that another chunk of the same \
-       batch wrote: the read's value depends on the schedule. Witness: \
-       call-site label, both chunk ids and the index.";
     e "DSAN-SCHED-01" Diag.Error "dsan"
       "Output differed between the unfuzzed baseline and a seeded \
        permutation of chunk execution order; since the combine order is \
        fixed, the result depends on scheduling.";
-    e "DSAN-WW-01" Diag.Error "dsan"
-      "Two chunks of one batch wrote the same tracked array index: \
-       last-writer-wins makes the final value schedule-dependent. Witness: \
-       call-site label, both chunk ids and the index.";
     e "EQ-ARITY-01" Diag.Error "equiv"
       "The two netlists being compared have different primary input/output \
        counts; no per-output proof was attempted.";
@@ -213,8 +201,7 @@ let all =
        it can differ between runs and builds.";
     e "SL-LABEL-01" Diag.Error "mlint"
       "A Parallel call site carries no ~label, so sanitizer findings and the \
-       call-site inventory cannot name it (static form of sf_dsan's \
-       runtime-only labeling check).";
+       call-site inventory cannot name it.";
     e "SL-MARSHAL-01" Diag.Error "mlint"
       "Marshal outside lib/db/codec.ml bypasses the versioned, checksummed \
        Codec frames the design database depends on.";

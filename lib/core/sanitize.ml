@@ -3,12 +3,12 @@
    A sanitized run executes the stage graph repeatedly — once at
    jobs=1 with the schedule fuzzer off (the baseline), then under N
    seeded schedule permutations at jobs=1 and at jobs=k — with the
-   Dsan race detector armed throughout. Every run is fingerprinted as
+   Dsan hooks installed throughout. Every run is fingerprinted as
    the digests of [Flow.artifacts], the bytes a database would store
    for it (volatile wall-clock fields zeroed first: they differ between
    any two runs and would drown the signal); a fingerprint that differs
    from the baseline is localized to the first divergent (stage, slot) by
-   binary search over the prefix-equality predicate and reported as
+   one scan of the two digest lists and reported as
    DSAN-SCHED-01 (schedule-dependent at equal jobs) or
    DSAN-DIVERGE-01 (jobs-dependent).
 
@@ -59,31 +59,16 @@ let fingerprint st =
       })
     (Flow.artifacts (still st))
 
-(* first index where the fingerprints disagree, by binary search over
-   the monotone predicate "the first [k] slots agree" — the scan a
-   linear walk would do, but O(log n) digest comparisons *)
+(* first index where the fingerprints disagree, in one scan *)
 let first_divergence (a : slot list) (b : slot list) =
-  let a = Array.of_list a and b = Array.of_list b in
-  let n = min (Array.length a) (Array.length b) in
-  let prefix_ok k =
-    let ok = ref true in
-    for i = 0 to k - 1 do
-      if a.(i).sl_digest <> b.(i).sl_digest then ok := false
-    done;
-    !ok
+  let rec go k a b =
+    match (a, b) with
+    | [], [] -> None
+    | [], _ | _, [] -> Some (k, None)
+    | x :: a', y :: b' ->
+        if x.sl_digest <> y.sl_digest then Some (k, Some x) else go (k + 1) a' b'
   in
-  if prefix_ok n then
-    if Array.length a = Array.length b then None
-    else Some (min (Array.length a) (Array.length b), None)
-  else begin
-    let lo = ref 0 and hi = ref n in
-    (* invariant: prefix_ok lo, not (prefix_ok hi) *)
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if prefix_ok mid then lo := mid else hi := mid
-    done;
-    Some (!lo, Some a.(!lo))
-  end
+  go 0 a b
 
 let divergence_finding ~rule ~jobs ~schedule base trial =
   match first_divergence base trial with
@@ -99,8 +84,7 @@ let divergence_finding ~rule ~jobs ~schedule base trial =
           Dsan.f_rule = rule;
           f_site = "flow";
           f_array = where;
-          f_chunk_a = -1;
-          f_chunk_b = -1;
+          f_chunk = -1;
           f_index = k;
           f_detail =
             Printf.sprintf

@@ -1,15 +1,15 @@
 (** Divergence localization for the determinism contract
     ([superflow sanitize]).
 
-    Executes the stage graph repeatedly with the {!Dsan} race detector
-    armed — a jobs=1 un-fuzzed baseline, then [schedules] seeded
+    Executes the stage graph repeatedly under {!Dsan.with_sanitizer}
+    — a jobs=1 un-fuzzed baseline, then [schedules] seeded
     chunk-order permutations at jobs=1 and at jobs=[k] — and compares
     each run's {e fingerprint}: the digests of {!Flow.artifacts}, the
     bytes a database would store for the run, with volatile wall-clock
     fields (placement/routing [runtime_s], check pass [seconds])
     zeroed. A differing fingerprint
-    is localized to its first divergent (stage, slot) by binary search
-    over the prefix-equality predicate and reported as
+    is localized to its first divergent (stage, slot) by one scan of
+    the two digest lists and reported as
     [DSAN-SCHED-01] (differs at equal jobs under a permuted schedule)
     or [DSAN-DIVERGE-01] (differs between jobs=1 and jobs=k).
 

@@ -27,7 +27,7 @@ val proper : t -> int -> Igeom.irect
     likewise in y) so that every point belongs to exactly one tile. *)
 
 val with_halo : t -> int -> Igeom.irect
-(** Footprint grown by the halo: the geometry a tile gets to see. *)
+(** Tile [i]'s footprint grown by the halo: the geometry a tile gets to see. *)
 
 val owner : t -> int -> int -> int
 (** Index of the unique tile owning point (x, y); coordinates outside

@@ -631,16 +631,13 @@ let check ?deck ?cache (t : Layout.t) =
           cached.(i) <- c.Memo.find keys.(i)
         done);
     (* only cache misses hit the pool; results replayed in tile order.
-       The tile bins and cache slots are shared inputs — the sanitizer
-       sees them as read-only views *)
-    let locals_v = Dsan.wrap ~label:"drc.tile.bins" ~mode:Dsan.Read_only locals in
-    let cached_v = Dsan.wrap ~label:"drc.tile.cache" ~mode:Dsan.Read_only cached in
+       The tile bins and cache slots are shared inputs, read-only here *)
     let parts =
       Parallel.map_chunks ~label:"drc.tiles" ~chunk:4 ~n:ntiles (fun lo hi ->
           let out = ref [] in
           for i = lo to hi - 1 do
-            if Dsan.get cached_v i = None then
-              out := (i, compute_tile d tiling (Dsan.get locals_v i) i) :: !out
+            if cached.(i) = None then
+              out := (i, compute_tile d tiling locals.(i) i) :: !out
           done;
           List.rev !out)
     in

@@ -95,8 +95,7 @@ let cost_and_grad ?orders p w xs =
      the result is independent of how many domains ran the chunks.
      (Chunk size is fixed, never derived from the pool size — that is
      the determinism contract of [Parallel.map_chunks].) *)
-  let xs_view = Dsan.wrap ~label:"place.xs" ~mode:Dsan.Read_only xs in
-  let get i = Dsan.get xs_view i in
+  let get i = xs.(i) in
   let net_chunk lo hi =
     let ccost = ref 0.0 in
     let cgrad = Array.make n 0.0 in

@@ -10,13 +10,12 @@
    interleaving differs.
 
    The contract is *checkable*: every call site carries a [~label] and
-   an optional sanitizer (sf_dsan) can install {!hooks} that observe
-   batch boundaries, permute the chunk execution order (the combine
-   order never moves, so any output change under a permuted schedule
-   is a proven determinism bug), and attribute array accesses to the
-   chunk that made them via {!current_chunk}. With no hooks installed
-   every check below compiles down to one ref load, so the off mode
-   costs nothing. *)
+   an optional sanitizer (sf_dsan) can install {!hooks} that permute
+   the chunk execution order (the combine order never moves, so any
+   output change under a permuted schedule is a proven determinism
+   bug) and see parallel calls nested inside a chunk. With no hooks
+   installed every check below compiles down to one ref load, so the
+   off mode costs nothing. *)
 
 let max_jobs = 64
 
@@ -65,13 +64,10 @@ let auto_jobs () = requested := None
    installs hooks before any batch runs; the pool's queue mutex
    publishes the write to every worker, so the plain ref is safe. *)
 
-type chunk_ctx = { cc_label : string; cc_chunk : int; cc_lo : int; cc_hi : int }
-
 type hooks = {
-  h_batch_start : label:string -> n_chunks:int -> unit;
   h_permute : label:string -> int array -> unit;
-      (* may shuffle the chunk *execution* order in place *)
-  h_batch_end : label:string -> unit;
+      (* called once per batch; may shuffle the chunk *execution*
+         order in place *)
   h_nested : label:string -> outer:string -> unit;
 }
 
@@ -81,12 +77,10 @@ let hooks : hooks option ref = ref None
 
 let set_hooks h = hooks := h
 
-(* which chunk this domain is currently executing (only maintained
-   while hooks are installed; [None] outside any chunk) *)
-let chunk_ctx : chunk_ctx option Domain.DLS.key =
+(* the label of the batch whose chunk this domain is executing (only
+   maintained while hooks are installed; [None] outside any chunk) *)
+let outer_label : string option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
-
-let current_chunk () = Domain.DLS.get chunk_ctx
 
 (* ---- the pool ----
 
@@ -236,32 +230,26 @@ let map_chunks ?(label = "unlabeled") ?chunk ~n f =
     (match !hooks with
     | None -> run_tasks (Array.init n_chunks task)
     | Some h -> (
-        match current_chunk () with
+        match Domain.DLS.get outer_label with
         | Some outer ->
             (* nested call from inside a chunk: runs inline (no batch
-               of its own); the sanitizer records it and accesses stay
-               attributed to the outer chunk *)
-            h.h_nested ~label ~outer:outer.cc_label;
+               of its own); the sanitizer records it *)
+            h.h_nested ~label ~outer;
             for ci = 0 to n_chunks - 1 do
               task ci ()
             done
         | None ->
-            h.h_batch_start ~label ~n_chunks;
             (* the sanitizer may permute the execution order; results
                land by chunk index and the caller combines in chunk
                order, so a permuted schedule must be unobservable *)
             let order = Array.init n_chunks (fun i -> i) in
             h.h_permute ~label order;
             let tracked ci () =
-              let lo = ci * chunk in
-              let hi = min n (lo + chunk) in
-              Domain.DLS.set chunk_ctx
-                (Some { cc_label = label; cc_chunk = ci; cc_lo = lo; cc_hi = hi });
+              Domain.DLS.set outer_label (Some label);
               task ci ();
-              Domain.DLS.set chunk_ctx None
+              Domain.DLS.set outer_label None
             in
-            run_tasks (Array.map (fun ci -> tracked ci) order);
-            h.h_batch_end ~label));
+            run_tasks (Array.map tracked order)));
     (* surface the leftmost chunk's failure so error behavior does not
        depend on scheduling *)
     Array.map

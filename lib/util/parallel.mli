@@ -23,11 +23,11 @@
 
     The contract is checkable: every call site should carry a [~label]
     and the determinism sanitizer (sf_dsan) can install {!hooks} that
-    observe batch boundaries, permute the chunk {e execution} order
-    (the combine order never moves, so any output change under a
-    permuted schedule is a proven determinism bug), and attribute
-    array accesses to chunks via {!current_chunk}. With no hooks
-    installed every check compiles down to one ref load. *)
+    permute the chunk {e execution} order (the combine order never
+    moves, so any output change under a permuted schedule is a proven
+    determinism bug) and see parallel calls nested inside a chunk.
+    With no hooks installed every check compiles down to one ref
+    load. *)
 
 val jobs : unit -> int
 (** The lane count the next parallel call will use (includes the
@@ -71,19 +71,11 @@ val parallel_init : ?label:string -> ?chunk:int -> int -> (int -> 'a) -> 'a arra
     Everything below is consumed by sf_dsan; production code never
     touches it. *)
 
-type chunk_ctx = {
-  cc_label : string;  (** call-site label of the running batch *)
-  cc_chunk : int;  (** chunk index within the batch *)
-  cc_lo : int;  (** inclusive start of the owned index range *)
-  cc_hi : int;  (** exclusive end of the owned index range *)
-}
-
 type hooks = {
-  h_batch_start : label:string -> n_chunks:int -> unit;
   h_permute : label:string -> int array -> unit;
-      (** receives the identity order and may shuffle it in place to
-          fuzz the chunk execution order *)
-  h_batch_end : label:string -> unit;
+      (** called once per batch (before any chunk runs) with the
+          identity order; may shuffle it in place to fuzz the chunk
+          execution order *)
   h_nested : label:string -> outer:string -> unit;
       (** a parallel call was made from inside chunk [outer]; it runs
           inline and is not tracked as a batch of its own *)
@@ -92,7 +84,3 @@ type hooks = {
 val set_hooks : hooks option -> unit
 (** Install (or clear) the sanitizer hooks. Must be called from the
     submitting domain while no batch is in flight. *)
-
-val current_chunk : unit -> chunk_ctx option
-(** The chunk this domain is currently executing, or [None] outside
-    any chunk. Only maintained while hooks are installed. *)
