@@ -223,8 +223,7 @@ let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
   run_graph ~store ?jobs ?from_stage ~to_stage design @@ fun db staged ->
   (match (def_out, staged.Flow.routed) with
   | Some path, Some (routing, p, _, _) ->
-      io (fun () ->
-          Def.write_file path (Def.of_design ~design:"superflow" p routing))
+      io (fun () -> Def.write_file path (Def.of_design p routing))
   | _ -> ());
   (match (gds_out, staged.Flow.built) with
   | Some path, Some (layout, _, _) -> io (fun () -> Layout.write_gds path layout)

@@ -61,9 +61,6 @@ val backward :
     Witness steps print as [n<id>:<kind>] with the node's name
     appended when present (e.g. [n12:maj"sum3"]), source first. *)
 
-val describe : Netlist.t -> int -> string
-(** One witness step for a node. *)
-
 val path_witness : Netlist.t -> int list -> string list
 (** Render a node-id path (given source-first) into witness steps. *)
 

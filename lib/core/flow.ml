@@ -675,8 +675,7 @@ let run ?algorithm ?router ?seed ?resyn_effort ?jobs ?(check = false) ?db
   | Ok { result = Some r; _ } ->
       Option.iter
         (fun path ->
-          Def.write_file path
-            (Def.of_design ~design:"superflow" r.problem r.routing))
+          Def.write_file path (Def.of_design r.problem r.routing))
         def_path;
       Option.iter (fun path -> Layout.write_gds path r.layout) gds_path;
       r

@@ -84,7 +84,6 @@ let divergence_finding ~rule ~jobs ~schedule base trial =
           Dsan.f_rule = rule;
           f_site = "flow";
           f_array = where;
-          f_chunk = -1;
           f_index = k;
           f_detail =
             Printf.sprintf

@@ -28,10 +28,6 @@ type report = {
   slots : int;  (** artifact slots in the baseline fingerprint *)
 }
 
-val fingerprint : Flow.staged -> slot list
-(** Digests of {!Flow.artifacts} in stage and slot order, volatile
-    fields zeroed. *)
-
 val first_divergence : slot list -> slot list -> (int * slot option) option
 (** [first_divergence base trial] — [None] when byte-identical;
     [Some (k, slot)] gives the first disagreeing index and the

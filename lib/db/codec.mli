@@ -46,8 +46,6 @@ exception Corrupt of string
 
 val bool : bool t  (** one byte, 0 or 1 *)
 
-val u8 : int t  (** one byte; writing outside [0, 255] is [Invalid_argument] *)
-
 val int : int t  (** i64le *)
 
 val f64 : float t  (** the IEEE-754 bit pattern, i64le *)
@@ -77,7 +75,7 @@ val case : int -> 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
     payload. *)
 
 val enum : string -> 'a case list -> 'a t
-(** A {!u8} tag, then the payload of its case. Reading an unknown tag
+(** A one-byte tag, then the payload of its case. Reading an unknown tag
     is {!Corrupt} ("unknown <name> tag N"). *)
 
 (** {2 Records} *)

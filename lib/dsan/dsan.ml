@@ -17,7 +17,6 @@ type finding = {
   f_rule : string;
   f_site : string;  (* Parallel call-site label, or "-" *)
   f_array : string;  (* array or artifact label, or "-" *)
-  f_chunk : int;  (* -1 when not chunk-specific *)
   f_index : int;  (* -1 when not index-specific *)
   f_detail : string;
 }
@@ -28,8 +27,6 @@ let finding_to_string f =
   let b = Buffer.create 80 in
   Buffer.add_string b (Printf.sprintf "%s at %s" f.f_rule f.f_site);
   if f.f_array <> "-" then Buffer.add_string b (" array " ^ f.f_array);
-  if f.f_chunk >= 0 then
-    Buffer.add_string b (Printf.sprintf " chunk %d" f.f_chunk);
   if f.f_index >= 0 then Buffer.add_string b (Printf.sprintf " index %d" f.f_index);
   Buffer.add_string b (": " ^ f.f_detail);
   Buffer.contents b
@@ -41,7 +38,6 @@ let to_diag f =
       [
         "site " ^ f.f_site;
         (if f.f_array <> "-" then "array " ^ f.f_array else "");
-        (if f.f_chunk >= 0 then Printf.sprintf "chunk %d" f.f_chunk else "");
         (if f.f_index >= 0 then Printf.sprintf "index %d" f.f_index else "");
       ]
   in
@@ -66,9 +62,9 @@ type session = {
   fuzz : bool;
   mutable batch_counter : int;
   mutable findings : finding list;
-  (* (rule, site, array, chunk) combos already reported — a check in a
+  (* (rule, site, array) combos already reported — a check in a
      hot loop would otherwise flood (one finding per element) *)
-  dedup : (string * string * string * int, unit) Hashtbl.t;
+  dedup : (string * string * string, unit) Hashtbl.t;
 }
 
 (* the one live sanitizer session, guarded by its mutex.
@@ -76,7 +72,7 @@ type session = {
 let session : session option ref = ref None
 
 let push_finding_once s f =
-  let key = (f.f_rule, f.f_site, f.f_array, f.f_chunk) in
+  let key = (f.f_rule, f.f_site, f.f_array) in
   Mutex.lock s.mutex;
   if not (Hashtbl.mem s.dedup key) then begin
     Hashtbl.add s.dedup key ();
@@ -84,8 +80,7 @@ let push_finding_once s f =
   end;
   Mutex.unlock s.mutex
 
-let record ~rule ?(site = "-") ?(array_label = "-") ?(chunk = -1) ?(index = -1)
-    detail =
+let record ~rule ?(site = "-") ?(array_label = "-") ?(index = -1) detail =
   match !session with
   | None -> ()
   | Some s ->
@@ -94,7 +89,6 @@ let record ~rule ?(site = "-") ?(array_label = "-") ?(chunk = -1) ?(index = -1)
           f_rule = rule;
           f_site = site;
           f_array = array_label;
-          f_chunk = chunk;
           f_index = index;
           f_detail = detail;
         }
@@ -143,7 +137,6 @@ let hooks_of s =
             f_rule = "DSAN-NEST-01";
             f_site = outer;
             f_array = "-";
-            f_chunk = -1;
             f_index = -1;
             f_detail =
               Printf.sprintf

@@ -22,7 +22,6 @@ type finding = {
   f_rule : string;  (** stable [DSAN-*] rule id *)
   f_site : string;  (** [Parallel] call-site label, or ["-"] *)
   f_array : string;  (** array or artifact label, or ["-"] *)
-  f_chunk : int;  (** involved chunk, or [-1] *)
   f_index : int;  (** witnessing index, or [-1] *)
   f_detail : string;  (** human-readable explanation *)
 }
@@ -31,7 +30,7 @@ val compare_finding : finding -> finding -> int
 
 val finding_to_string : finding -> string
 (** One line, e.g.
-    ["DSAN-EPOCH-01 at route.pairs array search.arena chunk 3 index 42: …"]. *)
+    ["DSAN-EPOCH-01 at route.pairs array search.arena index 42: …"]. *)
 
 val to_diag : finding -> Diag.t
 (** Render as a structured diagnostic ([DSAN-NEST-01] is a warning,
@@ -55,10 +54,9 @@ val record :
   rule:string ->
   ?site:string ->
   ?array_label:string ->
-  ?chunk:int ->
   ?index:int ->
   string ->
   unit
 (** Report a finding from instrumented flow code (e.g. the router's
     arena epoch check emits [DSAN-EPOCH-01] through this). Deduped per
-    (rule, site, array, chunk); a no-op when no session is active. *)
+    (rule, site, array); a no-op when no session is active. *)

@@ -26,9 +26,6 @@ val proper : t -> int -> Igeom.irect
 (** Tile [i]'s own footprint, owned half-open ([lx <= x < hx], and
     likewise in y) so that every point belongs to exactly one tile. *)
 
-val with_halo : t -> int -> Igeom.irect
-(** Tile [i]'s footprint grown by the halo: the geometry a tile gets to see. *)
-
 val owner : t -> int -> int -> int
 (** Index of the unique tile owning point (x, y); coordinates outside
     the grid clamp to the border tiles. *)

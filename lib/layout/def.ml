@@ -22,7 +22,7 @@ type t = {
 
 let dbu = 1000.0
 
-let of_design ?(design = "top") p (routed : Router.result) =
+let of_design p (routed : Router.result) =
   let comp_name ci = Printf.sprintf "c%d" p.Problem.cells.(ci).Problem.node in
   let components =
     Array.to_list
@@ -65,7 +65,7 @@ let of_design ?(design = "top") p (routed : Router.result) =
       (Float.max 1.0 (Problem.row_width p))
       (Float.max 1.0 (Problem.row_top p (p.Problem.n_rows - 1) +. p.Problem.row_height))
   in
-  { design; die; components; nets }
+  { design = "superflow"; die; components; nets }
 
 let coord x = string_of_int (int_of_float (Float.round (x *. dbu)))
 

@@ -34,8 +34,8 @@ type t = {
   nets : def_net list;
 }
 
-val of_design : ?design:string -> Problem.t -> Router.result -> t
-(** Capture a placed-and-routed design. *)
+val of_design : Problem.t -> Router.result -> t
+(** Capture a placed-and-routed design, named [superflow]. *)
 
 val to_string : t -> string
 

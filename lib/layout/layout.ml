@@ -146,7 +146,7 @@ let cell_structure (c : Cell.t) =
   in
   { Gds.sname = c.Cell.cell_name; elements = (outline :: jjs) @ in_pins @ out_pins }
 
-let to_gds ?(libname = "SUPERFLOW") t =
+let to_gds t =
   let used : (string, Cell.t) Hashtbl.t = Hashtbl.create 16 in
   Array.iter (fun pc -> Hashtbl.replace used pc.lib.Cell.cell_name pc.lib) t.cells;
   let cell_structs =
@@ -209,7 +209,7 @@ let to_gds ?(libname = "SUPERFLOW") t =
          t.bias)
   in
   let top = { Gds.sname = "TOP"; elements = srefs @ wires @ vias @ bias @ labels } in
-  { Gds.libname; structures = cell_structs @ [ top ] }
+  { Gds.libname = "SUPERFLOW"; structures = cell_structs @ [ top ] }
 
 let write_gds path t = Gds.write_file path (to_gds t)
 

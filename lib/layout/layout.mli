@@ -46,15 +46,9 @@ val wire_width : float
 (** Drawn PTL width, µm (2.0). *)
 
 val layer_outline : int
-val layer_jj : int
-val layer_pin : int
 val layer_m1 : int
 val layer_m2 : int
 val layer_via : int
-val layer_label : int
-val layer_ac1 : int
-val layer_ac2 : int
-val layer_dc : int
 (** The GDS layer map above, as constants (DRC and the writers share
     them). *)
 
@@ -63,7 +57,9 @@ val build : Problem.t -> Router.result -> t
     horizontal runs on metal 1, vertical runs on metal 2, a via at
     every interior corner. *)
 
-val to_gds : ?libname:string -> t -> Gds.lib
+val to_gds : t -> Gds.lib
+(** The GDS library [SUPERFLOW]: one structure per used cell and a
+    [TOP] structure that places them. *)
 
 val write_gds : string -> t -> unit
 

@@ -17,7 +17,10 @@ let layer_color = function
   | 23 -> "#000000" (* DC *)
   | _ -> "#999999"
 
-let render ?(scale = 0.2) (t : Layout.t) =
+(* pixels per µm *)
+let scale = 0.2
+
+let render (t : Layout.t) =
   let die = t.Layout.die in
   (* include the bias trunk that sits right of the die *)
   let margin = 80.0 in
@@ -68,12 +71,12 @@ let render ?(scale = 0.2) (t : Layout.t) =
   add "</svg>\n";
   Buffer.contents buf
 
-let write_file path ?scale t =
+let write_file path t =
   let oc = open_out path in
-  output_string oc (render ?scale t);
+  output_string oc (render t);
   close_out oc
 
-let render_placement ?(scale = 0.2) p =
+let render_placement p =
   let margin = 40.0 in
   let width = Problem.row_width p +. (2.0 *. margin) in
   let height =

@@ -7,12 +7,12 @@
     layer, vias as dots, and the clock serpentines as translucent
     lines. Output is standalone SVG 1.1. *)
 
-val render : ?scale:float -> Layout.t -> string
-(** [render layout] — [scale] is pixels per µm (default 0.2; the
-    result carries a viewBox, so any scale renders correctly). *)
+val render : Layout.t -> string
+(** [render layout] — 0.2 pixels per µm; the result carries a viewBox,
+    so a viewer can rescale it. *)
 
-val write_file : string -> ?scale:float -> Layout.t -> unit
+val write_file : string -> Layout.t -> unit
 
-val render_placement : ?scale:float -> Problem.t -> string
+val render_placement : Problem.t -> string
 (** Cells-only view of a placement (no routing yet) — the picture to
     look at between the placer and the router. *)

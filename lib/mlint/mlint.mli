@@ -75,7 +75,6 @@ val baseline_lines : finding list -> string list
 (** Serialize the error-severity findings as baseline entries
     (warnings never gate, so they are never grandfathered). *)
 
-val to_diag : finding -> Diag.t
 val render_text : finding -> string
 val render_json : finding -> string
 

@@ -38,8 +38,3 @@ type site = {
 
 val scan : Parsetree.structure -> site list
 (** Sites in traversal order. *)
-
-val idish : string -> bool
-(** Is a string literal shaped like a rule id ([A-Z0-9] segments
-    joined by single dashes, alphabetic first segment)? Exposed for
-    the tests. *)

@@ -19,9 +19,6 @@ val of_string : path:string -> string -> t
 val load : root:string -> rel:string -> (t, string) result
 (** Read [root/rel]. [Error] carries the system message. *)
 
-val line : t -> int -> string
-(** 1-based; out-of-range lines are [""]. *)
-
 val snippet : t -> line:int -> string
 (** The trimmed source line, truncated to 96 chars — the witness text
     embedded in a diagnostic. *)

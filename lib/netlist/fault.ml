@@ -113,7 +113,8 @@ type tests = {
   undetected : fault list;
 }
 
-let generate ?(target = 0.99) ?(max_vectors = 2000) ?(seed = 1) nl =
+let generate ?(seed = 1) nl =
+  let target = 0.99 and max_vectors = 2000 in
   let rng = Rng.create seed in
   let n_in = List.length (Netlist.inputs nl) in
   let faults = ref (all_faults nl) in

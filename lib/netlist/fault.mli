@@ -41,9 +41,9 @@ type tests = {
   undetected : fault list;
 }
 
-val generate : ?target:float -> ?max_vectors:int -> ?seed:int -> Netlist.t -> tests
-(** Greedy generation ([target] defaults to 0.99, [max_vectors] to
-    2000). Deterministic in [seed]. *)
+val generate : ?seed:int -> Netlist.t -> tests
+(** Greedy generation up to 99% coverage or 2000 kept vectors.
+    Deterministic in [seed]. *)
 
 val diagnose :
   Netlist.t -> bool array list -> bool array list -> fault list

@@ -9,9 +9,6 @@
 
 type t = int
 
-val num_vars_max : int
-(** 6 — beyond this an [int] no longer holds the table. *)
-
 val mask : int -> t
 (** [mask n] = all-ones table on [n] variables. *)
 

@@ -35,7 +35,7 @@ let signal_values nl inputs =
     order;
   values
 
-let of_vectors ?(dump_internal = false) ?(timescale = "1ns") nl vectors =
+let of_vectors ?(dump_internal = false) nl vectors =
   let n_in = List.length (Netlist.inputs nl) in
   List.iter
     (fun v ->
@@ -62,7 +62,7 @@ let of_vectors ?(dump_internal = false) ?(timescale = "1ns") nl vectors =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "$date superflow simulation $end\n";
   add "$version superflow 0.1.0 $end\n";
-  add "$timescale %s $end\n" timescale;
+  add "$timescale 1ns $end\n";
   add "$scope module superflow $end\n";
   List.iter (fun (_, name, code) -> add "$var wire 1 %s %s $end\n" code name) codes;
   add "$upscope $end\n$enddefinitions $end\n";
@@ -88,7 +88,7 @@ let of_vectors ?(dump_internal = false) ?(timescale = "1ns") nl vectors =
   add "#%d\n" (List.length vectors);
   Buffer.contents buf
 
-let write_file path ?dump_internal ?timescale nl vectors =
+let write_file path ?dump_internal nl vectors =
   let oc = open_out path in
-  output_string oc (of_vectors ?dump_internal ?timescale nl vectors);
+  output_string oc (of_vectors ?dump_internal nl vectors);
   close_out oc

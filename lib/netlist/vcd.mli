@@ -10,16 +10,10 @@
     timestep corresponds to one full wave through the gate-level
     pipeline, not one clock phase. *)
 
-val of_vectors :
-  ?dump_internal:bool ->
-  ?timescale:string ->
-  Netlist.t ->
-  bool array list ->
-  string
-(** [of_vectors nl vectors] — VCD text for the run. [dump_internal]
-    (default false) also traces internal gates; [timescale] defaults
-    to ["1ns"]. Raises [Invalid_argument] on vector arity mismatch. *)
+val of_vectors : ?dump_internal:bool -> Netlist.t -> bool array list -> string
+(** [of_vectors nl vectors] — VCD text for the run, timescale 1 ns.
+    [dump_internal] (default false) also traces internal gates. Raises
+    [Invalid_argument] on vector arity mismatch. *)
 
 val write_file :
-  string -> ?dump_internal:bool -> ?timescale:string -> Netlist.t ->
-  bool array list -> unit
+  string -> ?dump_internal:bool -> Netlist.t -> bool array list -> unit

@@ -5,8 +5,7 @@ let gordian p =
      placement plus a greedy same-size cleanup; no timing objective *)
   let opts =
     {
-      Detailed.default_options with
-      lambda_t = 0.0;
+      Detailed.lambda_t = 0.0;
       lambda_wmax = 0.0;
       lambda_slack = 0.0;
       mixed_size = false;
@@ -16,10 +15,10 @@ let gordian p =
   in
   ignore (Detailed.run ~options:opts p)
 
-let taas ?(reweight_rounds = 3) p =
+let taas p =
   let n_nets = Array.length p.Problem.nets in
   let weights = Array.make n_nets 1.0 in
-  for _round = 1 to reweight_rounds do
+  for _round = 1 to 3 do
     Quadratic.solve p ~net_weight:(fun i -> weights.(i));
     (* reweight by the four-phase timing cost of the current solution *)
     let row_width = Float.max 1.0 (Problem.row_width p) in
@@ -42,8 +41,7 @@ let taas ?(reweight_rounds = 3) p =
   Global.barycenter_sweeps ~sweeps:10 ~timing_bias:0.05 ~timing_weight:0.05 p;
   let opts =
     {
-      Detailed.default_options with
-      lambda_t = 0.3;
+      Detailed.lambda_t = 0.3;
       lambda_wmax = 2.0;
       lambda_slack = 5.0;
       mixed_size = false;

@@ -16,7 +16,6 @@
 val gordian : Problem.t -> unit
 (** Run the GORDIAN-based baseline: positions end legalized. *)
 
-val taas : ?reweight_rounds:int -> Problem.t -> unit
-(** Run the TAAS baseline: positions end legalized.
-    [reweight_rounds] (default 3) quadratic solves with timing-derived
-    net reweighting in between. *)
+val taas : Problem.t -> unit
+(** Run the TAAS baseline: positions end legalized. Three quadratic
+    solves with timing-derived net reweighting in between. *)

@@ -5,7 +5,6 @@ type options = {
   mixed_size : bool;
   window : int;
   max_passes : int;
-  seed : int;
 }
 
 let default_options =
@@ -16,7 +15,6 @@ let default_options =
     mixed_size = true;
     window = 3;
     max_passes = 8;
-    seed = 7;
   }
 
 let gap_legal s_min g = g > -1e-6 && (g < 1e-6 || g >= s_min -. 1e-6)

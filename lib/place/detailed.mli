@@ -29,7 +29,6 @@ type options = {
   mixed_size : bool;
   window : int;  (** swap-candidate distance within the row order *)
   max_passes : int;
-  seed : int;
 }
 
 val default_options : options

@@ -43,9 +43,6 @@ val of_netlist : Tech.t -> Netlist.t -> t
     [Invalid_argument] if the netlist is not balanced). Cells receive
     an initial left-packed position within their row. *)
 
-val row_pitch : t -> int -> float
-(** Vertical pitch below row [r]: [row_height + row_gaps.(r)]. *)
-
 val row_top : t -> int -> float
 (** y coordinate of row [r]'s top edge (accumulates expanded gaps). *)
 

@@ -26,9 +26,14 @@ let spread_anchors p =
     p.Problem.row_cells;
   anchors
 
+(* [a], the anchor pull's weight, and the conjugate-gradient iteration
+   cap *)
+let anchor_weight = 0.01
+let iterations = 200
+
 (* y := A x where A is the quadratic form's Hessian (Laplacian of the
    weighted net graph + anchor diagonal). *)
-let apply p ~net_weight ~anchor_weight x y =
+let apply p ~net_weight x y =
   Array.fill y 0 (Array.length y) 0.0;
   Array.iteri
     (fun ni e ->
@@ -41,7 +46,7 @@ let apply p ~net_weight ~anchor_weight x y =
   Array.iteri (fun i xi -> y.(i) <- y.(i) +. (anchor_weight *. xi)) x
 
 (* right-hand side: anchor pull + pin-offset corrections *)
-let rhs p ~net_weight ~anchor_weight anchors =
+let rhs p ~net_weight anchors =
   let b = Array.map (fun a -> anchor_weight *. a) anchors in
   Array.iteri
     (fun ni e ->
@@ -59,14 +64,14 @@ let rhs p ~net_weight ~anchor_weight anchors =
     p.Problem.nets;
   b
 
-let solve ?(iterations = 200) ?(anchor_weight = 0.01) p ~net_weight =
+let solve p ~net_weight =
   let n = Array.length p.Problem.cells in
   if n > 0 then begin
     let anchors = spread_anchors p in
     let x = Array.map (fun c -> c.Problem.x) p.Problem.cells in
-    let b = rhs p ~net_weight ~anchor_weight anchors in
+    let b = rhs p ~net_weight anchors in
     let ax = Array.make n 0.0 in
-    apply p ~net_weight ~anchor_weight x ax;
+    apply p ~net_weight x ax;
     let r = Array.init n (fun i -> b.(i) -. ax.(i)) in
     let d = Array.copy r in
     let q = Array.make n 0.0 in
@@ -78,7 +83,7 @@ let solve ?(iterations = 200) ?(anchor_weight = 0.01) p ~net_weight =
     let rr = ref (dot r r) in
     let k = ref 0 in
     while !k < iterations && !rr > 1e-6 do
-      apply p ~net_weight ~anchor_weight d q;
+      apply p ~net_weight d q;
       let alpha = !rr /. Float.max 1e-30 (dot d q) in
       for i = 0 to n - 1 do
         x.(i) <- x.(i) +. (alpha *. d.(i));

@@ -10,16 +10,8 @@
     equations, which are symmetric positive definite thanks to the
     anchors. *)
 
-val solve :
-  ?iterations:int ->
-  ?anchor_weight:float ->
-  Problem.t ->
-  net_weight:(int -> float) ->
-  unit
+val solve : Problem.t -> net_weight:(int -> float) -> unit
 (** [solve p ~net_weight] updates cell positions in place;
-    [net_weight i] weighs net [i] (1.0 = plain wirelength). Positions
+    [net_weight i] weighs net [i] (1.0 = plain wirelength); [a] is
+    0.01, and conjugate gradient stops after 200 iterations. Positions
     are continuous; run {!Legalize.run} afterwards. *)
-
-val spread_anchors : Problem.t -> float array
-(** The anchor positions used: cells evenly spread across their row in
-    current row order. *)

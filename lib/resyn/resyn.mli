@@ -83,12 +83,6 @@ type report = {
 val rewrites_tried : report -> int
 val rewrites_accepted : report -> int
 
-val strip : Netlist.t -> Netlist.t
-(** Remove the buffer/splitter fabric from a post-insertion netlist:
-    every [Buf]/[Splitter] is bypassed to its transitive driver,
-    surviving nodes keep their relative order and names, phases
-    reset to 0. Inverse of insertion up to the fabric. *)
-
 val run :
   ?effort:effort -> ?cache:string Memo.t -> Netlist.t -> Netlist.t * report
 (** [run aqfp0] — the full stage on a post-insertion netlist.

@@ -18,9 +18,6 @@ val channel_density : Problem.t -> int -> int
 (** [channel_density p r] — maximum overlap count of the horizontal
     spans of the nets crossing gap [r]. *)
 
-val densities : Problem.t -> int array
-(** Per-gap channel densities (length [n_rows - 1]). *)
-
 val preexpand : Problem.t -> int
 (** Widen each row gap so it offers at least [ceil (0.85 * density)]
     horizontal tracks: density is a worst-case bound, and most nets

@@ -420,6 +420,17 @@ let rec elab_module ~modules ~depth nl m (input_nodes : int array array) :
     | Some w -> w
     | None -> fail "%s: undeclared signal %s" m.mname name
   in
+  (* static width of an expression: scalars are 1; vectors carry their
+     declared width; concatenations sum *)
+  let rec expr_width = function
+    | E_ref name -> width_of name
+    | E_bit _ -> 1
+    | E_const bits -> List.length bits
+    | E_not a -> expr_width a
+    | E_and (a, b) | E_or (a, b) | E_xor (a, b) -> max (expr_width a) (expr_width b)
+    | E_concat parts -> List.fold_left (fun acc p -> acc + expr_width p) 0 parts
+    | E_repl (n, a) -> n * expr_width a
+  in
   (* Driver table: (name, bit) -> how to compute it. *)
   let drivers :
       ( string * int,
@@ -444,17 +455,6 @@ let rec elab_module ~modules ~depth nl m (input_nodes : int array array) :
       | S_assign (lhs, None, e) ->
           let w = width_of lhs in
           (* static width check: every vector operand must match the lhs *)
-          let rec concat_width = function
-            | E_ref name -> width_of name
-            | E_bit _ -> 1
-            | E_const bits -> List.length bits
-            | E_not a -> concat_width a
-            | E_and (a, b) | E_or (a, b) | E_xor (a, b) ->
-                max (concat_width a) (concat_width b)
-            | E_concat parts ->
-                List.fold_left (fun acc p -> acc + concat_width p) 0 parts
-            | E_repl (n, a) -> n * concat_width a
-          in
           let rec check = function
             | E_ref name ->
                 let wr = width_of name in
@@ -472,10 +472,10 @@ let rec elab_module ~modules ~depth nl m (input_nodes : int array array) :
                 check a;
                 check b
             | E_concat _ as c ->
-                let wc = concat_width c in
+                let wc = expr_width c in
                 if wc <> w then fail "concatenation is %d bits but %s is %d" wc lhs w
             | E_repl (_, _) as r ->
-                let wr = concat_width r in
+                let wr = expr_width r in
                 if wr <> 1 && wr <> w then
                   fail "replication is %d bits but %s is %d" wr lhs w
           in
@@ -633,17 +633,6 @@ let rec elab_module ~modules ~depth nl m (input_nodes : int array array) :
         let outs = Array.concat (Array.to_list outs_nested) in
         Hashtbl.replace inst_results iname outs;
         outs
-  (* static width of an expression: scalars are 1; vectors carry their
-     declared width; concatenations sum *)
-  and expr_width e =
-    match e with
-    | E_ref name -> width_of name
-    | E_bit _ -> 1
-    | E_const bits -> List.length bits
-    | E_not a -> expr_width a
-    | E_and (a, b) | E_or (a, b) | E_xor (a, b) -> max (expr_width a) (expr_width b)
-    | E_concat parts -> List.fold_left (fun acc p -> acc + expr_width p) 0 parts
-    | E_repl (n, a) -> n * expr_width a
   (* vec_bit = -1 means "scalar context"; otherwise select that bit of
      vector operands (bitwise semantics of assigns). *)
   and elab_expr stack vec_bit e =

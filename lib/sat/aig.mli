@@ -29,8 +29,6 @@ val neg : int -> int
 
 val mk_and : t -> int -> int -> int
 
-val mk_or : t -> int -> int -> int
-
 val mk_xor : t -> int -> int -> int
 
 val mk_maj : t -> int -> int -> int -> int

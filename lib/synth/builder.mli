@@ -43,6 +43,3 @@ val instantiate : t -> Maj_db.impl -> int array -> int
 (** Realize a database implementation over concrete leaf signals
     (variables beyond the leaf count are don't-care and feed a
     constant node). *)
-
-val is_const : t -> int -> bool option
-(** [Some b] when the node is (or folded to) the constant [b]. *)

@@ -7,7 +7,7 @@
     the truth table of [v] as a function of its leaves. Enumeration
     is the classical bottom-up merge — a gate's cuts are the unions
     of one cut per fan-in, capped at 3 leaves — with the trivial cut
-    [{v}] always kept first and at most {!cuts_per_node} cuts per
+    [{v}] always kept first and at most 8 cuts per
     node (trivial plus the widest merges, the most collapsible ones).
 
     Nodes are visited in {!Netlist.topo_order}: a node's cuts read
@@ -33,15 +33,9 @@ type cut = {
   tt : int;  (** truth table of the node over [leaves], in order *)
 }
 
-val cuts_per_node : int
-(** 8 — the per-node cap. *)
-
 val tt3 : cut -> Truth.t
 (** The cut function padded to the 3-variable space of {!Maj_db}
     (missing variables replicated, i.e. don't-care). *)
-
-val trivial : int -> cut
-(** [{v}] with the identity table. *)
 
 val is_trivial : int -> cut -> bool
 

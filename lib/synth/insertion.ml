@@ -11,7 +11,7 @@ let count_nets nl =
 
 (* Split [consumers] (a list of (node, fanin-index) edges fed by
    [src]) into a balanced splitter tree rooted at [src]. *)
-let build_splitter_tree ?(max_arity = Cell.max_splitter_outputs) nl src consumers =
+let build_splitter_tree nl src consumers =
   let rec attach src consumers =
     match consumers with
     | [] -> assert false
@@ -21,7 +21,7 @@ let build_splitter_tree ?(max_arity = Cell.max_splitter_outputs) nl src consumer
         Netlist.set_fanins nl node fanins
     | _ ->
         let k = List.length consumers in
-        let ways = min max_arity k in
+        let ways = min Cell.max_splitter_outputs k in
         let spl = Netlist.add nl (Netlist.Splitter ways) [| src |] in
         (* distribute consumers into [ways] near-equal groups *)
         let groups = Array.make ways [] in
@@ -30,7 +30,7 @@ let build_splitter_tree ?(max_arity = Cell.max_splitter_outputs) nl src consumer
   in
   attach src consumers
 
-let insert_with_stats ?max_arity input =
+let insert_with_stats input =
   let nl = Netlist.copy input in
   let n_original = Netlist.size nl in
   (* 1. Splitter insertion, sources in topological order. Consumer
@@ -46,7 +46,7 @@ let insert_with_stats ?max_arity input =
           nd.Netlist.fanins);
   for src = 0 to n_original - 1 do
     let consumers = List.rev consumers_of.(src) in
-    if List.length consumers >= 2 then build_splitter_tree ?max_arity nl src consumers
+    if List.length consumers >= 2 then build_splitter_tree nl src consumers
   done;
   let splitters = Netlist.size nl - n_original in
   (* 2. Levelize, then break every multi-phase connection with a
@@ -102,8 +102,6 @@ let insert_with_stats ?max_arity input =
     }
   in
   (nl, stats)
-
-let insert ?max_arity nl = fst (insert_with_stats ?max_arity nl)
 
 (* ---- ladder insertion ----
 

@@ -24,20 +24,18 @@ type stats = {
   nets : int;  (** point-to-point connections after insertion *)
 }
 
-val insert : ?max_arity:int -> Netlist.t -> Netlist.t
+val insert_with_stats : Netlist.t -> Netlist.t * stats
 (** Insert splitters and path-balancing buffers into a majority-based
-    netlist. The input is not modified. [max_arity] (default: the
-    library's widest splitter, 3) caps the splitter fan-out — 2 forces
-    binary trees, the arm of the splitter-arity ablation. *)
-
-val insert_with_stats : ?max_arity:int -> Netlist.t -> Netlist.t * stats
+    netlist, per edge: splitter trees as wide as the library's widest
+    splitter (3), then a buffer chain on every connection that spans
+    more than one phase. The input is not modified. *)
 
 val insert_ladder_with_stats : Netlist.t -> Netlist.t * stats
 (** Joint splitter/buffer insertion with sharing: one distribution
     ladder per signal instead of per-edge buffer chains, following
     the optimal-insertion literature the paper cites ([5], [7]).
     Consumers of one signal at different depths share regeneration
-    cells, which costs markedly fewer buffers than {!insert}. Same
+    cells, which costs markedly fewer buffers than {!insert_with_stats}. Same
     post-conditions. *)
 
 val run : Netlist.t -> Netlist.t * stats

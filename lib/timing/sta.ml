@@ -60,7 +60,8 @@ let pp_report ppf r =
     Format.fprintf ppf "wns=%.1fps tns=%.1fps violations=%d" r.wns_ps r.tns_ps
       r.violations
 
-let slack_histogram ?(buckets = 10) p =
+let slack_histogram p =
+  let buckets = 10 in
   let row_width = Float.max 1.0 (Problem.row_width p) in
   let n = Array.length p.Problem.nets in
   if n = 0 then [||]

@@ -46,8 +46,8 @@ val meets_timing : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val slack_histogram : ?buckets:int -> Problem.t -> (float * float * int) array
-(** [(lo, hi, count)] buckets over all net slacks, equal-width between
+val slack_histogram : Problem.t -> (float * float * int) array
+(** [(lo, hi, count)] for ten buckets over all net slacks, equal-width between
     the worst and best slack. Used by the CLI timing report. *)
 
 val per_row_wns : Problem.t -> float array

@@ -42,10 +42,6 @@ val auto_jobs : unit -> unit
 (** Drop the [set_jobs] override and fall back to [SF_JOBS] /
     [Domain.recommended_domain_count]. *)
 
-val shutdown : unit -> unit
-(** Join all worker domains. Safe to call at any quiescent point; the
-    pool is rebuilt on the next parallel call. Also runs [at_exit]. *)
-
 val map_chunks :
   ?label:string -> ?chunk:int -> n:int -> (int -> int -> 'b) -> 'b array
 (** [map_chunks ~label ~chunk ~n f] applies [f lo hi] to each static

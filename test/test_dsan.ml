@@ -118,19 +118,16 @@ let test_finding_rendering () =
       Dsan.f_rule = "DSAN-EPOCH-01";
       f_site = "route.pairs";
       f_array = "search.arena";
-      f_chunk = 3;
       f_index = 42;
       f_detail = "stale stamp";
     }
   in
   Alcotest.(check string) "one line"
-    "DSAN-EPOCH-01 at route.pairs array search.arena chunk 3 index 42: stale stamp"
+    "DSAN-EPOCH-01 at route.pairs array search.arena index 42: stale stamp"
     (Dsan.finding_to_string f);
   let d = Dsan.to_diag f in
   Alcotest.(check string) "diag rule" "DSAN-EPOCH-01" d.Diag.rule;
   checkb "diag is error" true (d.Diag.severity = Diag.Error);
-  checkb "witness carries chunk" true
-    (List.exists (fun w -> w = "chunk 3") d.Diag.witness);
   checkb "witness carries index" true
     (List.exists (fun w -> w = "index 42") d.Diag.witness);
   checkb "nest is warning" true

@@ -590,7 +590,7 @@ let test_svg_render () =
 
 let test_def_roundtrip () =
   let p, r = routed_design () in
-  let def = Def.of_design ~design:"add2" p r in
+  let def = Def.of_design p r in
   let text = Def.to_string def in
   match Def.of_string text with
   | Error e -> Alcotest.fail e

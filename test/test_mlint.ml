@@ -328,6 +328,82 @@ let test_inventory () =
         "Parallel labels in lib/ = ARCHITECTURE call-site table"
         (parallel_labels root) (inventory_labels root)
 
+(* ---------- PAPER_MAP names only what lib/ defines ---------- *)
+
+let read_file root rel =
+  In_channel.with_open_bin (Filename.concat root rel) In_channel.input_all
+
+(* the names a file binds at top level: [val]s of an interface, [let]s
+   of an implementation *)
+let top_level_names root rel =
+  let lexbuf = Lexing.from_string (read_file root rel) in
+  if Filename.check_suffix rel ".mli" then
+    Parse.interface lexbuf
+    |> List.filter_map (fun (it : Parsetree.signature_item) ->
+           match it.psig_desc with
+           | Psig_value vd -> Some vd.pval_name.txt
+           | _ -> None)
+  else
+    Parse.implementation lexbuf
+    |> List.concat_map (fun (it : Parsetree.structure_item) ->
+           match it.pstr_desc with
+           | Pstr_value (_, vbs) ->
+               List.filter_map
+                 (fun (vb : Parsetree.value_binding) ->
+                   match vb.pvb_pat.ppat_desc with
+                   | Ppat_var v
+                   | Ppat_constraint ({ ppat_desc = Ppat_var v; _ }, _) ->
+                       Some v.txt
+                   | _ -> None)
+                 vbs
+           | _ -> [])
+
+(* [Some (m, v)] for a backquoted span that is exactly [M.value] *)
+let qualified_name span =
+  let ident_char c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+    || c = '_' || c = '\''
+  in
+  match String.split_on_char '.' span with
+  | [ m; v ]
+    when m <> "" && v <> ""
+         && m.[0] >= 'A' && m.[0] <= 'Z'
+         && ((v.[0] >= 'a' && v.[0] <= 'z') || v.[0] = '_')
+         && String.for_all ident_char m && String.for_all ident_char v ->
+      Some (m, v)
+  | _ -> None
+
+let test_paper_map_names () =
+  match find_repo_root () with
+  | None -> Alcotest.fail "cannot locate the repo root from the test sandbox"
+  | Some root ->
+      let modules =
+        List.map
+          (fun rel ->
+            (String.capitalize_ascii (Filename.chop_extension (Filename.basename rel)), rel))
+          (ml_files root "lib")
+      in
+      let defines m v =
+        let rel = List.assoc m modules in
+        List.mem v (top_level_names root rel)
+        || (Sys.file_exists (Filename.concat root (rel ^ "i"))
+           && List.mem v (top_level_names root (rel ^ "i")))
+      in
+      let spans =
+        String.split_on_char '`' (read_file root "docs/PAPER_MAP.md")
+        |> List.filteri (fun i _ -> i mod 2 = 1)
+      in
+      let refs =
+        List.filter_map qualified_name spans
+        |> List.filter (fun (m, _) -> List.mem_assoc m modules)
+      in
+      checkb "PAPER_MAP names lib/ values" true (List.length refs > 20);
+      Alcotest.(check (list string))
+        "PAPER_MAP names that lib/ does not define" []
+        (List.filter (fun (m, v) -> not (defines m v)) refs
+        |> List.map (fun (m, v) -> m ^ "." ^ v)
+        |> List.sort_uniq String.compare)
+
 let () =
   Alcotest.run "sf_mlint"
     [
@@ -371,5 +447,6 @@ let () =
           Alcotest.test_case "repo lints clean" `Quick test_self_run;
           Alcotest.test_case "call-site inventory matches docs" `Quick
             test_inventory;
+          Alcotest.test_case "paper map names exist" `Quick test_paper_map_names;
         ] );
     ]

@@ -307,7 +307,7 @@ let test_fault_redundant_logic () =
   let dead = Netlist.add nl Netlist.And [| a; na |] in
   let out = Netlist.add nl Netlist.Or [| y; dead |] in
   ignore (Netlist.add nl Netlist.Output [| out |]);
-  let t = Fault.generate ~seed:5 ~target:1.0 nl in
+  let t = Fault.generate ~seed:5 nl in
   checkb "not full coverage" true (t.Fault.achieved < 1.0);
   checkb "dead-gate sa0 undetected" true
     (List.exists

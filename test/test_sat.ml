@@ -359,7 +359,7 @@ let test_joint_matches_per_cone () =
       let aqfp0 = Synth_flow.run_quiet (Circuits.benchmark name) in
       let aqfp1, _ = Resyn.run ~effort:Resyn.Full aqfp0 in
       differential (name ^ " aoi->maj") aoi maj;
-      differential (name ^ " maj->aqfp") maj (Insertion.insert maj);
+      differential (name ^ " maj->aqfp") maj (fst (Insertion.insert_with_stats maj));
       differential (name ^ " resyn") aqfp0 aqfp1;
       let m = Netlist.copy maj in
       let n = Netlist.size m in
