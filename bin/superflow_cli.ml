@@ -8,15 +8,13 @@
      superflow place   <input> [--placer ...]   — to place
      superflow timing  <input> [--placer ...]   — to place: static timing
      superflow route   <input> [--router ...]   — to route
-     superflow report  <input> [--html f]       — to layout: signoff report
      superflow drc     <input> [--db d]         — to layout, then full-deck DRC
      superflow flow    <input> [-o out.gds] [--check] [--to ...] [--db d]
      superflow check   <input> [--json] [--tier ...]  — to check: the gate
    The rest work beside the graph:
      superflow sanitize <input>                 — determinism fuzzing
-     superflow sim     <input> [--vcd f]        — random-vector simulation
+     superflow sim     <input> [-n N]           — random-vector simulation
      superflow prove   <a> <b> [--budget N]     — complete equivalence proof
-     superflow atpg    <input> [-o f]           — stuck-at test vectors
      superflow mlint   [root]                   — determinism lint of the sources
      superflow explain <RULE-ID>                — diagnostic rule registry
      superflow tables                           — regenerate the paper tables
@@ -187,7 +185,7 @@ let stage_of_cli s =
   | Ok st -> st
   | Error e -> exit_err e
 
-let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
+let cmd_flow design store gds_out def_out jobs check from_opt to_opt
     resume check_out =
   let design = or_exit design in
   let ((db_dir, _) as store) = or_exit store in
@@ -216,7 +214,6 @@ let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
     [
       ("--check", check, Flow.Check);
       ("-o", gds_out <> None, Flow.Layout);
-      ("--svg", svg_out <> None, Flow.Layout);
       ("--def", def_out <> None, Flow.Route);
       ("--check-out", check_out <> None, Flow.Check);
     ];
@@ -244,11 +241,6 @@ let cmd_flow design store gds_out def_out svg_out jobs check from_opt to_opt
       (match r.Flow.check_report with
       | Some rep ->
           List.iter (fun d -> Format.printf "%a@." Diag.pp d) rep.Check.diags
-      | None -> ());
-      (match svg_out with
-      | Some path ->
-          io (fun () -> Svg.write_file path r.Flow.layout);
-          Format.printf "SVG written to %s@." path
       | None -> ());
       Format.printf "%a@." Flow.pp_summary r
   | None ->
@@ -366,7 +358,7 @@ let cmd_timing design =
 
 (* ---- sim ---- *)
 
-let cmd_sim input n_vectors vcd_out =
+let cmd_sim input n_vectors =
   match load_input input with
   | Error e -> exit_err e
   | Ok aoi ->
@@ -383,12 +375,7 @@ let cmd_sim input n_vectors vcd_out =
               (List.map (fun b -> if b then "1" else "0") (Array.to_list bits))
           in
           Format.printf "#%d  in=%s  out=%s@." t (show v) (show outs))
-        vectors;
-      (match vcd_out with
-      | Some path ->
-          io (fun () -> Vcd.write_file path aoi vectors);
-          Format.printf "VCD written to %s@." path
-      | None -> ())
+        vectors
 
 (* ---- prove ---- *)
 
@@ -417,46 +404,6 @@ let cmd_prove input_a input_b budget json =
         exit 2)
       else if not json then
         Format.printf "EQUIVALENT (formally proven per output)@."
-
-(* ---- atpg ---- *)
-
-let cmd_atpg input out_file =
-  match load_input input with
-  | Error e -> exit_err e
-  | Ok aoi ->
-      let aqfp = Synth_flow.run_quiet aoi in
-      let t = Fault.generate ~seed:1 aqfp in
-      Format.printf "%d vectors, %.2f%% stuck-at coverage, %d undetected fault(s)@."
-        (List.length t.Fault.vectors)
-        (100.0 *. t.Fault.achieved)
-        (List.length t.Fault.undetected);
-      (match out_file with
-      | Some path ->
-          write_text path
-            (String.concat ""
-               (List.map
-                  (fun v ->
-                    String.init (Array.length v) (fun i ->
-                        if v.(i) then '1' else '0')
-                    ^ "\n")
-                  t.Fault.vectors));
-          Format.printf "vectors written to %s@." path
-      | None -> ())
-
-(* ---- report ---- *)
-
-let cmd_report input design html_out jobs =
-  run_graph ?jobs ~to_stage:Flow.Layout (or_exit design) (fun _ staged ->
-      let r = ran staged.Flow.result in
-      let rep = Chip_report.of_flow r in
-      Chip_report.print rep;
-      match html_out with
-      | Some path ->
-          let svg = Svg.render r.Flow.layout in
-          write_text path
-            (Chip_report.to_html ~svg ~title:("SuperFlow: " ^ input) rep);
-          Format.printf "HTML report written to %s@." path
-      | None -> ())
 
 (* ---- mlint ---- *)
 
@@ -576,10 +523,6 @@ let jobs_arg =
 let def_arg =
   Arg.(value & opt (some string) None & info [ "def" ] ~docv:"FILE"
          ~doc:"Also write a DEF-style placement/routing dump to $(docv).")
-
-let svg_arg =
-  Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE"
-         ~doc:"Also render the layout as SVG to $(docv).")
 
 let tech_arg =
   Arg.(value & opt (some string) None & info [ "tech" ] ~docv:"FILE"
@@ -729,7 +672,7 @@ let flow_cmd =
   Cmd.v (Cmd.info "flow" ~doc:"Full RTL-to-GDS flow")
     Term.(const cmd_flow
           $ design_t [ placer_t; router_t; tech_t; tier_t; resyn_t resyn_effort_arg; seed_t ]
-          $ store_t $ gds_arg $ def_arg $ svg_arg $ jobs_arg $ check_flag_arg
+          $ store_t $ gds_arg $ def_arg $ jobs_arg $ check_flag_arg
           $ from_arg $ to_arg $ resume_arg $ check_out_arg)
 
 let json_arg =
@@ -793,13 +736,9 @@ let input_b_arg =
 let sim_n_arg =
   Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of random vectors.")
 
-let vcd_arg =
-  Arg.(value & opt (some string) None & info [ "o"; "vcd" ] ~docv:"FILE"
-         ~doc:"Write the waveform as VCD to $(docv).")
-
 let sim_cmd =
-  Cmd.v (Cmd.info "sim" ~doc:"Simulate random vectors (optionally dumping VCD)")
-    Term.(const cmd_sim $ input_arg $ sim_n_arg $ vcd_arg)
+  Cmd.v (Cmd.info "sim" ~doc:"Simulate random vectors")
+    Term.(const cmd_sim $ input_arg $ sim_n_arg)
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N"
@@ -819,23 +758,6 @@ let prove_cmd =
              (conflict budget exhausted).")
     Term.(const cmd_prove $ input_arg $ input_b_arg $ budget_arg
           $ json_arg)
-
-let atpg_out_arg =
-  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-         ~doc:"Write the generated test vectors (one per line) to $(docv).")
-
-let atpg_cmd =
-  Cmd.v (Cmd.info "atpg" ~doc:"Generate stuck-at manufacturing test vectors")
-    Term.(const cmd_atpg $ input_arg $ atpg_out_arg)
-
-let html_arg =
-  Arg.(value & opt (some string) None & info [ "html" ] ~docv:"FILE"
-         ~doc:"Also write a self-contained HTML report (with the layout) to $(docv).")
-
-let report_cmd =
-  Cmd.v (Cmd.info "report" ~doc:"Full design signoff report (area/wiring/timing/energy)")
-    Term.(const cmd_report $ input_arg $ design_t [ placer_t ] $ html_arg
-          $ jobs_arg)
 
 let mlint_root_arg =
   Arg.(value & pos 0 string "." & info [] ~docv:"ROOT"
@@ -903,7 +825,7 @@ let main =
     (Cmd.info "superflow" ~version:Flow.version
        ~doc:"Fully-customized RTL-to-GDS design automation flow for AQFP circuits")
     [ synth_cmd; resyn_cmd; place_cmd; route_cmd; flow_cmd; check_cmd; drc_cmd;
-      sanitize_cmd; mlint_cmd; explain_cmd; timing_cmd; report_cmd; sim_cmd;
-      prove_cmd; atpg_cmd; tables_cmd; bench_list_cmd ]
+      sanitize_cmd; mlint_cmd; explain_cmd; timing_cmd; sim_cmd;
+      prove_cmd; tables_cmd; bench_list_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -17,9 +17,6 @@ let () =
   Format.printf "Running full flow on %s...@." name;
   let r = Flow.run ~gds_path aoi in
   Format.printf "flow done: %a@.@." Layout.pp_stats (Layout.stats r.Flow.layout);
-  let svg_path = name ^ ".svg" in
-  Svg.write_file svg_path r.Flow.layout;
-  Format.printf "SVG preview written to %s@.@." svg_path;
 
   Format.printf "Reading %s back...@." gds_path;
   match Gds.read_file gds_path with

@@ -37,21 +37,6 @@ let () =
       [ Placer.Gordian; Placer.Taas; Placer.Superflow ]
   in
   Table.print t;
-  (* drop an SVG of each placement next to the numbers *)
-  List.iter
-    (fun (alg, _, _) ->
-      let p = Problem.of_netlist Tech.default aqfp in
-      ignore (Placer.place alg p);
-      let path =
-        Printf.sprintf "%s_%s.svg" name
-          (String.lowercase_ascii
-             (String.map (fun c -> if c = '-' then '_' else c) (Placer.algorithm_name alg)))
-      in
-      let oc = open_out path in
-      output_string oc (Svg.render_placement p);
-      close_out oc;
-      Format.printf "placement view: %s@." path)
-    results;
   (* headline ratios, SuperFlow vs the baselines *)
   let find alg = List.find (fun (a, _, _) -> a = alg) results in
   let _, sf, sf_sta = find Placer.Superflow in

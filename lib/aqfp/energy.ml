@@ -1,15 +1,8 @@
-type params = {
-  joules_per_jj_switch : float;
-  cmos_joules_per_gate : float;
-  static_fraction : float;
-}
-
-let default_params =
-  {
-    joules_per_jj_switch = 1.4e-21;
-    cmos_joules_per_gate = 1e-15;
-    static_fraction = 0.1;
-  }
+(* ~1.4 zJ per JJ switching event at adiabatic ramp rates, ~1 fJ per
+   minimum-size CMOS gate event, and 10% extra AC-bias loss *)
+let joules_per_jj_switch = 1.4e-21
+let cmos_joules_per_gate = 1e-15
+let static_fraction = 0.1
 
 type report = {
   jj_count : int;
@@ -20,18 +13,18 @@ type report = {
   efficiency_gain : float;
 }
 
-let of_netlist ?(params = default_params) tech nl =
+let of_netlist tech nl =
   let jj_count = Cell.netlist_jj_count nl in
   let gate_count =
     Netlist.count_kind nl (function
       | Netlist.Output | Netlist.Input -> false
       | _ -> true)
   in
-  let switching = float_of_int jj_count *. params.joules_per_jj_switch in
-  let energy_per_cycle_j = switching *. (1.0 +. params.static_fraction) in
+  let switching = float_of_int jj_count *. joules_per_jj_switch in
+  let energy_per_cycle_j = switching *. (1.0 +. static_fraction) in
   let power_w = energy_per_cycle_j *. tech.Tech.clock_freq_ghz *. 1e9 in
   let cmos_energy_per_cycle_j =
-    float_of_int gate_count *. params.cmos_joules_per_gate
+    float_of_int gate_count *. cmos_joules_per_gate
   in
   let efficiency_gain =
     if energy_per_cycle_j > 0.0 then cmos_energy_per_cycle_j /. energy_per_cycle_j

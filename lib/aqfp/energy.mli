@@ -9,17 +9,8 @@
 
     Defaults follow the literature the paper cites: ~1.4 zJ per JJ per
     switching event at a 5 GHz excitation, against ~1 fJ for a
-    minimum-size CMOS gate switching event in a comparable node. The
-    knobs are explicit so cell-library updates can re-cost designs. *)
-
-type params = {
-  joules_per_jj_switch : float;  (** default 1.4e-21 J (adiabatic) *)
-  cmos_joules_per_gate : float;  (** default 1e-15 J *)
-  static_fraction : float;  (** extra AC-bias loss as a fraction of
-      switching energy (default 0.1) *)
-}
-
-val default_params : params
+    minimum-size CMOS gate switching event in a comparable node, plus
+    10% of the switching energy as extra AC-bias loss. *)
 
 type report = {
   jj_count : int;
@@ -30,7 +21,7 @@ type report = {
   efficiency_gain : float;  (** CMOS energy / AQFP energy *)
 }
 
-val of_netlist : ?params:params -> Tech.t -> Netlist.t -> report
+val of_netlist : Tech.t -> Netlist.t -> report
 (** Energy of a synthesized AQFP netlist (uses the cell library's JJ
     counts; the netlist should be post-insertion so buffers and
     splitters are costed). *)

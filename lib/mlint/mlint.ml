@@ -65,8 +65,7 @@ let in_stage p = List.exists (fun d -> starts_with d p) stage_dirs
 
 (* presentation modules whose whole contract is stdout (the CLI calls
    them to print the paper tables and reports) *)
-let presentation =
-  [ "lib/core/report.ml"; "lib/core/chip_report.ml"; "lib/util/table.ml" ]
+let presentation = [ "lib/core/report.ml"; "lib/util/table.ml" ]
 
 let wallclock = "lib/util/wallclock.ml"
 let codec = "lib/db/codec.ml"

@@ -130,52 +130,3 @@ let analyze_routed p (routed : Router.result) =
         { t with flight_ps = routed_flight; slack_ps })
   in
   summarize timings
-
-type yield = {
-  samples : int;
-  pass : int;
-  yield_fraction : float;
-  wns_mean_ps : float;
-  wns_stddev_ps : float;
-}
-
-let monte_carlo ?(samples = 200) ?(sigma_ps = -1.0) ?(seed = 7) p =
-  let tech = p.Problem.tech in
-  let sigma =
-    if sigma_ps >= 0.0 then sigma_ps else 0.1 *. tech.Tech.gate_delay_ps
-  in
-  let rng = Rng.create seed in
-  let row_width = Float.max 1.0 (Problem.row_width p) in
-  let n = Array.length p.Problem.nets in
-  (* nominal per-net slack without the gate-delay term; each sample
-     re-draws the driving cell's delay *)
-  let base =
-    Array.init n (fun ni ->
-        let t = net_slack_ps p ~row_width ni in
-        t.slack_ps +. tech.Tech.gate_delay_ps)
-  in
-  let wns_samples =
-    Array.init samples (fun _ ->
-        (* one delay draw per cell, shared across its fan-out nets *)
-        let delay =
-          Array.map
-            (fun _ -> Float.max 0.0 (tech.Tech.gate_delay_ps +. (sigma *. Rng.gaussian rng)))
-            p.Problem.cells
-        in
-        let wns = ref infinity in
-        Array.iteri
-          (fun ni b ->
-            let e = p.Problem.nets.(ni) in
-            let s = b -. delay.(e.Problem.src) in
-            if s < !wns then wns := s)
-          base;
-        if n = 0 then 0.0 else !wns)
-  in
-  let pass = Array.fold_left (fun acc w -> if w >= 0.0 then acc + 1 else acc) 0 wns_samples in
-  {
-    samples;
-    pass;
-    yield_fraction = float_of_int pass /. float_of_int (max 1 samples);
-    wns_mean_ps = Stats.mean wns_samples;
-    wns_stddev_ps = Stats.stddev wns_samples;
-  }

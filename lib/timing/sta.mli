@@ -62,22 +62,6 @@ val analyze_routed : Problem.t -> Router.result -> report
     instead of the Manhattan estimate. This is the timing the chip
     ships with; [analyze] is the placement-time view. *)
 
-type yield = {
-  samples : int;
-  pass : int;  (** samples meeting timing *)
-  yield_fraction : float;
-  wns_mean_ps : float;
-  wns_stddev_ps : float;
-}
-
-val monte_carlo :
-  ?samples:int -> ?sigma_ps:float -> ?seed:int -> Problem.t -> yield
-(** Process-variation timing yield: every cell's switching delay is
-    drawn per sample from N(gate_delay_ps, sigma_ps) — the JJ
-    critical-current spread of a real superconducting process — and
-    the design passes when its worst slack stays non-negative.
-    [sigma_ps] defaults to 10% of the nominal gate delay. *)
-
 val fmax_ghz : Problem.t -> float
 (** Maximum clock frequency at which the current placement meets
     timing. Slack is linear in the phase window, so the exact answer

@@ -34,8 +34,3 @@ let shuffle t a =
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
-
-let gaussian t =
-  let u1 = max 1e-12 (float t 1.0) in
-  let u2 = float t 1.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)

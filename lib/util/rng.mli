@@ -25,6 +25,3 @@ val shuffle : t -> 'a array -> unit
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val gaussian : t -> float
-(** Standard normal deviate (Box–Muller). *)

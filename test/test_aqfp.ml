@@ -162,17 +162,6 @@ let test_energy_scales_with_size () =
   let e_large = (Energy.of_netlist Tech.default large).Energy.energy_per_cycle_j in
   checkb "larger design burns more" true (e_large > e_small)
 
-let test_energy_params () =
-  let aqfp = Synth_flow.run_quiet (Circuits.kogge_stone_adder 2) in
-  let base = Energy.of_netlist Tech.default aqfp in
-  let doubled =
-    Energy.of_netlist
-      ~params:{ Energy.default_params with Energy.joules_per_jj_switch = 2.8e-21 }
-      Tech.default aqfp
-  in
-  Alcotest.(check (float 1e-30)) "linear in switch energy"
-    (2.0 *. base.Energy.energy_per_cycle_j) doubled.Energy.energy_per_cycle_j
-
 (* ---------- Clocking ---------- *)
 
 let test_eq2_cases () =
@@ -230,7 +219,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_energy_basic;
           Alcotest.test_case "gain magnitude" `Quick test_energy_gain_order_of_magnitude;
           Alcotest.test_case "scales" `Quick test_energy_scales_with_size;
-          Alcotest.test_case "params" `Quick test_energy_params;
         ] );
       ( "clocking",
         [

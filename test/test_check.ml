@@ -612,30 +612,35 @@ let test_crashing_pass_is_contained () =
   checki "CHECK-CRASH-01 once" 1 (count_rule "CHECK-CRASH-01" rep.Check.diags);
   checkb "gate fails" false (Check.ok rep)
 
-(* ---------- fuzz: checker must survive Fault-mutated netlists ---------- *)
+(* ---------- fuzz: checker must survive stuck-at mutants ---------- *)
 
-let test_fuzz_fault_mutations () =
+let test_fuzz_stuck_at_mutations () =
   let aqfp = Synth_flow.run_quiet (Circuits.kogge_stone_adder 4) in
-  let faults = Fault.all_faults aqfp in
+  let logic =
+    Netlist.fold aqfp
+      (fun acc nd ->
+        match nd.Netlist.kind with
+        | Netlist.Input | Netlist.Output -> acc
+        | _ -> nd.Netlist.id :: acc)
+      []
+    |> List.rev
+  in
   let n_checked = ref 0 in
   List.iteri
-    (fun i f ->
+    (fun i id ->
       if i mod 7 = 0 then begin
         let mutated = Netlist.copy aqfp in
-        (* pin the faulted gate's output: retype to a constant, like a
-           JJ stuck in one flux state *)
-        (match Netlist.kind mutated f.Fault.node with
-        | Netlist.Input | Netlist.Output -> ()
-        | _ ->
-            Netlist.set_kind mutated f.Fault.node (Netlist.Const f.Fault.stuck_at);
-            Netlist.set_fanins mutated f.Fault.node [||]);
+        (* pin the gate's output: retype to a constant, like a JJ stuck
+           in one flux state; the polarity alternates *)
+        Netlist.set_kind mutated id (Netlist.Const (i mod 14 = 0));
+        Netlist.set_fanins mutated id [||];
         (* every pass family must produce diagnostics, not exceptions *)
         let d1 = Lint.check mutated in
         let d2 = Aqfp_check.check mutated in
         ignore (List.length d1 + List.length d2);
         incr n_checked
       end)
-    faults;
+    logic;
   checkb "fuzzed some netlists" true (!n_checked > 20)
 
 let () =
@@ -708,7 +713,7 @@ let () =
         ] );
       ( "fuzz",
         [
-          Alcotest.test_case "Fault-mutated netlists never crash the checker"
-            `Quick test_fuzz_fault_mutations;
+          Alcotest.test_case "stuck-at mutants never crash the checker"
+            `Quick test_fuzz_stuck_at_mutations;
         ] );
     ]

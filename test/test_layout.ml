@@ -561,31 +561,6 @@ let test_gap_hints () =
     = []);
   ignore layout
 
-let test_svg_render () =
-  let p, r = routed_design () in
-  let layout = Layout.build p r in
-  let svg = Svg.render layout in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
-    loop 0
-  in
-  checkb "is svg" true (contains svg "<svg");
-  checkb "closes" true (contains svg "</svg>");
-  checkb "has cells" true (contains svg "<rect");
-  checkb "has wires" true (contains svg "<line");
-  checkb "has vias" true (contains svg "<circle");
-  (* one rect per cell plus the background *)
-  let count_sub sub =
-    let n = String.length svg and m = String.length sub in
-    let rec loop i acc =
-      if i + m > n then acc
-      else loop (i + 1) (if String.sub svg i m = sub then acc + 1 else acc)
-    in
-    loop 0 0
-  in
-  checki "rect per cell" (Array.length layout.Layout.cells + 1) (count_sub "<rect")
-
 (* ---------- DEF exchange ---------- *)
 
 let test_def_roundtrip () =
@@ -705,7 +680,6 @@ let () =
           Alcotest.test_case "build" `Quick test_layout_build;
           Alcotest.test_case "gds cells" `Quick test_layout_gds_has_all_cells;
           Alcotest.test_case "bias network" `Quick test_layout_bias_network;
-          Alcotest.test_case "svg render" `Quick test_svg_render;
         ] );
       ( "def",
         [

@@ -266,91 +266,6 @@ let prop_sim_word_matches_scalar =
       let word = (Sim.eval_words nl words).(0) in
       (word land 1 = 1) = scalar)
 
-(* ---------- Fault simulation / test generation ---------- *)
-
-let test_fault_detects_basic () =
-  (* and(a,b): output stuck-at-0 is detected by (1,1); stuck-at-1 by
-     anything with a 0 input *)
-  let nl = Netlist.create () in
-  let a = Netlist.add nl Netlist.Input [||] in
-  let b = Netlist.add nl Netlist.Input [||] in
-  let g = Netlist.add nl Netlist.And [| a; b |] in
-  ignore (Netlist.add nl Netlist.Output [| g |]);
-  checkb "sa0 by 11" true (Fault.detects nl { Fault.node = g; stuck_at = false } [| true; true |]);
-  checkb "sa0 not by 01" false (Fault.detects nl { Fault.node = g; stuck_at = false } [| false; true |]);
-  checkb "sa1 by 01" true (Fault.detects nl { Fault.node = g; stuck_at = true } [| false; true |]);
-  checkb "sa1 not by 11" false (Fault.detects nl { Fault.node = g; stuck_at = true } [| true; true |])
-
-let test_fault_universe () =
-  let nl = sample_netlist () in
-  (* 3 inputs + 3 gates, two polarities each; outputs excluded *)
-  checki "fault count" 12 (List.length (Fault.all_faults nl))
-
-let test_fault_generation_high_coverage () =
-  let nl = Circuits.kogge_stone_adder 4 in
-  let t = Fault.generate ~seed:3 nl in
-  checkb
-    (Printf.sprintf "coverage %.2f >= 0.95" t.Fault.achieved)
-    true (t.Fault.achieved >= 0.95);
-  (* grading the generated set reproduces the reported coverage *)
-  let graded, undetected = Fault.coverage nl t.Fault.vectors in
-  Alcotest.(check (float 1e-9)) "self-consistent" t.Fault.achieved graded;
-  checki "undetected lists agree" (List.length t.Fault.undetected) (List.length undetected)
-
-let test_fault_redundant_logic () =
-  (* or(y, and(a, ~a)): the and output is constant 0, so its stuck-at-0
-     fault is undetectable -> coverage < 100% and the fault is reported *)
-  let nl = Netlist.create () in
-  let a = Netlist.add nl Netlist.Input [||] in
-  let y = Netlist.add nl Netlist.Input [||] in
-  let na = Netlist.add nl Netlist.Not [| a |] in
-  let dead = Netlist.add nl Netlist.And [| a; na |] in
-  let out = Netlist.add nl Netlist.Or [| y; dead |] in
-  ignore (Netlist.add nl Netlist.Output [| out |]);
-  let t = Fault.generate ~seed:5 nl in
-  checkb "not full coverage" true (t.Fault.achieved < 1.0);
-  checkb "dead-gate sa0 undetected" true
-    (List.exists
-       (fun f -> f.Fault.node = dead && f.Fault.stuck_at = false)
-       t.Fault.undetected)
-
-let test_fault_vectors_compact () =
-  (* every kept vector pulled its weight: removing detection power is
-     monotone, so the kept set is no larger than the budget and far
-     smaller than exhaustive *)
-  let nl = Circuits.parallel_counter 8 in
-  let t = Fault.generate ~seed:7 nl in
-  checkb "nonempty" true (t.Fault.vectors <> []);
-  checkb "compact" true (List.length t.Fault.vectors < 200)
-
-let test_fault_diagnosis () =
-  (* inject a known fault into a simulated die: the dictionary's
-     suspect list contains it, and a healthy die matches no fault *)
-  let nl = Circuits.kogge_stone_adder 2 in
-  let tests = Fault.generate ~seed:9 nl in
-  let vectors = tests.Fault.vectors in
-  let injected =
-    List.find
-      (fun f ->
-        (match Netlist.kind nl f.Fault.node with Netlist.And -> true | _ -> false)
-        && not (List.mem f tests.Fault.undetected))
-      (Fault.all_faults nl)
-  in
-  let observed = List.map (fun v -> Fault.faulty_response nl injected v) vectors in
-  let suspects = Fault.diagnose nl vectors observed in
-  checkb "injected fault among suspects" true (List.mem injected suspects);
-  (* every suspect reproduces the observations on a fresh vector too *)
-  checkb "suspects nonempty" true (suspects <> []);
-  (* healthy die: responses = good machine -> no fault matches all
-     (tests reached ~99% coverage, so only undetected faults could
-     masquerade; filter them out of the expectation) *)
-  let healthy = List.map (fun v -> Sim.eval nl v) vectors in
-  let suspects_healthy = Fault.diagnose nl vectors healthy in
-  List.iter
-    (fun f -> checkb "healthy suspects are undetectable faults" true
-        (List.mem f tests.Fault.undetected))
-    suspects_healthy
-
 (* ---------- structural stats ---------- *)
 
 let test_stats_sample () =
@@ -372,56 +287,6 @@ let test_stats_balanced_aqfp_has_low_variance_info () =
   checkb "fanout bounded" true (s.Netlist_stats.fanout_max <= 3);
   let hist_total = List.fold_left (fun acc (_, n) -> acc + n) 0 s.Netlist_stats.fanout_histogram in
   checki "histogram covers all non-output nodes" (s.Netlist_stats.inputs + s.Netlist_stats.gates) hist_total
-
-(* ---------- VCD export ---------- *)
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
-  loop 0
-
-let test_vcd_structure () =
-  let nl = sample_netlist () in
-  let vectors = [ [| false; false; false |]; [| true; true; false |]; [| true; true; true |] ] in
-  let vcd = Vcd.of_vectors nl vectors in
-  checkb "header" true (contains_sub vcd "$enddefinitions $end");
-  checkb "timescale" true (contains_sub vcd "$timescale 1ns $end");
-  checkb "declares a" true (contains_sub vcd "$var wire 1 ! a $end");
-  checkb "time markers" true (contains_sub vcd "#0" && contains_sub vcd "#2");
-  (* the y output toggles: (0,0,0)->1, (1,1,0)->1, (1,1,1)->1... check
-     initial dump lines exist *)
-  checkb "value changes recorded" true (contains_sub vcd "1" || contains_sub vcd "0")
-
-let test_vcd_change_compression () =
-  (* a constant input only appears once in the dump *)
-  let nl = sample_netlist () in
-  let vectors = List.init 5 (fun _ -> [| true; true; false |]) in
-  let vcd = Vcd.of_vectors nl vectors in
-  let count_occurrences sub =
-    let n = String.length vcd and m = String.length sub in
-    let rec loop i acc =
-      if i + m > n then acc
-      else loop (i + 1) (if String.sub vcd i m = sub then acc + 1 else acc)
-    in
-    loop 0 0
-  in
-  (* code for the first declared signal is "!": its value line "1!" or
-     "0!" appears exactly once across the 5 identical steps *)
-  checki "no redundant dumps" 1 (count_occurrences "1!" + count_occurrences "0!")
-
-let test_vcd_internal_signals () =
-  let nl = sample_netlist () in
-  let thin = Vcd.of_vectors nl [ [| true; false; true |] ] in
-  let fat = Vcd.of_vectors ~dump_internal:true nl [ [| true; false; true |] ] in
-  checkb "internal dump is larger" true (String.length fat > String.length thin)
-
-let test_vcd_rejects_bad_arity () =
-  let nl = sample_netlist () in
-  checkb "raises" true
-    (try
-       ignore (Vcd.of_vectors nl [ [| true |] ]);
-       false
-     with Invalid_argument _ -> true)
 
 (* ---------- Bench parser ---------- *)
 
@@ -577,26 +442,10 @@ let () =
           Alcotest.test_case "signature deterministic" `Quick test_signature_deterministic;
           QCheck_alcotest.to_alcotest prop_sim_word_matches_scalar;
         ] );
-      ( "vcd",
-        [
-          Alcotest.test_case "structure" `Quick test_vcd_structure;
-          Alcotest.test_case "change compression" `Quick test_vcd_change_compression;
-          Alcotest.test_case "internal signals" `Quick test_vcd_internal_signals;
-          Alcotest.test_case "arity" `Quick test_vcd_rejects_bad_arity;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "sample" `Quick test_stats_sample;
           Alcotest.test_case "aqfp profile" `Quick test_stats_balanced_aqfp_has_low_variance_info;
-        ] );
-      ( "fault",
-        [
-          Alcotest.test_case "detects basic" `Quick test_fault_detects_basic;
-          Alcotest.test_case "fault universe" `Quick test_fault_universe;
-          Alcotest.test_case "generation coverage" `Quick test_fault_generation_high_coverage;
-          Alcotest.test_case "redundant logic" `Quick test_fault_redundant_logic;
-          Alcotest.test_case "compact vectors" `Quick test_fault_vectors_compact;
-          Alcotest.test_case "diagnosis" `Quick test_fault_diagnosis;
         ] );
       ( "bench",
         [

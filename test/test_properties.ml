@@ -108,20 +108,6 @@ let prop_def_roundtrip_random =
           && List.length def.Def.nets = List.length def2.Def.nets
       | Error _ -> false)
 
-let prop_fault_coverage_monotone =
-  QCheck.Test.make ~name:"adding vectors never lowers fault coverage" ~count:10
-    QCheck.(int_bound 1000)
-    (fun seed ->
-      let nl = Circuits.kogge_stone_adder 2 in
-      let rng = Rng.create seed in
-      let n_in = List.length (Netlist.inputs nl) in
-      let vecs k = List.init k (fun _ -> Array.init n_in (fun _ -> Rng.bool rng)) in
-      let v5 = vecs 5 in
-      let v10 = v5 @ vecs 5 in
-      let c5, _ = Fault.coverage nl v5 in
-      let c10, _ = Fault.coverage nl v10 in
-      c10 >= c5 -. 1e-12)
-
 let prop_opt_never_grows =
   QCheck.Test.make ~name:"optimization never grows a netlist" ~count:30
     QCheck.(int_bound 100_000)
@@ -148,7 +134,6 @@ let () =
         [
           to_alco prop_full_pipeline_on_random_circuits;
           to_alco prop_def_roundtrip_random;
-          to_alco prop_fault_coverage_monotone;
           to_alco prop_opt_never_grows;
         ] );
     ]

@@ -61,12 +61,6 @@ let test_routing_quality () =
   within "adder8 routed/manhattan ratio" 1.0 2.0 (r.Router.wirelength /. lower);
   within "adder8 expansions" 0.0 60.0 (float_of_int r.Router.expansions)
 
-let test_test_generation_quality () =
-  let aqfp = Synth_flow.run_quiet (Circuits.kogge_stone_adder 4) in
-  let t = Fault.generate ~seed:1 aqfp in
-  within "fault coverage" 0.9 1.0 t.Fault.achieved;
-  within "vector count" 1.0 120.0 (float_of_int (List.length t.Fault.vectors))
-
 let test_synthesis_saves_vs_naive () =
   (* the MAJ cut mapping should keep saving JJs vs per-gate mapping *)
   let nl = Circuits.benchmark "apc32" in
@@ -84,7 +78,6 @@ let () =
           Alcotest.test_case "placement" `Quick test_placement_quality;
           Alcotest.test_case "placement vs baselines" `Slow test_placement_beats_baselines_often;
           Alcotest.test_case "routing" `Quick test_routing_quality;
-          Alcotest.test_case "test generation" `Quick test_test_generation_quality;
           Alcotest.test_case "mapping saving" `Quick test_synthesis_saves_vs_naive;
         ] );
     ]

@@ -111,21 +111,6 @@ let test_post_route_sta () =
   checkb "post-route wns <= placement wns" true (post.Sta.wns_ps <= pre.Sta.wns_ps +. 1e-6);
   checkb "violations monotone" true (post.Sta.violations >= pre.Sta.violations)
 
-let test_monte_carlo_yield () =
-  let p = placed "apc32" Placer.Superflow in
-  (* with zero variation the yield is deterministic: 100% iff nominal
-     timing is met *)
-  let nominal = Sta.analyze p in
-  let zero = Sta.monte_carlo ~samples:50 ~sigma_ps:0.0 p in
-  checkb "zero-sigma yield is binary" true
-    (zero.Sta.yield_fraction = if Sta.meets_timing nominal then 1.0 else 0.0);
-  (* larger spread can only lower (or keep) the yield *)
-  let tight = Sta.monte_carlo ~samples:200 ~sigma_ps:0.5 p in
-  let loose = Sta.monte_carlo ~samples:200 ~sigma_ps:5.0 p in
-  checkb "more variation, lower yield" true
-    (loose.Sta.yield_fraction <= tight.Sta.yield_fraction +. 0.05);
-  checkb "stats populated" true (tight.Sta.wns_stddev_ps >= 0.0)
-
 let () =
   Alcotest.run "sf_timing"
     [
@@ -139,6 +124,5 @@ let () =
           Alcotest.test_case "clock frequency" `Slow test_faster_clock_tightens;
           Alcotest.test_case "fmax" `Quick test_fmax_exact;
           Alcotest.test_case "post-route" `Quick test_post_route_sta;
-          Alcotest.test_case "monte carlo yield" `Quick test_monte_carlo_yield;
         ] );
     ]
